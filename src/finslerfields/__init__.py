@@ -36,6 +36,7 @@ from .manifold import (
     isometry_ratio_invariance,
     lie_derivative,
     pullback_metric,
+    stack_points,
 )
 from .conformal_solver import (
     FieldBasis,

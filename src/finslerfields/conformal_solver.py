@@ -9,7 +9,6 @@ spectral gap around that threshold.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -24,8 +23,10 @@ from .manifold import (
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
+    sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
+    stack_points,
 )
 
 DEFAULT_TOL_RATIO = 1e-8
@@ -121,15 +122,22 @@ def sphere_monomial_rho(sphere):
     return out
 
 
+SPHERE_DEGREES = (1, 2)
+
+
 def sphere_basis(sphere, degree=2, rho_elements=None):
     """Conformal generators plus the remaining chart polynomials of degree <= 2.
 
     The six generators (three rotations, three gradient fields) span the
     holomorphic chart polynomials; for degree 2 the antiholomorphic monomials
-    are appended so the ansatz does not presuppose the answer.
+    are appended so the ansatz does not presuppose the answer.  Other degrees
+    raise ValueError rather than being recorded for an ansatz they do not
+    describe.
     """
+    if degree not in SPHERE_DEGREES:
+        raise ValueError(f"sphere_basis supports degrees {SPHERE_DEGREES}, got {degree!r}")
     elements = sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
-    if degree >= 2:
+    if degree == 2:
         for j, k in ((0, 1), (1, 1), (0, 2)):
             elements.append(SpherePolyVectorField(sphere, {(j, k): 1.0}))
             elements.append(SpherePolyVectorField(sphere, {(j, k): 1.0j}))
@@ -181,11 +189,19 @@ def build_collocation(manifold, config, offset_points=False):
     return pairs
 
 
+def _collocation_arrays(collocation):
+    """The points of a list of (point, direction) pairs as one batch, and an (m, 2) direction array."""
+    points = stack_points([pt for pt, _ in collocation])
+    return points, np.array([y for _, y in collocation], dtype=float).reshape(-1, 2)
+
+
 def assemble_system(field, basis, collocation, mode):
     """Dense collocation matrix for L_V F = 0 (killing) or L_V F - rho F = 0 (conformal).
 
     One row per (x, y) pair; field columns hold (L_{B_a} F)(x, y), and in
-    conformal mode the trailing columns hold -phi_b(x) F(x, y).
+    conformal mode the trailing columns hold -phi_b(x) F(x, y), so the Killing
+    matrix is the leading ``basis.n_fields`` columns of the conformal one.
+    Every row is evaluated at once through the batched field methods.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -195,35 +211,32 @@ def assemble_system(field, basis, collocation, mode):
             f"{len(collocation)} rows for {n_unknowns} unknowns "
             f"(need >= {MIN_ROW_FACTOR}x)"
         )
-    rows = np.zeros((len(collocation), n_unknowns))
-    cache_pt = None
-    values = jacobians = rho_values = None
-    for r, (pt, y) in enumerate(collocation):
-        if pt is not cache_pt:
-            values = np.array([el.value(pt) for el in basis.elements])
-            jacobians = np.array([el.jacobian(pt) for el in basis.elements])
-            if mode == "conformal":
-                rho_values = np.array([phi.value(pt) for phi in basis.rho_elements])
-            cache_pt = pt
-        gx = field.grad_x(pt, y)
-        gy = field.grad_y(pt, y)
-        rows[r, : basis.n_fields] = values @ gx + np.einsum("aij,j,i->a", jacobians, y, gy)
-        if mode == "conformal":
-            rows[r, basis.n_fields:] = -rho_values * field.eval(pt, y)
-    return rows
+    points, ys = _collocation_arrays(collocation)
+    values = np.stack([el.values(points) for el in basis.elements], axis=1)
+    jacobians = np.stack([el.jacobians(points) for el in basis.elements], axis=1)
+    # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i for every row m and element a
+    lift = field.grads_y(points, ys)[:, :, None] * ys[:, None, :]
+    rows = (np.einsum("mai,mi->ma", values, field.grads_x(points, ys))
+            + np.einsum("maij,mij->ma", jacobians, lift))
+    if mode == "killing":
+        return rows
+    rho = np.stack([phi.values(points) for phi in basis.rho_elements], axis=1)
+    return np.hstack([rows, -rho * field.evals(points, ys)[:, None]])
 
 
 def null_space(matrix, tol_ratio=DEFAULT_TOL_RATIO):
     """Kernel dimension and an orthonormal kernel basis by SVD.
 
     Singular values below tol_ratio times the largest one count as zero; a
-    zero matrix has a full kernel.
+    zero matrix has a full kernel.  A tall matrix takes the thin SVD; a wide
+    one (fewer rows than columns) needs the full V, whose trailing rows span
+    the kernel directions that have no singular value.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty matrix")
-    n = matrix.shape[1]
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=True)
+    rows, n = matrix.shape
+    _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
     padded = np.zeros(n)
     padded[: len(svals)] = svals
     smax = float(padded[0])
@@ -284,13 +297,18 @@ def solve_fields(field, basis, mode="conformal", config=None):
     spurious kernel vectors supported on a dependent rho basis.  Factors are
     recovered per field by least squares of (L_V F)/F against the rho basis,
     and out-of-sample residuals are evaluated on a disjoint collocation set.
+    Each collocation set is assembled once: the Killing matrix is the field
+    block of the conformal one.  Safeguards that fire are recorded in
+    ``flags``.
     """
     config = config or SolverConfig()
+    n = basis.n_fields
     collocation = build_collocation(basis.manifold, config)
+    system = assemble_system(field, basis, collocation, mode)
 
-    a_killing = assemble_system(field, basis, collocation, "killing")
+    a_killing = system[:, :n]
     k_dim, k_basis, k_svals = null_space(a_killing, config.tol_ratio)
-    k_gap = _spectral_gap(k_svals, k_dim, basis.n_fields)
+    k_gap = _spectral_gap(k_svals, k_dim, n)
     tolerance = config.tol_ratio * float(k_svals[0]) if k_svals[0] > 0 else config.tol_ratio
 
     report = SolveReport(
@@ -304,19 +322,17 @@ def solve_fields(field, basis, mode="conformal", config=None):
     )
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
-        warnings.warn("killing system: no clear spectral gap around the threshold")
 
     if mode == "conformal":
-        a_conformal = assemble_system(field, basis, collocation, "conformal")
-        c_dim_raw, c_null, c_svals = null_space(a_conformal, config.tol_ratio)
-        c_gap = _spectral_gap(c_svals, c_dim_raw, basis.n_fields + basis.n_rho)
+        c_dim_raw, c_null, c_svals = null_space(system, config.tol_ratio)
+        c_gap = _spectral_gap(c_svals, c_dim_raw, n + basis.n_rho)
         if c_dim_raw > 0:
-            proj = c_null[:, : basis.n_fields]
+            proj = c_null[:, :n]
             _, p_svals, p_vt = np.linalg.svd(proj, full_matrices=False)
             c_dim = int((p_svals > 1e-8 * max(p_svals[0], 1e-300)).sum())
             c_basis = p_vt[:c_dim]
         else:
-            c_dim, c_basis = 0, np.zeros((0, basis.n_fields))
+            c_dim, c_basis = 0, np.zeros((0, n))
         if c_dim < c_dim_raw:
             report.flags.append("spurious rho-only kernel vector: rho basis is dependent")
         tolerance = config.tol_ratio * float(c_svals[0]) if c_svals[0] > 0 else config.tol_ratio
@@ -327,12 +343,11 @@ def solve_fields(field, basis, mode="conformal", config=None):
         report.conformal_gap = c_gap
         if c_gap < GAP_WARN:
             report.flags.append("ill-conditioned: conformal spectral gap below 1e2")
-            warnings.warn("conformal system: no clear spectral gap around the threshold")
 
         # (L_V F)/F = (A_killing c)/F and the rho columns of the conformal
-        # system are -phi_b(x) F, so both reuse the assembled matrices.
-        fvals = np.array([field.eval(pt, y) for pt, y in collocation])
-        phi_rows = -a_conformal[:, basis.n_fields:] / fvals[:, None]
+        # system are -phi_b(x) F, so both reuse the assembled matrix.
+        fvals = field.evals(*_collocation_arrays(collocation))
+        phi_rows = -system[:, n:] / fvals[:, None]
         factors, factor_residuals = [], []
         for coeffs in c_basis:
             target = (a_killing @ coeffs) / fvals
@@ -344,15 +359,14 @@ def solve_fields(field, basis, mode="conformal", config=None):
 
     if config.verify:
         verification = build_collocation(basis.manifold, config, offset_points=True)
-        a_ver_k = assemble_system(field, basis, verification, "killing")
+        a_ver = assemble_system(field, basis, verification, mode)
         if k_dim > 0:
-            report.residuals["killing"] = float(np.max(np.abs(a_ver_k @ k_basis.T)))
+            report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T)))
         else:
             report.residuals["killing"] = 0.0
         if mode == "conformal" and report.conformal_dim:
-            a_ver_c = assemble_system(field, basis, verification, "conformal")
             stacked = np.hstack([report.conformal_basis, report.conformal_factors])
-            report.residuals["conformal"] = float(np.max(np.abs(a_ver_c @ stacked.T)))
+            report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))
     return report
 
 
@@ -360,29 +374,15 @@ def solve_fields(field, basis, mode="conformal", config=None):
 # bracket and algebra extraction
 
 
-def _evaluation_matrix(fields, points):
-    cols = []
-    for vf in fields:
-        vals = np.concatenate([vf.value(pt) for pt in points])
-        cols.append(vals)
-    return np.stack(cols, axis=1)
+def _evaluation_matrix(values):
+    """Columns of field values, each flattened point by point, from a list of (m, 2) arrays."""
+    return np.stack([v.ravel() for v in values], axis=1)
 
 
-def _bracket_values(v, w, points):
-    vals = []
-    for pt in points:
-        bracket = w.jacobian(pt) @ v.value(pt) - v.jacobian(pt) @ w.value(pt)
-        vals.append(bracket)
-    return np.concatenate(vals)
-
-
-def _default_sample_points(manifold, count=40):
-    if isinstance(manifold, FlatTorus):
-        rng = np.random.default_rng(11)
-        return [manifold.lattice @ rng.uniform(size=2) for _ in range(count)]
-    if isinstance(manifold, Sphere2):
-        return manifold.fibonacci_points(count)
-    raise ValueError("bracket expansion supports the torus and the sphere")
+def _bracket_values(v_values, v_jacobians, w_values, w_jacobians):
+    """[V, W] = DW V - DV W at every point, flattened point by point."""
+    return (np.einsum("mij,mj->mi", w_jacobians, v_values)
+            - np.einsum("mij,mj->mi", v_jacobians, w_values)).ravel()
 
 
 def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
@@ -391,9 +391,10 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
     Returns the expanded field and the pointwise expansion residual; raises
     ClosureFailure when the bracket leaves the span of the basis.
     """
-    points = _default_sample_points(basis.manifold, sample_count)
-    emat = _evaluation_matrix(basis.elements, points)
-    target = _bracket_values(v, w, points)
+    points = stack_points(sample_points(basis.manifold, sample_count, seed=11))
+    emat = _evaluation_matrix([el.values(points) for el in basis.elements])
+    target = _bracket_values(v.values(points), v.jacobians(points),
+                             w.values(points), w.jacobians(points))
     coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
     residual = float(np.max(np.abs(emat @ coeffs - target)))
     if residual > tol:
@@ -402,18 +403,22 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
 
 
 def extract_structure_constants(fields, sample_count=60, tol=1e-6):
-    """Structure constants of a list of fields whose brackets close in their span."""
+    """Structure constants of a list of fields whose brackets close in their span.
+
+    Each field is evaluated once; the brackets are formed from those arrays.
+    """
     if not fields:
         raise ValueError("need at least one field")
-    manifold = fields[0].manifold
-    points = _default_sample_points(manifold, sample_count)
-    emat = _evaluation_matrix(fields, points)
+    points = stack_points(sample_points(fields[0].manifold, sample_count, seed=11))
+    values = [vf.values(points) for vf in fields]
+    jacobians = [vf.jacobians(points) for vf in fields]
+    emat = _evaluation_matrix(values)
     n = len(fields)
     constants = np.zeros((n, n, n))
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            target = _bracket_values(fields[i], fields[j], points)
+            target = _bracket_values(values[i], jacobians[i], values[j], jacobians[j])
             coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
             worst = max(worst, float(np.max(np.abs(emat @ coeffs - target))))
             constants[i, j, :] = coeffs
@@ -428,14 +433,12 @@ def transitivity_check(fields, points, threshold_ratio=1e-8):
     if not fields:
         raise ValueError("need at least one field")
     needed = fields[0].manifold.dim
-    results = []
-    for pt in points:
-        mat = np.stack([vf.value(pt) for vf in fields])
-        svals = np.linalg.svd(mat, compute_uv=False)
-        smax = float(svals[0]) if svals.size else 0.0
-        rank = int((svals > threshold_ratio * max(smax, 1e-300)).sum())
-        results.append(rank >= needed)
-    return results
+    points = stack_points(points)
+    frames = np.stack([vf.values(points) for vf in fields], axis=1)
+    svals = np.linalg.svd(frames, compute_uv=False)
+    smax = np.maximum(svals[:, 0], 1e-300)
+    ranks = (svals > threshold_ratio * smax[:, None]).sum(axis=1)
+    return [bool(rank >= needed) for rank in ranks]
 
 
 def pushforward_subspace_angle(fields, diffeo, points):

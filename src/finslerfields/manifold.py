@@ -5,6 +5,13 @@ covering everything but the north pole, chart 1 the antipodal one, and the
 transition p -> R^2 p / |p|^2 is its own inverse.  Vector fields on the
 sphere are stored as complex-coefficient polynomials in (z, conj(z)) in
 chart 0 and pushed through the transition differential where needed.
+
+Scalars, vector fields and solvable Finsler fields evaluate a whole batch of
+points in one call (``values``, ``grads``, ``jacobians``, ``evals``,
+``grads_x``, ``grads_y``); a batch is an (m, 2) array on the torus and a
+``ChartPoint`` holding (m,) charts and (m, 2) coords on the sphere.  The
+one-point methods (``value``, ``grad``, ``jacobian``, ``eval``, ``grad_x``,
+``grad_y``) are batches of one.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateVector
-from .norm_core import EuclideanNorm, GenericNorm, RandersNorm, scale_norm
+from .norm_core import DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm, scale_norm
 from .averaging import average
 
 CHART_ASSIGN_FACTOR = 1.5
@@ -26,11 +33,27 @@ CHART_ASSIGN_FACTOR = 1.5
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """A sphere point in one chart; (m,) charts with (m, 2) coords are a batch of m points."""
+
     chart: int
     coords: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
+
+
+def stack_points(points):
+    """One batch from a point, a batch, or a sequence of points (see the module docstring)."""
+    if isinstance(points, ChartPoint):
+        return ChartPoint(np.atleast_1d(points.chart), np.atleast_2d(points.coords))
+    if len(points) and isinstance(points[0], ChartPoint):
+        return ChartPoint(np.array([p.chart for p in points]), np.array([p.coords for p in points]))
+    return np.asarray(points, dtype=float).reshape(-1, 2)
+
+
+def _point_count(points):
+    pts = stack_points(points)
+    return len(pts.coords if isinstance(pts, ChartPoint) else pts)
 
 
 @dataclass(frozen=True)
@@ -58,10 +81,11 @@ class FlatTorus:
         self.inv_lattice = np.linalg.inv(self.lattice)
 
     def frac(self, x):
-        return self.inv_lattice @ np.asarray(x, dtype=float)
+        """Lattice coordinates of a (2,) point or an (m, 2) batch."""
+        return np.asarray(x, dtype=float) @ self.inv_lattice.T
 
     def wrap(self, x):
-        return self.lattice @ (self.frac(x) % 1.0)
+        return (self.frac(x) % 1.0) @ self.lattice.T
 
     def grid_points(self, per_axis, offset=(0.31, 0.47)):
         pts = []
@@ -82,32 +106,32 @@ class Sphere2:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
-    # chart transition (an involution)
+    # The chart formulas below act on a (2,) point or an (m, 2) batch alike.
+
     def transition(self, p):
+        """The chart transition p -> R^2 p / |p|^2 (an involution)."""
         p = np.asarray(p, dtype=float)
-        u = float(p @ p)
-        if u == 0.0:
+        u = np.sum(p * p, axis=-1)
+        if np.any(u == 0.0):
             raise ChartDomainError("transition undefined at the chart origin (pole)")
-        return self.radius**2 * p / u
+        return self.radius**2 * p / u[..., None]
 
     def transition_jacobian(self, p):
         p = np.asarray(p, dtype=float)
-        u = float(p @ p)
-        return self.radius**2 * (np.eye(2) * u - 2.0 * np.outer(p, p)) / u**2
+        u = np.sum(p * p, axis=-1)[..., None, None]
+        return self.radius**2 * (np.eye(2) * u - 2.0 * p[..., :, None] * p[..., None, :]) / u**2
 
     def transition_hessian(self, p):
         """H[i, j, k] = d^2 T_i / dp_j dp_k for the transition map."""
         p = np.asarray(p, dtype=float)
-        u = float(p @ p)
+        u = np.sum(p * p, axis=-1)[..., None, None, None]
+        pi, pj, pk = p[..., :, None, None], p[..., None, :, None], p[..., None, None, :]
         eye = np.eye(2)
-        h = np.zeros((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    h[i, j, k] = (
-                        2.0 * (eye[i, j] * p[k] - eye[i, k] * p[j] - eye[j, k] * p[i]) / u**2
-                        - 4.0 * p[k] * (eye[i, j] * u - 2.0 * p[i] * p[j]) / u**3
-                    )
+        dij, dik, djk = eye[:, :, None], eye[:, None, :], eye[None, :, :]
+        h = (
+            2.0 * (dij * pk - dik * pj - djk * pi) / u**2
+            - 4.0 * pk * (dij * u - 2.0 * pi * pj) / u**3
+        )
         return self.radius**2 * h
 
     def chart_point(self, numerator, denominator=1.0 + 0.0j):
@@ -135,40 +159,36 @@ class Sphere2:
             return pt
         return ChartPoint(chart, self.transition(pt.coords))
 
+    # These take a ChartPoint: one point, or a batch with (m,) charts.
+
     def conformal_factor(self, pt):
-        u = float(pt.coords @ pt.coords)
+        u = np.sum(pt.coords**2, axis=-1)
         return 2.0 * self.radius**2 / (self.radius**2 + u)
 
     def conformal_factor_grad(self, pt):
-        u = float(pt.coords @ pt.coords)
+        u = np.sum(pt.coords**2, axis=-1)
         lam = 2.0 * self.radius**2 / (self.radius**2 + u)
-        return -lam * 2.0 * pt.coords / (self.radius**2 + u)
+        return -lam[..., None] * 2.0 * pt.coords / (self.radius**2 + u)[..., None]
 
     def ambient(self, pt):
         """Unit-sphere-scale ambient position (|n| = R)."""
         r2 = self.radius**2
-        u = float(pt.coords @ pt.coords)
+        u = np.sum(pt.coords**2, axis=-1)
         d = r2 + u
-        horizontal = 2.0 * r2 * pt.coords / d
+        horizontal = 2.0 * r2 * pt.coords / d[..., None]
         vertical = self.radius * (u - r2) / d
-        if pt.chart == 1:
-            vertical = -vertical
-        return np.array([horizontal[0], horizontal[1], vertical])
+        vertical = np.where(np.asarray(pt.chart) == 1, -vertical, vertical)
+        return np.concatenate([horizontal, vertical[..., None]], axis=-1)
 
     def ambient_jacobian(self, pt):
-        """dn/dcoords, a 3x2 matrix."""
+        """dn/dcoords, a 3x2 matrix per point."""
         r2 = self.radius**2
         p = pt.coords
-        u = float(p @ p)
-        d = r2 + u
-        jac = np.zeros((3, 2))
-        for i in range(2):
-            for j in range(2):
-                jac[i, j] = 2.0 * r2 * ((1.0 if i == j else 0.0) * d - 2.0 * p[i] * p[j]) / d**2
-        jac[2, :] = 4.0 * self.radius * r2 * p / d**2
-        if pt.chart == 1:
-            jac[2, :] = -jac[2, :]
-        return jac
+        d = (r2 + np.sum(p * p, axis=-1))[..., None, None]
+        horizontal = 2.0 * r2 * (np.eye(2) * d - 2.0 * p[..., :, None] * p[..., None, :]) / d**2
+        vertical = 4.0 * self.radius * r2 * p[..., None, :] / d**2
+        vertical = np.where(np.asarray(pt.chart)[..., None, None] == 1, -vertical, vertical)
+        return np.concatenate([horizontal, vertical], axis=-2)
 
     def from_ambient(self, n):
         n = np.asarray(n, dtype=float)
@@ -193,44 +213,52 @@ class Sphere2:
 # scalar fields
 
 
-class ConstantScalar:
+class ScalarField:
+    """Scalar function on a manifold; subclasses implement the batched ``values``/``grads``."""
+
+    def value(self, pt):
+        return float(self.values(pt)[0])
+
+    def grad(self, pt):
+        return self.grads(pt)[0]
+
+
+class ConstantScalar(ScalarField):
     def __init__(self, value):
         self._value = float(value)
 
-    def value(self, pt):
-        return self._value
+    def values(self, points):
+        return np.full(_point_count(points), self._value)
 
-    def grad(self, pt):
-        return np.zeros(2)
+    def grads(self, points):
+        return np.zeros((_point_count(points), 2))
 
 
-class TorusFourierScalar:
+class TorusFourierScalar(ScalarField):
     """const + sum of cos/sin modes exp(2 pi i k . xi) in lattice coordinates."""
 
     def __init__(self, torus, const=0.0, terms=()):
         self.torus = torus
         self.const = float(const)
         self.terms = [(np.array(k, dtype=float), float(a), float(b)) for k, a, b in terms]
+        self._modes = np.array([k for k, _, _ in self.terms]).reshape(-1, 2)
+        self._cos = np.array([a for _, a, _ in self.terms])
+        self._sin = np.array([b for _, _, b in self.terms])
 
-    def value(self, x):
-        xi = self.torus.frac(x)
-        out = self.const
-        for k, a, b in self.terms:
-            psi = 2.0 * np.pi * float(k @ xi)
-            out += a * np.cos(psi) + b * np.sin(psi)
-        return out
+    def _phases(self, points):
+        return 2.0 * np.pi * (self.torus.frac(stack_points(points)) @ self._modes.T)
 
-    def grad(self, x):
-        xi = self.torus.frac(x)
-        out = np.zeros(2)
-        for k, a, b in self.terms:
-            psi = 2.0 * np.pi * float(k @ xi)
-            dpsi = 2.0 * np.pi * (self.torus.inv_lattice.T @ k)
-            out += (-a * np.sin(psi) + b * np.cos(psi)) * dpsi
-        return out
+    def values(self, points):
+        psi = self._phases(points)
+        return self.const + np.cos(psi) @ self._cos + np.sin(psi) @ self._sin
+
+    def grads(self, points):
+        psi = self._phases(points)
+        dpsi = 2.0 * np.pi * (self._modes @ self.torus.inv_lattice)
+        return (-np.sin(psi) * self._cos + np.cos(psi) * self._sin) @ dpsi
 
 
-class AmbientPolyScalar:
+class AmbientPolyScalar(ScalarField):
     """Polynomial of degree <= 2 in the ambient coordinates, restricted to the sphere."""
 
     def __init__(self, sphere, const=0.0, linear=None, quadratic=None):
@@ -240,14 +268,15 @@ class AmbientPolyScalar:
         q = np.zeros((3, 3)) if quadratic is None else np.asarray(quadratic, dtype=float)
         self.quadratic = 0.5 * (q + q.T)
 
-    def value(self, pt):
-        n = self.sphere.ambient(pt)
-        return self.const + float(self.linear @ n) + float(n @ self.quadratic @ n)
+    def values(self, points):
+        n = self.sphere.ambient(stack_points(points))
+        return self.const + n @ self.linear + np.einsum("mi,ij,mj->m", n, self.quadratic, n)
 
-    def grad(self, pt):
-        n = self.sphere.ambient(pt)
-        dn = self.sphere.ambient_jacobian(pt)
-        return (self.linear + 2.0 * self.quadratic @ n) @ dn
+    def grads(self, points):
+        pts = stack_points(points)
+        n = self.sphere.ambient(pts)
+        dn = self.sphere.ambient_jacobian(pts)
+        return np.einsum("mi,mij->mj", self.linear + 2.0 * n @ self.quadratic, dn)
 
 
 class CircleFourierScalar:
@@ -270,8 +299,24 @@ class CircleFourierScalar:
 # vector fields
 
 
-class TorusFourierVectorField:
-    """Fourier scalar times a coordinate field, or a general two-component field."""
+class VectorField:
+    """Vector field; subclasses implement the batched ``values`` (m, 2) and ``jacobians`` (m, 2, 2)."""
+
+    manifold = None
+
+    def value(self, pt):
+        return self.values(pt)[0]
+
+    def jacobian(self, pt):
+        return self.jacobians(pt)[0]
+
+
+class TorusFourierVectorField(VectorField):
+    """Fourier scalar times a coordinate field, or a general two-component field.
+
+    The one-point methods use the components' one-point ``value``/``grad``,
+    so any object with those two methods can serve as a component there.
+    """
 
     def __init__(self, torus, components):
         self.manifold = torus
@@ -285,13 +330,19 @@ class TorusFourierVectorField:
         return cls(torus, comps)
 
     def value(self, x):
-        return np.array([self.components[0].value(x), self.components[1].value(x)])
+        return np.array([c.value(x) for c in self.components])
 
     def jacobian(self, x):
-        return np.stack([self.components[0].grad(x), self.components[1].grad(x)])
+        return np.stack([c.grad(x) for c in self.components])
+
+    def values(self, points):
+        return np.stack([c.values(points) for c in self.components], axis=-1)
+
+    def jacobians(self, points):
+        return np.stack([c.grads(points) for c in self.components], axis=1)
 
 
-class SpherePolyVectorField:
+class SpherePolyVectorField(VectorField):
     """Vector field on the sphere given by f(z, conj z) d/dz + conj in chart 0.
 
     ``coeffs`` maps (j, k) to the complex coefficient of z^j conj(z)^k.
@@ -304,56 +355,54 @@ class SpherePolyVectorField:
         self.manifold = sphere
         self.coeffs = {tuple(key): complex(val) for key, val in coeffs.items()}
 
-    def _f(self, z):
-        return sum(c * z**j * z.conjugate() ** k for (j, k), c in self.coeffs.items())
+    def _chart0(self, p):
+        """f, df/dz and df/dconj(z) at chart-0 coordinates p of shape (m, 2)."""
+        z = p[:, 0] + 1j * p[:, 1]
+        zbar = z.conjugate()
+        f, fz, fzbar = (np.zeros(len(z), dtype=complex) for _ in range(3))
+        for (j, k), c in self.coeffs.items():
+            f += c * z**j * zbar**k
+            if j > 0:
+                fz += j * c * z ** (j - 1) * zbar**k
+            if k > 0:
+                fzbar += k * c * z**j * zbar ** (k - 1)
+        return f, fz, fzbar
 
-    def _fz(self, z):
-        return sum(
-            j * c * z ** (j - 1) * z.conjugate() ** k
-            for (j, k), c in self.coeffs.items()
-            if j > 0
-        )
+    def _split(self, points):
+        """Chart-0 coordinates of every point, the chart-1 mask, and the chart-1 coordinates."""
+        pts = stack_points(points)
+        one = pts.chart == 1
+        q = pts.coords[one]
+        p = pts.coords.copy()
+        p[one] = self.manifold.transition(q)
+        return p, one, q
 
-    def _fzbar(self, z):
-        return sum(
-            k * c * z**j * z.conjugate() ** (k - 1)
-            for (j, k), c in self.coeffs.items()
-            if k > 0
-        )
+    def values(self, points):
+        p, one, _ = self._split(points)
+        f, _, _ = self._chart0(p)
+        v = np.stack([f.real, f.imag], axis=-1)
+        v[one] = np.einsum("mij,mj->mi", self.manifold.transition_jacobian(p[one]), v[one])
+        return v
 
-    def _chart0_value(self, coords):
-        f = self._f(complex(coords[0], coords[1]))
-        return np.array([f.real, f.imag])
-
-    def _chart0_jacobian(self, coords):
-        z = complex(coords[0], coords[1])
-        fz, fzbar = self._fz(z), self._fzbar(z)
+    def jacobians(self, points):
+        p, one, q = self._split(points)
+        f, fz, fzbar = self._chart0(p)
         dfdx = fz + fzbar
         dfdy = 1j * (fz - fzbar)
-        return np.array([[dfdx.real, dfdy.real], [dfdx.imag, dfdy.imag]])
-
-    def value(self, pt):
-        if pt.chart == 0:
-            return self._chart0_value(pt.coords)
-        sphere = self.manifold
-        p = sphere.transition(pt.coords)  # chart-0 coords of the same point
-        return sphere.transition_jacobian(p) @ self._chart0_value(p)
-
-    def jacobian(self, pt):
-        if pt.chart == 0:
-            return self._chart0_jacobian(pt.coords)
-        sphere = self.manifold
-        p = sphere.transition(pt.coords)
-        v = self._chart0_value(p)
-        jv = self._chart0_jacobian(p)
-        jq = sphere.transition_jacobian(pt.coords)  # dp/dq
-        jp = sphere.transition_jacobian(p)
-        hess = sphere.transition_hessian(p)
-        term1 = np.einsum("ijk,j,kl->il", hess, v, jq)
-        return term1 + jp @ jv @ jq
+        jac = np.stack([np.stack([dfdx.real, dfdy.real], axis=-1),
+                        np.stack([dfdx.imag, dfdy.imag], axis=-1)], axis=1)
+        # chart 1: V1(q) = T'(p) V0(p) with p = T(q), so
+        # dV1/dq = T''(p)[V0, T'(q) .] + T'(p) dV0/dp T'(q)
+        sphere, p1 = self.manifold, p[one]
+        v = np.stack([f[one].real, f[one].imag], axis=-1)
+        jq = sphere.transition_jacobian(q)
+        jp = sphere.transition_jacobian(p1)
+        second_order = np.einsum("mijk,mj,mkl->mil", sphere.transition_hessian(p1), v, jq)
+        jac[one] = second_order + jp @ jac[one] @ jq
+        return jac
 
 
-class CombinationVectorField:
+class CombinationVectorField(VectorField):
     """Linear combination of basis fields with fixed coefficients."""
 
     def __init__(self, elements, coefficients):
@@ -365,19 +414,13 @@ class CombinationVectorField:
         if self.coefficients.shape != (len(self.elements),):
             raise ValueError("coefficient count must match element count")
 
-    def value(self, pt):
-        out = np.zeros(2)
-        for c, el in zip(self.coefficients, self.elements):
-            if c != 0.0:
-                out += c * el.value(pt)
-        return out
+    def values(self, points):
+        points = stack_points(points)
+        return np.tensordot(self.coefficients, [el.values(points) for el in self.elements], axes=1)
 
-    def jacobian(self, pt):
-        out = np.zeros((2, 2))
-        for c, el in zip(self.coefficients, self.elements):
-            if c != 0.0:
-                out += c * el.jacobian(pt)
-        return out
+    def jacobians(self, points):
+        points = stack_points(points)
+        return np.tensordot(self.coefficients, [el.jacobians(points) for el in self.elements], axes=1)
 
 
 def sphere_rotation_generators(sphere):
@@ -502,21 +545,50 @@ class MobiusMap:
 
 
 class FinslerField:
-    """Chart-based assignment of a Minkowski norm to each tangent space."""
+    """Chart-based assignment of a Minkowski norm to each tangent space.
+
+    Solvable fields implement the batched ``evals`` (m,), ``grads_x`` and
+    ``grads_y`` (m, 2) over a batch of points and an (m, 2) array of
+    directions; ``eval``, ``grad_x`` and ``grad_y`` are their one-point forms.
+    """
 
     manifold = None
 
-    def eval(self, pt, y):
+    def evals(self, points, ys):
         raise NotImplementedError
+
+    def grads_x(self, points, ys):
+        raise NotImplementedError
+
+    def grads_y(self, points, ys):
+        raise NotImplementedError
+
+    def eval(self, pt, y):
+        return float(self.evals(pt, y)[0])
 
     def grad_x(self, pt, y):
-        raise NotImplementedError
+        return self.grads_x(pt, y)[0]
 
     def grad_y(self, pt, y):
-        raise NotImplementedError
+        return self.grads_y(pt, y)[0]
 
     def norm_at(self, pt):
         raise NotImplementedError
+
+
+def _as_directions(ys):
+    return np.atleast_2d(np.asarray(ys, dtype=float))
+
+
+def _checked_directions(ys, floor):
+    """(m, 2) directions and their lengths; rejects non-finite and near-zero directions."""
+    ys = _as_directions(ys)
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("direction has non-finite entries")
+    lengths = np.linalg.norm(ys, axis=-1)
+    if np.any(lengths < floor):
+        raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {floor:.0e}")
+    return ys, lengths
 
 
 class ConstantNormField(FinslerField):
@@ -526,14 +598,15 @@ class ConstantNormField(FinslerField):
         self.manifold = torus
         self.norm = norm
 
-    def eval(self, pt, y):
-        return float(self.norm(np.asarray(y, dtype=float)))
+    def evals(self, points, ys):
+        return self.norm(_as_directions(ys))
 
-    def grad_x(self, pt, y):
-        return np.zeros(2)
+    def grads_x(self, points, ys):
+        return np.zeros((len(_as_directions(ys)), 2))
 
-    def grad_y(self, pt, y):
-        return self.norm.gradient(np.asarray(y, dtype=float))
+    def grads_y(self, points, ys):
+        ys, _ = _checked_directions(ys, DEGENERATE_FLOOR)
+        return self.norm.gradient_batch(ys)
 
     def norm_at(self, pt):
         return self.norm
@@ -545,18 +618,18 @@ class RoundSphereField(FinslerField):
     def __init__(self, sphere):
         self.manifold = sphere
 
-    def eval(self, pt, y):
-        return self.manifold.conformal_factor(pt) * float(np.linalg.norm(y))
+    def evals(self, points, ys):
+        lengths = np.linalg.norm(_as_directions(ys), axis=-1)
+        return self.manifold.conformal_factor(stack_points(points)) * lengths
 
-    def grad_x(self, pt, y):
-        return self.manifold.conformal_factor_grad(pt) * float(np.linalg.norm(y))
+    def grads_x(self, points, ys):
+        lengths = np.linalg.norm(_as_directions(ys), axis=-1)
+        return self.manifold.conformal_factor_grad(stack_points(points)) * lengths[:, None]
 
-    def grad_y(self, pt, y):
-        y = np.asarray(y, dtype=float)
-        ny = float(np.linalg.norm(y))
-        if ny < 1e-12:
-            raise DegenerateVector("grad_y undefined at y = 0")
-        return self.manifold.conformal_factor(pt) * y / ny
+    def grads_y(self, points, ys):
+        ys, lengths = _checked_directions(ys, 1e-12)
+        lam = self.manifold.conformal_factor(stack_points(points))
+        return lam[:, None] * ys / lengths[:, None]
 
     def norm_at(self, pt):
         lam = self.manifold.conformal_factor(pt)
@@ -571,17 +644,17 @@ class ConformalRescaleField(FinslerField):
         self.base = base
         self.rho = rho
 
-    def eval(self, pt, y):
-        return self.rho.value(pt) * self.base.eval(pt, y)
+    def evals(self, points, ys):
+        return self.rho.values(points) * self.base.evals(points, ys)
 
-    def grad_x(self, pt, y):
+    def grads_x(self, points, ys):
         return (
-            np.asarray(self.rho.grad(pt), dtype=float) * self.base.eval(pt, y)
-            + self.rho.value(pt) * self.base.grad_x(pt, y)
+            self.rho.grads(points) * self.base.evals(points, ys)[:, None]
+            + self.rho.values(points)[:, None] * self.base.grads_x(points, ys)
         )
 
-    def grad_y(self, pt, y):
-        return self.rho.value(pt) * self.base.grad_y(pt, y)
+    def grads_y(self, points, ys):
+        return self.rho.values(points)[:, None] * self.base.grads_y(points, ys)
 
     def norm_at(self, pt):
         return scale_norm(self.base.norm_at(pt), self.rho.value(pt))
