@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,6 @@ def build_parser():
     run_p.add_argument("--degree", type=int)
     run_p.add_argument("--tol", type=float)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--parallel", action="store_true",
-                       help="run independent experiments concurrently")
 
     avg_p = sub.add_parser("average", help="averaged norm of a serialized Minkowski norm")
     avg_p.add_argument("--config", type=Path, required=True,
@@ -88,16 +85,7 @@ def cmd_run(args):
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
     args.out.mkdir(parents=True, exist_ok=True)
-
-    def run_one(name):
-        return run_experiment(name, _experiment_config(name, file_cfg, args))
-
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(run_one, names))
-    else:
-        reports = [run_one(name) for name in names]
-
+    reports = [run_experiment(name, _experiment_config(name, file_cfg, args)) for name in names]
     for report in reports:
         emit_report(report, args.out / f"{report.name}.json", fmt="json")
         status = "pass" if report.passed else "FAIL"

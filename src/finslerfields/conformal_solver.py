@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ClosureFailure, UnderdeterminedSystem
-from .lie_algebra import LieAlgebraSC
+from .lie_algebra import LieAlgebraSC, null_space
 from .manifold import (
     AmbientPolyScalar,
     CombinationVectorField,
@@ -222,29 +222,6 @@ def assemble_system(field, basis, collocation, mode):
         return rows
     rho = np.stack([phi.values(points) for phi in basis.rho_elements], axis=1)
     return np.hstack([rows, -rho * field.evals(points, ys)[:, None]])
-
-
-def null_space(matrix, tol_ratio=DEFAULT_TOL_RATIO):
-    """Kernel dimension and an orthonormal kernel basis by SVD.
-
-    Singular values below tol_ratio times the largest one count as zero; a
-    zero matrix has a full kernel.  A tall matrix takes the thin SVD; a wide
-    one (fewer rows than columns) needs the full V, whose trailing rows span
-    the kernel directions that have no singular value.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        raise ValueError("empty matrix")
-    rows, n = matrix.shape
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
-    padded = np.zeros(n)
-    padded[: len(svals)] = svals
-    smax = float(padded[0])
-    if smax == 0.0:
-        return n, np.eye(n), padded
-    dim = int((padded < tol_ratio * smax).sum())
-    basis = vt[n - dim:] if dim > 0 else np.zeros((0, n))
-    return dim, basis, padded
 
 
 def _spectral_gap(svals, null_dim, total_cols):

@@ -3,6 +3,8 @@
 Each experiment builds a model Finsler field, runs the relevant solvers or
 averaging routines, and records pass/fail checks against expectations that
 live here (not in the config), so a config cannot silently weaken acceptance.
+Every experiment returns (checks, solve_report, extra, algebra); the solve
+report and the structure-constant algebra are None where it has none.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def exp_s2_round(config):
     _check(checks, "conformal_dim", report.conformal_dim, "==", 6)
     _check(checks, "conformal spectral gap", report.conformal_gap, ">=", 1e4)
     _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
-    return checks, report, {}
+    return checks, report, {}, None
 
 
 def exp_riemannian_torus(config):
@@ -131,7 +133,7 @@ def exp_riemannian_torus(config):
     _check(checks, "killing_dim", report.killing_dim, "==", 2)
     _check(checks, "conformal_dim", report.conformal_dim, "==", 2)
     _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
-    return checks, report, {}
+    return checks, report, {}, None
 
 
 def exp_randers_torus(config):
@@ -158,7 +160,7 @@ def exp_randers_torus(config):
     _check(checks, "dims stable under density doubling", stable, "==", 1)
     _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
     return checks, report, {"doubled_killing_dim": doubled.killing_dim,
-                            "doubled_conformal_dim": doubled.conformal_dim}
+                            "doubled_conformal_dim": doubled.conformal_dim}, None
 
 
 def _rescaled_torus_experiment(config, base_norm):
@@ -195,7 +197,7 @@ def _rescaled_torus_experiment(config, base_norm):
         "control_killing_dim": control.killing_dim,
         "control_transitive_fraction": control_fraction,
     }
-    return checks, report, extra
+    return checks, report, extra, None
 
 
 def exp_rescaled_randers_torus(config):
@@ -231,7 +233,7 @@ def exp_circle_lambda(config):
         "varying_spread": profile_varying.spread,
         "constant_spread": profile_constant.spread,
     }
-    return checks, None, extra
+    return checks, None, extra, None
 
 
 def exp_averaging_equivariance(config):
@@ -256,7 +258,7 @@ def exp_averaging_equivariance(config):
         "rotation_residual_refined": rot_res_fine,
         "scaling_residual": scale_res,
     }
-    return checks, None, extra
+    return checks, None, extra, None
 
 
 def exp_conformal_algebra_signature(config):
@@ -317,14 +319,8 @@ def run_experiment(name, config=None):
         raise ValueError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
     config = config or ExperimentConfig(name=name)
     start = time.perf_counter()
-    result = EXPERIMENTS[name](config)
+    checks, solve_report, extra, algebra = EXPERIMENTS[name](config)
     elapsed = time.perf_counter() - start
-
-    algebra = None
-    if len(result) == 4:
-        checks, solve_report, extra, algebra = result
-    else:
-        checks, solve_report, extra = result
     report = ExperimentReport(
         name=name,
         config={**asdict(config), "name": name},

@@ -87,6 +87,29 @@ def killing_gram(algebra):
     return gram
 
 
+def null_space(matrix, tol_ratio=RANK_TOL):
+    """Kernel dimension and an orthonormal kernel basis by SVD.
+
+    Singular values below tol_ratio times the largest one count as zero; a
+    zero matrix has a full kernel.  A tall matrix takes the thin SVD; a wide
+    one (fewer rows than columns) needs the full V, whose trailing rows span
+    the kernel directions that have no singular value.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.size == 0:
+        raise ValueError("empty matrix")
+    rows, n = matrix.shape
+    _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
+    padded = np.zeros(n)
+    padded[: len(svals)] = svals
+    smax = float(padded[0])
+    if smax == 0.0:
+        return n, np.eye(n), padded
+    dim = int((padded < tol_ratio * smax).sum())
+    basis = vt[n - dim:] if dim > 0 else np.zeros((0, n))
+    return dim, basis, padded
+
+
 def _orth_basis(vectors, tol=RANK_TOL):
     """Orthonormal basis (rows) of the span of a stack of row vectors."""
     vectors = np.asarray(vectors, dtype=float)
@@ -142,15 +165,7 @@ def killing_radical(algebra, tol=RANK_TOL):
     Returns an orthonormal row basis; raises IdealCheckError when the kernel
     fails the ideal property, which signals broken input constants.
     """
-    gram = killing_gram(algebra)
-    svals = np.linalg.svd(gram, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax == 0.0:
-        radical = np.eye(algebra.dim)
-    else:
-        _, svals, vt = np.linalg.svd(gram)
-        dim = int((svals < tol * smax).sum())
-        radical = vt[algebra.dim - dim:] if dim > 0 else np.zeros((0, algebra.dim))
+    _, radical, _ = null_space(killing_gram(algebra), tol)
     if radical.shape[0] not in (0, algebra.dim):
         proj = radical.T @ radical
         worst = 0.0
@@ -237,15 +252,9 @@ def ad_nilpotent(algebra, u, tol=RANK_TOL):
 
 def center_basis(algebra, tol=RANK_TOL):
     """Orthonormal basis of {u : [u, g] = 0}."""
+    # u is central iff u^T C = 0 for the (n, n^2) stacked constants C: the kernel of the tall C^T
     n = algebra.dim
-    stacked = algebra.constants.transpose(0, 1, 2).reshape(n, n * n)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax == 0.0:
-        return np.eye(n)
-    u, svals, _ = np.linalg.svd(stacked)
-    dim = int((svals < tol * smax).sum()) + (n - len(svals))
-    return u[:, n - dim:].T if dim > 0 else np.zeros((0, n))
+    return null_space(algebra.constants.reshape(n, n * n).T, tol)[1]
 
 
 @dataclass

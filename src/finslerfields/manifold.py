@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateVector
-from .norm_core import DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm, scale_norm
+from .norm_core import EuclideanNorm, GenericNorm, RandersNorm, fibonacci_directions, scale_norm
 from .averaging import average
 
 CHART_ASSIGN_FACTOR = 1.5
@@ -201,12 +201,7 @@ class Sphere2:
         return ChartPoint(1, np.zeros(2))
 
     def fibonacci_points(self, count):
-        i = np.arange(count)
-        t = 1.0 - 2.0 * (i + 0.5) / count
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        r = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        pts = np.stack([r * np.cos(golden * i), r * np.sin(golden * i), t], axis=1) * self.radius
-        return [self.from_ambient(n) for n in pts]
+        return [self.from_ambient(n) for n in fibonacci_directions(count) * self.radius]
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +600,7 @@ class ConstantNormField(FinslerField):
         return np.zeros((len(_as_directions(ys)), 2))
 
     def grads_y(self, points, ys):
-        ys, _ = _checked_directions(ys, DEGENERATE_FLOOR)
-        return self.norm.gradient_batch(ys)
+        return self.norm.gradient_batch(_as_directions(ys))
 
     def norm_at(self, pt):
         return self.norm

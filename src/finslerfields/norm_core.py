@@ -20,15 +20,6 @@ DEFAULT_FD_STEP = 1e-5
 PD_RATIO = 1e-8
 
 
-def _as_vector(y, dim):
-    y = np.asarray(y, dtype=float)
-    if y.shape != (dim,):
-        raise ValueError(f"expected vector of length {dim}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("vector has non-finite entries")
-    return y
-
-
 def _check_spd(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -40,6 +31,11 @@ def _check_spd(mat, name):
     if np.linalg.eigvalsh(mat)[0] <= 0.0:
         raise ValueError(f"{name} must be positive definite")
     return mat
+
+
+def _quadratic_norm(y, mat):
+    """sqrt(y^T mat y) over the last axis, with the same arithmetic for every batch size."""
+    return np.sqrt(np.maximum(np.einsum("...i,...i->...", y @ mat, y), 0.0))
 
 
 def central_gradient(func, y, step):
@@ -92,45 +88,74 @@ class FundamentalTensor:
 
 
 class MinkowskiNorm:
-    """Base interface; concrete families override the value/derivative hooks."""
+    """Base interface; concrete families supply ``__call__`` and the batched formulas.
+
+    ``gradient_batch`` and ``tensor_batch`` take an (m, dim) array, check it
+    once and hand the rows to the family's ``_gradients`` and ``_tensors``.
+    The one-point forms (``gradient``, ``_tensor_matrix_any``,
+    ``fundamental_tensor``) are batches of one.  The closed-form families bind
+    both batched entry points as their own class attributes, so a tool that
+    patches and later restores a family's attributes (``bench/tracing.py``)
+    restores that family instead of leaving the base-class patch behind.
+    """
 
     dim: int
 
     def __call__(self, y):
         raise NotImplementedError
 
+    def _checked(self, ys):
+        """ys as an (m, dim) array of finite vectors at or above the degeneracy floor."""
+        ys = np.asarray(ys, dtype=float)
+        if ys.ndim != 2 or ys.shape[1] != self.dim:
+            raise ValueError(f"expected vectors of length {self.dim}, got shape {ys.shape}")
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("vector has non-finite entries")
+        lengths = np.linalg.norm(ys, axis=1)
+        if np.any(lengths < DEGENERATE_FLOOR):
+            raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {DEGENERATE_FLOOR:.0e}")
+        return ys
+
     def gradient(self, y, step=DEFAULT_FD_STEP):
-        """Gradient of F at a nonzero vector (finite differences by default)."""
-        y = _as_vector(y, self.dim)
-        self._require_nondegenerate(y)
-        h = step * max(1.0, float(np.linalg.norm(y)))
-        return central_gradient(lambda v: float(self(v)), y, h)
+        """Gradient of F at one nonzero vector: a batch of one."""
+        return self.gradient_batch(np.asarray(y, dtype=float)[None], step=step)[0]
 
     def gradient_batch(self, ys, step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
-        return np.array([self.gradient(y, step=step) for y in ys])
+        """Gradients of F at an (m, dim) batch of nonzero vectors.
 
-    def _tensor_matrix(self, y):
-        """Analytic Hessian of F^2/2, or None when the family has no closed form."""
+        ``step`` is the relative finite-difference step of families without a
+        closed-form gradient.
+        """
+        return self._gradients(self._checked(ys), step)
+
+    def _gradients(self, ys, step):
+        raise NotImplementedError
+
+    def _tensors(self, ys):
+        """Closed-form Hessians of F^2/2 at checked rows, or None without a closed form."""
         return None
 
-    def _tensor_matrix_fd(self, y, step):
-        h = step * max(1.0, float(np.linalg.norm(y)))
-        return central_hessian(lambda v: 0.5 * float(self(v)) ** 2, y, h)
+    def tensor_batch(self, ys, scheme="auto", step=DEFAULT_FD_STEP):
+        """Hessians of F^2/2 at an (m, dim) batch, without the positive-definiteness gate.
 
-    def _tensor_matrix_any(self, y, scheme="auto", step=DEFAULT_FD_STEP):
-        """Tensor matrix without the positive-definiteness gate."""
-        y = _as_vector(y, self.dim)
-        self._require_nondegenerate(y)
+        ``scheme`` "auto" takes the closed form when the family has one and
+        central differences otherwise, "analytic" requires the closed form,
+        and "fd" always takes central differences (``step`` relative to |y|).
+        """
         if scheme not in ("auto", "analytic", "fd"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if scheme in ("auto", "analytic"):
-            mat = self._tensor_matrix(y)
-            if mat is not None:
-                return mat
-            if scheme == "analytic":
-                raise ValueError("no analytic fundamental tensor for this norm")
-        return self._tensor_matrix_fd(y, step)
+        ys = self._checked(ys)
+        mats = None if scheme == "fd" else self._tensors(ys)
+        if mats is not None:
+            return mats
+        if scheme == "analytic":
+            raise ValueError("no analytic fundamental tensor for this norm")
+        return np.array([central_hessian(lambda v: 0.5 * float(self(v)) ** 2, y,
+                                         step * float(np.linalg.norm(y))) for y in ys])
+
+    def _tensor_matrix_any(self, y, scheme="auto", step=DEFAULT_FD_STEP):
+        """Tensor matrix at one vector without the positive-definiteness gate: a batch of one."""
+        return self.tensor_batch(np.asarray(y, dtype=float)[None], scheme=scheme, step=step)[0]
 
     def fundamental_tensor(self, y, scheme="auto", step=DEFAULT_FD_STEP):
         """Fundamental tensor at y, verified positive definite.
@@ -140,8 +165,7 @@ class MinkowskiNorm:
         y : array_like
             Nonzero base vector.
         scheme : {"auto", "analytic", "fd"}
-            "auto" uses the closed form when the family has one and falls back
-            to central finite differences of F^2/2 otherwise.
+            As for ``tensor_batch``.
         step : float
             Relative finite-difference step (scaled by |y|).
 
@@ -160,14 +184,6 @@ class MinkowskiNorm:
             raise ConvexityViolation(eigs[0])
         return FundamentalTensor(base=np.array(y, dtype=float), matrix=mat)
 
-    def tensor_batch(self, ys, scheme="auto", step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
-        return np.array([self._tensor_matrix_any(y, scheme=scheme, step=step) for y in ys])
-
-    def _require_nondegenerate(self, y):
-        if float(np.linalg.norm(y)) < DEGENERATE_FLOOR:
-            raise DegenerateVector(f"|y| = {np.linalg.norm(y):.3e} below floor {DEGENERATE_FLOOR:.0e}")
-
     def to_dict(self):
         raise ValueError("this norm family is not serializable")
 
@@ -175,29 +191,20 @@ class MinkowskiNorm:
 class EuclideanNorm(MinkowskiNorm):
     """F(y) = sqrt(y^T Q y) for symmetric positive-definite Q."""
 
+    gradient_batch = MinkowskiNorm.gradient_batch
+    tensor_batch = MinkowskiNorm.tensor_batch
+
     def __init__(self, matrix):
         self.matrix = _check_spd(matrix, "Q")
         self.dim = self.matrix.shape[0]
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        q = np.einsum("...i,ij,...j->...", y, self.matrix, y)
-        return np.sqrt(np.maximum(q, 0.0))
+        return _quadratic_norm(np.asarray(y, dtype=float), self.matrix)
 
-    def gradient(self, y, step=DEFAULT_FD_STEP):
-        y = _as_vector(y, self.dim)
-        self._require_nondegenerate(y)
-        return (self.matrix @ y) / float(self(y))
+    def _gradients(self, ys, step):
+        return (ys @ self.matrix) / self(ys)[:, None]
 
-    def gradient_batch(self, ys, step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
-        return (ys @ self.matrix) / self(ys)[..., None]
-
-    def _tensor_matrix(self, y):
-        return self.matrix.copy()
-
-    def tensor_batch(self, ys, scheme="auto", step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
+    def _tensors(self, ys):
         return np.broadcast_to(self.matrix, (len(ys),) + self.matrix.shape).copy()
 
     def to_dict(self):
@@ -206,6 +213,9 @@ class EuclideanNorm(MinkowskiNorm):
 
 class RandersNorm(MinkowskiNorm):
     """F(y) = sqrt(y^T a y) + b.y with the a-dual norm of b strictly below 1."""
+
+    gradient_batch = MinkowskiNorm.gradient_batch
+    tensor_batch = MinkowskiNorm.tensor_batch
 
     def __init__(self, a, b):
         self.a = _check_spd(a, "a")
@@ -223,40 +233,28 @@ class RandersNorm(MinkowskiNorm):
         alpha = np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", y, self.a, y), 0.0))
         return alpha + y @ self.b
 
-    def gradient(self, y, step=DEFAULT_FD_STEP):
-        y = _as_vector(y, self.dim)
-        self._require_nondegenerate(y)
-        alpha = float(np.sqrt(y @ self.a @ y))
-        return (self.a @ y) / alpha + self.b
+    def _gradients(self, ys, step):
+        return (ys @ self.a) / _quadratic_norm(ys, self.a)[:, None] + self.b
 
-    def gradient_batch(self, ys, step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
-        alpha = np.sqrt(np.einsum("...i,ij,...j->...", ys, self.a, ys))
-        return (ys @ self.a) / alpha[..., None] + self.b
-
-    def _tensor_matrix(self, y):
-        y = np.asarray(y, dtype=float)
-        alpha = float(np.sqrt(y @ self.a @ y))
-        ell = (self.a @ y) / alpha
-        grad = ell + self.b
-        fval = alpha + float(y @ self.b)
-        return (fval / alpha) * (self.a - np.outer(ell, ell)) + np.outer(grad, grad)
-
-    def tensor_batch(self, ys, scheme="auto", step=DEFAULT_FD_STEP):
-        ys = np.asarray(ys, dtype=float)
-        alpha = np.sqrt(np.einsum("...i,ij,...j->...", ys, self.a, ys))
-        ell = (ys @ self.a) / alpha[:, None]
-        grad = ell + self.b
-        fval = alpha + ys @ self.b
-        core = self.a[None, :, :] - np.einsum("mi,mj->mij", ell, ell)
-        return (fval / alpha)[:, None, None] * core + np.einsum("mi,mj->mij", grad, grad)
+    def _tensors(self, ys):
+        # (F / alpha) (a - l l^T) + grad F grad F^T, with l = a y / alpha the gradient of alpha
+        alpha = _quadratic_norm(ys, self.a)
+        grad = self._gradients(ys, None)
+        ell = grad - self.b
+        core = self.a - ell[:, :, None] * ell[:, None, :]
+        fval = alpha + np.einsum("mi,i->m", ys, self.b)
+        return (fval / alpha)[:, None, None] * core + grad[:, :, None] * grad[:, None, :]
 
     def to_dict(self):
         return {"family": "randers", "dim": self.dim, "a": self.a.tolist(), "b": self.b.tolist()}
 
 
 class GenericNorm(MinkowskiNorm):
-    """Norm from a plain callable, with optional analytic gradient and Hessian of F."""
+    """Norm from a plain callable, with optional analytic gradient and Hessian of F.
+
+    The callables take one vector, so the batched entry points evaluate them
+    row by row.
+    """
 
     def __init__(self, dim, func, grad=None, hess=None):
         self.dim = int(dim)
@@ -271,19 +269,28 @@ class GenericNorm(MinkowskiNorm):
         return np.array([self.func(v) for v in y.reshape(-1, self.dim)]).reshape(y.shape[:-1])
 
     def gradient(self, y, step=DEFAULT_FD_STEP):
-        if self.grad is not None:
-            y = _as_vector(y, self.dim)
-            self._require_nondegenerate(y)
-            return np.asarray(self.grad(y), dtype=float)
-        return super().gradient(y, step=step)
+        """Gradient at one nonzero vector: the analytic callable, or central differences of F.
 
-    def _tensor_matrix(self, y):
+        ``gradient_batch`` calls this once per row, because the callables take
+        one vector; the row check here keeps a direct call as safe as a batch.
+        """
+        y = self._checked(np.asarray(y, dtype=float)[None])[0]
+        if self.grad is not None:
+            return np.asarray(self.grad(y), dtype=float)
+        return central_gradient(lambda v: float(self(v)), y, step * float(np.linalg.norm(y)))
+
+    def _gradients(self, ys, step):
+        return np.array([self.gradient(y, step=step) for y in ys])
+
+    def _tensors(self, ys):
         if self.grad is None or self.hess is None:
             return None
-        fval = float(self(y))
-        g = np.asarray(self.grad(y), dtype=float)
-        h = np.asarray(self.hess(y), dtype=float)
-        return fval * h + np.outer(g, g)
+
+        def tensor(y):
+            g = np.asarray(self.grad(y), dtype=float)
+            return float(self(y)) * np.asarray(self.hess(y), dtype=float) + np.outer(g, g)
+
+        return np.array([tensor(y) for y in ys])
 
 
 def norm_from_dict(data):
@@ -314,7 +321,10 @@ def scale_norm(norm, c):
 
 @dataclass
 class AxiomReport:
-    """Sampled verification of positivity, homogeneity, and strong convexity."""
+    """Sampled verification of positivity, homogeneity, and strong convexity.
+
+    The tensor eigenvalues are NaN when the tensor could not be evaluated.
+    """
 
     samples: int
     min_norm: float
@@ -348,44 +358,38 @@ def check_axioms(norm, samples=200, seed=0, homogeneity_tol=1e-10,
     axes = np.vstack([np.eye(norm.dim), -np.eye(norm.dim)])
     dirs = np.vstack([axes, dirs])
 
-    values = np.array([float(norm(d)) for d in dirs])
+    values = np.asarray(norm(dirs), dtype=float)
     min_norm = float(values.min())
 
-    lams = np.array([0.5, 2.0, 7.0])
-    max_resid = 0.0
-    for d, f in zip(dirs, values):
-        for lam in lams:
-            scaled = float(norm(lam * d))
-            max_resid = max(max_resid, abs(scaled - lam * f) / max(lam * f, 1e-300))
-
-    min_eig = np.inf
-    max_eig = -np.inf
-    failures = []
-    for d in dirs:
-        try:
-            mat = norm._tensor_matrix_any(d, scheme=scheme)
-        except Exception as exc:  # pragma: no cover - diagnostic path
-            failures.append(f"tensor evaluation failed at {d}: {exc}")
-            continue
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        min_eig = min(min_eig, float(eigs[0]))
-        max_eig = max(max_eig, float(eigs[-1]))
+    lams = np.array([0.5, 2.0, 7.0])[:, None]
+    scaled = np.asarray(norm(lams[:, :, None] * dirs), dtype=float)
+    max_resid = float(np.max(np.abs(scaled - lams * values) / np.maximum(lams * values, 1e-300)))
 
     positivity_pass = min_norm > positivity_floor
     homogeneity_pass = max_resid <= homogeneity_tol
-    convexity_pass = bool(min_eig > pd_ratio * max(max_eig, 1e-300))
+    failures = []
     if not positivity_pass:
         failures.append(f"min F over samples is {min_norm:.3e}")
     if not homogeneity_pass:
         failures.append(f"homogeneity residual {max_resid:.3e}")
-    if not convexity_pass:
-        failures.append(f"fundamental tensor eigenvalue {min_eig:.3e} (max {max_eig:.3e})")
+    try:
+        mats = norm.tensor_batch(dirs, scheme=scheme)
+    except Exception as exc:  # a norm that cannot be differentiated is reported, not raised
+        failures.append(f"tensor evaluation failed: {exc}")
+        min_eig = max_eig = np.nan
+        convexity_pass = False
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))
+        min_eig, max_eig = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+        convexity_pass = bool(min_eig > pd_ratio * max(max_eig, 1e-300))
+        if not convexity_pass:
+            failures.append(f"fundamental tensor eigenvalue {min_eig:.3e} (max {max_eig:.3e})")
     return AxiomReport(
         samples=samples,
         min_norm=min_norm,
         max_homogeneity_residual=max_resid,
-        min_tensor_eigenvalue=float(min_eig),
-        max_tensor_eigenvalue=float(max_eig),
+        min_tensor_eigenvalue=min_eig,
+        max_tensor_eigenvalue=max_eig,
         positivity_pass=positivity_pass,
         homogeneity_pass=homogeneity_pass,
         convexity_pass=convexity_pass,
@@ -411,7 +415,8 @@ def _golden_max(fn, a, b, iters=90):
     return max(f1, f2)
 
 
-def _fibonacci_sphere(count):
+def fibonacci_directions(count):
+    """(count, 3) unit vectors on a Fibonacci spiral from the north pole to the south."""
     i = np.arange(count)
     t = 1.0 - 2.0 * (i + 0.5) / count
     golden = np.pi * (3.0 - np.sqrt(5.0))
@@ -436,11 +441,11 @@ def reversibility_sup(norm, resolution=256):
             return float(norm(u)) / float(norm(-u))
 
         thetas = np.arange(resolution) * (2.0 * np.pi / resolution)
-        vals = np.array([ratio(t) for t in thetas])
-        k = int(np.argmax(vals))
+        u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        k = int(np.argmax(np.asarray(norm(u)) / np.asarray(norm(-u))))
         span = 2.0 * np.pi / resolution
         best = _golden_max(ratio, thetas[k] - span, thetas[k] + span)
         return max(best, 1.0 / best)
-    dirs = _fibonacci_sphere(max(resolution, 8))
-    vals = np.array([float(norm(d)) / float(norm(-d)) for d in dirs])
+    dirs = fibonacci_directions(resolution)
+    vals = np.asarray(norm(dirs)) / np.asarray(norm(-dirs))
     return float(max(vals.max(), 1.0 / vals.min()))

@@ -1,0 +1,146 @@
+"""One batched path for norm derivatives: one-point forms, schemes and input checks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finslerfields.errors import DegenerateVector
+from finslerfields.norm_core import (
+    EuclideanNorm,
+    GenericNorm,
+    RandersNorm,
+    central_hessian,
+    check_axioms,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+# The central second difference is most accurate near step = eps**(1/4); at
+# the default step, tuned for gradients, roundoff alone is ~4 eps / step**2.
+HESSIAN_STEP = 1e-4
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _unit(theta):
+    return np.array([np.cos(theta), np.sin(theta)])
+
+
+angles = st.floats(0.0, 2.0 * np.pi)
+
+
+@st.composite
+def randers_norms(draw):
+    """SPD a with eigenvalues in [0.1, 10] and a drift of a-dual norm <= 0.9."""
+    rot = _rotation(draw(angles))
+    lams = np.array([draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))])
+    a = rot @ np.diag(lams) @ rot.T
+    b = draw(st.floats(0.0, 0.9)) * (rot @ np.diag(np.sqrt(lams)) @ rot.T) @ _unit(draw(angles))
+    return RandersNorm(0.5 * (a + a.T), b)
+
+
+@st.composite
+def nonzero_vectors(draw, count=3):
+    return np.array([10.0 ** draw(st.floats(-3.0, 3.0)) * _unit(draw(angles))
+                     for _ in range(count)])
+
+
+def _families(randers):
+    return [EuclideanNorm(randers.a), randers, GenericNorm(2, randers)]
+
+
+@PROPERTY
+@given(randers_norms(), nonzero_vectors())
+def test_one_point_forms_are_row_zero_of_the_batch(randers, ys):
+    for norm in _families(randers):
+        np.testing.assert_array_equal(norm.gradient(ys[0]), norm.gradient_batch(ys)[0])
+        np.testing.assert_array_equal(norm._tensor_matrix_any(ys[0]), norm.tensor_batch(ys)[0])
+
+
+@PROPERTY
+@given(randers_norms(), nonzero_vectors())
+def test_finite_difference_tensor_matches_closed_form(randers, ys):
+    for norm in _families(randers)[:2]:
+        analytic = norm.tensor_batch(ys, scheme="analytic")
+        fd = norm.tensor_batch(ys, scheme="fd", step=HESSIAN_STEP)
+        scale = np.max(np.abs(analytic), axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(fd - analytic) <= 1e-6 * scale)
+
+
+@PROPERTY
+@given(randers_norms(), nonzero_vectors())
+def test_euler_identity(randers, ys):
+    for norm in _families(randers)[:2]:
+        g = norm.tensor_batch(ys)
+        np.testing.assert_allclose(np.einsum("mi,mij,mj->m", ys, g, ys), norm(ys) ** 2, rtol=1e-10)
+
+
+def all_families():
+    randers = RandersNorm(np.array([[1.3, 0.2], [0.2, 0.9]]), [0.2, -0.3])
+    return _families(randers)
+
+
+FAMILY_IDS = ["euclidean", "randers", "generic"]
+
+
+@pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
+def test_fd_scheme_takes_finite_differences_on_every_path(norm):
+    y = np.array([0.6, -1.7])
+    reference = central_hessian(lambda v: 0.5 * float(norm(v)) ** 2, y, 1e-5 * np.linalg.norm(y))
+    np.testing.assert_array_equal(norm.tensor_batch([y], scheme="fd")[0], reference)
+    np.testing.assert_array_equal(norm.fundamental_tensor(y, scheme="fd").matrix, reference)
+
+
+@pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
+def test_unknown_scheme_rejected_on_every_path(norm):
+    y = np.array([0.6, -1.7])
+    for call in (lambda: norm.tensor_batch([y], scheme="bogus"),
+                 lambda: norm._tensor_matrix_any(y, scheme="bogus"),
+                 lambda: norm.fundamental_tensor(y, scheme="bogus")):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            call()
+
+
+@pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
+def test_zero_vector_rejected_on_every_path(norm):
+    for call in (lambda: norm.gradient([0.0, 0.0]),
+                 lambda: norm.gradient_batch([[1.0, 0.0], [0.0, 0.0]]),
+                 lambda: norm.tensor_batch([[0.0, 0.0]]),
+                 lambda: norm.fundamental_tensor([0.0, 0.0])):
+        with pytest.raises(DegenerateVector):
+            call()
+
+
+@pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
+def test_non_finite_and_misshapen_input_rejected_on_every_path(norm):
+    for call in (lambda: norm.tensor_batch([[np.nan, 0.0]]),
+                 lambda: norm._tensor_matrix_any([np.inf, 0.0]),
+                 lambda: norm.gradient_batch([[1.0, np.nan]]),
+                 lambda: norm.gradient([np.nan, 1.0]),
+                 lambda: norm.gradient_batch([1.0, 0.0]),
+                 lambda: norm.tensor_batch([[1.0, 0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_failed_tensor_evaluation_fails_convexity():
+    # the wrapped callable has no analytic Hessian, so every tensor evaluation fails
+    norm = GenericNorm(2, RandersNorm(np.eye(2), [0.5, 0]))
+    report = check_axioms(norm, samples=5, scheme="analytic")
+    assert not report.convexity_pass
+    assert not report.passed
+    assert np.isnan(report.min_tensor_eigenvalue)
+    assert any("tensor evaluation failed" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("norm", all_families()[1:], ids=FAMILY_IDS[1:])
+def test_check_axioms_matches_per_direction_loop(norm):
+    report = check_axioms(norm, samples=20, seed=4)
+    rng = np.random.default_rng(4)
+    dirs = rng.standard_normal((20, 2))
+    dirs = np.vstack([np.eye(2), -np.eye(2), dirs / np.linalg.norm(dirs, axis=1)[:, None]])
+    eigs = np.array([np.linalg.eigvalsh(norm.fundamental_tensor(d).matrix) for d in dirs])
+    assert report.min_norm == pytest.approx(min(float(norm(d)) for d in dirs), rel=1e-14)
+    assert report.min_tensor_eigenvalue == pytest.approx(eigs[:, 0].min(), rel=1e-12)
+    assert report.max_tensor_eigenvalue == pytest.approx(eigs[:, -1].max(), rel=1e-12)
