@@ -20,10 +20,15 @@ NODE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IndicatrixQuadrature:
-    """Nodes on {F = 1} with weights for the Hessian-metric surface measure."""
+    """Nodes on {F = 1} with weights for the Hessian-metric surface measure.
+
+    ``tensors`` holds the (m, n, n) fundamental tensors at the nodes, which the
+    weights already needed, so averaging does not evaluate them again.
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    tensors: np.ndarray
     resolution: int
 
     @property
@@ -45,87 +50,72 @@ class AveragedNorm:
         return EuclideanNorm(self.matrix)
 
 
-def _project_to_indicatrix(norm, u):
-    f = np.asarray(norm(u), dtype=float)
-    return u / f[..., None], f
+def _reference_grid(n, resolution):
+    """Unit directions u (m, n), tangent frames du (m, n - 1, n) and the cell measure.
 
-
-def sample_indicatrix(norm, resolution):
-    """Quadrature nodes and weights on the indicatrix of a 2-D or 3-D norm.
-
-    Nodes are radial projections u/F(u) of a reference-sphere grid; the
-    weight at a node is sqrt(det G) times the reference cell measure, where
-    G is the Gram matrix of the indicatrix tangent basis in the fundamental
-    tensor at that node.
+    The circle is split into equal arcs; the 2-sphere into a theta-phi grid
+    with cell centres in theta, so no node sits on a pole.
     """
-    n = norm.dim
     if n == 2:
         if resolution < 16:
             raise ValueError("resolution must be >= 16 for n = 2")
         step = 2.0 * np.pi / resolution
         theta = np.arange(resolution) * step
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        du = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-        y, f = _project_to_indicatrix(norm, u)
-        grad = norm.gradient_batch(u)
-        df = np.einsum("mi,mi->m", grad, du)
-        dy = du / f[:, None] - u * (df / f**2)[:, None]
-        g = norm.tensor_batch(y)
-        gram = np.einsum("mi,mij,mj->m", dy, g, dy)
-        if np.min(gram) <= 0.0:
-            raise ConvexityViolation(float(np.min(gram)),
-                                     "indicatrix tangent has non-positive length")
-        weights = np.sqrt(gram) * step
-    elif n == 3:
+        du = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+        return u, du, step
+    if n == 3:
         if resolution < 256:
             raise ValueError("resolution must be >= 256 for n = 3")
         n_theta = max(8, int(round(np.sqrt(resolution / 2.0))))
-        n_phi = 2 * n_theta
-        dtheta = np.pi / n_theta
-        dphi = 2.0 * np.pi / n_phi
-        theta = (np.arange(n_theta) + 0.5) * dtheta
-        phi = np.arange(n_phi) * dphi
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        tt, pp = tt.ravel(), pp.ravel()
+        step = np.pi / n_theta
+        theta = (np.arange(n_theta) + 0.5) * step
+        phi = np.arange(2 * n_theta) * step
+        tt, pp = (a.ravel() for a in np.meshgrid(theta, phi, indexing="ij"))
         st, ct = np.sin(tt), np.cos(tt)
         sp, cp = np.sin(pp), np.cos(pp)
         u = np.stack([st * cp, st * sp, ct], axis=1)
         du_t = np.stack([ct * cp, ct * sp, -st], axis=1)
         du_p = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=1)
-        y, f = _project_to_indicatrix(norm, u)
-        grad = norm.gradient_batch(u)
-        df_t = np.einsum("mi,mi->m", grad, du_t)
-        df_p = np.einsum("mi,mi->m", grad, du_p)
-        dy_t = du_t / f[:, None] - u * (df_t / f**2)[:, None]
-        dy_p = du_p / f[:, None] - u * (df_p / f**2)[:, None]
-        g = norm.tensor_batch(y)
-        g_tt = np.einsum("mi,mij,mj->m", dy_t, g, dy_t)
-        g_pp = np.einsum("mi,mij,mj->m", dy_p, g, dy_p)
-        g_tp = np.einsum("mi,mij,mj->m", dy_t, g, dy_p)
-        det = g_tt * g_pp - g_tp**2
-        if np.min(det) <= 0.0:
-            raise ConvexityViolation(float(np.min(det)),
-                                     "indicatrix tangent Gram matrix is not positive definite")
-        weights = np.sqrt(det) * dtheta * dphi
-    else:
-        raise ValueError("indicatrix sampling is implemented for n = 2 and n = 3")
+        return u, np.stack([du_t, du_p], axis=1), step * step
+    raise ValueError("indicatrix sampling is implemented for n = 2 and n = 3")
 
+
+def sample_indicatrix(norm, resolution):
+    """Quadrature nodes, weights and tensors on the indicatrix of a 2-D or 3-D norm.
+
+    Nodes are radial projections y = u/F(u) of a reference-sphere grid, whose
+    tangent frames push forward to dy = du/F - u (grad F . du)/F^2.  The
+    weight at a node is sqrt(det G) times the reference cell measure, where
+    G = dy g dy^T is the Gram matrix of the pushed frame in the fundamental
+    tensor g at that node.
+    """
+    u, du, cell = _reference_grid(norm.dim, resolution)
+    f = np.asarray(norm(u), dtype=float)
+    y = u / f[:, None]
+    df = np.einsum("mki,mi->mk", du, norm.gradient_batch(u))
+    dy = du / f[:, None, None] - u[:, None, :] * (df / f[:, None] ** 2)[:, :, None]
+    g = norm.tensor_batch(y)
+    det = np.linalg.det(np.einsum("mki,mij,mlj->mkl", dy, g, dy))
+    if np.min(det) <= 0.0:
+        raise ConvexityViolation(float(np.min(det)),
+                                 "indicatrix tangent Gram matrix is not positive definite")
+    weights = np.sqrt(det) * cell
     if np.any(weights <= 0.0):
         raise ValueError("non-positive quadrature weight encountered")
     node_err = float(np.max(np.abs(np.asarray(norm(y)) - 1.0)))
     if node_err > NODE_TOL:
         raise ValueError(f"indicatrix node residual {node_err:.3e} exceeds {NODE_TOL:.0e}")
-    return IndicatrixQuadrature(points=y, weights=weights, resolution=int(resolution))
+    return IndicatrixQuadrature(points=y, weights=weights, tensors=g, resolution=int(resolution))
 
 
 def averaged_norm(norm, quadrature):
-    """Weight-averaged fundamental tensor over an indicatrix quadrature."""
+    """Weight-averaged fundamental tensor over an indicatrix quadrature of this norm."""
     on_level = float(np.max(np.abs(np.asarray(norm(quadrature.points)) - 1.0)))
     if on_level > 1e-8:
         raise ValueError("quadrature was not built from this norm")
-    g = norm.tensor_batch(quadrature.points)
     total = quadrature.weights.sum()
-    mat = np.einsum("m,mij->ij", quadrature.weights, g) / total
+    mat = np.einsum("m,mij->ij", quadrature.weights, quadrature.tensors) / total
     mat = 0.5 * (mat + mat.T)
     if np.linalg.eigvalsh(mat)[0] <= 0.0:
         raise ValueError("averaged matrix is not positive definite")

@@ -271,9 +271,10 @@ def solve_fields(field, basis, mode="conformal", config=None):
     The Killing system is always solved.  In conformal mode the joint system
     in (V, rho) is solved as well; the conformal dimension is the rank of the
     kernel's projection onto the field coefficients, which guards against
-    spurious kernel vectors supported on a dependent rho basis.  Factors are
-    recovered per field by least squares of (L_V F)/F against the rho basis,
-    and out-of-sample residuals are evaluated on a disjoint collocation set.
+    spurious kernel vectors supported on a dependent rho basis.  Factors of
+    all fields are recovered by one least-squares solve of (L_V F)/F against
+    the rho basis, and out-of-sample residuals are evaluated on a disjoint
+    collocation set.
     Each collocation set is assembled once: the Killing matrix is the field
     block of the conformal one.  Safeguards that fire are recorded in
     ``flags``.
@@ -325,14 +326,10 @@ def solve_fields(field, basis, mode="conformal", config=None):
         # system are -phi_b(x) F, so both reuse the assembled matrix.
         fvals = field.evals(*_collocation_arrays(collocation))
         phi_rows = -system[:, n:] / fvals[:, None]
-        factors, factor_residuals = [], []
-        for coeffs in c_basis:
-            target = (a_killing @ coeffs) / fvals
-            fit, *_ = np.linalg.lstsq(phi_rows, target, rcond=None)
-            factors.append(fit)
-            factor_residuals.append(float(np.max(np.abs(phi_rows @ fit - target))))
-        report.conformal_factors = np.array(factors) if factors else np.zeros((0, basis.n_rho))
-        report.conformal_factor_residuals = np.array(factor_residuals)
+        targets = (a_killing @ c_basis.T) / fvals[:, None]
+        fits, *_ = np.linalg.lstsq(phi_rows, targets, rcond=None)
+        report.conformal_factors = fits.T
+        report.conformal_factor_residuals = np.max(np.abs(phi_rows @ fits - targets), axis=0)
 
     if config.verify:
         verification = build_collocation(basis.manifold, config, offset_points=True)
@@ -352,14 +349,20 @@ def solve_fields(field, basis, mode="conformal", config=None):
 
 
 def _evaluation_matrix(values):
-    """Columns of field values, each flattened point by point, from a list of (m, 2) arrays."""
+    """Columns of field values, each flattened point by point, from a sequence of (m, 2) arrays."""
     return np.stack([v.ravel() for v in values], axis=1)
 
 
 def _bracket_values(v_values, v_jacobians, w_values, w_jacobians):
-    """[V, W] = DW V - DV W at every point, flattened point by point."""
-    return (np.einsum("mij,mj->mi", w_jacobians, v_values)
-            - np.einsum("mij,mj->mi", v_jacobians, w_values)).ravel()
+    """[V, W] = DW V - DV W at every point, flattened point by point.
+
+    Leading axes before the (m, 2) point axes are kept, so a stack of field
+    pairs gives one flattened bracket per pair.
+    """
+    brackets = (np.einsum("...ij,...j->...i", w_jacobians, v_values)
+                - np.einsum("...ij,...j->...i", v_jacobians, w_values))
+    *lead, m, dim = brackets.shape
+    return brackets.reshape(*lead, m * dim)
 
 
 def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
@@ -382,26 +385,25 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
 def extract_structure_constants(fields, sample_count=60, tol=1e-6):
     """Structure constants of a list of fields whose brackets close in their span.
 
-    Each field is evaluated once; the brackets are formed from those arrays.
+    Each field is evaluated once; the brackets of all pairs are formed from
+    those arrays and expanded in one least-squares solve.
     """
     if not fields:
         raise ValueError("need at least one field")
     points = stack_points(sample_points(fields[0].manifold, sample_count, seed=11))
-    values = [vf.values(points) for vf in fields]
-    jacobians = [vf.jacobians(points) for vf in fields]
-    emat = _evaluation_matrix(values)
+    values = np.stack([vf.values(points) for vf in fields])
+    jacobians = np.stack([vf.jacobians(points) for vf in fields])
     n = len(fields)
-    constants = np.zeros((n, n, n))
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            target = _bracket_values(values[i], jacobians[i], values[j], jacobians[j])
-            coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
-            worst = max(worst, float(np.max(np.abs(emat @ coeffs - target))))
-            constants[i, j, :] = coeffs
-            constants[j, i, :] = -coeffs
+    first, second = np.triu_indices(n, 1)
+    emat = _evaluation_matrix(values)
+    targets = _bracket_values(values[first], jacobians[first], values[second], jacobians[second]).T
+    coeffs, *_ = np.linalg.lstsq(emat, targets, rcond=None)
+    worst = float(np.max(np.abs(emat @ coeffs - targets), initial=0.0))
     if worst > tol:
         raise ClosureFailure(worst, f"brackets leave the span (residual {worst:.3e})")
+    constants = np.zeros((n, n, n))
+    constants[first, second] = coeffs.T
+    constants[second, first] = -coeffs.T
     return LieAlgebraSC(constants), worst
 
 

@@ -78,13 +78,10 @@ def killing_form(algebra, u, w):
 
 
 def killing_gram(algebra):
-    ads = [ad_matrix(algebra, e) for e in np.eye(algebra.dim)]
-    gram = np.zeros((algebra.dim, algebra.dim))
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            val = float(np.trace(ads[i] @ ads[j]))
-            gram[i, j] = gram[j, i] = val
-    return gram
+    """Gram matrix tr(ad(e_i) ad(e_j)) of the Killing form in the defining basis."""
+    c = algebra.constants
+    gram = np.einsum("ijk,lkj->il", c, c)
+    return 0.5 * (gram + gram.T)
 
 
 def null_space(matrix, tol_ratio=RANK_TOL):
@@ -123,10 +120,8 @@ def _orth_basis(vectors, tol=RANK_TOL):
 
 
 def _bracket_span(algebra, basis_a, basis_b):
-    brackets = [algebra.bracket(u, v) for u in basis_a for v in basis_b]
-    if not brackets:
-        return np.zeros((0, algebra.dim))
-    return _orth_basis(np.stack(brackets))
+    brackets = np.einsum("ai,bj,ijk->abk", basis_a, basis_b, algebra.constants)
+    return _orth_basis(brackets.reshape(len(basis_a) * len(basis_b), algebra.dim))
 
 
 def derived_series(algebra):
@@ -167,12 +162,9 @@ def killing_radical(algebra, tol=RANK_TOL):
     """
     _, radical, _ = null_space(killing_gram(algebra), tol)
     if radical.shape[0] not in (0, algebra.dim):
-        proj = radical.T @ radical
-        worst = 0.0
-        for e in np.eye(algebra.dim):
-            for r in radical:
-                b = algebra.bracket(e, r)
-                worst = max(worst, float(np.max(np.abs(b - proj @ b))))
+        # rows [e_i, r] for every basis vector e_i and radical vector r
+        brackets = np.einsum("rj,ijk->irk", radical, algebra.constants)
+        worst = float(np.max(np.abs(brackets - brackets @ (radical.T @ radical))))
         if worst > tol:
             raise IdealCheckError(f"Killing-form kernel is not an ideal (residual {worst:.3e})")
     if radical.shape[0] > 0:

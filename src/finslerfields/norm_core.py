@@ -17,6 +17,9 @@ from .errors import ConvexityViolation, DegenerateVector, InadmissibleNorm
 
 DEGENERATE_FLOOR = 1e-8
 DEFAULT_FD_STEP = 1e-5
+# Central second differences carry about 4 eps / step**2 of roundoff, so
+# Hessians take a step near eps**(1/4) rather than the gradients' step.
+HESSIAN_FD_STEP = 1e-4
 PD_RATIO = 1e-8
 
 
@@ -135,7 +138,7 @@ class MinkowskiNorm:
         """Closed-form Hessians of F^2/2 at checked rows, or None without a closed form."""
         return None
 
-    def tensor_batch(self, ys, scheme="auto", step=DEFAULT_FD_STEP):
+    def tensor_batch(self, ys, scheme="auto", step=HESSIAN_FD_STEP):
         """Hessians of F^2/2 at an (m, dim) batch, without the positive-definiteness gate.
 
         ``scheme`` "auto" takes the closed form when the family has one and
@@ -153,11 +156,11 @@ class MinkowskiNorm:
         return np.array([central_hessian(lambda v: 0.5 * float(self(v)) ** 2, y,
                                          step * float(np.linalg.norm(y))) for y in ys])
 
-    def _tensor_matrix_any(self, y, scheme="auto", step=DEFAULT_FD_STEP):
+    def _tensor_matrix_any(self, y, scheme="auto", step=HESSIAN_FD_STEP):
         """Tensor matrix at one vector without the positive-definiteness gate: a batch of one."""
         return self.tensor_batch(np.asarray(y, dtype=float)[None], scheme=scheme, step=step)[0]
 
-    def fundamental_tensor(self, y, scheme="auto", step=DEFAULT_FD_STEP):
+    def fundamental_tensor(self, y, scheme="auto", step=HESSIAN_FD_STEP):
         """Fundamental tensor at y, verified positive definite.
 
         Parameters

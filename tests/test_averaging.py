@@ -115,6 +115,25 @@ class TestAveragedNorm:
         assert abs(mat[1, 1] - mat[2, 2]) <= 1e-6  # rotational symmetry about axis 1
         assert np.max(np.abs(mat - np.diag(np.diag(mat)))) <= 1e-8
 
+    def test_average_evaluates_tensors_once(self):
+        norm = RandersNorm(np.eye(2), [0.3, 0.0])
+        calls = []
+        batch = norm.tensor_batch
+
+        def counting(ys, **kwargs):
+            calls.append(len(ys))
+            return batch(ys, **kwargs)
+
+        norm.tensor_batch = counting
+        average(norm, 256)
+        assert calls == [256]
+
+    def test_quadrature_keeps_node_tensors(self):
+        norm = RandersNorm(np.eye(3), [0.2, 0.1, 0.0])
+        quad = sample_indicatrix(norm, 512)
+        assert quad.tensors.shape == (len(quad.weights), 3, 3)
+        np.testing.assert_array_equal(quad.tensors, norm.tensor_batch(quad.points))
+
     def test_mismatched_quadrature_rejected(self):
         quad = sample_indicatrix(RandersNorm(np.eye(2), [0.5, 0.0]), 64)
         with pytest.raises(ValueError):

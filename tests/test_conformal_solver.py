@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finslerfields.conformal_solver import (
+    FieldBasis,
     SolverConfig,
     _spectral_gap,
     assemble_system,
@@ -212,6 +213,16 @@ class TestSolveFields:
         report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 2))
         assert report.max_residual <= 10.0 * report.tolerance_used
 
+    def test_no_conformal_field_leaves_an_empty_factor_table(self):
+        # without the coordinate fields the ansatz holds no conformal field of the Randers torus
+        torus = FlatTorus()
+        full = torus_basis(torus, 1)
+        basis = FieldBasis(torus, full.elements[2:], full.rho_elements, 1)
+        report = solve_fields(randers_field(torus), basis)
+        assert report.conformal_dim == 0
+        assert report.conformal_factors.shape == (0, basis.n_rho)
+        assert report.conformal_factor_residuals.shape == (0,)
+
     def test_killing_mode_skips_conformal_solve(self):
         torus = FlatTorus()
         report = solve_fields(randers_field(torus), torus_basis(torus, 2), mode="killing")
@@ -342,6 +353,19 @@ class TestStructureConstants:
         algebra, residual = extract_structure_constants(fields)
         assert residual <= 1e-10
         assert np.max(np.abs(algebra.constants)) <= 1e-10
+
+    def test_single_field_has_zero_constants(self):
+        torus = FlatTorus()
+        algebra, residual = extract_structure_constants([TorusFourierVectorField.coordinate(torus, 0)])
+        assert residual == 0.0
+        assert algebra.constants.shape == (1, 1, 1) and not algebra.constants.any()
+
+    def test_brackets_leaving_the_span_raise(self):
+        torus = FlatTorus()
+        mode = TorusFourierScalar(torus, terms=[((1, 0), 1.0, 0.0)])
+        fields = [TorusFourierVectorField.coordinate(torus, i, mode) for i in (0, 1)]
+        with pytest.raises(ClosureFailure):
+            extract_structure_constants(fields)
 
     def test_sphere_killing_algebra_is_rotation_type(self):
         sphere = Sphere2(1.0)
