@@ -682,7 +682,7 @@ def pull_norm(norm, jac):
         return EuclideanNorm(jac.T @ norm.matrix @ jac)
     if isinstance(norm, RandersNorm):
         return RandersNorm(jac.T @ norm.a @ jac, jac.T @ norm.b)
-    return GenericNorm(norm.dim, lambda y: float(norm(jac @ np.asarray(y, dtype=float))))
+    return GenericNorm(norm.dim, lambda ys: norm(ys @ jac.T))
 
 
 class PullbackField(FinslerField):

@@ -4,7 +4,7 @@ A Minkowski norm is positive away from the origin, positively 1-homogeneous,
 and strongly convex in the sense that the Hessian of F^2/2 is positive
 definite at every nonzero vector.  Three families are provided: Euclidean
 norms sqrt(y^T Q y), Randers norms sqrt(y^T a y) + b.y, and a generic wrapper
-around a user-supplied callable with optional analytic derivatives.
+around a user-supplied batched callable with optional analytic derivatives.
 """
 
 from __future__ import annotations
@@ -41,40 +41,51 @@ def _quadratic_norm(y, mat):
     return np.sqrt(np.maximum(np.einsum("...i,...i->...", y @ mat, y), 0.0))
 
 
-def central_gradient(func, y, step):
-    """Second-order central difference gradient of a scalar function."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    grad = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        grad[i] = (func(y + e) - func(y - e)) / (2.0 * step)
-    return grad
+def _on_stencil(func, ys, steps, offsets):
+    """func at ys + steps * offsets as an (m, k) array, from one call on all m * k points."""
+    ys = np.asarray(ys, dtype=float)
+    points = ys[:, None, :] + np.asarray(steps, dtype=float)[:, None, None] * offsets
+    return np.asarray(func(points.reshape(-1, ys.shape[1])), dtype=float).reshape(len(ys), -1)
 
 
-def central_hessian(func, y, step):
-    """Second-order central difference Hessian of a scalar function."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    hess = np.zeros((n, n))
-    f0 = func(y)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        hess[i, i] = (func(y + ei) - 2.0 * f0 + func(y - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            cross = (
-                func(y + 0.5 * (ei + ej))
-                - func(y + 0.5 * (ei - ej))
-                - func(y - 0.5 * (ei - ej))
-                + func(y - 0.5 * (ei + ej))
-            ) / step**2
-            hess[i, j] = cross
-            hess[j, i] = cross
+def central_gradient(func, ys, steps):
+    """Second-order central difference gradients of a batched scalar function.
+
+    ``func`` maps an (M, n) array to (M,) values; ``ys`` is an (m, n) batch and
+    ``steps`` its (m,) steps.  The whole (m, 2n, n) stencil y +- step e_i is one call.
+    """
+    eye = np.eye(np.shape(ys)[1])
+    plus, minus = np.split(_on_stencil(func, ys, steps, np.vstack([eye, -eye])), 2, axis=1)
+    return (plus - minus) / (2.0 * np.asarray(steps)[:, None])
+
+
+def central_hessian(func, ys, steps):
+    """Second-order central difference Hessians of a batched scalar function.
+
+    Arguments as for ``central_gradient``; the (m, 1 + 2n^2, n) stencil holds
+    y, y +- e_i and y +- (e_i +- e_j)/2 (steps times unit vectors) and is one call.
+    """
+    n = np.shape(ys)[1]
+    eye = np.eye(n)
+    iu, ju = np.triu_indices(n, 1)
+    plus, minus = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    cross = 0.5 * np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, n)
+    vals = _on_stencil(func, ys, steps, np.vstack([np.zeros((1, n)), eye, -eye, cross]))
+    h2 = (np.asarray(steps) ** 2)[:, None]
+    f0, fp, fm, pairs = np.split(vals, [1, n + 1, 2 * n + 1], axis=1)
+    pp, pm, mp, mm = (pairs[:, k::4] for k in range(4))
+    hess = np.empty((len(vals), n, n))
+    hess[:, np.arange(n), np.arange(n)] = (fp - 2.0 * f0 + fm) / h2
+    hess[:, iu, ju] = hess[:, ju, iu] = (pp - pm - mp + mm) / h2
     return hess
+
+
+def _shaped(values, shape, name):
+    """values as a float array of the given shape, or ValueError naming the callable."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} returned shape {values.shape}, expected {shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,7 @@ class MinkowskiNorm:
             return mats
         if scheme == "analytic":
             raise ValueError("no analytic fundamental tensor for this norm")
-        return np.array([central_hessian(lambda v: 0.5 * float(self(v)) ** 2, y,
-                                         step * float(np.linalg.norm(y))) for y in ys])
+        return central_hessian(lambda v: 0.5 * self(v) ** 2, ys, step * np.linalg.norm(ys, axis=1))
 
     def _tensor_matrix_any(self, y, scheme="auto", step=HESSIAN_FD_STEP):
         """Tensor matrix at one vector without the positive-definiteness gate: a batch of one."""
@@ -253,10 +263,13 @@ class RandersNorm(MinkowskiNorm):
 
 
 class GenericNorm(MinkowskiNorm):
-    """Norm from a plain callable, with optional analytic gradient and Hessian of F.
+    """Norm from a batched callable, with optional analytic gradient and Hessian of F.
 
-    The callables take one vector, so the batched entry points evaluate them
-    row by row.
+    ``func`` maps an (m, dim) array of row vectors to their (m,) values, the
+    optional ``grad`` maps it to (m, dim) gradients and ``hess``, the Hessian
+    of F, to (m, dim, dim).  A result of another shape raises ``ValueError``.
+    Without the derivatives, gradients and tensors are central differences
+    that evaluate ``func`` once per batch, on the whole stencil.
     """
 
     def __init__(self, dim, func, grad=None, hess=None):
@@ -267,33 +280,21 @@ class GenericNorm(MinkowskiNorm):
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return float(self.func(y))
-        return np.array([self.func(v) for v in y.reshape(-1, self.dim)]).reshape(y.shape[:-1])
-
-    def gradient(self, y, step=DEFAULT_FD_STEP):
-        """Gradient at one nonzero vector: the analytic callable, or central differences of F.
-
-        ``gradient_batch`` calls this once per row, because the callables take
-        one vector; the row check here keeps a direct call as safe as a batch.
-        """
-        y = self._checked(np.asarray(y, dtype=float)[None])[0]
-        if self.grad is not None:
-            return np.asarray(self.grad(y), dtype=float)
-        return central_gradient(lambda v: float(self(v)), y, step * float(np.linalg.norm(y)))
+        rows = y.reshape(-1, self.dim)
+        values = _shaped(self.func(rows), (len(rows),), "norm callable").reshape(y.shape[:-1])
+        return float(values) if y.ndim == 1 else values
 
     def _gradients(self, ys, step):
-        return np.array([self.gradient(y, step=step) for y in ys])
+        if self.grad is None:
+            return central_gradient(self, ys, step * np.linalg.norm(ys, axis=1))
+        return _shaped(self.grad(ys), ys.shape, "grad")
 
     def _tensors(self, ys):
         if self.grad is None or self.hess is None:
             return None
-
-        def tensor(y):
-            g = np.asarray(self.grad(y), dtype=float)
-            return float(self(y)) * np.asarray(self.hess(y), dtype=float) + np.outer(g, g)
-
-        return np.array([tensor(y) for y in ys])
+        g = self._gradients(ys, None)
+        hess = _shaped(self.hess(ys), ys.shape + (self.dim,), "hess")
+        return self(ys)[:, None, None] * hess + g[:, :, None] * g[:, None, :]
 
 
 def norm_from_dict(data):
@@ -315,11 +316,9 @@ def scale_norm(norm, c):
         return EuclideanNorm(c**2 * norm.matrix)
     if isinstance(norm, RandersNorm):
         return RandersNorm(c**2 * norm.a, c * norm.b)
-    return GenericNorm(
-        norm.dim,
-        lambda y: c * float(norm(y)),
-        grad=(lambda y: c * norm.gradient(y)),
-    )
+    hess = getattr(norm, "hess", None)
+    return GenericNorm(norm.dim, lambda ys: c * norm(ys), lambda ys: c * norm.gradient_batch(ys),
+                       None if hess is None else lambda ys: c * hess(ys))
 
 
 @dataclass

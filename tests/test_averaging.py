@@ -83,7 +83,7 @@ class TestSampleIndicatrix:
         from finslerfields.errors import ConvexityViolation
         from finslerfields.norm_core import GenericNorm
 
-        quartic = GenericNorm(2, lambda y: (y[0] ** 4 + y[1] ** 4) ** 0.25)
+        quartic = GenericNorm(2, lambda y: (y[:, 0] ** 4 + y[:, 1] ** 4) ** 0.25)
         with pytest.raises(ConvexityViolation):
             sample_indicatrix(quartic, 64)
 

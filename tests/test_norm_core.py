@@ -19,7 +19,21 @@ def randers_05():
 
 
 def quartic_norm():
-    return GenericNorm(2, lambda y: (y[0] ** 4 + y[1] ** 4) ** 0.25)
+    return GenericNorm(2, lambda y: (y[:, 0] ** 4 + y[:, 1] ** 4) ** 0.25)
+
+
+def generic_quadratic(q):
+    """sqrt(y^T q y) as a GenericNorm with batched analytic gradient and Hessian of F."""
+    def quad(y):
+        return np.einsum("mi,ij,mj->m", y, q, y)
+
+    return GenericNorm(
+        2,
+        lambda y: np.sqrt(quad(y)),
+        grad=lambda y: y @ q / np.sqrt(quad(y))[:, None],
+        hess=lambda y: (q / np.sqrt(quad(y))[:, None, None]
+                        - np.einsum("mi,mj->mij", y @ q, y @ q) / quad(y)[:, None, None] ** 1.5),
+    )
 
 
 class TestEval:
@@ -123,15 +137,9 @@ class TestFundamentalTensor:
 
     def test_generic_with_analytic_derivatives(self):
         q = np.diag([2.0, 3.0])
-        norm = GenericNorm(
-            2,
-            lambda y: float(np.sqrt(y @ q @ y)),
-            grad=lambda y: q @ y / np.sqrt(y @ q @ y),
-            hess=lambda y: (q / np.sqrt(y @ q @ y)
-                            - np.outer(q @ y, q @ y) / (y @ q @ y) ** 1.5),
-        )
         np.testing.assert_allclose(
-            norm.fundamental_tensor([0.3, 0.7], scheme="analytic").matrix, q, atol=1e-12
+            generic_quadratic(q).fundamental_tensor([0.3, 0.7], scheme="analytic").matrix, q,
+            atol=1e-12,
         )
 
 
@@ -160,8 +168,8 @@ class TestAxiomReport:
     def test_quartic_fails_strong_convexity(self):
         # the fundamental tensor degenerates on the axes
         norm = quartic_norm()
-        axis_hess = central_hessian(lambda y: 0.5 * float(norm(y)) ** 2,
-                                    np.array([1.0, 0.0]), 1e-5)
+        axis_hess = central_hessian(lambda y: 0.5 * norm(y) ** 2,
+                                    np.array([[1.0, 0.0]]), np.array([1e-5]))[0]
         assert abs(np.linalg.eigvalsh(axis_hess)[0]) < 1e-6
         report = check_axioms(norm, samples=400, seed=0)
         assert not report.convexity_pass
@@ -204,3 +212,16 @@ def test_scale_norm_stays_in_family():
     assert isinstance(doubled, RandersNorm)
     y = np.array([0.2, 0.9])
     assert float(doubled(y)) == pytest.approx(2.0 * float(norm(y)), rel=1e-14)
+
+
+def test_scale_norm_keeps_generic_analytic_tensor():
+    # (cF)'' = c F'', so c F keeps the base's analytic tensor, scaled by c^2
+    base = generic_quadratic(np.array([[2.0, 0.5], [0.5, 3.0]]))
+    scaled = scale_norm(base, 2.0)
+    ys = np.array([[0.3, 0.7], [-1.2, 0.4], [0.05, -0.02]])
+    np.testing.assert_allclose(scaled(ys), 2.0 * base(ys), rtol=1e-15)
+    np.testing.assert_allclose(scaled.tensor_batch(ys, scheme="analytic"),
+                               4.0 * base.tensor_batch(ys, scheme="analytic"), rtol=1e-14)
+    np.testing.assert_allclose(scaled.fundamental_tensor(ys[0], scheme="analytic").matrix,
+                               4.0 * base.fundamental_tensor(ys[0], scheme="analytic").matrix,
+                               rtol=1e-14)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finslerfields.averaging import average
 from finslerfields.errors import DegenerateVector
+from finslerfields.manifold import pull_norm
 from finslerfields.norm_core import (
     HESSIAN_FD_STEP,
     EuclideanNorm,
@@ -89,8 +91,8 @@ FAMILY_IDS = ["euclidean", "randers", "generic"]
 @pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
 def test_fd_scheme_takes_finite_differences_on_every_path(norm):
     y = np.array([0.6, -1.7])
-    reference = central_hessian(lambda v: 0.5 * float(norm(v)) ** 2, y,
-                                HESSIAN_FD_STEP * np.linalg.norm(y))
+    reference = central_hessian(lambda v: 0.5 * norm(v) ** 2, y[None],
+                                HESSIAN_FD_STEP * np.linalg.norm(y[None], axis=1))[0]
     np.testing.assert_array_equal(norm.tensor_batch([y], scheme="fd")[0], reference)
     np.testing.assert_array_equal(norm.fundamental_tensor(y, scheme="fd").matrix, reference)
 
@@ -125,6 +127,55 @@ def test_non_finite_and_misshapen_input_rejected_on_every_path(norm):
                  lambda: norm.tensor_batch([[1.0, 0.0, 0.0]])):
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("func", [lambda y: 1.0, lambda y: (y[0] ** 4 + y[1] ** 4) ** 0.25],
+                         ids=["scalar", "one-vector"])
+def test_misshapen_callable_output_rejected_on_every_path(func):
+    # a callable that does not map (m, dim) rows to (m,) values fails loudly
+    norm = GenericNorm(2, func)
+    ys = np.array([[1.0, 0.0], [0.3, 0.8], [-0.5, 0.2]])
+    for call in (lambda: norm(ys),
+                 lambda: norm.gradient_batch(ys),
+                 lambda: norm.tensor_batch(ys),
+                 lambda: average(norm, 64)):
+        with pytest.raises(ValueError, match="returned shape"):
+            call()
+
+
+def test_pulled_generic_norm_evaluates_batches():
+    randers = all_families()[1]
+    jac = np.array([[1.2, 0.3], [-0.4, 0.8]])
+    ys = np.array([[1.0, 0.0], [0.3, 0.8], [-0.5, 0.2], [0.0, -2.0]])
+    pulled = pull_norm(GenericNorm(2, randers), jac)
+    np.testing.assert_allclose(pulled(ys), [float(randers(jac @ y)) for y in ys], rtol=1e-14)
+
+
+def _counted_randers():
+    """A row-wise Randers callable that records the size of each batch it is given."""
+    calls = []
+
+    def func(ys):
+        calls.append(len(ys))
+        x, y = ys[:, 0], ys[:, 1]
+        return np.sqrt(1.3 * x * x + 0.4 * x * y + 0.9 * y * y) + 0.2 * x - 0.3 * y
+
+    return GenericNorm(2, func), calls
+
+
+@pytest.mark.parametrize("m", [1, 50])
+def test_stencil_is_one_call(m):
+    norm, calls = _counted_randers()
+    thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    ys = np.logspace(-2, 2, m)[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    # one call on the whole stencil: 2n points per row for gradients, 1 + 2n^2 for tensors
+    for evaluate, points in ((norm.gradient_batch, 4),
+                             (lambda v: norm.tensor_batch(v, scheme="fd"), 9)):
+        calls.clear()
+        batch = evaluate(ys)
+        assert calls == [m * points]
+        for i in range(m):
+            np.testing.assert_array_equal(evaluate(ys[i:i + 1])[0], batch[i])
 
 
 def test_failed_tensor_evaluation_fails_convexity():
