@@ -28,14 +28,14 @@ from .manifold import (
     ConstantNormField,
     FlatTorus,
     MobiusMap,
+    PointwiseAveragedField,
+    PullbackField,
     RoundSphereField,
     Sphere2,
     TorusTranslation,
-    averaged_metric_field,
     circle_lambda_profile,
     isometry_ratio_invariance,
     lie_derivative,
-    pullback_metric,
     stack_points,
 )
 from .conformal_solver import (

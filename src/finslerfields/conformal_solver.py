@@ -32,6 +32,8 @@ from .manifold import (
 DEFAULT_TOL_RATIO = 1e-8
 MIN_ROW_FACTOR = 3
 GAP_WARN = 1e2
+# A verification residual above this multiple of ``tolerance_used`` fails the self-check.
+VERIFY_TOL_FACTOR = 10.0
 
 
 def torus_fourier_modes(degree):
@@ -264,6 +266,10 @@ class SolveReport:
     def max_residual(self):
         return max(self.residuals.values()) if self.residuals else 0.0
 
+    @property
+    def verification_bound(self):
+        return VERIFY_TOL_FACTOR * self.tolerance_used
+
 
 def solve_fields(field, basis, mode="conformal", config=None):
     """Compute the Killing (and optionally conformal) fields within the ansatz.
@@ -277,7 +283,8 @@ def solve_fields(field, basis, mode="conformal", config=None):
     collocation set.
     Each collocation set is assembled once: the Killing matrix is the field
     block of the conformal one.  Safeguards that fire are recorded in
-    ``flags``.
+    ``flags``, among them a verification residual above ``VERIFY_TOL_FACTOR``
+    times the tolerance.
     """
     config = config or SolverConfig()
     n = basis.n_fields
@@ -341,6 +348,8 @@ def solve_fields(field, basis, mode="conformal", config=None):
         if mode == "conformal" and report.conformal_dim:
             stacked = np.hstack([report.conformal_basis, report.conformal_factors])
             report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))
+        if report.max_residual > report.verification_bound:
+            report.flags.append("verification residual above tolerance")
     return report
 
 
@@ -426,16 +435,11 @@ def pushforward_subspace_angle(fields, diffeo, points):
     The pushed field f_*V at f(x) is df(x) V(x), so both spans are compared
     through their values at the image points.
     """
-    pushed = []
-    for vf in fields:
-        vals = [diffeo.differential(pt) @ vf.value(pt) for pt in points]
-        pushed.append(np.concatenate(vals))
-    image_points = [diffeo.apply(pt) for pt in points]
-    originals = []
-    for vf in fields:
-        originals.append(np.concatenate([vf.value(pt) for pt in image_points]))
-    q1, _ = np.linalg.qr(np.stack(pushed, axis=1))
-    q2, _ = np.linalg.qr(np.stack(originals, axis=1))
+    points = stack_points(points)
+    jac, image = diffeo.differential(points), diffeo.apply(points)
+    pushed = [np.einsum("mij,mj->mi", jac, vf.values(points)) for vf in fields]
+    q1, _ = np.linalg.qr(_evaluation_matrix(pushed))
+    q2, _ = np.linalg.qr(_evaluation_matrix([vf.values(image) for vf in fields]))
     cosines = np.linalg.svd(q1.T @ q2, compute_uv=False)
     cosines = np.clip(cosines, -1.0, 1.0)
     return float(np.max(np.arccos(cosines)))

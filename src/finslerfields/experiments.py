@@ -119,7 +119,7 @@ def exp_s2_round(config):
     _check(checks, "killing_dim", report.killing_dim, "==", 3)
     _check(checks, "conformal_dim", report.conformal_dim, "==", 6)
     _check(checks, "conformal spectral gap", report.conformal_gap, ">=", 1e4)
-    _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
+    _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
     return checks, report, {}, None
 
 
@@ -132,7 +132,7 @@ def exp_riemannian_torus(config):
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 2)
     _check(checks, "conformal_dim", report.conformal_dim, "==", 2)
-    _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
+    _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
     return checks, report, {}, None
 
 
@@ -158,7 +158,7 @@ def exp_randers_torus(config):
         and doubled.conformal_dim == report.conformal_dim
     )
     _check(checks, "dims stable under density doubling", stable, "==", 1)
-    _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
+    _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
     return checks, report, {"doubled_killing_dim": doubled.killing_dim,
                             "doubled_conformal_dim": doubled.conformal_dim}, None
 
@@ -191,7 +191,7 @@ def _rescaled_torus_experiment(config, base_norm):
     _check(checks, "non-transitive fraction", nontransitive_fraction, ">=", 0.9)
     _check(checks, "control killing_dim (constant factor)", control.killing_dim, "==", 2)
     _check(checks, "control transitive fraction", control_fraction, "==", 1.0)
-    _check(checks, "verification residual", report.max_residual, "<=", 10.0 * report.tolerance_used)
+    _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
     extra = {
         "nontransitive_fraction": nontransitive_fraction,
         "control_killing_dim": control.killing_dim,

@@ -11,7 +11,9 @@ points in one call (``values``, ``grads``, ``jacobians``, ``evals``,
 ``grads_x``, ``grads_y``); a batch is an (m, 2) array on the torus and a
 ``ChartPoint`` holding (m,) charts and (m, 2) coords on the sphere.  The
 one-point methods (``value``, ``grad``, ``jacobian``, ``eval``, ``grad_x``,
-``grad_y``) are batches of one.
+``grad_y``) are batches of one.  Diffeomorphisms (``apply``,
+``differential``), pullback and averaged fields and ``lie_derivative`` take
+one point or a batch with the same formulas.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateVector
-from .norm_core import EuclideanNorm, GenericNorm, RandersNorm, fibonacci_directions, scale_norm
+from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm,
+                        fibonacci_directions, scale_norm)
 from .averaging import average
 
 CHART_ASSIGN_FACTOR = 1.5
@@ -49,6 +52,13 @@ def stack_points(points):
     if len(points) and isinstance(points[0], ChartPoint):
         return ChartPoint(np.array([p.chart for p in points]), np.array([p.coords for p in points]))
     return np.asarray(points, dtype=float).reshape(-1, 2)
+
+
+def _point(points, i):
+    """Point i of a batch, as a one-point argument."""
+    if isinstance(points, ChartPoint):
+        return ChartPoint(int(points.chart[i]), points.coords[i])
+    return points[i]
 
 
 def _point_count(points):
@@ -88,12 +98,9 @@ class FlatTorus:
         return (self.frac(x) % 1.0) @ self.lattice.T
 
     def grid_points(self, per_axis, offset=(0.31, 0.47)):
-        pts = []
-        for i in range(per_axis):
-            for j in range(per_axis):
-                xi = np.array([(i + offset[0]) / per_axis, (j + offset[1]) / per_axis])
-                pts.append(self.lattice @ xi)
-        return pts
+        """The (per_axis**2, 2) offset grid in lattice coordinates, first index outermost."""
+        index = np.stack(np.meshgrid(np.arange(per_axis), np.arange(per_axis), indexing="ij"), -1)
+        return ((index.reshape(-1, 2) + np.asarray(offset)) / per_axis) @ self.lattice.T
 
 
 class Sphere2:
@@ -135,24 +142,18 @@ class Sphere2:
         return self.radius**2 * h
 
     def chart_point(self, numerator, denominator=1.0 + 0.0j):
-        """Point from the projective pair (P : Q) with z = P/Q in chart 0."""
-        p, q = complex(numerator), complex(denominator)
-        if p == 0 and q == 0:
+        """Point(s) from projective pairs (P : Q) with z = P/Q in chart 0; scalars or arrays.
+
+        Each point goes to the chart where its coordinate is bounded, so the
+        divisor taken in that chart (Q in chart 0, P in chart 1) is nonzero.
+        """
+        p, q = np.asarray(numerator, dtype=complex), np.asarray(denominator, dtype=complex)
+        if np.any((p == 0) & (q == 0)):
             raise ChartDomainError("projective pair (0, 0) is not a point")
-        if abs(p) <= CHART_ASSIGN_FACTOR * self.radius * abs(q):
-            z = p / q
-            return ChartPoint(0, np.array([z.real, z.imag]))
-        w = self.radius**2 * (q / p).conjugate()
-        return ChartPoint(1, np.array([w.real, w.imag]))
-
-    def to_complex(self, pt):
-        return complex(pt.coords[0], pt.coords[1])
-
-    def projective_pair(self, pt):
-        """(P, Q) with z = P/Q; valid in either chart, including the pole w = 0."""
-        if pt.chart == 0:
-            return self.to_complex(pt), 1.0 + 0.0j
-        return complex(self.radius**2, 0.0), self.to_complex(pt).conjugate()
+        zero = np.abs(p) <= CHART_ASSIGN_FACTOR * self.radius * np.abs(q)
+        ratio = np.where(zero, p, q) / np.where(zero, q, p)
+        z = np.where(zero, ratio, self.radius**2 * ratio.conjugate())
+        return ChartPoint(np.where(zero, 0, 1)[()], np.stack([z.real, z.imag], axis=-1))
 
     def convert(self, pt, chart):
         if pt.chart == chart:
@@ -191,17 +192,19 @@ class Sphere2:
         return np.concatenate([horizontal, vertical], axis=-2)
 
     def from_ambient(self, n):
+        """Point(s) of ambient positions with |n| = R, a (3,) point or an (m, 3) batch."""
         n = np.asarray(n, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if abs(norm - self.radius) > 1e-8 * self.radius:
-            raise ChartDomainError(f"|n| = {norm:.6f} is not on the sphere of radius {self.radius}")
-        denom = self.radius - n[2]
-        if abs(denom) > 1e-300:
-            return self.chart_point(complex(n[0], n[1]) * self.radius, complex(denom, 0.0))
-        return ChartPoint(1, np.zeros(2))
+        off = np.abs(np.linalg.norm(n, axis=-1) - self.radius)
+        if np.any(off > 1e-8 * self.radius):
+            raise ChartDomainError(f"|n| is {off.max():.3e} off the sphere of radius {self.radius}")
+        denom = self.radius - n[..., 2]
+        pole = np.abs(denom) <= 1e-300   # the north pole is the pair (1 : 0)
+        return self.chart_point(np.where(pole, 1.0, (n[..., 0] + 1j * n[..., 1]) * self.radius),
+                                np.where(pole, 0.0, denom))
 
     def fibonacci_points(self, count):
-        return [self.from_ambient(n) for n in fibonacci_directions(count) * self.radius]
+        pts = self.from_ambient(fibonacci_directions(count) * self.radius)
+        return [ChartPoint(int(chart), x) for chart, x in zip(pts.chart, pts.coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +310,7 @@ class VectorField:
 
 
 class TorusFourierVectorField(VectorField):
-    """Fourier scalar times a coordinate field, or a general two-component field.
-
-    The one-point methods use the components' one-point ``value``/``grad``,
-    so any object with those two methods can serve as a component there.
-    """
+    """Fourier scalar times a coordinate field, or a general two-component field."""
 
     def __init__(self, torus, components):
         self.manifold = torus
@@ -323,12 +322,6 @@ class TorusFourierVectorField(VectorField):
         zero = ConstantScalar(0.0)
         comps = (scalar, zero) if index == 0 else (zero, scalar)
         return cls(torus, comps)
-
-    def value(self, x):
-        return np.array([c.value(x) for c in self.components])
-
-    def jacobian(self, x):
-        return np.stack([c.grad(x) for c in self.components])
 
     def values(self, points):
         return np.stack([c.values(points) for c in self.components], axis=-1)
@@ -443,6 +436,8 @@ def sphere_gradient_generators(sphere):
 
 
 class TorusTranslation:
+    """x -> x + shift on a flat torus; a (2,) point or an (m, 2) batch."""
+
     def __init__(self, torus, shift):
         self.manifold = torus
         self.shift = np.asarray(shift, dtype=float)
@@ -451,7 +446,7 @@ class TorusTranslation:
         return self.manifold.wrap(np.asarray(x, dtype=float) + self.shift)
 
     def differential(self, x):
-        return np.eye(2)
+        return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
 
 
 _SIGMA = (
@@ -460,25 +455,18 @@ _SIGMA = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-_FLIP = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def _conformal_matrix(alpha):
-    return np.array([[alpha.real, -alpha.imag], [alpha.imag, alpha.real]])
-
 
 class MobiusMap:
-    """Fractional linear map z -> (az + b)/(cz + d) on the chart-0 coordinate."""
+    """Fractional linear map z -> (az + b)/(cz + d) on the chart-0 coordinate.
+
+    ``apply`` and ``differential`` take one ``ChartPoint`` or a batch.
+    """
 
     def __init__(self, sphere, matrix):
         self.manifold = sphere
         self.matrix = np.asarray(matrix, dtype=complex)
         if abs(np.linalg.det(self.matrix)) < 1e-14:
             raise ValueError("Mobius matrix is singular")
-
-    @classmethod
-    def rotation_about_pole(cls, sphere, angle):
-        return cls(sphere, [[np.exp(1j * angle), 0.0], [0.0, 1.0]])
 
     @classmethod
     def rotation(cls, sphere, axis, angle):
@@ -500,39 +488,35 @@ class MobiusMap:
     def scaling(cls, sphere, s):
         return cls(sphere, [[complex(s), 0.0], [0.0, 1.0]])
 
-    def apply(self, pt):
-        p, q = self.manifold.projective_pair(pt)
+    def _image_pairs(self, pt):
+        """Chart-1 mask and image pairs (P, Q) = M (p, q); (p, q) is (z, 1) or (R^2, conj w)."""
+        z = pt.coords[..., 0] + 1j * pt.coords[..., 1]
+        one = np.asarray(pt.chart) == 1
+        p = np.where(one, self.manifold.radius**2, z)
+        q = np.where(one, z.conjugate(), 1.0)
         (a, b), (c, d) = self.matrix
-        return self.manifold.chart_point(a * p + b * q, c * p + d * q)
+        return one, a * p + b * q, c * p + d * q
 
-    def _effective(self, in_chart, out_chart):
-        r2 = self.manifold.radius**2
-        swap = np.array([[0.0, r2], [1.0, 0.0]], dtype=complex)
-        mat = self.matrix
-        if in_chart == 1:
-            mat = mat @ swap
-        if out_chart == 1:
-            mat = swap @ mat
-        return mat
+    def apply(self, pt):
+        _, big_p, big_q = self._image_pairs(pt)
+        return self.manifold.chart_point(big_p, big_q)
 
     def differential(self, pt):
-        """Real 2x2 differential from the chart of ``pt`` to the chart of its image."""
-        image = self.apply(pt)
-        mat = self._effective(pt.chart, image.chart)
-        zeta = self.manifold.to_complex(pt)
-        if pt.chart == 1:
-            zeta = zeta.conjugate()
-        (a, b), (c, d) = mat
-        denom = c * zeta + d
-        if abs(denom) < 1e-14:
-            raise ChartDomainError("Mobius differential evaluated at a pole of the chart map")
-        deriv = (a * d - b * c) / denom**2
-        jac = _conformal_matrix(deriv)
-        if pt.chart == 1:
-            jac = jac @ _FLIP
-        if image.chart == 1:
-            jac = _FLIP @ jac
-        return jac
+        """Real 2x2 differential from the chart of each point to the chart of its image.
+
+        In the holomorphic coordinates zeta = x + i s y, with s = 1 in chart 0
+        and s = -1 in chart 1 (zeta = conj w), the map is Mobius: with
+        k = det M (chart-0 source) or -R^2 det M (chart-1 source), d zeta'/d zeta
+        is k / Q^2 into chart 0 and -R^2 k / P^2 into chart 1.
+        """
+        one, big_p, big_q = self._image_pairs(pt)
+        out = self.manifold.chart_point(big_p, big_q).chart == 1
+        r2 = self.manifold.radius**2
+        k = np.linalg.det(self.matrix) * np.where(one, -r2, 1.0)
+        deriv = np.where(out, -r2 * k, k) / np.where(out, big_p, big_q) ** 2
+        # columns d zeta'/dx and d zeta'/dy, then the rows Re and s' Im of each
+        cols = deriv[..., None] * np.stack([np.ones(np.shape(one)), np.where(one, -1j, 1j)], -1)
+        return np.stack([cols.real, np.where(out, -1.0, 1.0)[..., None] * cols.imag], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -693,15 +677,19 @@ class PullbackField(FinslerField):
         self.base = base
         self.diffeo = diffeo
 
-    def eval(self, pt, y):
-        image = self.diffeo.apply(pt)
-        jac = self.diffeo.differential(pt)
-        return self.base.eval(image, jac @ np.asarray(y, dtype=float))
+    def _pushed(self, points, ys):
+        """Images f(x), differentials df(x) and pushed directions df(x) y of a batch."""
+        points = stack_points(points)
+        jac = self.diffeo.differential(points)
+        return self.diffeo.apply(points), jac, np.einsum("mij,mj->mi", jac, _as_directions(ys))
 
-    def grad_y(self, pt, y):
-        image = self.diffeo.apply(pt)
-        jac = self.diffeo.differential(pt)
-        return jac.T @ self.base.grad_y(image, jac @ np.asarray(y, dtype=float))
+    def evals(self, points, ys):
+        image, _, pushed = self._pushed(points, ys)
+        return self.base.evals(image, pushed)
+
+    def grads_y(self, points, ys):
+        image, jac, pushed = self._pushed(points, ys)
+        return np.einsum("mij,mi->mj", jac, self.base.grads_y(image, pushed))
 
     def norm_at(self, pt):
         image = self.diffeo.apply(pt)
@@ -726,37 +714,42 @@ class PointwiseAveragedField(FinslerField):
     def norm_at(self, pt):
         return EuclideanNorm(self.matrix_at(pt))
 
-    def eval(self, pt, y):
-        return float(self.norm_at(pt)(np.asarray(y, dtype=float)))
+    def _products(self, points, ys):
+        """G(x) y for a batch, with ``matrix_at`` called once per distinct point."""
+        points = stack_points(points)
+        charted = isinstance(points, ChartPoint)
+        keys = np.column_stack([points.chart, points.coords]) if charted else points
+        seen = {}
+        first = [seen.setdefault(key.tobytes(), i) for i, key in enumerate(keys)]
+        mats = {i: self.matrix_at(_point(points, i)) for i in seen.values()}
+        return np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
 
-    def grad_y(self, pt, y):
-        return self.norm_at(pt).gradient(np.asarray(y, dtype=float))
+    def evals(self, points, ys):
+        ys = _as_directions(ys)
+        return np.sqrt(np.einsum("mi,mi->m", self._products(points, ys), ys))
+
+    def grads_y(self, points, ys):
+        ys, _ = _checked_directions(ys, DEGENERATE_FLOOR)
+        products = self._products(points, ys)
+        return products / np.sqrt(np.einsum("mi,mi->m", products, ys))[:, None]
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def lie_derivative(field, vector_field, pt, y):
-    """(L_V F)(x, y) through the complete lift of V.
+def lie_derivative(field, vector_field, points, ys):
+    """(L_V F)(x, y) through the complete lift of V, as an (m,) array over a batch.
 
     Equals V^i dF/dx^i + y^j (dV^i/dx^j) dF/dy^i; the x-derivatives of F are
-    analytic for every built-in field kind.
+    analytic for every solvable field kind.
     """
-    y = np.asarray(y, dtype=float)
-    if float(np.linalg.norm(y)) < 1e-12:
-        raise DegenerateVector("Lie derivative undefined at y = 0")
-    v = vector_field.value(pt)
-    jac = vector_field.jacobian(pt)
-    return float(v @ field.grad_x(pt, y) + (jac @ y) @ field.grad_y(pt, y))
-
-
-def pullback_metric(field, diffeo):
-    return PullbackField(field, diffeo)
-
-
-def averaged_metric_field(field, resolution):
-    return PointwiseAveragedField(field, resolution)
+    ys, _ = _checked_directions(ys, 1e-12)
+    points = stack_points(points)
+    v = vector_field.values(points)
+    jac = vector_field.jacobians(points)
+    return (np.einsum("mi,mi->m", v, field.grads_x(points, ys))
+            + np.einsum("mij,mj,mi->m", jac, ys, field.grads_y(points, ys)))
 
 
 def sample_points(manifold, count, seed=0):
@@ -764,8 +757,7 @@ def sample_points(manifold, count, seed=0):
     if isinstance(manifold, Circle):
         return manifold.sample_points(count)
     if isinstance(manifold, FlatTorus):
-        rng = np.random.default_rng(seed)
-        return [manifold.lattice @ rng.uniform(size=2) for _ in range(count)]
+        return np.random.default_rng(seed).uniform(size=(count, 2)) @ manifold.lattice.T
     if isinstance(manifold, Sphere2):
         return manifold.fibonacci_points(count)
     raise ValueError(f"unsupported manifold {manifold!r}")
@@ -778,18 +770,14 @@ def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
     vanish for any built-in conformal diffeomorphism of the field.
     """
     rng = np.random.default_rng(seed)
-    pts = sample_points(field.manifold, samples, seed=seed)
-    worst = 0.0
-    for pt in pts:
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        y1 = np.array([np.cos(angles[0]), np.sin(angles[0])])
-        y2 = np.array([np.cos(angles[1]), np.sin(angles[1])])
-        image = diffeo.apply(pt)
-        jac = diffeo.differential(pt)
-        ratio = field.eval(pt, y1) / field.eval(pt, y2)
-        mapped = field.eval(image, jac @ y1) / field.eval(image, jac @ y2)
-        worst = max(worst, abs(ratio - mapped))
-    return worst
+    points = stack_points(sample_points(field.manifold, samples, seed=seed))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(_point_count(points), 2))
+    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)   # two directions per point
+    pushed = np.einsum("mij,mkj->mki", diffeo.differential(points), ys)
+    image = diffeo.apply(points)
+    ratio = field.evals(points, ys[:, 0]) / field.evals(points, ys[:, 1])
+    mapped = field.evals(image, pushed[:, 0]) / field.evals(image, pushed[:, 1])
+    return float(np.max(np.abs(ratio - mapped)))
 
 
 @dataclass

@@ -32,10 +32,10 @@ from finslerfields.manifold import (
     ConformalRescaleField,
     ConstantNormField,
     FlatTorus,
+    PointwiseAveragedField,
     RoundSphereField,
     Sphere2,
     TorusFourierScalar,
-    averaged_metric_field,
 )
 from finslerfields.norm_core import EuclideanNorm, RandersNorm, scale_norm
 
@@ -91,8 +91,8 @@ def test_criterion_3_rescale_law_through_average():
     rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
     rescaled = ConformalRescaleField(base, rho)
     with Stopwatch() as clock:
-        averaged_base = averaged_metric_field(base, 256)
-        averaged_rescaled = averaged_metric_field(rescaled, 256)
+        averaged_base = PointwiseAveragedField(base, 256)
+        averaged_rescaled = PointwiseAveragedField(rescaled, 256)
         worst = 0.0
         for x in torus.grid_points(4):
             expected = rho.value(x) ** 2 * averaged_base.matrix_at(x)

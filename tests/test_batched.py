@@ -14,6 +14,8 @@ from finslerfields.conformal_solver import (
     sphere_basis,
     torus_basis,
 )
+from finslerfields import manifold
+from finslerfields.averaging import average
 from finslerfields.errors import ChartDomainError, DegenerateVector
 from finslerfields.manifold import (
     AmbientPolyScalar,
@@ -23,13 +25,17 @@ from finslerfields.manifold import (
     ConstantNormField,
     ConstantScalar,
     FlatTorus,
+    MobiusMap,
+    PointwiseAveragedField,
+    PullbackField,
     RoundSphereField,
     Sphere2,
     TorusFourierScalar,
+    TorusTranslation,
     lie_derivative,
     stack_points,
 )
-from finslerfields.norm_core import RandersNorm
+from finslerfields.norm_core import EuclideanNorm, RandersNorm
 
 # Batched and per-row assembly sum the same terms in a different order, so
 # they agree to round-off relative to the largest entry.
@@ -40,7 +46,7 @@ def reference_assemble(field, basis, collocation, mode):
     """Per-row assembly through the one-point lie_derivative and field.eval."""
     rows = []
     for pt, y in collocation:
-        row = [lie_derivative(field, el, pt, y) for el in basis.elements]
+        row = [lie_derivative(field, el, pt, y)[0] for el in basis.elements]
         if mode == "conformal":
             row += [-phi.value(pt) * field.eval(pt, y) for phi in basis.rho_elements]
         rows.append(row)
@@ -183,6 +189,8 @@ def test_chart_one_origin_in_a_batch_is_rejected():
     randers_torus_field(FlatTorus()),
     ConformalRescaleField(randers_torus_field(FlatTorus()), ConstantScalar(2.0)),
     RoundSphereField(Sphere2(1.0)),
+    PullbackField(RoundSphereField(Sphere2(1.0)), MobiusMap.translation(Sphere2(1.0), 0.3)),
+    PointwiseAveragedField(randers_torus_field(FlatTorus()), 64),
 ])
 def test_batched_grad_y_keeps_direction_safeguards(field):
     points = stack_points(_two_points(field.manifold))
@@ -254,3 +262,146 @@ def test_combination_of_batches_is_linear():
     combo = CombinationVectorField(elements, coeffs)
     expected = sum(c * el.values(points) for c, el in zip(coeffs, elements))
     np.testing.assert_allclose(combo.values(points), expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# diffeomorphisms, pullbacks and averaged fields
+
+
+def _point_total(points):
+    return len(points.coords) if isinstance(points, ChartPoint) else len(points)
+
+
+def _rows(points, index):
+    if isinstance(points, ChartPoint):
+        return ChartPoint(points.chart[index], points.coords[index])
+    return points[index]
+
+
+def _mobius_batch(sphere):
+    """A general Mobius map and a batch covering every pair of source and image charts.
+
+    The batch starts with the chart-1 origin (the north pole) and the map's
+    own pole z = -d/c, whose image is the north pole.
+    """
+    mob = MobiusMap(sphere, [[1.2 + 0.3j, 0.4], [-0.1j, 1.0]])
+    c, d = mob.matrix[1]
+    pole = -d / c
+    rng = np.random.default_rng(5)
+    charts = np.concatenate([[1, 0], rng.integers(0, 2, size=30)])
+    coords = np.vstack([[0.0, 0.0], [pole.real, pole.imag], rng.uniform(-2.0, 2.0, size=(30, 2))])
+    return mob, ChartPoint(charts, coords)
+
+
+def test_mobius_batch_matches_one_point_calls():
+    mob, points = _mobius_batch(Sphere2(1.3))
+    images, jacobians = mob.apply(points), mob.differential(points)
+    assert jacobians.shape == (32, 2, 2)
+    pairs = set()
+    for i in range(32):
+        pt = _one_point(points, i)
+        image = mob.apply(pt)
+        assert images.chart[i] == image.chart
+        np.testing.assert_allclose(images.coords[i], image.coords, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(jacobians[i], mob.differential(pt), rtol=0, atol=1e-13)
+        pairs.add((pt.chart, int(image.chart)))
+    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert (int(images.chart[1]), *images.coords[1]) == (1, 0.0, 0.0)
+
+
+def test_torus_translation_batch_matches_one_point_calls():
+    torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    shift = TorusTranslation(torus, [0.7, 1.1])
+    points = torus.grid_points(3)
+    assert shift.differential(points).shape == (9, 2, 2)
+    for i, x in enumerate(points):
+        np.testing.assert_allclose(shift.apply(points)[i], shift.apply(x), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(shift.differential(points)[i], shift.differential(x))
+
+
+def test_batch_with_a_chart_pole_raises():
+    sphere = Sphere2(1.0)
+    with pytest.raises(ChartDomainError):
+        sphere.chart_point(np.array([0.5, 0.0, 2.0]), np.array([1.0, 0.0, 1.0]))
+    # the antiholomorphic ansatz fields are defined away from the chart-1 origin only
+    vf = sphere_basis(sphere, 2).elements[6]
+    points = ChartPoint(np.array([0, 1, 1]), np.array([[0.2, 0.1], [0.4, -0.3], [0.0, 0.0]]))
+    with pytest.raises(ChartDomainError):
+        lie_derivative(RoundSphereField(sphere), vf, points, np.ones((3, 2)))
+
+
+def _pullback_cases():
+    sphere = Sphere2(1.3)
+    mob, sphere_points = _mobius_batch(sphere)
+    rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.2, -0.1, 0.5])
+    torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    torus_rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 1), 0.4, -0.3)])
+    return [
+        ("round sphere", RoundSphereField(sphere), mob, sphere_points),
+        ("rescaled sphere", ConformalRescaleField(RoundSphereField(sphere), rho), mob, sphere_points),
+        ("rescaled torus", ConformalRescaleField(randers_torus_field(torus), torus_rho),
+         TorusTranslation(torus, [0.3, 0.8]), torus.grid_points(4)),
+    ]
+
+
+PULLBACK_CASES = _pullback_cases()
+
+
+@pytest.mark.parametrize("name,base,diffeo,points", PULLBACK_CASES,
+                         ids=[c[0] for c in PULLBACK_CASES])
+def test_pullback_matches_the_one_point_chain(name, base, diffeo, points):
+    pulled = PullbackField(base, diffeo)
+    m = _point_total(points)
+    ys = np.random.default_rng(6).standard_normal((m, 2))
+    values, grads = pulled.evals(points, ys), pulled.grads_y(points, ys)
+    assert values.shape == (m,) and grads.shape == (m, 2)
+    for i in range(m):
+        pt = _one_point(points, i)
+        image, jac = diffeo.apply(pt), diffeo.differential(pt)
+        assert values[i] == pytest.approx(base.eval(image, jac @ ys[i]), rel=1e-13)
+        np.testing.assert_allclose(grads[i], jac.T @ base.grad_y(image, jac @ ys[i]),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def _averaged_cases():
+    """Averaged fields with a batch of three distinct points, each repeated."""
+    torus, sphere = FlatTorus(), Sphere2(1.3)
+    rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 0.5, 0.2)])
+    sphere_points = ChartPoint(np.array([0, 1, 1]), np.array([[0.2, 0.4], [0.5, -0.1], [0.0, 0.0]]))
+    repeat = np.array([0, 1, 2, 0, 2, 2, 1, 0])
+    return [
+        ("rescaled randers torus",
+         PointwiseAveragedField(ConformalRescaleField(randers_torus_field(torus), rho), 64),
+         torus.grid_points(2)[[0, 1, 3]][repeat]),
+        ("round sphere", PointwiseAveragedField(RoundSphereField(sphere), 64),
+         _rows(sphere_points, repeat)),
+    ]
+
+
+AVERAGED_CASES = _averaged_cases()
+
+
+@pytest.mark.parametrize("name,field,points", AVERAGED_CASES, ids=[c[0] for c in AVERAGED_CASES])
+def test_averaged_field_averages_each_distinct_point_once(monkeypatch, name, field, points):
+    calls = []
+
+    def counted(norm, resolution):
+        calls.append(resolution)
+        return average(norm, resolution)
+
+    monkeypatch.setattr(manifold, "average", counted)
+    ys = np.random.default_rng(7).standard_normal((8, 2))
+    values = field.evals(points, ys)
+    assert calls == [64] * 3
+    for i in range(8):
+        pt = _one_point(points, i)
+        assert values[i] == pytest.approx(EuclideanNorm(field.matrix_at(pt))(ys[i]), rel=1e-14)
+
+
+@pytest.mark.parametrize("name,field,points", AVERAGED_CASES, ids=[c[0] for c in AVERAGED_CASES])
+def test_averaged_field_grads_y_match_the_averaged_norm(name, field, points):
+    ys = np.random.default_rng(8).standard_normal((8, 2))
+    grads = field.grads_y(points, ys)
+    for i in range(8):
+        expected = EuclideanNorm(field.matrix_at(_one_point(points, i))).gradient(ys[i])
+        np.testing.assert_allclose(grads[i], expected, rtol=1e-14, atol=1e-14)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finslerfields.conformal_solver import (
+    VERIFY_TOL_FACTOR,
     FieldBasis,
     SolverConfig,
     _spectral_gap,
@@ -235,6 +236,21 @@ class TestSolveFields:
         report = solve_fields(RoundSphereField(sphere), basis)
         assert report.conformal_dim == 6
         assert any("spurious" in flag for flag in report.flags)
+
+    def test_failed_verification_is_flagged(self):
+        # at radius 1e4 the unscaled sphere ansatz returns a spurious dimension
+        # whose out-of-sample residual is far above ten tolerances
+        sphere = Sphere2(1e4)
+        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 2))
+        assert report.max_residual > VERIFY_TOL_FACTOR * report.tolerance_used
+        assert "verification residual above tolerance" in report.flags
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_passed_verification_is_not_flagged(self, radius):
+        sphere = Sphere2(radius)
+        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 2))
+        assert (report.killing_dim, report.conformal_dim) == (3, 6)
+        assert report.flags == []
 
     def test_skew_lattice_torus_keeps_both_dimensions(self):
         torus = FlatTorus(np.array([[2.0, 0.5], [0.0, 1.0]]))

@@ -12,17 +12,17 @@ from finslerfields.manifold import (
     ConstantScalar,
     FlatTorus,
     MobiusMap,
+    PointwiseAveragedField,
+    PullbackField,
     RoundSphereField,
     Sphere2,
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
     TorusTranslation,
-    averaged_metric_field,
     circle_lambda_profile,
     isometry_ratio_invariance,
     lie_derivative,
-    pullback_metric,
     sphere_gradient_generators,
     sphere_rotation_generators,
 )
@@ -130,10 +130,10 @@ class TestMetricEval:
         v = TorusFourierVectorField.coordinate(torus, 0)
         x = np.array([0.23, 0.61])
         y = np.array([0.8, 0.4])
-        exact = lie_derivative(field, v, x, y)
+        exact = lie_derivative(field, v, x, y)[0]
         for t in (1e-4, 1e-5):
             flow = TorusTranslation(torus, [t, 0.0])
-            pulled = pullback_metric(field, flow)
+            pulled = PullbackField(field, flow)
             fd = (pulled.eval(x, y) - field.eval(x, y)) / t
             assert abs(fd - exact) <= 100.0 * t
 
@@ -152,7 +152,7 @@ class TestLieDerivative:
         for _ in range(5):
             x = rng.uniform(size=2)
             y = rng.standard_normal(2)
-            assert abs(lie_derivative(field, v, x, y)) <= 1e-14
+            assert abs(lie_derivative(field, v, x, y)[0]) <= 1e-14
 
     def test_rotations_kill_round_metric(self):
         sphere = Sphere2(1.0)
@@ -161,7 +161,7 @@ class TestLieDerivative:
         for pt in sphere.fibonacci_points(24):
             for v in sphere_rotation_generators(sphere):
                 y = rng.standard_normal(2)
-                assert abs(lie_derivative(field, v, pt, y)) <= 1e-8
+                assert abs(lie_derivative(field, v, pt, y)[0]) <= 1e-8
 
     def test_translation_flow_is_conformal_with_y_independent_factor(self):
         sphere = Sphere2(1.0)
@@ -173,7 +173,7 @@ class TestLieDerivative:
             vals = []
             for _ in range(6):
                 y = rng.standard_normal(2)
-                vals.append(lie_derivative(field, v, pt, y) / field.eval(pt, y))
+                vals.append(lie_derivative(field, v, pt, y)[0] / field.eval(pt, y))
             assert max(vals) - min(vals) <= 1e-6
             factors_by_point.append(vals[0])
         assert max(factors_by_point) - min(factors_by_point) > 0.1  # non-constant factor
@@ -184,11 +184,11 @@ class TestLieDerivative:
         v = SpherePolyVectorField(sphere, {(0, 0): 0.4})
         pt = ChartPoint(0, np.array([0.5, -0.2]))
         y = np.array([0.7, 0.3])
-        exact = lie_derivative(field, v, pt, y)
+        exact = lie_derivative(field, v, pt, y)[0]
         errs = []
         for t in (1e-4, 1e-5):
             flow = MobiusMap.translation(sphere, 0.4 * t)
-            pulled = pullback_metric(field, flow)
+            pulled = PullbackField(field, flow)
             errs.append(abs((pulled.eval(pt, y) - field.eval(pt, y)) / t - exact))
         assert errs[0] <= 1e-4 * 100.0
         assert errs[1] <= 1e-5 * 100.0
@@ -212,8 +212,8 @@ class TestLieDerivative:
                     _scaled_scalar(cos_mode_rho(torus), b),
                 ),
             )
-            lhs = lie_derivative(field, combo, x, y)
-            rhs = a * lie_derivative(field, v, x, y) + b * lie_derivative(field, w, x, y)
+            lhs = lie_derivative(field, combo, x, y)[0]
+            rhs = a * lie_derivative(field, v, x, y)[0] + b * lie_derivative(field, w, x, y)[0]
             assert abs(lhs - rhs) <= 1e-10
 
     def test_homogeneity_in_y(self):
@@ -226,9 +226,9 @@ class TestLieDerivative:
         for _ in range(10):
             x = rng.uniform(size=2)
             y = rng.standard_normal(2)
-            base_val = lie_derivative(field, v, x, y)
+            base_val = lie_derivative(field, v, x, y)[0]
             for lam in (0.5, 2.0, 7.0):
-                assert abs(lie_derivative(field, v, x, lam * y) - lam * base_val) <= 1e-8
+                assert abs(lie_derivative(field, v, x, lam * y)[0] - lam * base_val) <= 1e-8
 
     def test_degenerate_direction_rejected(self):
         torus, field = randers_torus()
@@ -248,9 +248,9 @@ class TestLieDerivative:
             coeffs = rng.standard_normal(6)
             combo = CombinationVectorField(elements, coeffs)
             expected = sum(
-                c * lie_derivative(field, el, pt, y) for c, el in zip(coeffs, elements)
+                c * lie_derivative(field, el, pt, y)[0] for c, el in zip(coeffs, elements)
             )
-            assert abs(lie_derivative(field, combo, pt, y) - expected) <= 1e-10
+            assert abs(lie_derivative(field, combo, pt, y)[0] - expected) <= 1e-10
 
     def test_chart_invariance_of_the_scalar(self):
         # evaluating L_V F in either chart representation gives the same number
@@ -262,15 +262,15 @@ class TestLieDerivative:
         pt1 = sphere.convert(pt0, 1)
         y = np.array([0.3, -1.2])
         pushed = sphere.transition_jacobian(p) @ y
-        assert lie_derivative(field, v, pt0, y) == pytest.approx(
-            lie_derivative(field, v, pt1, pushed), abs=1e-10
+        assert lie_derivative(field, v, pt0, y)[0] == pytest.approx(
+            lie_derivative(field, v, pt1, pushed)[0], abs=1e-10
         )
 
 
 class TestPullback:
     def test_torus_translation_preserves_constant_field(self):
         torus, field = randers_torus()
-        pulled = pullback_metric(field, TorusTranslation(torus, [0.3, 0.8]))
+        pulled = PullbackField(field, TorusTranslation(torus, [0.3, 0.8]))
         rng = np.random.default_rng(6)
         for _ in range(8):
             x = rng.uniform(size=2)
@@ -281,7 +281,7 @@ class TestPullback:
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
         rot = MobiusMap.rotation(sphere, [0.3, -0.5, 0.8], 0.7)
-        pulled = pullback_metric(field, rot)
+        pulled = PullbackField(field, rot)
         rng = np.random.default_rng(7)
         for pt in sphere.fibonacci_points(20):
             y = rng.standard_normal(2)
@@ -290,7 +290,7 @@ class TestPullback:
     def test_scaling_mobius_is_conformal(self):
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
-        pulled = pullback_metric(field, MobiusMap.scaling(sphere, 2.0))
+        pulled = PullbackField(field, MobiusMap.scaling(sphere, 2.0))
         rng = np.random.default_rng(8)
         for pt in sphere.fibonacci_points(15):
             ratios = []
@@ -303,7 +303,7 @@ class TestPullback:
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
         mob = MobiusMap.translation(sphere, 0.3 + 0.1j)
-        pulled = pullback_metric(field, mob)
+        pulled = PullbackField(field, mob)
         pt = ChartPoint(0, np.array([0.2, 0.4]))
         slice_norm = pulled.norm_at(pt)
         y = np.array([1.1, -0.7])
@@ -314,7 +314,7 @@ class TestAveragedField:
     def test_riemannian_field_is_fixed_point(self):
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
-        averaged = averaged_metric_field(field, 256)
+        averaged = PointwiseAveragedField(field, 256)
         for pt in sphere.fibonacci_points(6):
             np.testing.assert_allclose(
                 averaged.matrix_at(pt), field.norm_at(pt).matrix, atol=1e-10
@@ -322,7 +322,7 @@ class TestAveragedField:
 
     def test_randers_torus_averages_to_constant_flat_metric(self):
         torus, field = randers_torus()
-        averaged = averaged_metric_field(field, 512)
+        averaged = PointwiseAveragedField(field, 512)
         mats = [averaged.matrix_at(x) for x in torus.grid_points(3)]
         for mat in mats[1:]:
             np.testing.assert_allclose(mat, mats[0], atol=1e-12)
@@ -332,8 +332,8 @@ class TestAveragedField:
         torus, base = randers_torus()
         rho = cos_mode_rho(torus)
         rescaled = ConformalRescaleField(base, rho)
-        averaged_base = averaged_metric_field(base, 512)
-        averaged_rescaled = averaged_metric_field(rescaled, 512)
+        averaged_base = PointwiseAveragedField(base, 512)
+        averaged_rescaled = PointwiseAveragedField(rescaled, 512)
         for x in torus.grid_points(4):
             expected = rho.value(x) ** 2 * averaged_base.matrix_at(x)
             assert np.max(np.abs(averaged_rescaled.matrix_at(x) - expected)) <= 1e-6
@@ -344,7 +344,7 @@ class TestAveragedField:
         torus, base = randers_torus()
         rho = cos_mode_rho(torus)
         field = ConformalRescaleField(base, rho)
-        averaged = averaged_metric_field(field, 256)
+        averaged = PointwiseAveragedField(field, 256)
         h = 1e-4
         for x in ([0.13, 0.4], [0.31, 0.9], [0.72, 0.05]):
             x = np.array(x)
@@ -424,7 +424,7 @@ class TestCircleProfile:
             forward=CircleFourierScalar(circle, const=1.4),
             backward=CircleFourierScalar(circle, const=0.7),
         )
-        averaged = averaged_metric_field(field, 16)
+        averaged = PointwiseAveragedField(field, 16)
         expected = 0.5 * (1.4**2 + 0.7**2)
         assert averaged.matrix_at(0.3)[0, 0] == pytest.approx(expected, abs=1e-14)
 
@@ -504,11 +504,11 @@ class _ScaledScalar:
         self.scalar = scalar
         self.factor = factor
 
-    def value(self, pt):
-        return self.factor * self.scalar.value(pt)
+    def values(self, points):
+        return self.factor * self.scalar.values(points)
 
-    def grad(self, pt):
-        return self.factor * np.asarray(self.scalar.grad(pt))
+    def grads(self, points):
+        return self.factor * self.scalar.grads(points)
 
 
 def test_constant_scalar_interface():
