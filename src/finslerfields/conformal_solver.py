@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ClosureFailure, UnderdeterminedSystem
-from .lie_algebra import LieAlgebraSC, null_space
+from .lie_algebra import bracket_constants, null_space
 from .manifold import (
     AmbientPolyScalar,
     CombinationVectorField,
@@ -23,6 +23,8 @@ from .manifold import (
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
+    _point_count,
+    _take,
     sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
@@ -85,43 +87,30 @@ def torus_basis(torus, degree):
     return FieldBasis(manifold=torus, elements=elements, rho_elements=rho, degree=degree)
 
 
+def _ambient_rho(sphere, quadratics):
+    """1, the ambient coordinates and the given quadratic forms, in units of the radius R.
+
+    ``AmbientPolyScalar`` keeps the symmetric part of each form, so e_i e_j^T
+    stands for the monomial n_i n_j.
+    """
+    r = sphere.radius
+    return ([AmbientPolyScalar(sphere, const=1.0)]
+            + [AmbientPolyScalar(sphere, linear=e / r) for e in np.eye(3)]
+            + [AmbientPolyScalar(sphere, quadratic=q / r**2) for q in quadratics])
+
+
+_MIXED = tuple(np.outer(np.eye(3)[i], np.eye(3)[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 def sphere_harmonic_rho(sphere):
     """Nine independent restrictions of ambient polynomials of degree <= 2."""
-    def quad(i, j, scale=1.0):
-        q = np.zeros((3, 3))
-        q[i, j] += 0.5 * scale
-        q[j, i] += 0.5 * scale
-        return q
-
-    out = [AmbientPolyScalar(sphere, const=1.0)]
-    for i in range(3):
-        linear = np.zeros(3)
-        linear[i] = 1.0
-        out.append(AmbientPolyScalar(sphere, linear=linear))
-    out.append(AmbientPolyScalar(sphere, quadratic=quad(0, 1, 2.0)))
-    out.append(AmbientPolyScalar(sphere, quadratic=quad(0, 2, 2.0)))
-    out.append(AmbientPolyScalar(sphere, quadratic=quad(1, 2, 2.0)))
-    out.append(AmbientPolyScalar(sphere, quadratic=np.diag([1.0, -1.0, 0.0])))
-    out.append(AmbientPolyScalar(sphere, quadratic=np.diag([-1.0, -1.0, 2.0])))
-    return out
+    harmonic = [np.diag([1.0, -1.0, 0.0]), np.diag([-1.0, -1.0, 2.0])]
+    return _ambient_rho(sphere, [2.0 * q for q in _MIXED] + harmonic)
 
 
 def sphere_monomial_rho(sphere):
     """All ten degree-<=2 ambient monomials; dependent on the sphere (sum of squares = R^2)."""
-    out = [AmbientPolyScalar(sphere, const=1.0)]
-    for i in range(3):
-        linear = np.zeros(3)
-        linear[i] = 1.0
-        out.append(AmbientPolyScalar(sphere, linear=linear))
-    for i in range(3):
-        q = np.zeros((3, 3))
-        q[i, i] = 1.0
-        out.append(AmbientPolyScalar(sphere, quadratic=q))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        q = np.zeros((3, 3))
-        q[i, j] = q[j, i] = 0.5
-        out.append(AmbientPolyScalar(sphere, quadratic=q))
-    return out
+    return _ambient_rho(sphere, [np.diag(e) for e in np.eye(3)] + list(_MIXED))
 
 
 SPHERE_DEGREES = (1, 2)
@@ -132,17 +121,20 @@ def sphere_basis(sphere, degree=2, rho_elements=None):
 
     The six generators (three rotations, three gradient fields) span the
     holomorphic chart polynomials; for degree 2 the antiholomorphic monomials
-    are appended so the ansatz does not presuppose the answer.  Other degrees
-    raise ValueError rather than being recorded for an ansatz they do not
-    describe.
+    are appended so the ansatz does not presuppose the answer.  Each monomial
+    z^j conj(z)^k carries the factor R^(1-j-k), so the ansatz, like the
+    generators, is a function of z/R times R and the assembled system does not
+    depend on the scale of the sphere.  Other degrees raise ValueError rather
+    than being recorded for an ansatz they do not describe.
     """
     if degree not in SPHERE_DEGREES:
         raise ValueError(f"sphere_basis supports degrees {SPHERE_DEGREES}, got {degree!r}")
     elements = sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
     if degree == 2:
         for j, k in ((0, 1), (1, 1), (0, 2)):
-            elements.append(SpherePolyVectorField(sphere, {(j, k): 1.0}))
-            elements.append(SpherePolyVectorField(sphere, {(j, k): 1.0j}))
+            scale = sphere.radius ** (1 - j - k)
+            elements.append(SpherePolyVectorField(sphere, {(j, k): scale}))
+            elements.append(SpherePolyVectorField(sphere, {(j, k): 1j * scale}))
     if rho_elements is None:
         rho_elements = sphere_harmonic_rho(sphere)
     return FieldBasis(manifold=sphere, elements=elements, rho_elements=rho_elements, degree=degree)
@@ -163,17 +155,14 @@ class SolverConfig:
     verify: bool = True
 
 
-def _directions(count, offset, extra, rng):
-    angles = np.arange(count) * (2.0 * np.pi / count) + offset
-    if extra > 0:
-        angles = np.concatenate([angles, rng.uniform(0.0, 2.0 * np.pi, size=extra)])
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
 def build_collocation(manifold, config, offset_points=False):
-    """List of (point, direction) pairs; the offset variant is disjoint from the default."""
+    """Collocation rows as one batch of points and an (m, 2) array of directions.
+
+    Each sample point is repeated once per direction: the fixed fan of
+    ``n_directions`` angles, then ``n_extra_directions`` seeded random ones.
+    The offset variant is disjoint from the default.
+    """
     rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
-    pairs = []
     if isinstance(manifold, FlatTorus):
         shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
         points = manifold.grid_points(config.x_density, offset=shift)
@@ -184,23 +173,19 @@ def build_collocation(manifold, config, offset_points=False):
         base_angle = 0.1309 if not offset_points else 0.4441
     else:
         raise ValueError("collocation supports the torus and the sphere")
-    for pt in points:
-        dirs = _directions(config.n_directions, base_angle, config.n_extra_directions, rng)
-        for y in dirs:
-            pairs.append((pt, y))
-    return pairs
-
-
-def _collocation_arrays(collocation):
-    """The points of a list of (point, direction) pairs as one batch, and an (m, 2) direction array."""
-    points = stack_points([pt for pt, _ in collocation])
-    return points, np.array([y for _, y in collocation], dtype=float).reshape(-1, 2)
+    n_points = _point_count(points)
+    fan = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
+    extra = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, config.n_extra_directions))
+    angles = np.hstack([np.tile(fan, (n_points, 1)), extra])
+    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(-1, 2)
+    return _take(points, np.repeat(np.arange(n_points), angles.shape[1])), ys
 
 
 def assemble_system(field, basis, collocation, mode):
     """Dense collocation matrix for L_V F = 0 (killing) or L_V F - rho F = 0 (conformal).
 
-    One row per (x, y) pair; field columns hold (L_{B_a} F)(x, y), and in
+    ``collocation`` is the pair (points, ys) of ``build_collocation``, one
+    row per point and direction; field columns hold (L_{B_a} F)(x, y), and in
     conformal mode the trailing columns hold -phi_b(x) F(x, y), so the Killing
     matrix is the leading ``basis.n_fields`` columns of the conformal one.
     Every row is evaluated at once through the batched field methods.
@@ -208,12 +193,12 @@ def assemble_system(field, basis, collocation, mode):
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
     n_unknowns = basis.n_fields + (basis.n_rho if mode == "conformal" else 0)
-    if len(collocation) < MIN_ROW_FACTOR * n_unknowns:
+    points, ys = collocation
+    if len(ys) < MIN_ROW_FACTOR * n_unknowns:
         raise UnderdeterminedSystem(
-            f"{len(collocation)} rows for {n_unknowns} unknowns "
+            f"{len(ys)} rows for {n_unknowns} unknowns "
             f"(need >= {MIN_ROW_FACTOR}x)"
         )
-    points, ys = _collocation_arrays(collocation)
     values = np.stack([el.values(points) for el in basis.elements], axis=1)
     jacobians = np.stack([el.jacobians(points) for el in basis.elements], axis=1)
     # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i for every row m and element a
@@ -331,7 +316,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
 
         # (L_V F)/F = (A_killing c)/F and the rho columns of the conformal
         # system are -phi_b(x) F, so both reuse the assembled matrix.
-        fvals = field.evals(*_collocation_arrays(collocation))
+        fvals = field.evals(*collocation)
         phi_rows = -system[:, n:] / fvals[:, None]
         targets = (a_killing @ c_basis.T) / fvals[:, None]
         fits, *_ = np.linalg.lstsq(phi_rows, targets, rcond=None)
@@ -380,7 +365,7 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
     Returns the expanded field and the pointwise expansion residual; raises
     ClosureFailure when the bracket leaves the span of the basis.
     """
-    points = stack_points(sample_points(basis.manifold, sample_count, seed=11))
+    points = sample_points(basis.manifold, sample_count, seed=11)
     emat = _evaluation_matrix([el.values(points) for el in basis.elements])
     target = _bracket_values(v.values(points), v.jacobians(points),
                              w.values(points), w.jacobians(points))
@@ -399,21 +384,12 @@ def extract_structure_constants(fields, sample_count=60, tol=1e-6):
     """
     if not fields:
         raise ValueError("need at least one field")
-    points = stack_points(sample_points(fields[0].manifold, sample_count, seed=11))
+    points = sample_points(fields[0].manifold, sample_count, seed=11)
     values = np.stack([vf.values(points) for vf in fields])
     jacobians = np.stack([vf.jacobians(points) for vf in fields])
-    n = len(fields)
-    first, second = np.triu_indices(n, 1)
-    emat = _evaluation_matrix(values)
+    first, second = np.triu_indices(len(fields), 1)
     targets = _bracket_values(values[first], jacobians[first], values[second], jacobians[second]).T
-    coeffs, *_ = np.linalg.lstsq(emat, targets, rcond=None)
-    worst = float(np.max(np.abs(emat @ coeffs - targets), initial=0.0))
-    if worst > tol:
-        raise ClosureFailure(worst, f"brackets leave the span (residual {worst:.3e})")
-    constants = np.zeros((n, n, n))
-    constants[first, second] = coeffs.T
-    constants[second, first] = -coeffs.T
-    return LieAlgebraSC(constants), worst
+    return bracket_constants(_evaluation_matrix(values), targets, tol)
 
 
 def transitivity_check(fields, points, threshold_ratio=1e-8):

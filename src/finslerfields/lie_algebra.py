@@ -174,23 +174,30 @@ def killing_radical(algebra, tol=RANK_TOL):
     return radical
 
 
+def bracket_constants(generators, brackets, tol):
+    """Structure constants of n generators (columns) and the worst expansion residual.
+
+    ``brackets`` holds the brackets of the pairs i < j as columns, in
+    ``np.triu_indices(n, 1)`` order; one least-squares solve expands them all.
+    """
+    n = generators.shape[1]
+    first, second = np.triu_indices(n, 1)
+    coeffs, *_ = np.linalg.lstsq(generators, brackets, rcond=None)
+    worst = float(np.max(np.abs(generators @ coeffs - brackets), initial=0.0))
+    if worst > tol:
+        raise ClosureFailure(worst, f"brackets leave the span (residual {worst:.3e})")
+    constants = np.zeros((n, n, n))
+    constants[first, second] = coeffs.T
+    constants[second, first] = -coeffs.T
+    return LieAlgebraSC(constants), worst
+
+
 def subalgebra_constants(algebra, basis, tol=1e-8):
     """Structure constants of the span of the given (row) basis vectors."""
     basis = np.asarray(basis, dtype=float)
-    m = basis.shape[0]
-    constants = np.zeros((m, m, m))
-    worst = 0.0
-    pinv = np.linalg.pinv(basis.T)
-    for i in range(m):
-        for j in range(i + 1, m):
-            b = algebra.bracket(basis[i], basis[j])
-            coeffs = pinv @ b
-            worst = max(worst, float(np.max(np.abs(basis.T @ coeffs - b))))
-            constants[i, j, :] = coeffs
-            constants[j, i, :] = -coeffs
-    if worst > tol:
-        raise ClosureFailure(worst, "span is not closed under the bracket")
-    return LieAlgebraSC(constants), worst
+    first, second = np.triu_indices(len(basis), 1)
+    brackets = np.einsum("pi,pj,ijk->kp", basis[first], basis[second], algebra.constants)
+    return bracket_constants(basis.T, brackets, tol)
 
 
 def ad_semisimple(algebra, u, tol=RANK_TOL):

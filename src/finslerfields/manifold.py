@@ -6,14 +6,15 @@ transition p -> R^2 p / |p|^2 is its own inverse.  Vector fields on the
 sphere are stored as complex-coefficient polynomials in (z, conj(z)) in
 chart 0 and pushed through the transition differential where needed.
 
-Scalars, vector fields and solvable Finsler fields evaluate a whole batch of
-points in one call (``values``, ``grads``, ``jacobians``, ``evals``,
-``grads_x``, ``grads_y``); a batch is an (m, 2) array on the torus and a
-``ChartPoint`` holding (m,) charts and (m, 2) coords on the sphere.  The
-one-point methods (``value``, ``grad``, ``jacobian``, ``eval``, ``grad_x``,
-``grad_y``) are batches of one.  Diffeomorphisms (``apply``,
-``differential``), pullback and averaged fields and ``lie_derivative`` take
-one point or a batch with the same formulas.
+Point sets are batches: an (m, 2) array on the torus, a ``ChartPoint``
+holding (m,) charts and (m, 2) coords on the sphere, and an (m,) array on the
+circle.  Grids, Fibonacci points and ``sample_points`` come back as one
+batch.  Scalars, vector fields and solvable Finsler fields evaluate a whole
+batch in one call (``values``, ``grads``, ``jacobians``, ``evals``,
+``grads_x``, ``grads_y``); the one-point methods (``value``, ``grad``,
+``jacobian``, ``eval``, ``grad_x``, ``grad_y``) are batches of one.
+Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
+and ``lie_derivative`` take one point or a batch with the same formulas.
 """
 
 from __future__ import annotations
@@ -46,19 +47,17 @@ class ChartPoint:
 
 
 def stack_points(points):
-    """One batch from a point, a batch, or a sequence of points (see the module docstring)."""
+    """One batch from a point or a batch (see the module docstring)."""
     if isinstance(points, ChartPoint):
         return ChartPoint(np.atleast_1d(points.chart), np.atleast_2d(points.coords))
-    if len(points) and isinstance(points[0], ChartPoint):
-        return ChartPoint(np.array([p.chart for p in points]), np.array([p.coords for p in points]))
     return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
-def _point(points, i):
-    """Point i of a batch, as a one-point argument."""
+def _take(points, index):
+    """The rows of a batch at an index: one point for an integer, a batch for an index array."""
     if isinstance(points, ChartPoint):
-        return ChartPoint(int(points.chart[i]), points.coords[i])
-    return points[i]
+        return ChartPoint(points.chart[index], points.coords[index])
+    return points[index]
 
 
 def _point_count(points):
@@ -76,7 +75,7 @@ class Circle:
         return float(x) % self.length
 
     def sample_points(self, count):
-        return [i * self.length / count for i in range(count)]
+        return np.arange(count) * self.length / count
 
 
 class FlatTorus:
@@ -203,8 +202,7 @@ class Sphere2:
                                 np.where(pole, 0.0, denom))
 
     def fibonacci_points(self, count):
-        pts = self.from_ambient(fibonacci_directions(count) * self.radius)
-        return [ChartPoint(int(chart), x) for chart, x in zip(pts.chart, pts.coords)]
+        return self.from_ambient(fibonacci_directions(count) * self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,8 @@ class CircleFourierScalar:
         self.terms = [(int(n), float(a), float(b)) for n, a, b in terms]
 
     def value(self, x):
-        out = self.const
+        """The value at a point x, or at each x of an array."""
+        out = np.full(np.shape(x), self.const)
         for n, a, b in self.terms:
             psi = 2.0 * np.pi * n * x / self.circle.length
             out += a * np.cos(psi) + b * np.sin(psi)
@@ -465,7 +464,11 @@ class MobiusMap:
     def __init__(self, sphere, matrix):
         self.manifold = sphere
         self.matrix = np.asarray(matrix, dtype=complex)
-        if abs(np.linalg.det(self.matrix)) < 1e-14:
+        # |det M| against |M|_F^2 of the map in units of R (w = z/R): both scale
+        # as s^2 under M -> s M, which maps alike, and neither depends on R
+        r = sphere.radius
+        unit = self.matrix * np.array([[1.0, 1.0 / r], [r, 1.0]])
+        if abs(np.linalg.det(self.matrix)) <= 1e-14 * np.sum(np.abs(unit) ** 2):
             raise ValueError("Mobius matrix is singular")
 
     @classmethod
@@ -652,11 +655,10 @@ class CircleNormField(FinslerField):
             return self.forward.value(x) * y
         return self.backward.value(x) * (-y)
 
-    def ratio(self, x):
-        """max(F(x, +1)/F(x, -1), F(x, -1)/F(x, +1))."""
-        plus = self.eval(x, 1.0)
-        minus = self.eval(x, -1.0)
-        return max(plus / minus, minus / plus)
+    def ratio(self, xs):
+        """max(F(x, +1)/F(x, -1), F(x, -1)/F(x, +1)) at each x of an array."""
+        plus, minus = self.forward.value(xs), self.backward.value(xs)
+        return np.maximum(plus / minus, minus / plus)
 
 
 def pull_norm(norm, jac):
@@ -721,7 +723,7 @@ class PointwiseAveragedField(FinslerField):
         keys = np.column_stack([points.chart, points.coords]) if charted else points
         seen = {}
         first = [seen.setdefault(key.tobytes(), i) for i, key in enumerate(keys)]
-        mats = {i: self.matrix_at(_point(points, i)) for i in seen.values()}
+        mats = {i: self.matrix_at(_take(points, i)) for i in seen.values()}
         return np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
 
     def evals(self, points, ys):
@@ -770,7 +772,7 @@ def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
     vanish for any built-in conformal diffeomorphism of the field.
     """
     rng = np.random.default_rng(seed)
-    points = stack_points(sample_points(field.manifold, samples, seed=seed))
+    points = sample_points(field.manifold, samples, seed=seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(_point_count(points), 2))
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)   # two directions per point
     pushed = np.einsum("mij,mkj->mki", diffeo.differential(points), ys)
@@ -800,7 +802,7 @@ def circle_lambda_profile(field, grid=256, tol=1e-10):
     """Reversibility ratio along a circle field and a constancy flag."""
     if not isinstance(field.manifold, Circle):
         raise ValueError("lambda profile is defined for circle fields")
-    xs = np.array(field.manifold.sample_points(grid))
-    values = np.array([field.ratio(x) for x in xs])
+    xs = field.manifold.sample_points(grid)
+    values = field.ratio(xs)
     spread = float(values.max() - values.min())
     return LambdaProfile(xs=xs, values=values, spread=spread, constant=spread <= tol, tol=tol)

@@ -44,8 +44,10 @@ ASSEMBLY_RTOL = 1e-12
 
 def reference_assemble(field, basis, collocation, mode):
     """Per-row assembly through the one-point lie_derivative and field.eval."""
+    points, ys = collocation
     rows = []
-    for pt, y in collocation:
+    for i, y in enumerate(ys):
+        pt = _one_point(points, i)
         row = [lie_derivative(field, el, pt, y)[0] for el in basis.elements]
         if mode == "conformal":
             row += [-phi.value(pt) * field.eval(pt, y) for phi in basis.rho_elements]
@@ -96,13 +98,54 @@ def test_batched_assembly_matches_per_row_reference(name, field, basis, config):
 
 def test_sphere_collocation_covers_both_charts():
     _, _, basis, config = _sphere_cases()[0]
-    assert {pt.chart for pt, _ in build_collocation(basis.manifold, config)} == {0, 1}
+    points, _ = build_collocation(basis.manifold, config)
+    assert set(points.chart) == {0, 1}
 
 
 def test_rescaled_torus_has_nonzero_grad_x():
     _, field, basis, config = _torus_cases()[1]
-    pt, y = build_collocation(basis.manifold, config)[0]
-    assert np.linalg.norm(field.grad_x(pt, y)) > 0.1
+    points, ys = build_collocation(basis.manifold, config)
+    assert np.linalg.norm(field.grad_x(points[0], ys[0])) > 0.1
+
+
+def reference_collocation(manifold, config, offset_points=False):
+    """The per-point collocation loop: each point draws its own extra directions in turn."""
+    rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
+    if isinstance(manifold, FlatTorus):
+        shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
+        points = manifold.grid_points(config.x_density, offset=shift)
+        base_angle = 0.2141 if not offset_points else 0.5903
+    else:
+        count = config.sphere_points if not offset_points else config.sphere_points + 37
+        points = manifold.fibonacci_points(count)
+        base_angle = 0.1309 if not offset_points else 0.4441
+    index, ys = [], []
+    for i in range(_point_total(points)):
+        fan = config.n_directions
+        angles = np.arange(fan) * (2.0 * np.pi / fan) + base_angle
+        if config.n_extra_directions > 0:
+            extra = rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)
+            angles = np.concatenate([angles, extra])
+        for y in np.stack([np.cos(angles), np.sin(angles)], axis=1):
+            index.append(i)
+            ys.append(y)
+    return _rows(points, np.array(index)), np.array(ys)
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("offset_points", [False, True])
+@pytest.mark.parametrize("manifold", [FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]])), Sphere2(1.3)],
+                         ids=["torus", "sphere"])
+def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, extra):
+    config = SolverConfig(x_density=5, sphere_points=40, n_extra_directions=extra, seed=3)
+    points, ys = build_collocation(manifold, config, offset_points)
+    expected_points, expected_ys = reference_collocation(manifold, config, offset_points)
+    assert ys.shape == (_point_total(points), 2) == (len(expected_ys), 2)
+    np.testing.assert_array_equal(ys, expected_ys)
+    if isinstance(manifold, Sphere2):
+        np.testing.assert_array_equal(points.chart, expected_points.chart)
+        points, expected_points = points.coords, expected_points.coords
+    np.testing.assert_array_equal(points, expected_points)
 
 
 def _basis_cases():
@@ -208,8 +251,8 @@ def test_batched_grad_y_keeps_direction_safeguards(field):
 
 def _two_points(manifold):
     if isinstance(manifold, Sphere2):
-        return [ChartPoint(0, [0.2, 0.4]), ChartPoint(1, [0.5, -0.1])]
-    return [np.array([0.1, 0.2]), np.array([0.7, 0.4])]
+        return ChartPoint(np.array([0, 1]), np.array([[0.2, 0.4], [0.5, -0.1]]))
+    return np.array([[0.1, 0.2], [0.7, 0.4]])
 
 
 def _orthonormal_kernel(matrix):

@@ -158,7 +158,9 @@ class TestLieDerivative:
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
         rng = np.random.default_rng(2)
-        for pt in sphere.fibonacci_points(24):
+        points = sphere.fibonacci_points(24)
+        for i in range(24):
+            pt = _point_at(points, i)
             for v in sphere_rotation_generators(sphere):
                 y = rng.standard_normal(2)
                 assert abs(lie_derivative(field, v, pt, y)[0]) <= 1e-8
@@ -169,7 +171,9 @@ class TestLieDerivative:
         v = SpherePolyVectorField(sphere, {(0, 0): 0.4})  # generator of z -> z + 0.4 t
         rng = np.random.default_rng(3)
         factors_by_point = []
-        for pt in sphere.fibonacci_points(12):
+        points = sphere.fibonacci_points(12)
+        for i in range(12):
+            pt = _point_at(points, i)
             vals = []
             for _ in range(6):
                 y = rng.standard_normal(2)
@@ -243,7 +247,9 @@ class TestLieDerivative:
         field = RoundSphereField(sphere)
         elements = sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
         rng = np.random.default_rng(9)
-        for pt in sphere.fibonacci_points(10):
+        points = sphere.fibonacci_points(10)
+        for i in range(10):
+            pt = _point_at(points, i)
             y = rng.standard_normal(2)
             coeffs = rng.standard_normal(6)
             combo = CombinationVectorField(elements, coeffs)
@@ -283,7 +289,9 @@ class TestPullback:
         rot = MobiusMap.rotation(sphere, [0.3, -0.5, 0.8], 0.7)
         pulled = PullbackField(field, rot)
         rng = np.random.default_rng(7)
-        for pt in sphere.fibonacci_points(20):
+        points = sphere.fibonacci_points(20)
+        for i in range(20):
+            pt = _point_at(points, i)
             y = rng.standard_normal(2)
             assert pulled.eval(pt, y) == pytest.approx(field.eval(pt, y), rel=1e-10)
 
@@ -292,7 +300,9 @@ class TestPullback:
         field = RoundSphereField(sphere)
         pulled = PullbackField(field, MobiusMap.scaling(sphere, 2.0))
         rng = np.random.default_rng(8)
-        for pt in sphere.fibonacci_points(15):
+        points = sphere.fibonacci_points(15)
+        for i in range(15):
+            pt = _point_at(points, i)
             ratios = []
             for _ in range(5):
                 y = rng.standard_normal(2)
@@ -315,7 +325,9 @@ class TestAveragedField:
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
         averaged = PointwiseAveragedField(field, 256)
-        for pt in sphere.fibonacci_points(6):
+        points = sphere.fibonacci_points(6)
+        for i in range(6):
+            pt = _point_at(points, i)
             np.testing.assert_allclose(
                 averaged.matrix_at(pt), field.norm_at(pt).matrix, atol=1e-10
             )
@@ -405,6 +417,19 @@ class TestCircleProfile:
         assert profile.constant
         assert profile.values[0] == pytest.approx(2.0, abs=1e-14)
 
+    def test_batched_ratio_equals_the_one_point_evaluations(self):
+        circle = Circle()
+        field = CircleNormField(
+            circle,
+            forward=CircleFourierScalar(circle, const=2.0, terms=[(1, 0.0, 1.0), (3, 0.2, -0.1)]),
+            backward=CircleFourierScalar(circle, const=1.0, terms=[(2, 0.3, 0.0)]),
+        )
+        xs = circle.sample_points(64)
+        plus = [field.eval(x, 1.0) for x in xs]
+        minus = [field.eval(x, -1.0) for x in xs]
+        expected = [max(p / m, m / p) for p, m in zip(plus, minus)]
+        np.testing.assert_array_equal(field.ratio(xs), expected)
+
     def test_profile_csv_export(self, tmp_path):
         circle = Circle()
         field = CircleNormField(
@@ -453,6 +478,32 @@ class TestMobiusDifferential:
             fd = self._fd_differential(sphere, mob, pt)
             np.testing.assert_allclose(jac, fd, atol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_identity_is_accepted_as_the_identity(self, scale):
+        sphere = Sphere2(1.0)
+        mob = MobiusMap(sphere, scale * np.eye(2))
+        points = ChartPoint(np.array([0, 0, 1]), np.array([[0.2, 0.1], [1.0, -0.9], [0.3, 0.4]]))
+        image = mob.apply(points)
+        np.testing.assert_array_equal(image.chart, points.chart)
+        np.testing.assert_allclose(image.coords, points.coords, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(mob.differential(points), np.broadcast_to(np.eye(2), (3, 2, 2)),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_singular_matrix_is_rejected_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="singular"):
+            MobiusMap(Sphere2(1.0), scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    @pytest.mark.parametrize("radius", [1e-8, 1.0, 1e8])
+    def test_rotation_is_accepted_at_any_radius(self, radius):
+        sphere = Sphere2(radius)
+        quarter = MobiusMap.rotation(sphere, [0.0, 0.0, 1.0], 0.5 * np.pi)
+        pt = ChartPoint(0, radius * np.array([0.3, 0.2]))
+        # the rotation about the polar axis multiplies z by a unit complex number
+        image = quarter.apply(pt)
+        assert image.chart == 0
+        assert np.linalg.norm(image.coords) == pytest.approx(np.linalg.norm(pt.coords), rel=1e-12)
+
     def test_rotation_composition_matches(self):
         sphere = Sphere2(1.0)
         first = MobiusMap.rotation(sphere, [1.0, 0.0, 0.0], 0.4)
@@ -493,6 +544,11 @@ class TestVectorFieldRepresentations:
         pt = ChartPoint(0, np.array([0.3, 0.8]))
         bracket = r2.jacobian(pt) @ r1.value(pt) - r1.jacobian(pt) @ r2.value(pt)
         np.testing.assert_allclose(bracket, r3.value(pt), atol=1e-12)
+
+
+def _point_at(points, i):
+    """Point i of a sphere batch."""
+    return ChartPoint(points.chart[i], points.coords[i])
 
 
 def _scaled_scalar(scalar, factor):
