@@ -3,8 +3,8 @@
 The conformality condition L_V F = rho * F is linear in (V, rho).  Within a
 finite ansatz of vector fields and scalar factor functions it becomes a dense
 linear system, one row per collocation pair (x, y); the kernel is extracted
-by SVD with a relative singular-value threshold and audited through the
-spectral gap around that threshold.
+by an SVD of the system's R factor with a relative singular-value threshold
+and audited through the spectral gap around that threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ClosureFailure, UnderdeterminedSystem
-from .lie_algebra import bracket_constants, null_space
+from .lie_algebra import _orth_basis, bracket_constants, null_space
 from .manifold import (
     AmbientPolyScalar,
     CombinationVectorField,
@@ -156,11 +156,11 @@ class SolverConfig:
 
 
 def build_collocation(manifold, config, offset_points=False):
-    """Collocation rows as one batch of points and an (m, 2) array of directions.
+    """The P distinct sample points and their (P, D, 2) fan of unit directions.
 
-    Each sample point is repeated once per direction: the fixed fan of
-    ``n_directions`` angles, then ``n_extra_directions`` seeded random ones.
-    The offset variant is disjoint from the default.
+    Each point gets D = ``n_directions + n_extra_directions`` directions: the
+    fixed fan of ``n_directions`` angles, then ``n_extra_directions`` seeded
+    random ones.  The offset variant is disjoint from the default.
     """
     rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
     if isinstance(manifold, FlatTorus):
@@ -174,41 +174,48 @@ def build_collocation(manifold, config, offset_points=False):
     else:
         raise ValueError("collocation supports the torus and the sphere")
     n_points = _point_count(points)
-    fan = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
+    fixed = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
     extra = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, config.n_extra_directions))
-    angles = np.hstack([np.tile(fan, (n_points, 1)), extra])
-    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(-1, 2)
-    return _take(points, np.repeat(np.arange(n_points), angles.shape[1])), ys
+    angles = np.hstack([np.tile(fixed, (n_points, 1)), extra])
+    return points, np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def collocation_rows(collocation):
+    """The row-aligned (points, ys) of a collocation: each point repeated once per direction."""
+    points, fan = collocation
+    return _take(points, np.repeat(np.arange(len(fan)), fan.shape[1])), fan.reshape(-1, 2)
 
 
 def assemble_system(field, basis, collocation, mode):
     """Dense collocation matrix for L_V F = 0 (killing) or L_V F - rho F = 0 (conformal).
 
-    ``collocation`` is the pair (points, ys) of ``build_collocation``, one
-    row per point and direction; field columns hold (L_{B_a} F)(x, y), and in
-    conformal mode the trailing columns hold -phi_b(x) F(x, y), so the Killing
-    matrix is the leading ``basis.n_fields`` columns of the conformal one.
-    Every row is evaluated at once through the batched field methods.
+    One row per point and direction of the (points, fan) ``collocation``,
+    point by point; field columns hold (L_{B_a} F)(x, y), and in conformal
+    mode the trailing columns hold -phi_b(x) F(x, y), so the Killing matrix is
+    the leading ``basis.n_fields`` columns of the conformal one.  Elements and
+    rho functions are evaluated once per distinct point.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
     n_unknowns = basis.n_fields + (basis.n_rho if mode == "conformal" else 0)
-    points, ys = collocation
-    if len(ys) < MIN_ROW_FACTOR * n_unknowns:
-        raise UnderdeterminedSystem(
-            f"{len(ys)} rows for {n_unknowns} unknowns "
-            f"(need >= {MIN_ROW_FACTOR}x)"
-        )
-    values = np.stack([el.values(points) for el in basis.elements], axis=1)
-    jacobians = np.stack([el.jacobians(points) for el in basis.elements], axis=1)
-    # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i for every row m and element a
-    lift = field.grads_y(points, ys)[:, :, None] * ys[:, None, :]
-    rows = (np.einsum("mai,mi->ma", values, field.grads_x(points, ys))
-            + np.einsum("maij,mij->ma", jacobians, lift))
+    points, fan = collocation
+    n_points, n_dirs, _ = fan.shape
+    if n_points * n_dirs < MIN_ROW_FACTOR * n_unknowns:
+        raise UnderdeterminedSystem(f"{n_points * n_dirs} rows for {n_unknowns} unknowns "
+                                    f"(need >= {MIN_ROW_FACTOR}x)")
+    row_points, ys = collocation_rows(collocation)
+    # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i is the dot product of the
+    # field's 1-jet (dF/dx, y (x) dF/dy) per row with the element's (V, DV) per point
+    lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
+    field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
+    element_jets = np.stack([np.hstack([el.values(points), el.jacobians(points).reshape(-1, 4)])
+                             for el in basis.elements], axis=-1)
+    block = (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
     if mode == "killing":
-        return rows
-    rho = np.stack([phi.values(points) for phi in basis.rho_elements], axis=1)
-    return np.hstack([rows, -rho * field.evals(points, ys)[:, None]])
+        return block
+    rho = np.stack([phi.values(points) for phi in basis.rho_elements], axis=-1)
+    evals = field.evals(row_points, ys).reshape(n_points, n_dirs, 1)
+    return np.hstack([block, (-rho[:, None, :] * evals).reshape(-1, basis.n_rho)])
 
 
 def _spectral_gap(svals, null_dim, total_cols):
@@ -266,20 +273,20 @@ def solve_fields(field, basis, mode="conformal", config=None):
     all fields are recovered by one least-squares solve of (L_V F)/F against
     the rho basis, and out-of-sample residuals are evaluated on a disjoint
     collocation set.
-    Each collocation set is assembled once: the Killing matrix is the field
-    block of the conformal one.  Safeguards that fire are recorded in
-    ``flags``, among them a verification residual above ``VERIFY_TOL_FACTOR``
-    times the tolerance.
+    Each collocation set is assembled and triangularised once: QR works
+    through the columns in order, so the R factor of the Killing matrix (the
+    field block) is the leading block of R.  Safeguards that fire are recorded
+    in ``flags``, among them a verification residual above
+    ``VERIFY_TOL_FACTOR`` times the tolerance.
     """
     config = config or SolverConfig()
     n = basis.n_fields
     collocation = build_collocation(basis.manifold, config)
     system = assemble_system(field, basis, collocation, mode)
+    r_factor = np.linalg.qr(system, mode="r")
 
-    a_killing = system[:, :n]
-    k_dim, k_basis, k_svals = null_space(a_killing, config.tol_ratio)
+    k_dim, k_basis, k_svals = null_space(r_factor[:n, :n], config.tol_ratio)
     k_gap = _spectral_gap(k_svals, k_dim, n)
-    tolerance = config.tol_ratio * float(k_svals[0]) if k_svals[0] > 0 else config.tol_ratio
 
     report = SolveReport(
         mode=mode,
@@ -288,25 +295,19 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_basis=k_basis,
         killing_singular_values=k_svals,
         killing_gap=k_gap,
-        tolerance_used=tolerance,
+        tolerance_used=config.tol_ratio * (float(k_svals[0]) or 1.0),
     )
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
 
     if mode == "conformal":
-        c_dim_raw, c_null, c_svals = null_space(system, config.tol_ratio)
+        c_dim_raw, c_null, c_svals = null_space(r_factor, config.tol_ratio)
         c_gap = _spectral_gap(c_svals, c_dim_raw, n + basis.n_rho)
-        if c_dim_raw > 0:
-            proj = c_null[:, :n]
-            _, p_svals, p_vt = np.linalg.svd(proj, full_matrices=False)
-            c_dim = int((p_svals > 1e-8 * max(p_svals[0], 1e-300)).sum())
-            c_basis = p_vt[:c_dim]
-        else:
-            c_dim, c_basis = 0, np.zeros((0, n))
+        c_basis = _orth_basis(c_null[:, :n], 1e-8)
+        c_dim = len(c_basis)
         if c_dim < c_dim_raw:
             report.flags.append("spurious rho-only kernel vector: rho basis is dependent")
-        tolerance = config.tol_ratio * float(c_svals[0]) if c_svals[0] > 0 else config.tol_ratio
-        report.tolerance_used = tolerance
+        report.tolerance_used = config.tol_ratio * (float(c_svals[0]) or 1.0)
         report.conformal_dim = c_dim
         report.conformal_basis = c_basis
         report.conformal_singular_values = c_svals
@@ -316,9 +317,9 @@ def solve_fields(field, basis, mode="conformal", config=None):
 
         # (L_V F)/F = (A_killing c)/F and the rho columns of the conformal
         # system are -phi_b(x) F, so both reuse the assembled matrix.
-        fvals = field.evals(*collocation)
+        fvals = field.evals(*collocation_rows(collocation))
         phi_rows = -system[:, n:] / fvals[:, None]
-        targets = (a_killing @ c_basis.T) / fvals[:, None]
+        targets = (system[:, :n] @ c_basis.T) / fvals[:, None]
         fits, *_ = np.linalg.lstsq(phi_rows, targets, rcond=None)
         report.conformal_factors = fits.T
         report.conformal_factor_residuals = np.max(np.abs(phi_rows @ fits - targets), axis=0)
@@ -326,10 +327,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
     if config.verify:
         verification = build_collocation(basis.manifold, config, offset_points=True)
         a_ver = assemble_system(field, basis, verification, mode)
-        if k_dim > 0:
-            report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T)))
-        else:
-            report.residuals["killing"] = 0.0
+        report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T), initial=0.0))
         if mode == "conformal" and report.conformal_dim:
             stacked = np.hstack([report.conformal_basis, report.conformal_factors])
             report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))

@@ -262,7 +262,7 @@ def exp_averaging_equivariance(config):
 
 
 def exp_conformal_algebra_signature(config):
-    sphere = mf.Sphere2(1.0)
+    sphere = mf.Sphere2(config.metric_params.get("radius", 1.0))
     field = mf.RoundSphereField(sphere)
     basis = solver.sphere_basis(sphere, degree=config.degree)
     report = solver.solve_fields(

@@ -88,14 +88,16 @@ def null_space(matrix, tol_ratio=RANK_TOL):
     """Kernel dimension and an orthonormal kernel basis by SVD.
 
     Singular values below tol_ratio times the largest one count as zero; a
-    zero matrix has a full kernel.  A tall matrix takes the thin SVD; a wide
-    one (fewer rows than columns) needs the full V, whose trailing rows span
-    the kernel directions that have no singular value.
+    zero matrix has a full kernel.  A tall matrix is replaced by its square R
+    factor (same singular values and V); a wide one needs the full V, whose
+    trailing rows span the kernel directions that have no singular value.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty matrix")
     rows, n = matrix.shape
+    if rows > n:
+        matrix = np.linalg.qr(matrix, mode="r")
     _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
     padded = np.zeros(n)
     padded[: len(svals)] = svals

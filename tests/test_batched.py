@@ -1,6 +1,7 @@
 """The batched evaluation path against per-point references."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from finslerfields.conformal_solver import (
     SolverConfig,
     assemble_system,
     build_collocation,
+    collocation_rows,
     null_space,
     solve_fields,
     sphere_basis,
@@ -44,7 +46,7 @@ ASSEMBLY_RTOL = 1e-12
 
 def reference_assemble(field, basis, collocation, mode):
     """Per-row assembly through the one-point lie_derivative and field.eval."""
-    points, ys = collocation
+    points, ys = collocation_rows(collocation)
     rows = []
     for i, y in enumerate(ys):
         pt = _one_point(points, i)
@@ -96,6 +98,44 @@ def test_batched_assembly_matches_per_row_reference(name, field, basis, config):
         assert np.max(np.abs(batched - expected)) <= ASSEMBLY_RTOL * scale
 
 
+EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
+             (manifold.SpherePolyVectorField, ("values", "jacobians")),
+             (TorusFourierScalar, ("values",)),
+             (AmbientPolyScalar, ("values",)))
+
+
+@pytest.mark.parametrize("case", [CASES[0], CASES[2]], ids=[CASES[0][0], CASES[2][0]])
+def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, case):
+    _, field, basis, config = case
+    calls, depth = [], []
+
+    def counted(original, label):
+        def wrapper(self, points):
+            if not depth:  # a vector field's own calls to its component scalars are not counted
+                calls.append((label, _point_total(points)))
+            depth.append(label)
+            try:
+                return original(self, points)
+            finally:
+                depth.pop()
+        return wrapper
+
+    for cls, methods in EVALUATED:
+        for meth in methods:
+            monkeypatch.setattr(cls, meth, counted(getattr(cls, meth), f"{cls.__name__}.{meth}"))
+    torus = isinstance(basis.manifold, FlatTorus)
+    n_points = config.x_density**2 if torus else config.sphere_points
+    system = assemble_system(field, basis, build_collocation(basis.manifold, config), "conformal")
+    assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
+    element = type(basis.elements[0]).__name__
+    rho = type(basis.rho_elements[0]).__name__
+    assert sorted(Counter(calls).items()) == sorted({
+        (f"{element}.values", n_points): basis.n_fields,
+        (f"{element}.jacobians", n_points): basis.n_fields,
+        (f"{rho}.values", n_points): basis.n_rho,
+    }.items())
+
+
 def test_sphere_collocation_covers_both_charts():
     _, _, basis, config = _sphere_cases()[0]
     points, _ = build_collocation(basis.manifold, config)
@@ -104,8 +144,8 @@ def test_sphere_collocation_covers_both_charts():
 
 def test_rescaled_torus_has_nonzero_grad_x():
     _, field, basis, config = _torus_cases()[1]
-    points, ys = build_collocation(basis.manifold, config)
-    assert np.linalg.norm(field.grad_x(points[0], ys[0])) > 0.1
+    points, fan = build_collocation(basis.manifold, config)
+    assert np.linalg.norm(field.grad_x(points[0], fan[0, 0])) > 0.1
 
 
 def reference_collocation(manifold, config, offset_points=False):
@@ -138,7 +178,9 @@ def reference_collocation(manifold, config, offset_points=False):
                          ids=["torus", "sphere"])
 def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, extra):
     config = SolverConfig(x_density=5, sphere_points=40, n_extra_directions=extra, seed=3)
-    points, ys = build_collocation(manifold, config, offset_points)
+    collocation = build_collocation(manifold, config, offset_points)
+    assert collocation[1].shape == (_point_total(collocation[0]), 8 + extra, 2)
+    points, ys = collocation_rows(collocation)
     expected_points, expected_ys = reference_collocation(manifold, config, offset_points)
     assert ys.shape == (_point_total(points), 2) == (len(expected_ys), 2)
     np.testing.assert_array_equal(ys, expected_ys)
@@ -263,8 +305,10 @@ def _orthonormal_kernel(matrix):
     ref_dim = int((ref_padded < 1e-8 * ref_padded[0]).sum())
     assert dim == ref_dim
     assert basis.shape == (dim, matrix.shape[1])
+    assert np.max(np.abs(svals - ref_padded)) <= 1e-12 * ref_padded[0]
     assert np.max(np.abs(matrix @ basis.T)) <= 1e-12 * max(1.0, svals[0])
     np.testing.assert_allclose(basis @ basis.T, np.eye(dim), atol=1e-12)
+    assert _kernel_angle(basis, ref_vt[matrix.shape[1] - dim:]) <= 1e-8
     return dim
 
 
@@ -278,6 +322,33 @@ def test_null_space_tall_rank_deficient():
     rng = np.random.default_rng(1)
     tall = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 8))
     assert _orthonormal_kernel(tall) == 5
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(9, 8, 3), (40, 9, 5), (600, 30, 21), (2560, 75, 73)])
+def test_null_space_of_tall_matrix_matches_full_svd(rows, cols, rank):
+    # a tall matrix goes through its R factor; the reference is the SVD of the whole matrix
+    rng = np.random.default_rng(rows)
+    tall = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    assert _orthonormal_kernel(tall) == cols - rank
+
+
+def _kernel_angle(basis_a, basis_b):
+    """Largest principal angle between two row-orthonormal bases of equal dimension."""
+    if len(basis_a) == 0:
+        return 0.0
+    # the sine form keeps angles near zero accurate, where arccos of a cosine does not
+    residual = basis_a.T - basis_b.T @ (basis_b @ basis_a.T)
+    return float(np.arcsin(min(1.0, np.linalg.norm(residual, 2))))
+
+
+@pytest.mark.parametrize("name,field,basis,config", CASES, ids=[c[0] for c in CASES])
+def test_killing_kernel_read_off_the_leading_block_of_r(name, field, basis, config):
+    system = assemble_system(field, basis, build_collocation(basis.manifold, config), "conformal")
+    n = basis.n_fields
+    dim, kernel, _ = null_space(np.linalg.qr(system, mode="r")[:n, :n])
+    ref_dim, ref_kernel, _ = null_space(system[:, :n])
+    assert dim == ref_dim
+    assert _kernel_angle(kernel, ref_kernel) <= 1e-8
 
 
 def test_collapsed_gap_is_flagged_without_warning():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from finslerfields import manifold
 from finslerfields.cli import main
 from finslerfields.experiments import (
     ExperimentConfig,
@@ -161,3 +162,22 @@ def test_flag_overrides_reach_the_solver(tmp_path):
     doc = json.loads((tmp_path / "circle-lambda.json").read_text())
     assert doc["config"]["tol_ratio"] == 1e-6
     assert doc["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0, 1e3])
+def test_algebra_signature_uses_the_configured_radius(tmp_path, monkeypatch, radius):
+    used = []
+
+    class RecordingSphere(manifold.Sphere2):
+        def __init__(self, radius=1.0):
+            used.append(radius)
+            super().__init__(radius)
+
+    monkeypatch.setattr(manifold, "Sphere2", RecordingSphere)
+    name = "conformal-algebra-signature"
+    report = run_experiment(name, ExperimentConfig(name=name, metric_params={"radius": radius}))
+    assert report.passed
+    assert (report.killing_dim, report.conformal_dim) == (3, 6)
+    assert report.extra["conformal_signature"] == [3, 3, 0]
+    doc = json.loads(emit_report(report, tmp_path / "r.json").read_text())
+    assert used == [doc["config"]["metric_params"]["radius"]] == [radius]

@@ -90,7 +90,6 @@ class TestBasisConstruction:
     def test_elements_linearly_independent_over_collocation(self):
         for basis in (torus_basis(FlatTorus(), 2), sphere_basis(Sphere2(1.0), 2)):
             points, _ = build_collocation(basis.manifold, SolverConfig())
-            # each point repeats once per direction, which scales every singular value alike
             values = np.stack([el.values(points) for el in basis.elements], axis=-1)
             rows = values.reshape(-1, basis.n_fields)
             svals = np.linalg.svd(rows, compute_uv=False)
@@ -103,16 +102,16 @@ class TestAssemble:
         basis = torus_basis(torus, 0)
         assert basis.n_fields == 2
         field = randers_field(torus)
-        pairs = build_collocation(torus, SolverConfig(x_density=4))
-        matrix = assemble_system(field, basis, pairs, "killing")
+        collocation = build_collocation(torus, SolverConfig(x_density=4))
+        matrix = assemble_system(field, basis, collocation, "killing")
         assert np.max(np.abs(matrix)) <= 1e-14
 
     def test_six_generator_conformal_system_has_six_dim_kernel(self):
         sphere = Sphere2(1.0)
         basis = sphere_basis(sphere, degree=1)  # generators only
         field = RoundSphereField(sphere)
-        pairs = build_collocation(sphere, SolverConfig(sphere_points=60))
-        matrix = assemble_system(field, basis, pairs, "conformal")
+        collocation = build_collocation(sphere, SolverConfig(sphere_points=60))
+        matrix = assemble_system(field, basis, collocation, "conformal")
         dim, kernel, _ = null_space(matrix)
         projected_rank = np.linalg.matrix_rank(kernel[:, :6], tol=1e-10)
         assert projected_rank == 6
@@ -121,8 +120,8 @@ class TestAssemble:
         torus = FlatTorus()
         basis = torus_basis(torus, 1)
         field = randers_field(torus)
-        pairs = build_collocation(torus, SolverConfig(x_density=6))
-        matrix = assemble_system(field, basis, pairs, "conformal")
+        collocation = build_collocation(torus, SolverConfig(x_density=6))
+        matrix = assemble_system(field, basis, collocation, "conformal")
         dim, kernel, _ = null_space(matrix)
         assert dim == 2
         field_part = kernel[:, : basis.n_fields]
@@ -134,9 +133,9 @@ class TestAssemble:
         torus = FlatTorus()
         basis = torus_basis(torus, 2)
         field = randers_field(torus)
-        pairs = build_collocation(torus, SolverConfig(x_density=3, n_extra_directions=0))
+        collocation = build_collocation(torus, SolverConfig(x_density=3, n_extra_directions=0))
         with pytest.raises(UnderdeterminedSystem):
-            assemble_system(field, basis, pairs, "conformal")
+            assemble_system(field, basis, collocation, "conformal")
 
     def test_unknown_mode_rejected(self):
         torus = FlatTorus()
@@ -183,8 +182,8 @@ class TestSolveFields:
         field = randers_field(torus)
         basis = torus_basis(torus, 2)
         config = SolverConfig()
-        pairs = build_collocation(torus, config)
-        a_conformal = assemble_system(field, basis, pairs, "conformal")
+        collocation = build_collocation(torus, config)
+        a_conformal = assemble_system(field, basis, collocation, "conformal")
         report = solve_fields(field, basis, mode="killing", config=config)
         for coeffs in report.killing_basis:
             padded = np.concatenate([coeffs, np.zeros(basis.n_rho)])
