@@ -25,6 +25,7 @@ from .manifold import (
     TorusFourierVectorField,
     _point_count,
     _take,
+    field_tables,
     sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
@@ -67,6 +68,15 @@ class FieldBasis:
 
     def combination(self, coefficients):
         return CombinationVectorField(self.elements, coefficients)
+
+    def tables(self, points):
+        """The (P, 6, A) element 1-jets (V, DV) and the (P, n_rho) rho values at a batch.
+
+        One stacked evaluation: torus elements and rho functions share one
+        phase matrix, sphere elements one chart split (see ``field_tables``).
+        """
+        values, jacobians, rho = field_tables(self.elements, points, self.rho_elements)
+        return np.concatenate([values, jacobians.reshape(len(values), 4, -1)], axis=1), rho
 
 
 def torus_basis(torus, degree):
@@ -193,7 +203,7 @@ def assemble_system(field, basis, collocation, mode):
     point by point; field columns hold (L_{B_a} F)(x, y), and in conformal
     mode the trailing columns hold -phi_b(x) F(x, y), so the Killing matrix is
     the leading ``basis.n_fields`` columns of the conformal one.  Elements and
-    rho functions are evaluated once per distinct point.
+    rho functions are evaluated once per distinct point, in one ``basis.tables``.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -208,12 +218,10 @@ def assemble_system(field, basis, collocation, mode):
     # field's 1-jet (dF/dx, y (x) dF/dy) per row with the element's (V, DV) per point
     lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
     field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
-    element_jets = np.stack([np.hstack([el.values(points), el.jacobians(points).reshape(-1, 4)])
-                             for el in basis.elements], axis=-1)
+    element_jets, rho = basis.tables(points)
     block = (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
     if mode == "killing":
         return block
-    rho = np.stack([phi.values(points) for phi in basis.rho_elements], axis=-1)
     evals = field.evals(row_points, ys).reshape(n_points, n_dirs, 1)
     return np.hstack([block, (-rho[:, None, :] * evals).reshape(-1, basis.n_rho)])
 
@@ -340,33 +348,26 @@ def solve_fields(field, basis, mode="conformal", config=None):
 # bracket and algebra extraction
 
 
-def _evaluation_matrix(values):
-    """Columns of field values, each flattened point by point, from a sequence of (m, 2) arrays."""
-    return np.stack([v.ravel() for v in values], axis=1)
-
-
-def _bracket_values(v_values, v_jacobians, w_values, w_jacobians):
-    """[V, W] = DW V - DV W at every point, flattened point by point.
-
-    Leading axes before the (m, 2) point axes are kept, so a stack of field
-    pairs gives one flattened bracket per pair.
-    """
-    brackets = (np.einsum("...ij,...j->...i", w_jacobians, v_values)
-                - np.einsum("...ij,...j->...i", v_jacobians, w_values))
-    *lead, m, dim = brackets.shape
-    return brackets.reshape(*lead, m * dim)
+def _bracket_values(values, jacobians, first, second):
+    """[V, W] = DW V - DV W for the pairs (first, second) of fields in (m, 2, B) value and
+    (m, 2, 2, B) Jacobian tables, one column per pair, flattened point by point."""
+    brackets = (np.einsum("mijp,mjp->mip", jacobians[..., second], values[..., first])
+                - np.einsum("mijp,mjp->mip", jacobians[..., first], values[..., second]))
+    return brackets.reshape(2 * len(brackets), -1)
 
 
 def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
     """Bracket [V, W] re-expanded in the basis by least squares.
 
-    Returns the expanded field and the pointwise expansion residual; raises
+    The basis elements, V and W are evaluated in one stacked table.  Returns
+    the expanded field and the pointwise expansion residual; raises
     ClosureFailure when the bracket leaves the span of the basis.
     """
     points = sample_points(basis.manifold, sample_count, seed=11)
-    emat = _evaluation_matrix([el.values(points) for el in basis.elements])
-    target = _bracket_values(v.values(points), v.jacobians(points),
-                             w.values(points), w.jacobians(points))
+    n = basis.n_fields
+    values, jacobians, _ = field_tables(basis.elements + [v, w], points)
+    emat = values[..., :n].reshape(-1, n)
+    target = _bracket_values(values, jacobians, [n], [n + 1])[:, 0]
     coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
     residual = float(np.max(np.abs(emat @ coeffs - target)))
     if residual > tol:
@@ -377,17 +378,17 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
 def extract_structure_constants(fields, sample_count=60, tol=1e-6):
     """Structure constants of a list of fields whose brackets close in their span.
 
-    Each field is evaluated once; the brackets of all pairs are formed from
-    those arrays and expanded in one least-squares solve.
+    The fields are evaluated in one stacked table (combinations of the same
+    elements as one evaluation of those elements); the brackets of all pairs
+    are formed from it and expanded in one least-squares solve.
     """
     if not fields:
         raise ValueError("need at least one field")
     points = sample_points(fields[0].manifold, sample_count, seed=11)
-    values = np.stack([vf.values(points) for vf in fields])
-    jacobians = np.stack([vf.jacobians(points) for vf in fields])
+    values, jacobians, _ = field_tables(fields, points)
     first, second = np.triu_indices(len(fields), 1)
-    targets = _bracket_values(values[first], jacobians[first], values[second], jacobians[second]).T
-    return bracket_constants(_evaluation_matrix(values), targets, tol)
+    targets = _bracket_values(values, jacobians, first, second)
+    return bracket_constants(values.reshape(-1, len(fields)), targets, tol)
 
 
 def transitivity_check(fields, points, threshold_ratio=1e-8):
@@ -395,8 +396,7 @@ def transitivity_check(fields, points, threshold_ratio=1e-8):
     if not fields:
         raise ValueError("need at least one field")
     needed = fields[0].manifold.dim
-    points = stack_points(points)
-    frames = np.stack([vf.values(points) for vf in fields], axis=1)
+    frames = field_tables(fields, points)[0].transpose(0, 2, 1)
     svals = np.linalg.svd(frames, compute_uv=False)
     smax = np.maximum(svals[:, 0], 1e-300)
     ranks = (svals > threshold_ratio * smax[:, None]).sum(axis=1)
@@ -411,9 +411,9 @@ def pushforward_subspace_angle(fields, diffeo, points):
     """
     points = stack_points(points)
     jac, image = diffeo.differential(points), diffeo.apply(points)
-    pushed = [np.einsum("mij,mj->mi", jac, vf.values(points)) for vf in fields]
-    q1, _ = np.linalg.qr(_evaluation_matrix(pushed))
-    q2, _ = np.linalg.qr(_evaluation_matrix([vf.values(image) for vf in fields]))
+    pushed = np.einsum("mij,mjb->mib", jac, field_tables(fields, points)[0])
+    q1, _ = np.linalg.qr(pushed.reshape(-1, len(fields)))
+    q2, _ = np.linalg.qr(field_tables(fields, image)[0].reshape(-1, len(fields)))
     cosines = np.linalg.svd(q1.T @ q2, compute_uv=False)
     cosines = np.clip(cosines, -1.0, 1.0)
     return float(np.max(np.arccos(cosines)))

@@ -15,6 +15,13 @@ batch in one call (``values``, ``grads``, ``jacobians``, ``evals``,
 ``jacobian``, ``eval``, ``grad_x``, ``grad_y``) are batches of one.
 Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
 and ``lie_derivative`` take one point or a batch with the same formulas.
+
+A list of vector fields is one stacked table (``field_tables``): torus
+Fourier fields and scalars are columns of one coefficient matrix on
+[1, cos psi, sin psi] over their distinct modes (one ``frac``, one phase
+matrix), sphere polynomial fields on the monomials z^j conj(z)^k (one chart
+split).  A combination contracts its coefficients into that matrix, and a
+single field is a table of one column.
 """
 
 from __future__ import annotations
@@ -85,7 +92,8 @@ class FlatTorus:
 
     def __init__(self, lattice=None):
         self.lattice = np.eye(2) if lattice is None else np.asarray(lattice, dtype=float)
-        if abs(np.linalg.det(self.lattice)) < 1e-12:
+        # |det L| against |L|_F^2: both scale as s^2 under L -> s L, a torus of the same shape
+        if abs(np.linalg.det(self.lattice)) <= 1e-12 * np.sum(self.lattice**2):
             raise ValueError("lattice basis is degenerate")
         self.inv_lattice = np.linalg.inv(self.lattice)
 
@@ -220,11 +228,15 @@ class ScalarField:
 
 
 class ConstantScalar(ScalarField):
+    """A constant; in a torus Fourier table it is a scalar without modes."""
+
+    _terms = np.zeros((0, 4))
+
     def __init__(self, value):
-        self._value = float(value)
+        self.const = float(value)
 
     def values(self, points):
-        return np.full(_point_count(points), self._value)
+        return np.full(_point_count(points), self.const)
 
     def grads(self, points):
         return np.zeros((_point_count(points), 2))
@@ -237,21 +249,43 @@ class TorusFourierScalar(ScalarField):
         self.torus = torus
         self.const = float(const)
         self.terms = [(np.array(k, dtype=float), float(a), float(b)) for k, a, b in terms]
-        self._modes = np.array([k for k, _, _ in self.terms]).reshape(-1, 2)
-        self._cos = np.array([a for _, a, _ in self.terms])
-        self._sin = np.array([b for _, _, b in self.terms])
-
-    def _phases(self, points):
-        return 2.0 * np.pi * (self.torus.frac(stack_points(points)) @ self._modes.T)
+        self._terms = np.array([[*k, a, b] for k, a, b in self.terms]).reshape(-1, 4)  # k1, k2, a, b
 
     def values(self, points):
-        psi = self._phases(points)
-        return self.const + np.cos(psi) @ self._cos + np.sin(psi) @ self._sin
+        cos, sin = _fourier_phases(self.torus, self._terms[:, :2], points)
+        return self.const + cos @ self._terms[:, 2] + sin @ self._terms[:, 3]
 
     def grads(self, points):
-        psi = self._phases(points)
-        dpsi = 2.0 * np.pi * (self._modes @ self.torus.inv_lattice)
-        return (-np.sin(psi) * self._cos + np.cos(psi) * self._sin) @ dpsi
+        modes, coef = self._terms[:, :2], self._terms[:, 2:, None]
+        return _fourier_grads(self.torus, modes, coef[:, 0], coef[:, 1],
+                              *_fourier_phases(self.torus, modes, points))[..., 0]
+
+
+def _fourier_coefficients(scalars):
+    """The distinct modes (K, 2) of Fourier and constant scalars, and their stacked
+    (1 + 2K, n) coefficients on the dictionary [1, cos psi, sin psi]."""
+    if not scalars:
+        return np.zeros((0, 2)), np.zeros((1, 0))
+    terms = np.concatenate([s._terms for s in scalars])
+    distinct, row = np.unique(terms[:, :2] @ np.array([1.0, 1j]), return_inverse=True)
+    owner = np.repeat(np.arange(len(scalars)), [len(s._terms) for s in scalars])
+    k = len(distinct)
+    coef = np.zeros((1 + 2 * k, len(scalars)))
+    coef[0] = [s.const for s in scalars]
+    np.add.at(coef, (np.concatenate([1 + row, 1 + k + row]), np.tile(owner, 2)), terms[:, 2:].T.ravel())
+    return np.stack([distinct.real, distinct.imag], axis=-1), coef
+
+
+def _fourier_phases(torus, modes, points):
+    """cos psi and sin psi, psi = 2 pi k . xi over K modes, (m, K) each, from one ``frac``."""
+    psi = 2.0 * np.pi * (torus.frac(stack_points(points)) @ modes.T)
+    return np.cos(psi), np.sin(psi)
+
+
+def _fourier_grads(torus, modes, c_cos, c_sin, cos, sin):
+    """x-gradients (m, 2, n) of sum_k c_cos cos psi_k + c_sin sin psi_k for (K, n) coefficients."""
+    dpsi = 2.0 * np.pi * (modes @ torus.inv_lattice).T[:, :, None]
+    return (cos @ (dpsi * c_sin) - sin @ (dpsi * c_cos)).transpose(1, 0, 2)
 
 
 class AmbientPolyScalar(ScalarField):
@@ -297,9 +331,27 @@ class CircleFourierScalar:
 
 
 class VectorField:
-    """Vector field; subclasses implement the batched ``values`` (m, 2) and ``jacobians`` (m, 2, 2)."""
+    """Vector field with batched ``values`` (m, 2) and ``jacobians`` (m, 2, 2).
+
+    A class implements either both, or a stacking rule ``_tables`` that
+    evaluates a list of its elements at once (see ``field_tables``); then a
+    single field is that rule with one element.
+    """
 
     manifold = None
+
+    @staticmethod
+    def _tables(elements, weights, points, scalars):
+        """Element by element, for classes without a stacking rule."""
+        values = np.stack([el.values(points) for el in elements], axis=-1) @ weights
+        jacobians = np.stack([el.jacobians(points) for el in elements], axis=-1) @ weights
+        return values, jacobians, _scalar_values(scalars, points)
+
+    def values(self, points):
+        return field_tables([self], points)[0][..., 0]
+
+    def jacobians(self, points):
+        return field_tables([self], points)[1][..., 0]
 
     def value(self, pt):
         return self.values(pt)[0]
@@ -313,7 +365,7 @@ class TorusFourierVectorField(VectorField):
 
     def __init__(self, torus, components):
         self.manifold = torus
-        self.components = components  # pair of TorusFourierScalar / ConstantScalar
+        self.components = components  # pair of scalars, as a rule TorusFourierScalar / ConstantScalar
 
     @classmethod
     def coordinate(cls, torus, index, scalar=None):
@@ -322,11 +374,35 @@ class TorusFourierVectorField(VectorField):
         comps = (scalar, zero) if index == 0 else (zero, scalar)
         return cls(torus, comps)
 
-    def values(self, points):
-        return np.stack([c.values(points) for c in self.components], axis=-1)
+    @staticmethod
+    def _tables(elements, weights, points, scalars):
+        """Components and scalars as the columns of one coefficient table, weights contracted in.
 
-    def jacobians(self, points):
-        return np.stack([c.grads(points) for c in self.components], axis=1)
+        Its rows are the dictionary [1, cos psi, sin psi] over the distinct
+        modes of the Fourier and constant scalars, which meets one phase
+        matrix, and one row for each other scalar, which is evaluated by itself.
+        """
+        columns = [el.components[i] for i in (0, 1) for el in elements] + list(scalars)
+        fourier = np.array([isinstance(c, (TorusFourierScalar, ConstantScalar)) for c in columns])
+        others = [c for c, f in zip(columns, fourier) if not f]
+        modes, coef = _fourier_coefficients([c for c, f in zip(columns, fourier) if f])
+        k = len(modes)
+        table = np.zeros((len(coef) + len(others), len(columns)))
+        table[:len(coef), fourier] = coef
+        table[len(coef):, ~fourier] = np.eye(len(others))
+        n_elements, n_fields = weights.shape
+        fields = table[:, :2 * n_elements].reshape(-1, n_elements) @ weights
+        table = np.hstack([fields.reshape(len(table), -1), table[:, 2 * n_elements:]])
+        torus, c_cos, c_sin = elements[0].manifold, table[1:k + 1], table[k + 1:2 * k + 1]
+        cos, sin = _fourier_phases(torus, modes, points)
+        values = table[0] + cos @ c_cos + sin @ c_sin
+        grads = _fourier_grads(torus, modes, c_cos, c_sin, cos, sin)
+        for scalar, row in zip(others, table[len(coef):]):
+            values = values + scalar.values(points)[:, None] * row
+            grads = grads + scalar.grads(points)[:, :, None] * row
+        m, cut = len(values), 2 * n_fields
+        return (values[:, :cut].reshape(m, 2, n_fields),
+                grads[..., :cut].reshape(m, 2, 2, n_fields).transpose(0, 2, 1, 3), values[:, cut:])
 
 
 class SpherePolyVectorField(VectorField):
@@ -342,55 +418,41 @@ class SpherePolyVectorField(VectorField):
         self.manifold = sphere
         self.coeffs = {tuple(key): complex(val) for key, val in coeffs.items()}
 
-    def _chart0(self, p):
-        """f, df/dz and df/dconj(z) at chart-0 coordinates p of shape (m, 2)."""
-        z = p[:, 0] + 1j * p[:, 1]
+    @staticmethod
+    def _tables(elements, weights, points, scalars):
+        """One chart split and one table of the monomials z^j conj(z)^k of all elements,
+        against their (M, A) complex coefficients with the weights contracted in."""
+        sphere = elements[0].manifold
+        keys = sorted(set().union(*(el.coeffs for el in elements))) or [(0, 0)]
+        coef = np.array([[el.coeffs.get(key, 0.0) for el in elements] for key in keys]) @ weights
+        j, k = np.array(keys).T
+        one = points.chart == 1
+        q = points.coords[one]
+        p = points.coords.copy()
+        p[one] = sphere.transition(q)
+        z = (p[:, 0] + 1j * p[:, 1])[:, None]
         zbar = z.conjugate()
-        f, fz, fzbar = (np.zeros(len(z), dtype=complex) for _ in range(3))
-        for (j, k), c in self.coeffs.items():
-            f += c * z**j * zbar**k
-            if j > 0:
-                fz += j * c * z ** (j - 1) * zbar**k
-            if k > 0:
-                fzbar += k * c * z**j * zbar ** (k - 1)
-        return f, fz, fzbar
-
-    def _split(self, points):
-        """Chart-0 coordinates of every point, the chart-1 mask, and the chart-1 coordinates."""
-        pts = stack_points(points)
-        one = pts.chart == 1
-        q = pts.coords[one]
-        p = pts.coords.copy()
-        p[one] = self.manifold.transition(q)
-        return p, one, q
-
-    def values(self, points):
-        p, one, _ = self._split(points)
-        f, _, _ = self._chart0(p)
-        v = np.stack([f.real, f.imag], axis=-1)
-        v[one] = np.einsum("mij,mj->mi", self.manifold.transition_jacobian(p[one]), v[one])
-        return v
-
-    def jacobians(self, points):
-        p, one, q = self._split(points)
-        f, fz, fzbar = self._chart0(p)
-        dfdx = fz + fzbar
-        dfdy = 1j * (fz - fzbar)
-        jac = np.stack([np.stack([dfdx.real, dfdy.real], axis=-1),
-                        np.stack([dfdx.imag, dfdy.imag], axis=-1)], axis=1)
+        f = (z**j * zbar**k) @ coef
+        fz = (j * z ** np.maximum(j - 1, 0) * zbar**k) @ coef
+        fzbar = (k * z**j * zbar ** np.maximum(k - 1, 0)) @ coef
+        values = np.stack([f.real, f.imag], axis=1)
+        d = np.stack([fz + fzbar, 1j * (fz - fzbar)], axis=1)   # df/dx, df/dy
+        jac = np.stack([d.real, d.imag], axis=1)
         # chart 1: V1(q) = T'(p) V0(p) with p = T(q), so
         # dV1/dq = T''(p)[V0, T'(q) .] + T'(p) dV0/dp T'(q)
-        sphere, p1 = self.manifold, p[one]
-        v = np.stack([f[one].real, f[one].imag], axis=-1)
-        jq = sphere.transition_jacobian(q)
-        jp = sphere.transition_jacobian(p1)
-        second_order = np.einsum("mijk,mj,mkl->mil", sphere.transition_hessian(p1), v, jq)
-        jac[one] = second_order + jp @ jac[one] @ jq
-        return jac
+        jp, jq = np.split(sphere.transition_jacobian(np.concatenate([p[one], q])), 2)
+        jac[one] = (np.einsum("mijk,mjb,mkl->milb", sphere.transition_hessian(p[one]), values[one], jq)
+                    + np.einsum("mij,mjkb,mkl->milb", jp, jac[one], jq))
+        values[one] = np.einsum("mij,mjb->mib", jp, values[one])
+        return values, jac, _scalar_values(scalars, points)
 
 
 class CombinationVectorField(VectorField):
-    """Linear combination of basis fields with fixed coefficients."""
+    """Linear combination of basis fields with fixed coefficients.
+
+    It is evaluated as its elements' stacked tables with the coefficients
+    contracted in (see ``field_tables``).
+    """
 
     def __init__(self, elements, coefficients):
         if not elements:
@@ -401,13 +463,43 @@ class CombinationVectorField(VectorField):
         if self.coefficients.shape != (len(self.elements),):
             raise ValueError("coefficient count must match element count")
 
-    def values(self, points):
-        points = stack_points(points)
-        return np.tensordot(self.coefficients, [el.values(points) for el in self.elements], axes=1)
 
-    def jacobians(self, points):
-        points = stack_points(points)
-        return np.tensordot(self.coefficients, [el.jacobians(points) for el in self.elements], axes=1)
+def _scalar_values(scalars, points):
+    """The (m, S) values of S scalars, one by one."""
+    if not scalars:
+        return np.zeros((_point_count(points), 0))
+    return np.stack([s.values(points) for s in scalars], axis=-1)
+
+
+def field_tables(fields, points, scalars=()):
+    """Values (m, 2, B) and Jacobians (m, 2, 2, B) of B vector fields, and values (m, S) of S scalars.
+
+    Combinations are expanded into their distinct elements, and the elements
+    of one class and manifold go through that class's ``_tables`` in one
+    call, with the (A, B) coefficients that form the fields contracted in.
+    The scalars go with the first class; torus Fourier fields stack Fourier
+    scalars into their own table.
+    """
+    points = stack_points(points)
+    elements, index, entries = [], {}, []
+    for b, vf in enumerate(fields):
+        terms = (zip(vf.elements, vf.coefficients) if isinstance(vf, CombinationVectorField)
+                 else [(vf, 1.0)])
+        for el, c in terms:
+            if id(el) not in index:
+                index[id(el)] = len(elements)
+                elements.append(el)
+            entries.append((index[id(el)], b, c))
+    weights = np.zeros((len(elements), len(fields)))
+    rows, cols, coefs = zip(*entries)
+    np.add.at(weights, (rows, cols), coefs)
+    groups = {}
+    for a, el in enumerate(elements):
+        groups.setdefault((type(el)._tables, id(el.manifold)), []).append(a)
+    tables = [rule([elements[a] for a in rows], weights[rows], points, () if i else scalars)
+              for i, ((rule, _), rows) in enumerate(groups.items())]
+    values, jacobians, scalar_values = zip(*tables)
+    return sum(values), sum(jacobians), np.hstack(scalar_values)
 
 
 def sphere_rotation_generators(sphere):
@@ -748,10 +840,9 @@ def lie_derivative(field, vector_field, points, ys):
     """
     ys, _ = _checked_directions(ys, 1e-12)
     points = stack_points(points)
-    v = vector_field.values(points)
-    jac = vector_field.jacobians(points)
-    return (np.einsum("mi,mi->m", v, field.grads_x(points, ys))
-            + np.einsum("mij,mj,mi->m", jac, ys, field.grads_y(points, ys)))
+    v, jac, _ = field_tables([vector_field], points)
+    return (np.einsum("mi,mi->m", v[..., 0], field.grads_x(points, ys))
+            + np.einsum("mij,mj,mi->m", jac[..., 0], ys, field.grads_y(points, ys)))
 
 
 def sample_points(manifold, count, seed=0):

@@ -106,34 +106,96 @@ EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
 
 @pytest.mark.parametrize("case", [CASES[0], CASES[2]], ids=[CASES[0][0], CASES[2][0]])
 def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, case):
-    _, field, basis, config = case
-    calls, depth = [], []
+    """One stacked evaluation of all elements per assembly, on the P distinct points.
 
-    def counted(original, label):
-        def wrapper(self, points):
-            if not depth:  # a vector field's own calls to its component scalars are not counted
-                calls.append((label, _point_total(points)))
-            depth.append(label)
-            try:
-                return original(self, points)
-            finally:
-                depth.pop()
+    Torus rho functions ride in the elements' phase matrix (one ``frac``);
+    sphere elements take one chart transition, and the ambient-polynomial rho
+    functions, which have no stacking rule, are evaluated one by one.
+    """
+    _, field, basis, config = case
+    calls = []
+
+    def counted(original, label, batch):
+        def wrapper(*args):
+            calls.append((label, _point_total(args[batch])))
+            return original(*args)
         return wrapper
 
     for cls, methods in EVALUATED:
         for meth in methods:
-            monkeypatch.setattr(cls, meth, counted(getattr(cls, meth), f"{cls.__name__}.{meth}"))
+            monkeypatch.setattr(cls, meth, counted(getattr(cls, meth), f"{cls.__name__}.{meth}", 1))
+    rule = type(basis.elements[0])
+    monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2)))
+    monkeypatch.setattr(FlatTorus, "frac", counted(FlatTorus.frac, "frac", 1))
+    monkeypatch.setattr(Sphere2, "transition", counted(Sphere2.transition, "transition", 1))
     torus = isinstance(basis.manifold, FlatTorus)
     n_points = config.x_density**2 if torus else config.sphere_points
-    system = assemble_system(field, basis, build_collocation(basis.manifold, config), "conformal")
+    collocation = build_collocation(basis.manifold, config)
+    system = assemble_system(field, basis, collocation, "conformal")
     assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
-    element = type(basis.elements[0]).__name__
-    rho = type(basis.rho_elements[0]).__name__
-    assert sorted(Counter(calls).items()) == sorted({
-        (f"{element}.values", n_points): basis.n_fields,
-        (f"{element}.jacobians", n_points): basis.n_fields,
-        (f"{rho}.values", n_points): basis.n_rho,
-    }.items())
+    counts = Counter(calls)
+    if torus:
+        assert counts == {("stacked", n_points): 1, ("frac", n_points): 1}
+    else:
+        chart_one = int(np.sum(collocation[0].chart == 1))
+        assert 0 < chart_one < n_points
+        assert counts == {("stacked", n_points): 1, ("transition", chart_one): 1,
+                          ("AmbientPolyScalar.values", n_points): basis.n_rho}
+
+
+def _reference_tables(basis, points):
+    """Element values (m, 2, A) and Jacobians (m, 2, 2, A), element by element.
+
+    Torus elements through their component scalars; sphere elements through
+    the chart-0 monomial sums f, df/dz, df/dconj(z), pushed into chart 1 by
+    the transition differential.
+    """
+    if isinstance(basis.manifold, FlatTorus):
+        values = [np.stack([c.values(points) for c in el.components], axis=-1) for el in basis.elements]
+        jacobians = [np.stack([c.grads(points) for c in el.components], axis=1) for el in basis.elements]
+        return np.stack(values, axis=-1), np.stack(jacobians, axis=-1)
+    sphere, one = basis.manifold, points.chart == 1
+    p = points.coords.copy()
+    p[one] = sphere.transition(points.coords[one])
+    z = p[:, 0] + 1j * p[:, 1]
+    values, jacobians = [], []
+    for el in basis.elements:
+        f = sum(c * z**j * z.conjugate()**k for (j, k), c in el.coeffs.items())
+        fz = sum(j * c * z ** max(j - 1, 0) * z.conjugate()**k for (j, k), c in el.coeffs.items())
+        fzbar = sum(k * c * z**j * z.conjugate() ** max(k - 1, 0) for (j, k), c in el.coeffs.items())
+        v = np.stack([np.real(f), np.imag(f)], axis=-1) * np.ones((len(z), 1))
+        dfdx, dfdy = fz + fzbar, 1j * (fz - fzbar)
+        jac = np.stack([np.stack([np.real(dfdx), np.real(dfdy)], -1),
+                        np.stack([np.imag(dfdx), np.imag(dfdy)], -1)], axis=1) * np.ones((len(z), 1, 1))
+        for i in np.flatnonzero(one):
+            jq, jp = sphere.transition_jacobian(points.coords[i]), sphere.transition_jacobian(p[i])
+            hess = sphere.transition_hessian(p[i])
+            jac[i] = np.einsum("ijk,j,kl->il", hess, v[i], jq) + jp @ jac[i] @ jq
+            v[i] = jp @ v[i]
+        values.append(v)
+        jacobians.append(jac)
+    return np.stack(values, axis=-1), np.stack(jacobians, axis=-1)
+
+
+def _table_cases():
+    skewed = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    sphere = Sphere2(1.3)
+    return [("torus degree 2", torus_basis(skewed, 2), skewed.grid_points(7)),
+            ("sphere degree 2", sphere_basis(sphere, 2), sphere.fibonacci_points(40))]
+
+
+TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("name,basis,points", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_stacked_tables_match_element_by_element(name, basis, points):
+    jets, rho = basis.tables(points)
+    values, jacobians = _reference_tables(basis, points)
+    m = len(values)
+    assert jets.shape == (m, 6, basis.n_fields) and rho.shape == (m, basis.n_rho)
+    for stacked, reference in ((jets[:, :2], values), (jets[:, 2:], jacobians.reshape(m, 4, -1)),
+                               (rho, np.stack([phi.values(points) for phi in basis.rho_elements], -1))):
+        assert np.max(np.abs(stacked - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_sphere_collocation_covers_both_charts():
@@ -262,6 +324,13 @@ def test_chart_one_jacobians_match_finite_differences():
     np.testing.assert_allclose(vf.jacobians(points), fd, atol=1e-6)
 
 
+def test_sphere_field_without_monomials_is_zero():
+    points = ChartPoint(np.array([0, 1]), np.array([[0.2, 0.1], [0.5, -0.3]]))
+    vf = manifold.SpherePolyVectorField(Sphere2(1.0), {})
+    np.testing.assert_array_equal(vf.values(points), np.zeros((2, 2)))
+    np.testing.assert_array_equal(vf.jacobians(points), np.zeros((2, 2, 2)))
+
+
 def test_chart_one_origin_in_a_batch_is_rejected():
     sphere = Sphere2(1.0)
     vf = sphere_basis(sphere, 1).elements[0]
@@ -369,13 +438,25 @@ def test_sphere_basis_rejects_unsupported_degrees(degree):
 
 
 def test_combination_of_batches_is_linear():
-    sphere = Sphere2(1.0)
-    elements = sphere_basis(sphere, 2).elements
-    coeffs = np.arange(len(elements), dtype=float) - 5.0
-    points = stack_points(sphere.fibonacci_points(16))
-    combo = CombinationVectorField(elements, coeffs)
-    expected = sum(c * el.values(points) for c, el in zip(coeffs, elements))
-    np.testing.assert_allclose(combo.values(points), expected, atol=1e-12)
+    """A combination, a combination of combinations (element by element) and the
+    field table of both all equal the coefficient-weighted sum of the elements."""
+    for _, basis, points in TABLE_CASES:
+        elements = basis.elements
+        coeffs = np.arange(len(elements), dtype=float) - 5.0
+        combo = CombinationVectorField(elements, coeffs)
+        halves = [CombinationVectorField(elements, 0.5 * coeffs),
+                  CombinationVectorField(elements[:2], [1.0, -2.0])]
+        nested = CombinationVectorField(halves, [2.0, 0.0])
+        for method in ("values", "jacobians"):
+            expected = sum(c * getattr(el, method)(points) for c, el in zip(coeffs, elements))
+            scale = np.max(np.abs(expected))
+            for vf in (combo, nested):
+                assert np.max(np.abs(getattr(vf, method)(points) - expected)) <= 1e-14 * scale
+        values, jacobians, _ = manifold.field_tables([combo, elements[3], nested], points)
+        np.testing.assert_allclose(values[..., 0], values[..., 2], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(values[..., 0])))
+        np.testing.assert_allclose(values[..., 1], elements[3].values(points), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(jacobians[..., 1], elements[3].jacobians(points), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,18 @@ class TestMobiusDifferential:
         np.testing.assert_allclose(composed.differential(pt), chained, atol=1e-10)
 
 
+class TestFlatTorusLattice:
+    @pytest.mark.parametrize("scale", [1e-7, 1e7])
+    def test_scaled_unit_lattice_is_accepted(self, scale):
+        torus = FlatTorus(scale * np.eye(2))
+        np.testing.assert_allclose(torus.frac(scale * np.array([0.25, 0.5])), [0.25, 0.5], rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_degenerate_lattice_is_rejected_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="degenerate"):
+            FlatTorus(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
 class TestVectorFieldRepresentations:
     def test_torus_fields_are_periodic(self):
         torus = FlatTorus(np.array([[2.0, 0.0], [0.5, 1.0]]))
