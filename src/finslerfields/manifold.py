@@ -496,8 +496,8 @@ def field_tables(fields, points, scalars=()):
     groups = {}
     for a, el in enumerate(elements):
         groups.setdefault((type(el)._tables, id(el.manifold)), []).append(a)
-    tables = [rule([elements[a] for a in rows], weights[rows], points, () if i else scalars)
-              for i, ((rule, _), rows) in enumerate(groups.items())]
+    tables = [rule([elements[a] for a in members], weights[members], points, () if i else scalars)
+              for i, ((rule, _), members) in enumerate(groups.items())]
     values, jacobians, scalar_values = zip(*tables)
     return sum(values), sum(jacobians), np.hstack(scalar_values)
 
