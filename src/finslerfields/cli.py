@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ def build_parser():
     run_p.add_argument("--out", type=Path, default=Path("reports"))
     run_p.add_argument("--resolution", type=int)
     run_p.add_argument("--degree", type=int)
-    run_p.add_argument("--tol", type=float)
+    run_p.add_argument("--tol", type=float, dest="tol_ratio")
     run_p.add_argument("--seed", type=int)
 
     avg_p = sub.add_parser("average", help="averaged norm of a serialized Minkowski norm")
@@ -61,19 +62,11 @@ def _load_json(path):
 
 
 def _experiment_config(name, file_cfg, args):
-    fields = {}
-    for key in ("seed", "degree", "resolution", "x_density", "sphere_points",
-                "n_directions", "n_extra_directions", "tol_ratio", "metric_params"):
-        if key in file_cfg:
-            fields[key] = file_cfg[key]
-    if args.resolution is not None:
-        fields["resolution"] = args.resolution
-    if args.degree is not None:
-        fields["degree"] = args.degree
-    if args.tol is not None:
-        fields["tol_ratio"] = args.tol
-    if args.seed is not None:
-        fields["seed"] = args.seed
+    """The config of one experiment: the file's settings, overridden by the flags given."""
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "name"]
+    fields = {key: file_cfg[key] for key in keys if key in file_cfg}
+    fields.update((key, getattr(args, key)) for key in ("resolution", "degree", "tol_ratio", "seed")
+                  if getattr(args, key) is not None)
     return ExperimentConfig(name=name, **fields)
 
 
@@ -157,11 +150,7 @@ def cmd_solve_fields(args):
         "basis_degree": basis.degree,
         "killing_dim": report.killing_dim,
         "conformal_dim": report.conformal_dim,
-        "singular_values": [float(s) for s in (
-            report.conformal_singular_values
-            if report.conformal_singular_values is not None
-            else report.killing_singular_values
-        )],
+        "singular_values": [float(s) for s in report.singular_values],
         "residuals": report.residuals,
         "gap": None if np.isinf(report.gap) else report.gap,
         "flags": report.flags,

@@ -69,15 +69,6 @@ class FieldBasis:
     def combination(self, coefficients):
         return CombinationVectorField(self.elements, coefficients)
 
-    def tables(self, points):
-        """The (P, 6, A) element 1-jets (V, DV) and the (P, n_rho) rho values at a batch.
-
-        One stacked evaluation: torus elements and rho functions share one
-        phase matrix, sphere elements one chart split (see ``field_tables``).
-        """
-        values, jacobians, rho = field_tables(self.elements, points, self.rho_elements)
-        return np.concatenate([values, jacobians.reshape(len(values), 4, -1)], axis=1), rho
-
 
 def torus_basis(torus, degree):
     """Coordinate fields times Fourier modes up to the given degree, same modes for rho."""
@@ -156,13 +147,24 @@ def sphere_basis(sphere, degree=2, rho_elements=None):
 
 @dataclass
 class SolverConfig:
+    """Collocation and kernel settings, validated on construction: each can change a count."""
+
     x_density: int = 8          # per-axis grid on the torus
     sphere_points: int = 150    # Fibonacci points on the sphere
     n_directions: int = 8       # fixed directions per point
     n_extra_directions: int = 2  # seeded random supplement
     seed: int = 0
     tol_ratio: float = DEFAULT_TOL_RATIO
-    verify: bool = True
+
+    def __post_init__(self):
+        # a relative threshold of 0 calls no singular value zero and one of 1
+        # calls all of them zero: either returns a dimension without a flag
+        if not 0.0 < self.tol_ratio < 1.0:
+            raise ValueError(f"tol_ratio must lie in (0, 1), got {self.tol_ratio!r}")
+        if self.x_density < 2 or self.sphere_points < 16:
+            raise ValueError("x_density must be >= 2 and sphere_points >= 16")
+        if self.n_directions < 1 or self.n_extra_directions < 0:
+            raise ValueError("n_directions must be >= 1 and n_extra_directions >= 0")
 
 
 def build_collocation(manifold, config, offset_points=False):
@@ -202,12 +204,14 @@ def assemble_system(field, basis, collocation, mode):
     One row per point and direction of the (points, fan) ``collocation``,
     point by point; field columns hold (L_{B_a} F)(x, y), and in conformal
     mode the trailing columns hold -phi_b(x) F(x, y), so the Killing matrix is
-    the leading ``basis.n_fields`` columns of the conformal one.  Elements and
-    rho functions are evaluated once per distinct point, in one ``basis.tables``.
+    the leading ``basis.n_fields`` columns of the conformal one.  Elements, and
+    in conformal mode the rho functions, are evaluated once per distinct point,
+    in one ``field_tables``.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
-    n_unknowns = basis.n_fields + (basis.n_rho if mode == "conformal" else 0)
+    rho_elements = basis.rho_elements if mode == "conformal" else []
+    n_unknowns = basis.n_fields + len(rho_elements)
     points, fan = collocation
     n_points, n_dirs, _ = fan.shape
     if n_points * n_dirs < MIN_ROW_FACTOR * n_unknowns:
@@ -218,7 +222,8 @@ def assemble_system(field, basis, collocation, mode):
     # field's 1-jet (dF/dx, y (x) dF/dy) per row with the element's (V, DV) per point
     lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
     field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
-    element_jets, rho = basis.tables(points)
+    values, jacobians, rho = field_tables(basis.elements, points, rho_elements)
+    element_jets = np.concatenate([values, jacobians.reshape(n_points, 4, -1)], axis=1)
     block = (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
     if mode == "killing":
         return block
@@ -261,6 +266,13 @@ class SolveReport:
     @property
     def gap(self):
         return self.conformal_gap if self.conformal_gap is not None else self.killing_gap
+
+    @property
+    def singular_values(self):
+        """The conformal system's singular values when it was solved, else the Killing system's."""
+        if self.conformal_singular_values is not None:
+            return self.conformal_singular_values
+        return self.killing_singular_values
 
     @property
     def max_residual(self):
@@ -332,15 +344,14 @@ def solve_fields(field, basis, mode="conformal", config=None):
         report.conformal_factors = fits.T
         report.conformal_factor_residuals = np.max(np.abs(phi_rows @ fits - targets), axis=0)
 
-    if config.verify:
-        verification = build_collocation(basis.manifold, config, offset_points=True)
-        a_ver = assemble_system(field, basis, verification, mode)
-        report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T), initial=0.0))
-        if mode == "conformal" and report.conformal_dim:
-            stacked = np.hstack([report.conformal_basis, report.conformal_factors])
-            report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))
-        if report.max_residual > report.verification_bound:
-            report.flags.append("verification residual above tolerance")
+    verification = build_collocation(basis.manifold, config, offset_points=True)
+    a_ver = assemble_system(field, basis, verification, mode)
+    report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T), initial=0.0))
+    if mode == "conformal" and report.conformal_dim:
+        stacked = np.hstack([report.conformal_basis, report.conformal_factors])
+        report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))
+    if report.max_residual > report.verification_bound:
+        report.flags.append("verification residual above tolerance")
     return report
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dataclass_field, asdict
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,36 +23,18 @@ ROUNDOFF_FLOOR = 1e-12
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(solver.SolverConfig):
+    """The solver settings plus what selects and sizes an experiment."""
+
     name: str = ""
-    seed: int = 0
     degree: int = 2
     resolution: int = 1024
-    x_density: int = 8
-    sphere_points: int = 150
-    n_directions: int = 8
-    n_extra_directions: int = 2
-    tol_ratio: float = 1e-8
-    out_dir: str | None = None
     metric_params: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol_ratio <= 0:
-            raise ValueError("tol_ratio must be positive")
-        if self.resolution < 16 or self.x_density < 2 or self.sphere_points < 16:
-            raise ValueError("resolution / density settings are too small")
-
-    def solver_config(self, **overrides):
-        base = dict(
-            x_density=self.x_density,
-            sphere_points=self.sphere_points,
-            n_directions=self.n_directions,
-            n_extra_directions=self.n_extra_directions,
-            seed=self.seed,
-            tol_ratio=self.tol_ratio,
-        )
-        base.update(overrides)
-        return solver.SolverConfig(**base)
+        super().__post_init__()
+        if self.resolution < 16:
+            raise ValueError("resolution must be >= 16")
 
 
 @dataclass
@@ -87,7 +69,6 @@ _COMPARATORS = {
     "<=": lambda v, t: v <= t,
     ">=": lambda v, t: v >= t,
     "==": lambda v, t: v == t,
-    "<": lambda v, t: v < t,
     ">": lambda v, t: v > t,
 }
 
@@ -96,12 +77,11 @@ def _check(checks, name, value, comparison, threshold):
     passed = bool(_COMPARATORS[comparison](value, threshold))
     checks.append(Check(name=name, value=float(value), threshold=float(threshold),
                         comparison=comparison, passed=passed))
-    return passed
 
 
-def _randers_torus_field(config, b=(0.5, 0.0)):
+def _randers_torus_field(config):
     torus = mf.FlatTorus()
-    b = np.asarray(config.metric_params.get("b", b), dtype=float)
+    b = np.asarray(config.metric_params.get("b", (0.5, 0.0)), dtype=float)
     return torus, mf.ConstantNormField(torus, RandersNorm(np.eye(2), b))
 
 
@@ -113,7 +93,7 @@ def exp_s2_round(config):
     sphere = mf.Sphere2(config.metric_params.get("radius", 1.0))
     field = mf.RoundSphereField(sphere)
     basis = solver.sphere_basis(sphere, degree=config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config.solver_config())
+    report = solver.solve_fields(field, basis, mode="conformal", config=config)
 
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 3)
@@ -127,7 +107,7 @@ def exp_riemannian_torus(config):
     torus = mf.FlatTorus()
     field = mf.ConstantNormField(torus, EuclideanNorm(np.eye(2)))
     basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config.solver_config())
+    report = solver.solve_fields(field, basis, mode="conformal", config=config)
 
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 2)
@@ -139,10 +119,10 @@ def exp_riemannian_torus(config):
 def exp_randers_torus(config):
     torus, field = _randers_torus_field(config)
     basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config.solver_config())
+    report = solver.solve_fields(field, basis, mode="conformal", config=config)
     doubled = solver.solve_fields(
         field, basis, mode="conformal",
-        config=config.solver_config(x_density=2 * config.x_density),
+        config=replace(config, x_density=2 * config.x_density),
     )
 
     checks = []
@@ -169,7 +149,7 @@ def _rescaled_torus_experiment(config, base_norm):
     rho = mf.TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
     field = mf.ConformalRescaleField(base, rho)
     basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="killing", config=config.solver_config())
+    report = solver.solve_fields(field, basis, mode="killing", config=config)
 
     sample = torus.grid_points(16, offset=(0.23, 0.61))
     if report.killing_dim > 0:
@@ -180,8 +160,7 @@ def _rescaled_torus_experiment(config, base_norm):
         nontransitive_fraction = 1.0
 
     control_field = mf.ConformalRescaleField(base, mf.ConstantScalar(2.0))
-    control = solver.solve_fields(field=control_field, basis=basis, mode="killing",
-                                  config=config.solver_config())
+    control = solver.solve_fields(field=control_field, basis=basis, mode="killing", config=config)
     control_fields = [basis.combination(c) for c in control.killing_basis]
     control_transitive = solver.transitivity_check(control_fields, sample)
     control_fraction = sum(control_transitive) / len(control_transitive)
@@ -201,8 +180,7 @@ def _rescaled_torus_experiment(config, base_norm):
 
 
 def exp_rescaled_randers_torus(config):
-    b = np.asarray(config.metric_params.get("b", (0.5, 0.0)), dtype=float)
-    return _rescaled_torus_experiment(config, RandersNorm(np.eye(2), b))
+    return _rescaled_torus_experiment(config, _randers_torus_field(config)[1].norm)
 
 
 def exp_rescaled_riemannian_torus(config):
@@ -267,7 +245,7 @@ def exp_conformal_algebra_signature(config):
     basis = solver.sphere_basis(sphere, degree=config.degree)
     report = solver.solve_fields(
         field, basis, mode="conformal",
-        config=config.solver_config(sphere_points=max(100, config.sphere_points // 2)),
+        config=replace(config, sphere_points=max(100, config.sphere_points // 2)),
     )
     killing_fields = [basis.combination(c) for c in report.killing_basis]
     conformal_fields = [basis.combination(c) for c in report.conformal_basis]
@@ -276,8 +254,7 @@ def exp_conformal_algebra_signature(config):
 
     torus, torus_field = _randers_torus_field(config)
     torus_basis = solver.torus_basis(torus, config.degree)
-    torus_report = solver.solve_fields(torus_field, torus_basis, mode="killing",
-                                       config=config.solver_config())
+    torus_report = solver.solve_fields(torus_field, torus_basis, mode="killing", config=config)
     torus_fields = [torus_basis.combination(c) for c in torus_report.killing_basis]
     torus_algebra, _ = solver.extract_structure_constants(torus_fields)
 
@@ -333,12 +310,7 @@ def run_experiment(name, config=None):
         report.conformal_dim = solve_report.conformal_dim
         report.max_residual = solve_report.max_residual
         report.gap = solve_report.gap
-        svals = (
-            solve_report.conformal_singular_values
-            if solve_report.conformal_singular_values is not None
-            else solve_report.killing_singular_values
-        )
-        report.singular_values = [float(s) for s in svals]
+        report.singular_values = [float(s) for s in solve_report.singular_values]
         report.extra.setdefault("flags", list(solve_report.flags))
     if algebra is not None:
         report.structure_constants = algebra.to_dict()

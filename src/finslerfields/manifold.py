@@ -16,11 +16,14 @@ batch in one call (``values``, ``grads``, ``jacobians``, ``evals``,
 Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
 and ``lie_derivative`` take one point or a batch with the same formulas.
 
-A list of vector fields is one stacked table (``field_tables``): torus
-Fourier fields and scalars are columns of one coefficient matrix on
+A list of vector fields of one class on one manifold is one stacked table
+(``field_tables``), through that class's one stacking rule: torus Fourier
+fields and their scalars are columns of one coefficient matrix on
 [1, cos psi, sin psi] over their distinct modes (one ``frac``, one phase
-matrix), sphere polynomial fields on the monomials z^j conj(z)^k (one chart
-split).  A combination contracts its coefficients into that matrix, and a
+matrix), sphere polynomial fields are columns on the monomials
+z^j conj(z)^k (one chart split) and their ambient-polynomial scalars one
+table on the ambient position (one ``Sphere2.ambient``).  A combination holds
+basis elements only and contracts its coefficients into that matrix, and a
 single field is a table of one column.
 """
 
@@ -77,9 +80,6 @@ class Circle:
     length: float = 2.0 * np.pi
 
     dim = 1
-
-    def wrap(self, x):
-        return float(x) % self.length
 
     def sample_points(self, count):
         return np.arange(count) * self.length / count
@@ -264,8 +264,6 @@ class TorusFourierScalar(ScalarField):
 def _fourier_coefficients(scalars):
     """The distinct modes (K, 2) of Fourier and constant scalars, and their stacked
     (1 + 2K, n) coefficients on the dictionary [1, cos psi, sin psi]."""
-    if not scalars:
-        return np.zeros((0, 2)), np.zeros((1, 0))
     terms = np.concatenate([s._terms for s in scalars])
     distinct, row = np.unique(terms[:, :2] @ np.array([1.0, 1j]), return_inverse=True)
     owner = np.repeat(np.arange(len(scalars)), [len(s._terms) for s in scalars])
@@ -299,14 +297,21 @@ class AmbientPolyScalar(ScalarField):
         self.quadratic = 0.5 * (q + q.T)
 
     def values(self, points):
-        n = self.sphere.ambient(stack_points(points))
-        return self.const + n @ self.linear + np.einsum("mi,ij,mj->m", n, self.quadratic, n)
+        return _ambient_values([self], points)[:, 0]
 
     def grads(self, points):
         pts = stack_points(points)
         n = self.sphere.ambient(pts)
         dn = self.sphere.ambient_jacobian(pts)
         return np.einsum("mi,mij->mj", self.linear + 2.0 * n @ self.quadratic, dn)
+
+
+def _ambient_values(scalars, points):
+    """The (m, S) values of S ambient polynomials on one sphere, from one ``Sphere2.ambient``."""
+    n = scalars[0].sphere.ambient(stack_points(points))
+    linear = np.array([s.linear for s in scalars]).T
+    quadratic = np.array([s.quadratic for s in scalars])
+    return np.array([s.const for s in scalars]) + n @ linear + np.einsum("mi,sij,mj->ms", n, quadratic, n)
 
 
 class CircleFourierScalar:
@@ -333,19 +338,12 @@ class CircleFourierScalar:
 class VectorField:
     """Vector field with batched ``values`` (m, 2) and ``jacobians`` (m, 2, 2).
 
-    A class implements either both, or a stacking rule ``_tables`` that
-    evaluates a list of its elements at once (see ``field_tables``); then a
-    single field is that rule with one element.
+    Each class implements one stacking rule ``_tables`` that evaluates a list
+    of its elements at once (see ``field_tables``); a single field is that
+    rule with one element.
     """
 
     manifold = None
-
-    @staticmethod
-    def _tables(elements, weights, points, scalars):
-        """Element by element, for classes without a stacking rule."""
-        values = np.stack([el.values(points) for el in elements], axis=-1) @ weights
-        jacobians = np.stack([el.jacobians(points) for el in elements], axis=-1) @ weights
-        return values, jacobians, _scalar_values(scalars, points)
 
     def values(self, points):
         return field_tables([self], points)[0][..., 0]
@@ -365,7 +363,7 @@ class TorusFourierVectorField(VectorField):
 
     def __init__(self, torus, components):
         self.manifold = torus
-        self.components = components  # pair of scalars, as a rule TorusFourierScalar / ConstantScalar
+        self.components = components  # pair of TorusFourierScalar / ConstantScalar
 
     @classmethod
     def coordinate(cls, torus, index, scalar=None):
@@ -379,27 +377,18 @@ class TorusFourierVectorField(VectorField):
         """Components and scalars as the columns of one coefficient table, weights contracted in.
 
         Its rows are the dictionary [1, cos psi, sin psi] over the distinct
-        modes of the Fourier and constant scalars, which meets one phase
-        matrix, and one row for each other scalar, which is evaluated by itself.
+        modes of the Fourier and constant scalars, which meets one phase matrix.
         """
-        columns = [el.components[i] for i in (0, 1) for el in elements] + list(scalars)
-        fourier = np.array([isinstance(c, (TorusFourierScalar, ConstantScalar)) for c in columns])
-        others = [c for c, f in zip(columns, fourier) if not f]
-        modes, coef = _fourier_coefficients([c for c, f in zip(columns, fourier) if f])
-        k = len(modes)
-        table = np.zeros((len(coef) + len(others), len(columns)))
-        table[:len(coef), fourier] = coef
-        table[len(coef):, ~fourier] = np.eye(len(others))
+        modes, table = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements]
+                                             + list(scalars))
         n_elements, n_fields = weights.shape
         fields = table[:, :2 * n_elements].reshape(-1, n_elements) @ weights
         table = np.hstack([fields.reshape(len(table), -1), table[:, 2 * n_elements:]])
-        torus, c_cos, c_sin = elements[0].manifold, table[1:k + 1], table[k + 1:2 * k + 1]
+        torus, k = elements[0].manifold, len(modes)
+        c_cos, c_sin = table[1:k + 1], table[k + 1:]
         cos, sin = _fourier_phases(torus, modes, points)
         values = table[0] + cos @ c_cos + sin @ c_sin
         grads = _fourier_grads(torus, modes, c_cos, c_sin, cos, sin)
-        for scalar, row in zip(others, table[len(coef):]):
-            values = values + scalar.values(points)[:, None] * row
-            grads = grads + scalar.grads(points)[:, :, None] * row
         m, cut = len(values), 2 * n_fields
         return (values[:, :cut].reshape(m, 2, n_fields),
                 grads[..., :cut].reshape(m, 2, 2, n_fields).transpose(0, 2, 1, 3), values[:, cut:])
@@ -444,62 +433,61 @@ class SpherePolyVectorField(VectorField):
         jac[one] = (np.einsum("mijk,mjb,mkl->milb", sphere.transition_hessian(p[one]), values[one], jq)
                     + np.einsum("mij,mjkb,mkl->milb", jp, jac[one], jq))
         values[one] = np.einsum("mij,mjb->mib", jp, values[one])
-        return values, jac, _scalar_values(scalars, points)
+        rho = _ambient_values(scalars, points) if scalars else np.zeros((len(values), 0))
+        return values, jac, rho
 
 
 class CombinationVectorField(VectorField):
     """Linear combination of basis fields with fixed coefficients.
 
-    It is evaluated as its elements' stacked tables with the coefficients
-    contracted in (see ``field_tables``).
+    Combinations among the elements are flattened at construction, so it
+    holds basis elements only; it is evaluated as their stacked tables with
+    the coefficients contracted in (see ``field_tables``).
     """
 
     def __init__(self, elements, coefficients):
         if not elements:
             raise ValueError("need at least one element")
-        self.manifold = elements[0].manifold
-        self.elements = list(elements)
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        if self.coefficients.shape != (len(self.elements),):
+        coefficients = np.asarray(coefficients, dtype=float)
+        if coefficients.shape != (len(elements),):
             raise ValueError("coefficient count must match element count")
+        terms = [term for el, c in zip(elements, coefficients) for term in _combination_terms(el, c)]
+        self.manifold = elements[0].manifold
+        self.elements = [el for el, _ in terms]
+        self.coefficients = np.array([c for _, c in terms])
 
 
-def _scalar_values(scalars, points):
-    """The (m, S) values of S scalars, one by one."""
-    if not scalars:
-        return np.zeros((_point_count(points), 0))
-    return np.stack([s.values(points) for s in scalars], axis=-1)
+def _combination_terms(field, scale=1.0):
+    """(basis element, coefficient) pairs of a field: its own terms for a combination."""
+    if isinstance(field, CombinationVectorField):
+        return list(zip(field.elements, scale * field.coefficients))
+    return [(field, scale)]
 
 
 def field_tables(fields, points, scalars=()):
     """Values (m, 2, B) and Jacobians (m, 2, 2, B) of B vector fields, and values (m, S) of S scalars.
 
-    Combinations are expanded into their distinct elements, and the elements
-    of one class and manifold go through that class's ``_tables`` in one
-    call, with the (A, B) coefficients that form the fields contracted in.
-    The scalars go with the first class; torus Fourier fields stack Fourier
-    scalars into their own table.
+    Combinations are expanded into their distinct elements, which go through
+    their class's ``_tables`` in one call, with the (A, B) coefficients that
+    form the fields contracted in.  The scalars suit that class: Fourier and
+    constant scalars with torus fields, ambient polynomials with sphere fields.
+    Elements of different classes or manifolds raise ValueError.
     """
     points = stack_points(points)
     elements, index, entries = [], {}, []
     for b, vf in enumerate(fields):
-        terms = (zip(vf.elements, vf.coefficients) if isinstance(vf, CombinationVectorField)
-                 else [(vf, 1.0)])
-        for el, c in terms:
+        for el, c in _combination_terms(vf):
             if id(el) not in index:
                 index[id(el)] = len(elements)
                 elements.append(el)
             entries.append((index[id(el)], b, c))
+    first = elements[0]
+    if any(type(el) is not type(first) or el.manifold is not first.manifold for el in elements):
+        raise ValueError("field_tables takes fields of one class on one manifold")
     weights = np.zeros((len(elements), len(fields)))
     rows, cols, coefs = zip(*entries)
     np.add.at(weights, (rows, cols), coefs)
-    groups = {}
-    for a, el in enumerate(elements):
-        groups.setdefault((type(el)._tables, id(el.manifold)), []).append(a)
-    tables = [rule([elements[a] for a in members], weights[members], points, () if i else scalars)
-              for i, ((rule, _), members) in enumerate(groups.items())]
-    values, jacobians, scalar_values = zip(*tables)
-    return sum(values), sum(jacobians), np.hstack(scalar_values)
+    return type(first)._tables(elements, weights, points, scalars)
 
 
 def sphere_rotation_generators(sphere):

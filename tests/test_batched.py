@@ -110,14 +110,15 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
 
     Torus rho functions ride in the elements' phase matrix (one ``frac``);
     sphere elements take one chart transition, and the ambient-polynomial rho
-    functions, which have no stacking rule, are evaluated one by one.
+    functions one ambient position.  Killing mode evaluates no rho function.
     """
     _, field, basis, config = case
     calls = []
 
-    def counted(original, label, batch):
+    def counted(original, label, batch, scalars=None):
         def wrapper(*args):
-            calls.append((label, _point_total(args[batch])))
+            extra = () if scalars is None else (len(args[scalars]),)
+            calls.append((label, _point_total(args[batch]), *extra))
             return original(*args)
         return wrapper
 
@@ -125,22 +126,27 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
         for meth in methods:
             monkeypatch.setattr(cls, meth, counted(getattr(cls, meth), f"{cls.__name__}.{meth}", 1))
     rule = type(basis.elements[0])
-    monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2)))
+    monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2, 3)))
     monkeypatch.setattr(FlatTorus, "frac", counted(FlatTorus.frac, "frac", 1))
     monkeypatch.setattr(Sphere2, "transition", counted(Sphere2.transition, "transition", 1))
+    monkeypatch.setattr(Sphere2, "ambient", counted(Sphere2.ambient, "ambient", 1))
     torus = isinstance(basis.manifold, FlatTorus)
     n_points = config.x_density**2 if torus else config.sphere_points
     collocation = build_collocation(basis.manifold, config)
-    system = assemble_system(field, basis, collocation, "conformal")
-    assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
-    counts = Counter(calls)
-    if torus:
-        assert counts == {("stacked", n_points): 1, ("frac", n_points): 1}
-    else:
-        chart_one = int(np.sum(collocation[0].chart == 1))
-        assert 0 < chart_one < n_points
-        assert counts == {("stacked", n_points): 1, ("transition", chart_one): 1,
-                          ("AmbientPolyScalar.values", n_points): basis.n_rho}
+    for mode, n_rho in (("killing", 0), ("conformal", basis.n_rho)):
+        calls.clear()
+        system = assemble_system(field, basis, collocation, mode)
+        assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
+        counts = Counter(calls)
+        if torus:
+            assert counts == {("stacked", n_points, n_rho): 1, ("frac", n_points): 1}
+        else:
+            chart_one = int(np.sum(collocation[0].chart == 1))
+            assert 0 < chart_one < n_points
+            expected = {("stacked", n_points, n_rho): 1, ("transition", chart_one): 1}
+            if n_rho:
+                expected[("ambient", n_points)] = 1
+            assert counts == expected
 
 
 def _reference_tables(basis, points):
@@ -189,11 +195,12 @@ TABLE_CASES = _table_cases()
 
 @pytest.mark.parametrize("name,basis,points", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
 def test_stacked_tables_match_element_by_element(name, basis, points):
-    jets, rho = basis.tables(points)
+    stacked_values, stacked_jacobians, rho = manifold.field_tables(basis.elements, points,
+                                                                   basis.rho_elements)
     values, jacobians = _reference_tables(basis, points)
     m = len(values)
-    assert jets.shape == (m, 6, basis.n_fields) and rho.shape == (m, basis.n_rho)
-    for stacked, reference in ((jets[:, :2], values), (jets[:, 2:], jacobians.reshape(m, 4, -1)),
+    assert stacked_values.shape == (m, 2, basis.n_fields) and rho.shape == (m, basis.n_rho)
+    for stacked, reference in ((stacked_values, values), (stacked_jacobians, jacobians),
                                (rho, np.stack([phi.values(points) for phi in basis.rho_elements], -1))):
         assert np.max(np.abs(stacked - reference)) <= 1e-14 * np.max(np.abs(reference))
 
@@ -423,7 +430,7 @@ def test_killing_kernel_read_off_the_leading_block_of_r(name, field, basis, conf
 def test_collapsed_gap_is_flagged_without_warning():
     torus = FlatTorus()
     # a threshold inside the nonzero spectrum leaves no gap around it
-    config = SolverConfig(x_density=6, tol_ratio=0.5, verify=False)
+    config = SolverConfig(x_density=6, tol_ratio=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         report = solve_fields(randers_torus_field(torus), torus_basis(torus, 1), config=config)
@@ -438,8 +445,8 @@ def test_sphere_basis_rejects_unsupported_degrees(degree):
 
 
 def test_combination_of_batches_is_linear():
-    """A combination, a combination of combinations (element by element) and the
-    field table of both all equal the coefficient-weighted sum of the elements."""
+    """A combination, a combination of combinations and the field table of both
+    all equal the coefficient-weighted sum of the elements."""
     for _, basis, points in TABLE_CASES:
         elements = basis.elements
         coeffs = np.arange(len(elements), dtype=float) - 5.0
@@ -457,6 +464,27 @@ def test_combination_of_batches_is_linear():
                                    atol=1e-14 * np.max(np.abs(values[..., 0])))
         np.testing.assert_allclose(values[..., 1], elements[3].values(points), rtol=0, atol=1e-14)
         np.testing.assert_allclose(jacobians[..., 1], elements[3].jacobians(points), rtol=0, atol=1e-14)
+
+
+def test_combination_of_combinations_stores_basis_elements_only():
+    _, basis, _ = TABLE_CASES[0]
+    elements = basis.elements
+    inner = CombinationVectorField(elements[:3], [1.0, 2.0, 3.0])
+    nested = CombinationVectorField([inner, elements[4], inner], [2.0, -1.0, 0.5])
+    assert nested.elements == elements[:3] + [elements[4]] + elements[:3]
+    np.testing.assert_array_equal(nested.coefficients, [2.0, 4.0, 6.0, -1.0, 0.5, 1.0, 1.5])
+    outer = CombinationVectorField([nested], [3.0])
+    assert not any(isinstance(el, CombinationVectorField) for el in outer.elements)
+    np.testing.assert_array_equal(outer.coefficients, 3.0 * nested.coefficients)
+
+
+def test_field_tables_rejects_mixed_classes_and_manifolds():
+    (_, torus_basis_2, points), (_, sphere_basis_2, _) = TABLE_CASES
+    with pytest.raises(ValueError, match="one class on one manifold"):
+        manifold.field_tables([torus_basis_2.elements[2], sphere_basis_2.elements[0]], points)
+    other = torus_basis(FlatTorus(), 1)
+    with pytest.raises(ValueError, match="one class on one manifold"):
+        manifold.field_tables([torus_basis_2.elements[2], other.elements[2]], points)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,20 @@ def test_solve_fields_rescaled_torus(tmp_path):
     assert json.loads(out_file.read_text())["killing_dim"] == 1
 
 
+def test_solve_fields_rejects_invalid_solver_settings(tmp_path, capsys):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({
+        "manifold": {"kind": "flat_torus"},
+        "metric": {"kind": "constant_norm",
+                   "norm": {"family": "randers", "dim": 2,
+                            "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.5, 0.0]}},
+        "solver": {"tol_ratio": 0},
+    }))
+    with pytest.raises(ValueError, match="tol_ratio"):
+        main(["solve-fields", "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+
+
 def test_lie_report_subcommand(tmp_path, capsys):
     cfg = tmp_path / "constants.json"
     cfg.write_text(json.dumps(rotation_algebra().to_dict()))

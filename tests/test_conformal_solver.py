@@ -145,6 +145,20 @@ class TestAssemble:
 
 
 class TestSolveFields:
+    @pytest.mark.parametrize("key,value", [
+        ("tol_ratio", 0.0), ("tol_ratio", -1e-8), ("tol_ratio", 1.0), ("tol_ratio", 1.5),
+        ("tol_ratio", float("nan")), ("x_density", 1), ("sphere_points", 15),
+        ("n_directions", 0), ("n_extra_directions", -1),
+    ])
+    def test_solver_config_rejects_settings_that_change_counts(self, key, value):
+        # tol_ratio 0 gave 0/0 and 1.5 gave 50/50 on the Randers torus, without a flag
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{key: value})
+
+    def test_solver_config_accepts_the_smallest_settings(self):
+        config = SolverConfig(x_density=2, sphere_points=16, n_directions=1, n_extra_directions=0)
+        assert (config.x_density, config.sphere_points) == (2, 16)
+
     def test_flat_riemannian_torus(self):
         torus = FlatTorus()
         field = ConstantNormField(torus, EuclideanNorm(np.eye(2)))
@@ -193,13 +207,9 @@ class TestSolveFields:
         torus = FlatTorus()
         field = randers_field(torus)
         basis = torus_basis(torus, 2)
-        reference = solve_fields(field, basis, config=SolverConfig(verify=False))
-        denser = solve_fields(
-            field, basis, config=SolverConfig(x_density=16, verify=False)
-        )
-        reseeded = solve_fields(
-            field, basis, config=SolverConfig(seed=42, verify=False)
-        )
+        reference = solve_fields(field, basis, config=SolverConfig())
+        denser = solve_fields(field, basis, config=SolverConfig(x_density=16))
+        reseeded = solve_fields(field, basis, config=SolverConfig(seed=42))
         for other in (denser, reseeded):
             assert other.killing_dim == reference.killing_dim
             assert other.conformal_dim == reference.conformal_dim

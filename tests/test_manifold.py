@@ -564,19 +564,9 @@ def _point_at(points, i):
 
 
 def _scaled_scalar(scalar, factor):
-    return _ScaledScalar(scalar, factor)
-
-
-class _ScaledScalar:
-    def __init__(self, scalar, factor):
-        self.scalar = scalar
-        self.factor = factor
-
-    def values(self, points):
-        return self.factor * self.scalar.values(points)
-
-    def grads(self, points):
-        return self.factor * self.scalar.grads(points)
+    """factor * scalar as a Fourier scalar with scaled coefficients."""
+    return TorusFourierScalar(scalar.torus, const=factor * scalar.const,
+                              terms=[(k, factor * a, factor * b) for k, a, b in scalar.terms])
 
 
 def test_constant_scalar_interface():
