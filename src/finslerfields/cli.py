@@ -77,8 +77,13 @@ def cmd_run(args):
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
+    try:
+        configs = [_experiment_config(name, file_cfg, args) for name in names]
+    except ValueError as exc:
+        print(f"invalid settings: {exc}", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
-    reports = [run_experiment(name, _experiment_config(name, file_cfg, args)) for name in names]
+    reports = [run_experiment(config.name, config) for config in configs]
     for report in reports:
         emit_report(report, args.out / f"{report.name}.json", fmt="json")
         status = "pass" if report.passed else "FAIL"
@@ -140,8 +145,12 @@ def _field_from_config(cfg):
 
 def cmd_solve_fields(args):
     cfg = _load_json(args.config)
+    try:
+        solver_cfg = solver.SolverConfig(**cfg.get("solver", {}))
+    except ValueError as exc:
+        print(f"invalid solver settings: {exc}", file=sys.stderr)
+        return 2
     field, basis = _field_from_config(cfg)
-    solver_cfg = solver.SolverConfig(**cfg.get("solver", {}))
     report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
     doc = {
         "experiment": cfg.get("name", "solve-fields"),

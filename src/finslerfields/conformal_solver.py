@@ -1,10 +1,13 @@
 """Null-space solver for Killing and conformal vector fields of a Finsler field.
 
-The conformality condition L_V F = rho * F is linear in (V, rho).  Within a
-finite ansatz of vector fields and scalar factor functions it becomes a dense
-linear system, one row per collocation pair (x, y); the kernel is extracted
-by an SVD of the system's R factor with a relative singular-value threshold
-and audited through the spectral gap around that threshold.
+V is Killing when L_V F = 0 and conformal when (L_V F)/F does not depend on
+the direction y, that function of x being its conformal factor.  Both are
+linear in V.  Within a finite ansatz of vector fields they become dense
+linear systems, one row per collocation pair (x, y), in the field
+coefficients alone: the rows (L_B F)/F, and the same rows centred over each
+point's fan of directions.  Each kernel is extracted by an SVD of the
+system's R factor with a relative singular-value threshold and audited
+through the spectral gap around that threshold.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ClosureFailure, UnderdeterminedSystem
-from .lie_algebra import _orth_basis, bracket_constants, null_space
+from .lie_algebra import bracket_constants, null_space
 from .manifold import (
-    AmbientPolyScalar,
     CombinationVectorField,
     FlatTorus,
     Sphere2,
@@ -51,73 +53,38 @@ def torus_fourier_modes(degree):
 
 @dataclass
 class FieldBasis:
-    """Finite-dimensional ansatz: vector-field elements plus scalar factor functions."""
+    """Finite-dimensional ansatz of vector-field elements."""
 
     manifold: object
     elements: list
-    rho_elements: list
     degree: int
 
     @property
     def n_fields(self):
         return len(self.elements)
 
-    @property
-    def n_rho(self):
-        return len(self.rho_elements)
-
     def combination(self, coefficients):
         return CombinationVectorField(self.elements, coefficients)
 
 
 def torus_basis(torus, degree):
-    """Coordinate fields times Fourier modes up to the given degree, same modes for rho."""
+    """Coordinate fields times Fourier modes up to the given degree."""
     elements = [
         TorusFourierVectorField.coordinate(torus, 0),
         TorusFourierVectorField.coordinate(torus, 1),
     ]
-    rho = [TorusFourierScalar(torus, const=1.0)]
     for k in torus_fourier_modes(degree):
-        cos_mode = TorusFourierScalar(torus, terms=[(k, 1.0, 0.0)])
-        sin_mode = TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])
-        for index in (0, 1):
-            elements.append(TorusFourierVectorField.coordinate(torus, index, cos_mode))
-            elements.append(TorusFourierVectorField.coordinate(torus, index, sin_mode))
-        rho.append(cos_mode)
-        rho.append(sin_mode)
-    return FieldBasis(manifold=torus, elements=elements, rho_elements=rho, degree=degree)
-
-
-def _ambient_rho(sphere, quadratics):
-    """1, the ambient coordinates and the given quadratic forms, in units of the radius R.
-
-    ``AmbientPolyScalar`` keeps the symmetric part of each form, so e_i e_j^T
-    stands for the monomial n_i n_j.
-    """
-    r = sphere.radius
-    return ([AmbientPolyScalar(sphere, const=1.0)]
-            + [AmbientPolyScalar(sphere, linear=e / r) for e in np.eye(3)]
-            + [AmbientPolyScalar(sphere, quadratic=q / r**2) for q in quadratics])
-
-
-_MIXED = tuple(np.outer(np.eye(3)[i], np.eye(3)[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
-
-
-def sphere_harmonic_rho(sphere):
-    """Nine independent restrictions of ambient polynomials of degree <= 2."""
-    harmonic = [np.diag([1.0, -1.0, 0.0]), np.diag([-1.0, -1.0, 2.0])]
-    return _ambient_rho(sphere, [2.0 * q for q in _MIXED] + harmonic)
-
-
-def sphere_monomial_rho(sphere):
-    """All ten degree-<=2 ambient monomials; dependent on the sphere (sum of squares = R^2)."""
-    return _ambient_rho(sphere, [np.diag(e) for e in np.eye(3)] + list(_MIXED))
+        modes = [TorusFourierScalar(torus, terms=[(k, 1.0, 0.0)]),
+                 TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
+        elements.extend(TorusFourierVectorField.coordinate(torus, i, mode)
+                        for i in (0, 1) for mode in modes)
+    return FieldBasis(manifold=torus, elements=elements, degree=degree)
 
 
 SPHERE_DEGREES = (1, 2)
 
 
-def sphere_basis(sphere, degree=2, rho_elements=None):
+def sphere_basis(sphere, degree=2):
     """Conformal generators plus the remaining chart polynomials of degree <= 2.
 
     The six generators (three rotations, three gradient fields) span the
@@ -136,9 +103,7 @@ def sphere_basis(sphere, degree=2, rho_elements=None):
             scale = sphere.radius ** (1 - j - k)
             elements.append(SpherePolyVectorField(sphere, {(j, k): scale}))
             elements.append(SpherePolyVectorField(sphere, {(j, k): 1j * scale}))
-    if rho_elements is None:
-        rho_elements = sphere_harmonic_rho(sphere)
-    return FieldBasis(manifold=sphere, elements=elements, rho_elements=rho_elements, degree=degree)
+    return FieldBasis(manifold=sphere, elements=elements, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +128,12 @@ class SolverConfig:
             raise ValueError(f"tol_ratio must lie in (0, 1), got {self.tol_ratio!r}")
         if self.x_density < 2 or self.sphere_points < 16:
             raise ValueError("x_density must be >= 2 and sphere_points >= 16")
-        if self.n_directions < 1 or self.n_extra_directions < 0:
-            raise ValueError("n_directions must be >= 1 and n_extra_directions >= 0")
+        # centring over a fan of D directions leaves D - 1 equations per point:
+        # none at D = 1, and at D = 2 one for the two of a traceless symmetric form
+        if (self.n_directions < 1 or self.n_extra_directions < 0
+                or self.n_directions + self.n_extra_directions < 3):
+            raise ValueError("n_directions must be >= 1, n_extra_directions >= 0 "
+                             "and n_directions + n_extra_directions >= 3")
 
 
 def build_collocation(manifold, config, offset_points=False):
@@ -198,37 +167,40 @@ def collocation_rows(collocation):
     return _take(points, np.repeat(np.arange(len(fan)), fan.shape[1])), fan.reshape(-1, 2)
 
 
-def assemble_system(field, basis, collocation, mode):
-    """Dense collocation matrix for L_V F = 0 (killing) or L_V F - rho F = 0 (conformal).
+def assemble_system(field, basis, collocation):
+    """Dense collocation matrix of the Killing condition L_V F = 0.
 
     One row per point and direction of the (points, fan) ``collocation``,
-    point by point; field columns hold (L_{B_a} F)(x, y), and in conformal
-    mode the trailing columns hold -phi_b(x) F(x, y), so the Killing matrix is
-    the leading ``basis.n_fields`` columns of the conformal one.  Elements, and
-    in conformal mode the rho functions, are evaluated once per distinct point,
-    in one ``field_tables``.
+    point by point; column a holds (L_{B_a} F)(x, y).  Elements are evaluated
+    once per distinct point, in one ``field_tables``.
     """
-    if mode not in ("killing", "conformal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rho_elements = basis.rho_elements if mode == "conformal" else []
-    n_unknowns = basis.n_fields + len(rho_elements)
     points, fan = collocation
     n_points, n_dirs, _ = fan.shape
-    if n_points * n_dirs < MIN_ROW_FACTOR * n_unknowns:
-        raise UnderdeterminedSystem(f"{n_points * n_dirs} rows for {n_unknowns} unknowns "
+    if n_points * n_dirs < MIN_ROW_FACTOR * basis.n_fields:
+        raise UnderdeterminedSystem(f"{n_points * n_dirs} rows for {basis.n_fields} unknowns "
                                     f"(need >= {MIN_ROW_FACTOR}x)")
     row_points, ys = collocation_rows(collocation)
     # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i is the dot product of the
     # field's 1-jet (dF/dx, y (x) dF/dy) per row with the element's (V, DV) per point
     lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
     field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
-    values, jacobians, rho = field_tables(basis.elements, points, rho_elements)
+    values, jacobians = field_tables(basis.elements, points)
     element_jets = np.concatenate([values, jacobians.reshape(n_points, 4, -1)], axis=1)
-    block = (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
-    if mode == "killing":
-        return block
-    evals = field.evals(row_points, ys).reshape(n_points, n_dirs, 1)
-    return np.hstack([block, (-rho[:, None, :] * evals).reshape(-1, basis.n_rho)])
+    return (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
+
+
+def _fan_systems(field, basis, collocation):
+    """The Killing rows divided by F, (P, D, A), and their means over each fan, (P, A).
+
+    (L_V F)/F is the same for every direction at a point exactly when V is
+    conformal, and that value is its factor: V is Killing when these rows
+    vanish on its coefficients and conformal when the rows less their fan
+    means do.
+    """
+    evals = field.evals(*collocation_rows(collocation))
+    rows = (assemble_system(field, basis, collocation) / evals[:, None]).reshape(
+        *collocation[1].shape[:2], basis.n_fields)
+    return rows, rows.mean(axis=1)
 
 
 def _spectral_gap(svals, null_dim, total_cols):
@@ -256,7 +228,6 @@ class SolveReport:
     conformal_dim: int | None = None
     conformal_basis: np.ndarray | None = None
     conformal_factors: np.ndarray | None = None
-    conformal_factor_residuals: np.ndarray | None = None
     conformal_singular_values: np.ndarray | None = None
     conformal_gap: float | None = None
     residuals: dict = dataclass_field(default_factory=dict)
@@ -286,26 +257,25 @@ class SolveReport:
 def solve_fields(field, basis, mode="conformal", config=None):
     """Compute the Killing (and optionally conformal) fields within the ansatz.
 
-    The Killing system is always solved.  In conformal mode the joint system
-    in (V, rho) is solved as well; the conformal dimension is the rank of the
-    kernel's projection onto the field coefficients, which guards against
-    spurious kernel vectors supported on a dependent rho basis.  Factors of
-    all fields are recovered by one least-squares solve of (L_V F)/F against
-    the rho basis, and out-of-sample residuals are evaluated on a disjoint
-    collocation set.
-    Each collocation set is assembled and triangularised once: QR works
-    through the columns in order, so the R factor of the Killing matrix (the
-    field block) is the leading block of R.  Safeguards that fire are recorded
-    in ``flags``, among them a verification residual above
-    ``VERIFY_TOL_FACTOR`` times the tolerance.
+    One assembly per collocation set gives the rows N = (L_B F)/F.  The
+    Killing fields are the kernel of N.  In conformal mode the conformal
+    fields are the kernel of N centred over each point's fan of directions,
+    and the factor of each is the fan mean of N c, reported at the
+    verification points, one row per conformal field.  Each system gets its
+    own QR in ``null_space``, and both thresholds are relative to the largest
+    singular value of N: an ansatz that is conformal throughout has a centred
+    system of round-off size, which against its own scale would read no
+    kernel.  Out-of-sample residuals of both systems are evaluated on a
+    disjoint collocation set.  Safeguards that fire are recorded in
+    ``flags``, among them a verification residual above ``VERIFY_TOL_FACTOR``
+    times the tolerance.
     """
+    if mode not in ("killing", "conformal"):
+        raise ValueError(f"unknown mode {mode!r}")
     config = config or SolverConfig()
     n = basis.n_fields
-    collocation = build_collocation(basis.manifold, config)
-    system = assemble_system(field, basis, collocation, mode)
-    r_factor = np.linalg.qr(system, mode="r")
-
-    k_dim, k_basis, k_svals = null_space(r_factor[:n, :n], config.tol_ratio)
+    rows, means = _fan_systems(field, basis, build_collocation(basis.manifold, config))
+    k_dim, k_basis, k_svals = null_space(rows.reshape(-1, n), config.tol_ratio)
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
     report = SolveReport(
@@ -320,36 +290,22 @@ def solve_fields(field, basis, mode="conformal", config=None):
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
 
+    verification = build_collocation(basis.manifold, config, offset_points=True)
+    ver_rows, ver_means = _fan_systems(field, basis, verification)
+    report.residuals["killing"] = float(np.max(np.abs(ver_rows @ k_basis.T), initial=0.0))
     if mode == "conformal":
-        c_dim_raw, c_null, c_svals = null_space(r_factor, config.tol_ratio)
-        c_gap = _spectral_gap(c_svals, c_dim_raw, n + basis.n_rho)
-        c_basis = _orth_basis(c_null[:, :n], 1e-8)
-        c_dim = len(c_basis)
-        if c_dim < c_dim_raw:
-            report.flags.append("spurious rho-only kernel vector: rho basis is dependent")
-        report.tolerance_used = config.tol_ratio * (float(c_svals[0]) or 1.0)
+        c_dim, c_basis, c_svals = null_space((rows - means[:, None]).reshape(-1, n),
+                                             config.tol_ratio, float(k_svals[0]))
         report.conformal_dim = c_dim
         report.conformal_basis = c_basis
+        report.conformal_factors = c_basis @ ver_means.T
         report.conformal_singular_values = c_svals
-        report.conformal_gap = c_gap
-        if c_gap < GAP_WARN:
+        report.conformal_gap = _spectral_gap(c_svals, c_dim, n)
+        if report.conformal_gap < GAP_WARN:
             report.flags.append("ill-conditioned: conformal spectral gap below 1e2")
-
-        # (L_V F)/F = (A_killing c)/F and the rho columns of the conformal
-        # system are -phi_b(x) F, so both reuse the assembled matrix.
-        fvals = field.evals(*collocation_rows(collocation))
-        phi_rows = -system[:, n:] / fvals[:, None]
-        targets = (system[:, :n] @ c_basis.T) / fvals[:, None]
-        fits, *_ = np.linalg.lstsq(phi_rows, targets, rcond=None)
-        report.conformal_factors = fits.T
-        report.conformal_factor_residuals = np.max(np.abs(phi_rows @ fits - targets), axis=0)
-
-    verification = build_collocation(basis.manifold, config, offset_points=True)
-    a_ver = assemble_system(field, basis, verification, mode)
-    report.residuals["killing"] = float(np.max(np.abs(a_ver[:, :n] @ k_basis.T), initial=0.0))
-    if mode == "conformal" and report.conformal_dim:
-        stacked = np.hstack([report.conformal_basis, report.conformal_factors])
-        report.residuals["conformal"] = float(np.max(np.abs(a_ver @ stacked.T)))
+        if c_dim:
+            centred = ver_rows - ver_means[:, None]
+            report.residuals["conformal"] = float(np.max(np.abs(centred @ c_basis.T)))
     if report.max_residual > report.verification_bound:
         report.flags.append("verification residual above tolerance")
     return report
@@ -376,7 +332,7 @@ def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
     """
     points = sample_points(basis.manifold, sample_count, seed=11)
     n = basis.n_fields
-    values, jacobians, _ = field_tables(basis.elements + [v, w], points)
+    values, jacobians = field_tables(basis.elements + [v, w], points)
     emat = values[..., :n].reshape(-1, n)
     target = _bracket_values(values, jacobians, [n], [n + 1])[:, 0]
     coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
@@ -396,7 +352,7 @@ def extract_structure_constants(fields, sample_count=60, tol=1e-6):
     if not fields:
         raise ValueError("need at least one field")
     points = sample_points(fields[0].manifold, sample_count, seed=11)
-    values, jacobians, _ = field_tables(fields, points)
+    values, jacobians = field_tables(fields, points)
     first, second = np.triu_indices(len(fields), 1)
     targets = _bracket_values(values, jacobians, first, second)
     return bracket_constants(values.reshape(-1, len(fields)), targets, tol)

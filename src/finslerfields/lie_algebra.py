@@ -84,13 +84,14 @@ def killing_gram(algebra):
     return 0.5 * (gram + gram.T)
 
 
-def null_space(matrix, tol_ratio=RANK_TOL):
+def null_space(matrix, tol_ratio=RANK_TOL, reference=None):
     """Kernel dimension and an orthonormal kernel basis by SVD.
 
-    Singular values below tol_ratio times the largest one count as zero; a
-    zero matrix has a full kernel.  A tall matrix is replaced by its square R
-    factor (same singular values and V); a wide one needs the full V, whose
-    trailing rows span the kernel directions that have no singular value.
+    Singular values below tol_ratio times ``reference`` (by default the
+    largest one) count as zero; a zero reference, as of a zero matrix, gives
+    a full kernel.  A tall matrix is replaced by its square R factor (same
+    singular values and V); a wide one needs the full V, whose trailing rows
+    span the kernel directions that have no singular value.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
@@ -101,7 +102,7 @@ def null_space(matrix, tol_ratio=RANK_TOL):
     _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
     padded = np.zeros(n)
     padded[: len(svals)] = svals
-    smax = float(padded[0])
+    smax = float(padded[0]) if reference is None else reference
     if smax == 0.0:
         return n, np.eye(n), padded
     dim = int((padded < tol_ratio * smax).sum())

@@ -18,13 +18,11 @@ and ``lie_derivative`` take one point or a batch with the same formulas.
 
 A list of vector fields of one class on one manifold is one stacked table
 (``field_tables``), through that class's one stacking rule: torus Fourier
-fields and their scalars are columns of one coefficient matrix on
-[1, cos psi, sin psi] over their distinct modes (one ``frac``, one phase
-matrix), sphere polynomial fields are columns on the monomials
-z^j conj(z)^k (one chart split) and their ambient-polynomial scalars one
-table on the ambient position (one ``Sphere2.ambient``).  A combination holds
-basis elements only and contracts its coefficients into that matrix, and a
-single field is a table of one column.
+fields are columns of one coefficient matrix on [1, cos psi, sin psi] over
+their distinct modes (one ``frac``, one phase matrix), sphere polynomial
+fields are columns on the monomials z^j conj(z)^k (one chart split).  A
+combination holds basis elements only and contracts its coefficients into
+that matrix, and a single field is a table of one column.
 """
 
 from __future__ import annotations
@@ -297,21 +295,14 @@ class AmbientPolyScalar(ScalarField):
         self.quadratic = 0.5 * (q + q.T)
 
     def values(self, points):
-        return _ambient_values([self], points)[:, 0]
+        n = self.sphere.ambient(stack_points(points))
+        return self.const + n @ self.linear + np.einsum("mi,ij,mj->m", n, self.quadratic, n)
 
     def grads(self, points):
         pts = stack_points(points)
         n = self.sphere.ambient(pts)
         dn = self.sphere.ambient_jacobian(pts)
         return np.einsum("mi,mij->mj", self.linear + 2.0 * n @ self.quadratic, dn)
-
-
-def _ambient_values(scalars, points):
-    """The (m, S) values of S ambient polynomials on one sphere, from one ``Sphere2.ambient``."""
-    n = scalars[0].sphere.ambient(stack_points(points))
-    linear = np.array([s.linear for s in scalars]).T
-    quadratic = np.array([s.quadratic for s in scalars])
-    return np.array([s.const for s in scalars]) + n @ linear + np.einsum("mi,sij,mj->ms", n, quadratic, n)
 
 
 class CircleFourierScalar:
@@ -373,25 +364,22 @@ class TorusFourierVectorField(VectorField):
         return cls(torus, comps)
 
     @staticmethod
-    def _tables(elements, weights, points, scalars):
-        """Components and scalars as the columns of one coefficient table, weights contracted in.
+    def _tables(elements, weights, points):
+        """Components as the columns of one coefficient table, weights contracted in.
 
         Its rows are the dictionary [1, cos psi, sin psi] over the distinct
         modes of the Fourier and constant scalars, which meets one phase matrix.
         """
-        modes, table = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements]
-                                             + list(scalars))
-        n_elements, n_fields = weights.shape
-        fields = table[:, :2 * n_elements].reshape(-1, n_elements) @ weights
-        table = np.hstack([fields.reshape(len(table), -1), table[:, 2 * n_elements:]])
+        modes, table = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements])
+        n_fields = weights.shape[1]
+        table = (table.reshape(len(table), 2, -1) @ weights).reshape(len(table), -1)
         torus, k = elements[0].manifold, len(modes)
         c_cos, c_sin = table[1:k + 1], table[k + 1:]
         cos, sin = _fourier_phases(torus, modes, points)
         values = table[0] + cos @ c_cos + sin @ c_sin
         grads = _fourier_grads(torus, modes, c_cos, c_sin, cos, sin)
-        m, cut = len(values), 2 * n_fields
-        return (values[:, :cut].reshape(m, 2, n_fields),
-                grads[..., :cut].reshape(m, 2, 2, n_fields).transpose(0, 2, 1, 3), values[:, cut:])
+        m = len(values)
+        return values.reshape(m, 2, n_fields), grads.reshape(m, 2, 2, n_fields).transpose(0, 2, 1, 3)
 
 
 class SpherePolyVectorField(VectorField):
@@ -408,7 +396,7 @@ class SpherePolyVectorField(VectorField):
         self.coeffs = {tuple(key): complex(val) for key, val in coeffs.items()}
 
     @staticmethod
-    def _tables(elements, weights, points, scalars):
+    def _tables(elements, weights, points):
         """One chart split and one table of the monomials z^j conj(z)^k of all elements,
         against their (M, A) complex coefficients with the weights contracted in."""
         sphere = elements[0].manifold
@@ -433,8 +421,7 @@ class SpherePolyVectorField(VectorField):
         jac[one] = (np.einsum("mijk,mjb,mkl->milb", sphere.transition_hessian(p[one]), values[one], jq)
                     + np.einsum("mij,mjkb,mkl->milb", jp, jac[one], jq))
         values[one] = np.einsum("mij,mjb->mib", jp, values[one])
-        rho = _ambient_values(scalars, points) if scalars else np.zeros((len(values), 0))
-        return values, jac, rho
+        return values, jac
 
 
 class CombinationVectorField(VectorField):
@@ -464,14 +451,13 @@ def _combination_terms(field, scale=1.0):
     return [(field, scale)]
 
 
-def field_tables(fields, points, scalars=()):
-    """Values (m, 2, B) and Jacobians (m, 2, 2, B) of B vector fields, and values (m, S) of S scalars.
+def field_tables(fields, points):
+    """Values (m, 2, B) and Jacobians (m, 2, 2, B) of B vector fields.
 
     Combinations are expanded into their distinct elements, which go through
     their class's ``_tables`` in one call, with the (A, B) coefficients that
-    form the fields contracted in.  The scalars suit that class: Fourier and
-    constant scalars with torus fields, ambient polynomials with sphere fields.
-    Elements of different classes or manifolds raise ValueError.
+    form the fields contracted in.  Elements of different classes or
+    manifolds raise ValueError.
     """
     points = stack_points(points)
     elements, index, entries = [], {}, []
@@ -487,7 +473,7 @@ def field_tables(fields, points, scalars=()):
     weights = np.zeros((len(elements), len(fields)))
     rows, cols, coefs = zip(*entries)
     np.add.at(weights, (rows, cols), coefs)
-    return type(first)._tables(elements, weights, points, scalars)
+    return type(first)._tables(elements, weights, points)
 
 
 def sphere_rotation_generators(sphere):
@@ -828,7 +814,7 @@ def lie_derivative(field, vector_field, points, ys):
     """
     ys, _ = _checked_directions(ys, 1e-12)
     points = stack_points(points)
-    v, jac, _ = field_tables([vector_field], points)
+    v, jac = field_tables([vector_field], points)
     return (np.einsum("mi,mi->m", v[..., 0], field.grads_x(points, ys))
             + np.einsum("mij,mj,mi->m", jac[..., 0], ys, field.grads_y(points, ys)))
 

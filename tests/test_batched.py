@@ -44,17 +44,11 @@ from finslerfields.norm_core import EuclideanNorm, RandersNorm
 ASSEMBLY_RTOL = 1e-12
 
 
-def reference_assemble(field, basis, collocation, mode):
-    """Per-row assembly through the one-point lie_derivative and field.eval."""
+def reference_assemble(field, basis, collocation):
+    """Per-row assembly through the one-point lie_derivative."""
     points, ys = collocation_rows(collocation)
-    rows = []
-    for i, y in enumerate(ys):
-        pt = _one_point(points, i)
-        row = [lie_derivative(field, el, pt, y)[0] for el in basis.elements]
-        if mode == "conformal":
-            row += [-phi.value(pt) * field.eval(pt, y) for phi in basis.rho_elements]
-        rows.append(row)
-    return np.array(rows)
+    return np.array([[lie_derivative(field, el, _one_point(points, i), y)[0] for el in basis.elements]
+                     for i, y in enumerate(ys)])
 
 
 def randers_torus_field(torus):
@@ -89,13 +83,12 @@ CASES = _torus_cases() + _sphere_cases()
 @pytest.mark.parametrize("name,field,basis,config", CASES, ids=[c[0] for c in CASES])
 def test_batched_assembly_matches_per_row_reference(name, field, basis, config):
     collocation = build_collocation(basis.manifold, config)
-    reference = reference_assemble(field, basis, collocation, "conformal")
+    reference = reference_assemble(field, basis, collocation)
     scale = np.max(np.abs(reference))
     assert scale > 0.0
-    for mode, expected in (("killing", reference[:, : basis.n_fields]), ("conformal", reference)):
-        batched = assemble_system(field, basis, collocation, mode)
-        assert batched.shape == expected.shape
-        assert np.max(np.abs(batched - expected)) <= ASSEMBLY_RTOL * scale
+    batched = assemble_system(field, basis, collocation)
+    assert batched.shape == reference.shape
+    assert np.max(np.abs(batched - reference)) <= ASSEMBLY_RTOL * scale
 
 
 EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
@@ -108,17 +101,15 @@ EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
 def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, case):
     """One stacked evaluation of all elements per assembly, on the P distinct points.
 
-    Torus rho functions ride in the elements' phase matrix (one ``frac``);
-    sphere elements take one chart transition, and the ambient-polynomial rho
-    functions one ambient position.  Killing mode evaluates no rho function.
+    Torus elements take one ``frac``, sphere elements one chart transition;
+    no scalar is evaluated on its own and no ambient position is formed.
     """
     _, field, basis, config = case
     calls = []
 
-    def counted(original, label, batch, scalars=None):
+    def counted(original, label, batch):
         def wrapper(*args):
-            extra = () if scalars is None else (len(args[scalars]),)
-            calls.append((label, _point_total(args[batch]), *extra))
+            calls.append((label, _point_total(args[batch])))
             return original(*args)
         return wrapper
 
@@ -126,27 +117,22 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
         for meth in methods:
             monkeypatch.setattr(cls, meth, counted(getattr(cls, meth), f"{cls.__name__}.{meth}", 1))
     rule = type(basis.elements[0])
-    monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2, 3)))
+    monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2)))
     monkeypatch.setattr(FlatTorus, "frac", counted(FlatTorus.frac, "frac", 1))
     monkeypatch.setattr(Sphere2, "transition", counted(Sphere2.transition, "transition", 1))
     monkeypatch.setattr(Sphere2, "ambient", counted(Sphere2.ambient, "ambient", 1))
     torus = isinstance(basis.manifold, FlatTorus)
     n_points = config.x_density**2 if torus else config.sphere_points
     collocation = build_collocation(basis.manifold, config)
-    for mode, n_rho in (("killing", 0), ("conformal", basis.n_rho)):
-        calls.clear()
-        system = assemble_system(field, basis, collocation, mode)
-        assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
-        counts = Counter(calls)
-        if torus:
-            assert counts == {("stacked", n_points, n_rho): 1, ("frac", n_points): 1}
-        else:
-            chart_one = int(np.sum(collocation[0].chart == 1))
-            assert 0 < chart_one < n_points
-            expected = {("stacked", n_points, n_rho): 1, ("transition", chart_one): 1}
-            if n_rho:
-                expected[("ambient", n_points)] = 1
-            assert counts == expected
+    system = assemble_system(field, basis, collocation)
+    assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
+    counts = Counter(calls)
+    if torus:
+        assert counts == {("stacked", n_points): 1, ("frac", n_points): 1}
+    else:
+        chart_one = int(np.sum(collocation[0].chart == 1))
+        assert 0 < chart_one < n_points
+        assert counts == {("stacked", n_points): 1, ("transition", chart_one): 1}
 
 
 def _reference_tables(basis, points):
@@ -195,13 +181,10 @@ TABLE_CASES = _table_cases()
 
 @pytest.mark.parametrize("name,basis,points", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
 def test_stacked_tables_match_element_by_element(name, basis, points):
-    stacked_values, stacked_jacobians, rho = manifold.field_tables(basis.elements, points,
-                                                                   basis.rho_elements)
+    stacked_values, stacked_jacobians = manifold.field_tables(basis.elements, points)
     values, jacobians = _reference_tables(basis, points)
-    m = len(values)
-    assert stacked_values.shape == (m, 2, basis.n_fields) and rho.shape == (m, basis.n_rho)
-    for stacked, reference in ((stacked_values, values), (stacked_jacobians, jacobians),
-                               (rho, np.stack([phi.values(points) for phi in basis.rho_elements], -1))):
+    assert stacked_values.shape == (len(values), 2, basis.n_fields)
+    for stacked, reference in ((stacked_values, values), (stacked_jacobians, jacobians)):
         assert np.max(np.abs(stacked - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
@@ -418,13 +401,13 @@ def _kernel_angle(basis_a, basis_b):
 
 
 @pytest.mark.parametrize("name,field,basis,config", CASES, ids=[c[0] for c in CASES])
-def test_killing_kernel_read_off_the_leading_block_of_r(name, field, basis, config):
-    system = assemble_system(field, basis, build_collocation(basis.manifold, config), "conformal")
-    n = basis.n_fields
-    dim, kernel, _ = null_space(np.linalg.qr(system, mode="r")[:n, :n])
-    ref_dim, ref_kernel, _ = null_space(system[:, :n])
-    assert dim == ref_dim
-    assert _kernel_angle(kernel, ref_kernel) <= 1e-8
+def test_killing_kernel_is_that_of_the_rows_before_division_by_f(name, field, basis, config):
+    # dividing each row by F > 0 rescales rows and leaves the kernel as it is
+    system = assemble_system(field, basis, build_collocation(basis.manifold, config))
+    report = solve_fields(field, basis, mode="killing", config=config)
+    ref_dim, ref_kernel, _ = null_space(system)
+    assert report.killing_dim == ref_dim
+    assert _kernel_angle(report.killing_basis, ref_kernel) <= 1e-8
 
 
 def test_collapsed_gap_is_flagged_without_warning():
@@ -459,7 +442,7 @@ def test_combination_of_batches_is_linear():
             scale = np.max(np.abs(expected))
             for vf in (combo, nested):
                 assert np.max(np.abs(getattr(vf, method)(points) - expected)) <= 1e-14 * scale
-        values, jacobians, _ = manifold.field_tables([combo, elements[3], nested], points)
+        values, jacobians = manifold.field_tables([combo, elements[3], nested], points)
         np.testing.assert_allclose(values[..., 0], values[..., 2], rtol=0,
                                    atol=1e-14 * np.max(np.abs(values[..., 0])))
         np.testing.assert_allclose(values[..., 1], elements[3].values(points), rtol=0, atol=1e-14)

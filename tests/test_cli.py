@@ -108,9 +108,19 @@ def test_solve_fields_rejects_invalid_solver_settings(tmp_path, capsys):
                             "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.5, 0.0]}},
         "solver": {"tol_ratio": 0},
     }))
-    with pytest.raises(ValueError, match="tol_ratio"):
-        main(["solve-fields", "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert main(["solve-fields", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "tol_ratio" in captured.err
+
+
+def test_run_rejects_invalid_settings(tmp_path, capsys):
+    # exit code 2, as for an unknown experiment: 1 means a check failed
+    assert main(["run", "circle-lambda", "--tol", "0", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "tol_ratio" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lie_report_subcommand(tmp_path, capsys):

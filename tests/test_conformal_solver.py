@@ -5,6 +5,7 @@ from finslerfields.conformal_solver import (
     VERIFY_TOL_FACTOR,
     FieldBasis,
     SolverConfig,
+    _fan_systems,
     _spectral_gap,
     assemble_system,
     build_collocation,
@@ -14,7 +15,6 @@ from finslerfields.conformal_solver import (
     pushforward_subspace_angle,
     solve_fields,
     sphere_basis,
-    sphere_monomial_rho,
     torus_basis,
     torus_fourier_modes,
     transitivity_check,
@@ -28,16 +28,40 @@ from finslerfields.manifold import (
     FlatTorus,
     MobiusMap,
     RoundSphereField,
+    ScalarField,
     Sphere2,
     TorusFourierScalar,
     TorusFourierVectorField,
     TorusTranslation,
+    stack_points,
 )
 from finslerfields.norm_core import EuclideanNorm, RandersNorm
 
 
 def randers_field(torus, b=(0.5, 0.0)):
     return ConstantNormField(torus, RandersNorm(np.eye(2), np.array(b)))
+
+
+class ExpCosScalar(ScalarField):
+    """exp(a cos 2 pi x1) on the unit torus: not a Fourier polynomial, but its log-derivative is."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def values(self, points):
+        return np.exp(self.a * np.cos(2.0 * np.pi * stack_points(points)[:, 0]))
+
+    def grads(self, points):
+        x1 = stack_points(points)[:, 0]
+        d1 = -2.0 * np.pi * self.a * np.sin(2.0 * np.pi * x1) * self.values(points)
+        return np.stack([d1, np.zeros_like(d1)], axis=-1)
+
+
+RESCALINGS = {
+    "2+cos": lambda torus: TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)]),
+    "exp(0.7cos)": lambda torus: ExpCosScalar(0.7),
+}
+BASE_NORMS = {"randers": RandersNorm(np.eye(2), [0.5, 0.0]), "flat": EuclideanNorm(np.eye(2))}
 
 
 class TestNullSpace:
@@ -80,12 +104,10 @@ class TestBasisConstruction:
     def test_degree_two_torus_basis_has_fifty_fields(self):
         basis = torus_basis(FlatTorus(), 2)
         assert basis.n_fields == 50
-        assert basis.n_rho == 25
 
     def test_sphere_basis_counts(self):
         basis = sphere_basis(Sphere2(1.0), 2)
         assert basis.n_fields == 12
-        assert basis.n_rho == 9
 
     def test_elements_linearly_independent_over_collocation(self):
         for basis in (torus_basis(FlatTorus(), 2), sphere_basis(Sphere2(1.0), 2)):
@@ -103,31 +125,24 @@ class TestAssemble:
         assert basis.n_fields == 2
         field = randers_field(torus)
         collocation = build_collocation(torus, SolverConfig(x_density=4))
-        matrix = assemble_system(field, basis, collocation, "killing")
+        matrix = assemble_system(field, basis, collocation)
         assert np.max(np.abs(matrix)) <= 1e-14
 
     def test_six_generator_conformal_system_has_six_dim_kernel(self):
         sphere = Sphere2(1.0)
         basis = sphere_basis(sphere, degree=1)  # generators only
-        field = RoundSphereField(sphere)
-        collocation = build_collocation(sphere, SolverConfig(sphere_points=60))
-        matrix = assemble_system(field, basis, collocation, "conformal")
-        dim, kernel, _ = null_space(matrix)
-        projected_rank = np.linalg.matrix_rank(kernel[:, :6], tol=1e-10)
-        assert projected_rank == 6
+        report = solve_fields(RoundSphereField(sphere), basis, config=SolverConfig(sphere_points=60))
+        assert report.conformal_dim == 6
+        assert np.linalg.matrix_rank(report.conformal_basis, tol=1e-10) == 6
 
     def test_degree_one_randers_kernel_projects_to_translations(self):
         torus = FlatTorus()
         basis = torus_basis(torus, 1)
-        field = randers_field(torus)
-        collocation = build_collocation(torus, SolverConfig(x_density=6))
-        matrix = assemble_system(field, basis, collocation, "conformal")
-        dim, kernel, _ = null_space(matrix)
-        assert dim == 2
-        field_part = kernel[:, : basis.n_fields]
-        # all weight on the two constant coordinate fields
-        assert np.max(np.abs(field_part[:, 2:])) <= 1e-10
-        assert np.max(np.abs(kernel[:, basis.n_fields:])) <= 1e-10
+        report = solve_fields(randers_field(torus), basis, config=SolverConfig(x_density=6))
+        assert report.conformal_dim == 2
+        # all weight on the two constant coordinate fields, and no factor
+        assert np.max(np.abs(report.conformal_basis[:, 2:])) <= 1e-10
+        assert np.max(np.abs(report.conformal_factors)) <= 1e-10
 
     def test_row_bound_enforced(self):
         torus = FlatTorus()
@@ -135,28 +150,30 @@ class TestAssemble:
         field = randers_field(torus)
         collocation = build_collocation(torus, SolverConfig(x_density=3, n_extra_directions=0))
         with pytest.raises(UnderdeterminedSystem):
-            assemble_system(field, basis, collocation, "conformal")
+            assemble_system(field, basis, collocation)
 
     def test_unknown_mode_rejected(self):
         torus = FlatTorus()
         basis = torus_basis(torus, 0)
-        with pytest.raises(ValueError):
-            assemble_system(randers_field(torus), basis, [], "isometric")
+        with pytest.raises(ValueError, match="isometric"):
+            solve_fields(randers_field(torus), basis, mode="isometric")
 
 
 class TestSolveFields:
     @pytest.mark.parametrize("key,value", [
         ("tol_ratio", 0.0), ("tol_ratio", -1e-8), ("tol_ratio", 1.0), ("tol_ratio", 1.5),
         ("tol_ratio", float("nan")), ("x_density", 1), ("sphere_points", 15),
-        ("n_directions", 0), ("n_extra_directions", -1),
+        ("n_directions", 0), ("n_extra_directions", -1), ("n_directions", 2),
     ])
     def test_solver_config_rejects_settings_that_change_counts(self, key, value):
-        # tol_ratio 0 gave 0/0 and 1.5 gave 50/50 on the Randers torus, without a flag
+        # tol_ratio 0 gave 0/0 and 1.5 gave 50/50 on the Randers torus, without a flag;
+        # with one direction per point the centred system is zero, so every field
+        # would read as conformal
         with pytest.raises(ValueError, match=key):
-            SolverConfig(**{key: value})
+            SolverConfig(**{"n_extra_directions": 0, key: value})
 
     def test_solver_config_accepts_the_smallest_settings(self):
-        config = SolverConfig(x_density=2, sphere_points=16, n_directions=1, n_extra_directions=0)
+        config = SolverConfig(x_density=2, sphere_points=16, n_directions=3, n_extra_directions=0)
         assert (config.x_density, config.sphere_points) == (2, 16)
 
     def test_flat_riemannian_torus(self):
@@ -190,18 +207,17 @@ class TestSolveFields:
             assert report.killing_dim <= report.conformal_dim
 
     def test_killing_kernel_embeds_in_conformal_kernel(self):
-        # a Killing solution padded with zero factor coefficients satisfies
-        # the joint system as well
+        # a Killing field has (L_V F)/F = 0 in every direction, so it also
+        # solves the system centred over each fan
         torus = FlatTorus()
         field = randers_field(torus)
         basis = torus_basis(torus, 2)
         config = SolverConfig()
-        collocation = build_collocation(torus, config)
-        a_conformal = assemble_system(field, basis, collocation, "conformal")
+        rows, means = _fan_systems(field, basis, build_collocation(torus, config))
+        centred = (rows - means[:, None]).reshape(-1, basis.n_fields)
         report = solve_fields(field, basis, mode="killing", config=config)
         for coeffs in report.killing_basis:
-            padded = np.concatenate([coeffs, np.zeros(basis.n_rho)])
-            assert np.max(np.abs(a_conformal @ padded)) <= 1e-10
+            assert np.max(np.abs(centred @ coeffs)) <= 1e-10
 
     def test_dimensions_stable_under_density_and_seed(self):
         torus = FlatTorus()
@@ -223,24 +239,17 @@ class TestSolveFields:
         # without the coordinate fields the ansatz holds no conformal field of the Randers torus
         torus = FlatTorus()
         full = torus_basis(torus, 1)
-        basis = FieldBasis(torus, full.elements[2:], full.rho_elements, 1)
+        basis = FieldBasis(torus, full.elements[2:], 1)
         report = solve_fields(randers_field(torus), basis)
         assert report.conformal_dim == 0
-        assert report.conformal_factors.shape == (0, basis.n_rho)
-        assert report.conformal_factor_residuals.shape == (0,)
+        n_verification = len(build_collocation(torus, SolverConfig(), offset_points=True)[0])
+        assert report.conformal_factors.shape == (0, n_verification)
 
     def test_killing_mode_skips_conformal_solve(self):
         torus = FlatTorus()
         report = solve_fields(randers_field(torus), torus_basis(torus, 2), mode="killing")
         assert report.killing_dim == 2
         assert report.conformal_dim is None
-
-    def test_dependent_rho_basis_is_flagged_not_counted(self):
-        sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, 2, rho_elements=sphere_monomial_rho(sphere))
-        report = solve_fields(RoundSphereField(sphere), basis)
-        assert report.conformal_dim == 6
-        assert any("spurious" in flag for flag in report.flags)
 
     def test_failed_verification_is_flagged(self):
         # Fourier modes +-2 alias on a 4-point grid, so the collocation system
@@ -295,6 +304,37 @@ class TestSolveFields:
         coeffs = report.killing_basis[0]
         assert abs(coeffs[1]) > 0.99
         assert np.max(np.abs(np.delete(coeffs, 1))) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    @pytest.mark.parametrize("norm", list(BASE_NORMS))
+    @pytest.mark.parametrize("rescaling", list(RESCALINGS))
+    def test_rescaled_torus_conformal_fields_are_the_base_killing_fields(self, rescaling, norm,
+                                                                         degree):
+        # rho F is conformal to F, so its conformal fields are the translations d1, d2
+        # that are Killing for F; only d2 is Killing for rho F, and the factor of
+        # c1 d1 + c2 d2 is c1 d1 log rho, outside the ansatz for rho = 2 + cos
+        torus = FlatTorus()
+        rho = RESCALINGS[rescaling](torus)
+        field = ConformalRescaleField(ConstantNormField(torus, BASE_NORMS[norm]), rho)
+        config = SolverConfig(x_density=4 * degree)   # resolves the top Fourier mode of the ansatz
+        report = solve_fields(field, torus_basis(torus, degree), config=config)
+        assert (report.killing_dim, report.conformal_dim) == (1, 2)
+        assert report.conformal_gap >= 1e4
+        assert report.flags == []
+        assert np.max(np.abs(report.conformal_basis[:, 2:])) <= 1e-10
+        points, _ = build_collocation(torus, config, offset_points=True)
+        log_derivative = rho.grads(points)[:, 0] / rho.values(points)
+        expected = report.conformal_basis[:, :1] * log_derivative
+        assert np.max(np.abs(report.conformal_factors - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("radius", [1e-4, 1.0, 1e4])
+    def test_ansatz_conformal_throughout_keeps_its_full_kernel(self, radius):
+        # the six generators make the centred system zero up to round-off; its
+        # kernel is read against the uncentred system's scale, not its own
+        sphere = Sphere2(radius)
+        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 1))
+        assert (report.killing_dim, report.conformal_dim) == (3, 6)
+        assert report.flags == []
 
     def test_rescaled_sphere_keeps_only_the_axial_rotation(self):
         # rho = 2 + n3/2 breaks all isometries except rotation about the pole
