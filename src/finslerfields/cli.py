@@ -163,6 +163,7 @@ def cmd_solve_fields(args):
         "residuals": report.residuals,
         "gap": None if np.isinf(report.gap) else report.gap,
         "flags": report.flags,
+        "system": report.system,
     }
     text = json.dumps(doc, indent=2)
     if args.out:

@@ -2,12 +2,13 @@
 
 V is Killing when L_V F = 0 and conformal when (L_V F)/F does not depend on
 the direction y, that function of x being its conformal factor.  Both are
-linear in V.  Within a finite ansatz of vector fields they become dense
-linear systems, one row per collocation pair (x, y), in the field
-coefficients alone: the rows (L_B F)/F, and the same rows centred over each
-point's fan of directions.  Each kernel is extracted by an SVD of the
-system's R factor with a relative singular-value threshold and audited
-through the spectral gap around that threshold.
+linear in V.  Within a finite ansatz of vector fields they become linear
+systems in the field coefficients, one row per collocation pair (x, y): the
+rows (L_B F)/F, and the same rows centred over each point's fan.  A point's
+rows are its field jets times its element jets, so the solve works on at
+most six rows per point.  Each kernel is extracted by an SVD of an R factor
+with a relative singular-value threshold and audited through the spectral
+gap around that threshold.
 """
 
 from __future__ import annotations
@@ -167,12 +168,11 @@ def collocation_rows(collocation):
     return _take(points, np.repeat(np.arange(len(fan)), fan.shape[1])), fan.reshape(-1, 2)
 
 
-def assemble_system(field, basis, collocation):
-    """Dense collocation matrix of the Killing condition L_V F = 0.
+def _jet_tables(field, basis, collocation):
+    """Field 1-jets over F, (P, D, 6), F itself, (P, D, 1), and element 1-jets, (P, 6, A).
 
-    One row per point and direction of the (points, fan) ``collocation``,
-    point by point; column a holds (L_{B_a} F)(x, y).  Elements are evaluated
-    once per distinct point, in one ``field_tables``.
+    L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i: the field's 1-jet (dF/dx, y (x) dF/dy) per
+    row dotted with the element's (V, DV) per distinct point, from one ``field_tables``.
     """
     points, fan = collocation
     n_points, n_dirs, _ = fan.shape
@@ -180,27 +180,22 @@ def assemble_system(field, basis, collocation):
         raise UnderdeterminedSystem(f"{n_points * n_dirs} rows for {basis.n_fields} unknowns "
                                     f"(need >= {MIN_ROW_FACTOR}x)")
     row_points, ys = collocation_rows(collocation)
-    # L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i is the dot product of the
-    # field's 1-jet (dF/dx, y (x) dF/dy) per row with the element's (V, DV) per point
     lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
     field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
+    evals = field.evals(row_points, ys).reshape(n_points, n_dirs, 1)
     values, jacobians = field_tables(basis.elements, points)
     element_jets = np.concatenate([values, jacobians.reshape(n_points, 4, -1)], axis=1)
-    return (field_jets.reshape(n_points, n_dirs, 6) @ element_jets).reshape(-1, basis.n_fields)
+    return field_jets.reshape(n_points, n_dirs, 6) / evals, evals, element_jets
 
 
-def _fan_systems(field, basis, collocation):
-    """The Killing rows divided by F, (P, D, A), and their means over each fan, (P, A).
+def assemble_system(field, basis, collocation):
+    """Dense collocation matrix of the Killing condition L_V F = 0.
 
-    (L_V F)/F is the same for every direction at a point exactly when V is
-    conformal, and that value is its factor: V is Killing when these rows
-    vanish on its coefficients and conformal when the rows less their fan
-    means do.
+    One row per point and direction of the (points, fan) ``collocation``, point by
+    point; column a holds (L_{B_a} F)(x, y), F times the product of the two jet tables.
     """
-    evals = field.evals(*collocation_rows(collocation))
-    rows = (assemble_system(field, basis, collocation) / evals[:, None]).reshape(
-        *collocation[1].shape[:2], basis.n_fields)
-    return rows, rows.mean(axis=1)
+    jets, evals, element_jets = _jet_tables(field, basis, collocation)
+    return (evals * (jets @ element_jets)).reshape(-1, basis.n_fields)
 
 
 def _spectral_gap(svals, null_dim, total_cols):
@@ -233,6 +228,7 @@ class SolveReport:
     residuals: dict = dataclass_field(default_factory=dict)
     tolerance_used: float = 0.0
     flags: list = dataclass_field(default_factory=list)
+    system: dict = dataclass_field(default_factory=dict)
 
     @property
     def gap(self):
@@ -257,25 +253,31 @@ class SolveReport:
 def solve_fields(field, basis, mode="conformal", config=None):
     """Compute the Killing (and optionally conformal) fields within the ansatz.
 
-    One assembly per collocation set gives the rows N = (L_B F)/F.  The
-    Killing fields are the kernel of N.  In conformal mode the conformal
-    fields are the kernel of N centred over each point's fan of directions,
-    and the factor of each is the fan mean of N c, reported at the
-    verification points, one row per conformal field.  Each system gets its
-    own QR in ``null_space``, and both thresholds are relative to the largest
-    singular value of N: an ansatz that is conformal throughout has a centred
-    system of round-off size, which against its own scale would read no
-    kernel.  Out-of-sample residuals of both systems are evaluated on a
-    disjoint collocation set.  Safeguards that fire are recorded in
-    ``flags``, among them a verification residual above ``VERIFY_TOL_FACTOR``
-    times the tolerance.
+    The Killing fields are the kernel of the rows N = (L_B F)/F, one per point
+    and direction, and the conformal fields that of N centred over each fan;
+    the factor of each is the fan mean of N c at the verification points.
+    Neither system is formed: at a point N_p = J_p E_p (field jets over F
+    times element jets) and C_p = (J_p - 1 j_p) E_p, j_p the fan mean of J_p,
+    so N^T N = C^T C + D M^T M with M_p = j_p E_p.  A batched QR of the
+    centred jets and a QR of the stacked R_p E_p give R_C, and the kernels are
+    read from R_C and [R_C; sqrt(D) M] against the largest singular value of
+    N (a conformal ansatz has a round-off centred system).  Residuals are
+    evaluated jet-wise on a disjoint collocation set.  A torus basis of degree
+    d needs x_density >= 2d + 1.  Safeguards that fire go to ``flags``, among
+    them a verification residual above ``VERIFY_TOL_FACTOR`` tolerances.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
     config = config or SolverConfig()
+    if isinstance(basis.manifold, FlatTorus) and config.x_density < 2 * basis.degree + 1:
+        raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {basis.degree} + 1")
     n = basis.n_fields
-    rows, means = _fan_systems(field, basis, build_collocation(basis.manifold, config))
-    k_dim, k_basis, k_svals = null_space(rows.reshape(-1, n), config.tol_ratio)
+    jets, _, elements = _jet_tables(field, basis, build_collocation(basis.manifold, config))
+    means = jets.mean(axis=1, keepdims=True)
+    factors = np.linalg.qr(jets - means, mode="r")
+    r_centred = np.linalg.qr((factors @ elements).reshape(-1, n), mode="r")
+    fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
+    k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]), config.tol_ratio)
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
     report = SolveReport(
@@ -286,26 +288,28 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_singular_values=k_svals,
         killing_gap=k_gap,
         tolerance_used=config.tol_ratio * (float(k_svals[0]) or 1.0),
+        system={"rows": jets[..., 0].size, "factor_rows": factors[..., 0].size, "unknowns": n},
     )
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
 
     verification = build_collocation(basis.manifold, config, offset_points=True)
-    ver_rows, ver_means = _fan_systems(field, basis, verification)
-    report.residuals["killing"] = float(np.max(np.abs(ver_rows @ k_basis.T), initial=0.0))
+    ver_jets, _, ver_elements = _jet_tables(field, basis, verification)
+    killing = ver_jets @ (ver_elements @ k_basis.T)
+    report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
     if mode == "conformal":
-        c_dim, c_basis, c_svals = null_space((rows - means[:, None]).reshape(-1, n),
-                                             config.tol_ratio, float(k_svals[0]))
+        c_dim, c_basis, c_svals = null_space(r_centred, config.tol_ratio, float(k_svals[0]))
+        ver_means = ver_jets.mean(axis=1, keepdims=True)
+        c_jets = ver_elements @ c_basis.T
         report.conformal_dim = c_dim
         report.conformal_basis = c_basis
-        report.conformal_factors = c_basis @ ver_means.T
+        report.conformal_factors = (ver_means @ c_jets)[:, 0].T
         report.conformal_singular_values = c_svals
         report.conformal_gap = _spectral_gap(c_svals, c_dim, n)
         if report.conformal_gap < GAP_WARN:
             report.flags.append("ill-conditioned: conformal spectral gap below 1e2")
         if c_dim:
-            centred = ver_rows - ver_means[:, None]
-            report.residuals["conformal"] = float(np.max(np.abs(centred @ c_basis.T)))
+            report.residuals["conformal"] = float(np.max(np.abs((ver_jets - ver_means) @ c_jets)))
     if report.max_residual > report.verification_bound:
         report.flags.append("verification residual above tolerance")
     return report

@@ -310,6 +310,7 @@ def run_experiment(name, config=None):
         report.gap = solve_report.gap
         report.singular_values = [float(s) for s in solve_report.singular_values]
         report.extra.setdefault("flags", list(solve_report.flags))
+        report.extra.setdefault("system", solve_report.system)
     if algebra is not None:
         report.structure_constants = algebra.to_dict()
     return report

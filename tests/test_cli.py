@@ -79,6 +79,8 @@ def test_solve_fields_subcommand(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["killing_dim"] == 2
     assert doc["conformal_dim"] == 2
+    # 6 x 6 points, 10 directions each, 2 + 4 * 4 degree-1 fields
+    assert doc["system"] == {"rows": 360, "factor_rows": 216, "unknowns": 18}
 
 
 def test_solve_fields_rescaled_torus(tmp_path):
@@ -147,6 +149,18 @@ def test_emit_report_formats(tmp_path):
     assert lines[1].startswith("circle-lambda,")
     with pytest.raises(ValueError):
         emit_report(report, tmp_path / "r.txt", fmt="yaml")
+
+
+@pytest.mark.parametrize("name,system", [
+    ("riemannian-torus", {"rows": 640, "factor_rows": 384, "unknowns": 50}),
+    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 12}),
+])
+def test_experiment_json_records_the_system_sizes(tmp_path, name, system):
+    report = run_experiment(name, ExperimentConfig(name=name))
+    doc = json.loads(emit_report(report, tmp_path / "r.json").read_text())
+    assert doc["extra"]["system"] == system
+    header = csv_summary([report]).splitlines()[0]
+    assert header == "experiment,killing_dim,conformal_dim,max_residual,gap,pass"
 
 
 def test_empty_summary_is_header_only(tmp_path):

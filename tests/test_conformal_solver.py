@@ -5,10 +5,10 @@ from finslerfields.conformal_solver import (
     VERIFY_TOL_FACTOR,
     FieldBasis,
     SolverConfig,
-    _fan_systems,
     _spectral_gap,
     assemble_system,
     build_collocation,
+    collocation_rows,
     extract_structure_constants,
     lie_bracket_fields,
     null_space,
@@ -62,6 +62,14 @@ RESCALINGS = {
     "exp(0.7cos)": lambda torus: ExpCosScalar(0.7),
 }
 BASE_NORMS = {"randers": RandersNorm(np.eye(2), [0.5, 0.0]), "flat": EuclideanNorm(np.eye(2))}
+
+
+def full_systems(field, basis, collocation):
+    """The (P*D, A) rows N = (L_B F)/F from ``assemble_system``, and N centred over each fan."""
+    evals = field.evals(*collocation_rows(collocation))
+    rows = assemble_system(field, basis, collocation) / evals[:, None]
+    fans = rows.reshape(*collocation[1].shape[:2], basis.n_fields)
+    return rows, (fans - fans.mean(axis=1, keepdims=True)).reshape(rows.shape)
 
 
 class TestNullSpace:
@@ -213,8 +221,7 @@ class TestSolveFields:
         field = randers_field(torus)
         basis = torus_basis(torus, 2)
         config = SolverConfig()
-        rows, means = _fan_systems(field, basis, build_collocation(torus, config))
-        centred = (rows - means[:, None]).reshape(-1, basis.n_fields)
+        _, centred = full_systems(field, basis, build_collocation(torus, config))
         report = solve_fields(field, basis, mode="killing", config=config)
         for coeffs in report.killing_basis:
             assert np.max(np.abs(centred @ coeffs)) <= 1e-10
@@ -251,17 +258,38 @@ class TestSolveFields:
         assert report.killing_dim == 2
         assert report.conformal_dim is None
 
-    def test_failed_verification_is_flagged(self):
-        # Fourier modes +-2 alias on a 4-point grid, so the collocation system
-        # admits spurious fields whose out-of-sample residual is far above ten
-        # tolerances
+    @pytest.mark.parametrize("mode", ["killing", "conformal"])
+    @pytest.mark.parametrize("norm", list(BASE_NORMS))
+    def test_failed_verification_is_flagged(self, norm, mode):
+        # rho = 2 + cos 2 pi (8 x1 - 0.31) is 3 with zero gradient at every point
+        # of the default fit grid, so the fit reads both translations as Killing
+        # where only d2 is; the disjoint verification grid sees rho vary
         torus = FlatTorus()
-        field = ConstantNormField(torus, RandersNorm(np.eye(2), [0.5, 0.0]))
-        config = SolverConfig(x_density=4, n_directions=40)
-        report = solve_fields(field, torus_basis(torus, 2), config=config)
-        assert report.conformal_dim > 2
+        phase = 2.0 * np.pi * 0.31
+        rho = TorusFourierScalar(torus, const=2.0,
+                                 terms=[((8, 0), np.cos(phase), np.sin(phase))])
+        field = ConformalRescaleField(ConstantNormField(torus, BASE_NORMS[norm]), rho)
+        report = solve_fields(field, torus_basis(torus, 2), mode=mode)
+        assert report.killing_dim == 2
         assert report.max_residual > VERIFY_TOL_FACTOR * report.tolerance_used
         assert "verification residual above tolerance" in report.flags
+
+    @pytest.mark.parametrize("degree,x_density", [(2, 4), (4, 8)])
+    def test_torus_grid_that_aliases_the_ansatz_is_rejected(self, degree, x_density):
+        # a degree-d trigonometric polynomial is determined by its samples on an
+        # n x n grid only from n = 2d + 1 on; (4, 8) gave 10/23, caught only
+        # by the verification flag
+        torus = FlatTorus()
+        with pytest.raises(UnderdeterminedSystem,
+                           match=rf"x_density {x_density} < 2 \* degree {degree} "):
+            solve_fields(randers_field(torus), torus_basis(torus, degree),
+                         config=SolverConfig(x_density=x_density))
+
+    def test_torus_grid_of_two_degrees_plus_one_is_accepted(self):
+        torus = FlatTorus()
+        report = solve_fields(randers_field(torus), torus_basis(torus, 2),
+                              config=SolverConfig(x_density=5))
+        assert (report.killing_dim, report.conformal_dim) == (2, 2)
 
     @pytest.mark.parametrize("radius", [1e-6, 1e-4, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e6])
     def test_passed_verification_is_not_flagged(self, radius):
@@ -348,6 +376,60 @@ class TestSolveFields:
         assert abs(coeffs[2]) > 0.99  # the polar rotation generator
         assert np.max(np.abs(np.delete(coeffs, 2))) <= 1e-8
         assert report.max_residual <= 10.0 * report.tolerance_used
+
+
+def _factor_solve_cases():
+    torus, sphere = FlatTorus(), Sphere2(1.3)
+    rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
+    return {
+        "randers torus": (randers_field(torus), torus_basis(torus, 2), SolverConfig()),
+        "rescaled torus": (ConformalRescaleField(randers_field(torus), rho), torus_basis(torus, 2),
+                           SolverConfig()),
+        "round sphere": (RoundSphereField(sphere), sphere_basis(sphere, 2), SolverConfig()),
+        "three-direction fan": (randers_field(torus), torus_basis(torus, 2),
+                                SolverConfig(n_directions=3, n_extra_directions=0)),
+    }
+
+
+class TestFactorSolve:
+    """The per-point jet factors against the full (P*D, A) systems they replace."""
+
+    @pytest.mark.parametrize("case", list(_factor_solve_cases()))
+    def test_factor_solve_equals_the_full_systems(self, case):
+        field, basis, config = _factor_solve_cases()[case]
+        rows, centred = full_systems(field, basis, build_collocation(basis.manifold, config))
+        report = solve_fields(field, basis, config=config)
+        k_dim, _, k_svals = null_space(rows, config.tol_ratio)
+        c_dim, _, c_svals = null_space(centred, config.tol_ratio, k_svals[0])
+        scale = 1e-12 * k_svals[0]
+        assert np.max(np.abs(report.killing_singular_values - k_svals)) <= scale
+        assert np.max(np.abs(report.conformal_singular_values - c_svals)) <= scale
+        assert (report.killing_dim, report.conformal_dim) == (k_dim, c_dim)
+
+    @pytest.mark.parametrize("case", list(_factor_solve_cases()))
+    def test_jet_wise_verification_equals_the_full_matrix_residuals(self, case):
+        field, basis, config = _factor_solve_cases()[case]
+        verification = build_collocation(basis.manifold, config, offset_points=True)
+        rows, centred = full_systems(field, basis, verification)
+        report = solve_fields(field, basis, config=config)
+        fan_means = rows.reshape(verification[1].shape[0], -1, basis.n_fields).mean(axis=1)
+        # the residuals are themselves round-off, so they agree to round-off of the system's scale
+        atol = 1e-17 * report.killing_singular_values[0]
+        assert report.residuals["killing"] == pytest.approx(
+            np.max(np.abs(rows @ report.killing_basis.T)), rel=0, abs=atol)
+        assert report.residuals["conformal"] == pytest.approx(
+            np.max(np.abs(centred @ report.conformal_basis.T)), rel=0, abs=atol)
+        np.testing.assert_allclose(report.conformal_factors, report.conformal_basis @ fan_means.T,
+                                   rtol=0, atol=1e-16 * report.killing_singular_values[0])
+
+    @pytest.mark.parametrize("case,system", [
+        ("randers torus", {"rows": 640, "factor_rows": 384, "unknowns": 50}),
+        # fewer than six directions: each point's factor keeps its D rows
+        ("three-direction fan", {"rows": 192, "factor_rows": 192, "unknowns": 50}),
+    ])
+    def test_report_records_the_system_sizes(self, case, system):
+        field, basis, config = _factor_solve_cases()[case]
+        assert solve_fields(field, basis, mode="killing", config=config).system == system
 
 
 class TestKillingSpaceInvariance:
