@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
+from .errors import InvalidSettings
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -77,13 +78,15 @@ def cmd_run(args):
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
+    # settings are rejected when a config is built or when a solve meets them, and
+    # either way before the output directory is made
     try:
         configs = [_experiment_config(name, file_cfg, args) for name in names]
-    except ValueError as exc:
+        reports = [run_experiment(config.name, config) for config in configs]
+    except InvalidSettings as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)
         return 2
     args.out.mkdir(parents=True, exist_ok=True)
-    reports = [run_experiment(config.name, config) for config in configs]
     for report in reports:
         emit_report(report, args.out / f"{report.name}.json", fmt="json")
         status = "pass" if report.passed else "FAIL"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ClosureFailure, UnderdeterminedSystem
+from .errors import ClosureFailure, InvalidSettings, UnderdeterminedSystem
 from .lie_algebra import bracket_constants, null_space
 from .manifold import (
     CombinationVectorField,
@@ -26,8 +26,6 @@ from .manifold import (
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
-    _point_count,
-    _take,
     field_tables,
     sample_points,
     sphere_gradient_generators,
@@ -86,24 +84,29 @@ SPHERE_DEGREES = (1, 2)
 
 
 def sphere_basis(sphere, degree=2):
-    """Conformal generators plus the remaining chart polynomials of degree <= 2.
+    """Tangent projections of the polynomial maps w of R^3 of degree <= d, for d in (1, 2).
 
-    The six generators (three rotations, three gradient fields) span the
-    holomorphic chart polynomials; for degree 2 the antiholomorphic monomials
-    are appended so the ansatz does not presuppose the answer.  Each monomial
-    z^j conj(z)^k carries the factor R^(1-j-k), so the ansatz, like the
-    generators, is a function of z/R times R and the assembled system does not
-    depend on the scale of the sphere.  Other degrees raise ValueError rather
+    On the sphere, maps f(p) p project to zero and |p|^2 = R^2, so the identity
+    is left out at degree 1, and the quadratic maps q_i^2 e_i, q2^2 e1, q3^2 e2
+    and q1^2 e3 at degree 2.  That leaves 11 fields at degree 1 (the three
+    rotations, the three gradient fields and five traceless symmetric maps)
+    and 23 at degree 2, where the 12 quadratic maps follow.  The monomials are
+    those of q = p / R (see ``SpherePolyVectorField``), so the assembled system
+    does not depend on the radius.  Other degrees raise InvalidSettings rather
     than being recorded for an ansatz they do not describe.
     """
     if degree not in SPHERE_DEGREES:
-        raise ValueError(f"sphere_basis supports degrees {SPHERE_DEGREES}, got {degree!r}")
-    elements = sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
+        raise InvalidSettings(f"sphere_basis supports degrees {SPHERE_DEGREES}, got {degree!r}")
+    units, eye = np.eye(3, dtype=int), np.eye(3)
+    # traceless symmetric maps, as {exponent: coefficient}: q_j e_i + q_i e_j, q_i e_i - q_i+1 e_i+1
+    maps = [{tuple(units[j]): eye[i], tuple(units[i]): eye[j]} for i, j in ((0, 1), (1, 2), (0, 2))]
+    maps += [{tuple(units[i]): eye[i], tuple(units[i + 1]): -eye[i + 1]} for i in (0, 1)]
     if degree == 2:
-        for j, k in ((0, 1), (1, 1), (0, 2)):
-            scale = sphere.radius ** (1 - j - k)
-            elements.append(SpherePolyVectorField(sphere, {(j, k): scale}))
-            elements.append(SpherePolyVectorField(sphere, {(j, k): 1j * scale}))
+        # q_i q_j e_k, keeping of the squares only q1^2 e2, q2^2 e3 and q3^2 e1
+        maps += [{tuple(units[i] + units[j]): eye[k]} for i in range(3) for j in range(i, 3)
+                 for k in range(3) if i != j or k == (i + 1) % 3]
+    elements = (sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
+                + [SpherePolyVectorField(sphere, coeffs) for coeffs in maps])
     return FieldBasis(manifold=sphere, elements=elements, degree=degree)
 
 
@@ -126,15 +129,15 @@ class SolverConfig:
         # a relative threshold of 0 calls no singular value zero and one of 1
         # calls all of them zero: either returns a dimension without a flag
         if not 0.0 < self.tol_ratio < 1.0:
-            raise ValueError(f"tol_ratio must lie in (0, 1), got {self.tol_ratio!r}")
+            raise InvalidSettings(f"tol_ratio must lie in (0, 1), got {self.tol_ratio!r}")
         if self.x_density < 2 or self.sphere_points < 16:
-            raise ValueError("x_density must be >= 2 and sphere_points >= 16")
+            raise InvalidSettings("x_density must be >= 2 and sphere_points >= 16")
         # centring over a fan of D directions leaves D - 1 equations per point:
         # none at D = 1, and at D = 2 one for the two of a traceless symmetric form
         if (self.n_directions < 1 or self.n_extra_directions < 0
                 or self.n_directions + self.n_extra_directions < 3):
-            raise ValueError("n_directions must be >= 1, n_extra_directions >= 0 "
-                             "and n_directions + n_extra_directions >= 3")
+            raise InvalidSettings("n_directions must be >= 1, n_extra_directions >= 0 "
+                                  "and n_directions + n_extra_directions >= 3")
 
 
 def build_collocation(manifold, config, offset_points=False):
@@ -155,7 +158,7 @@ def build_collocation(manifold, config, offset_points=False):
         base_angle = 0.1309 if not offset_points else 0.4441
     else:
         raise ValueError("collocation supports the torus and the sphere")
-    n_points = _point_count(points)
+    n_points = len(points)
     fixed = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
     extra = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, config.n_extra_directions))
     angles = np.hstack([np.tile(fixed, (n_points, 1)), extra])
@@ -165,7 +168,7 @@ def build_collocation(manifold, config, offset_points=False):
 def collocation_rows(collocation):
     """The row-aligned (points, ys) of a collocation: each point repeated once per direction."""
     points, fan = collocation
-    return _take(points, np.repeat(np.arange(len(fan)), fan.shape[1])), fan.reshape(-1, 2)
+    return points[np.repeat(np.arange(len(fan)), fan.shape[1])], fan.reshape(-1, 2)
 
 
 def _jet_tables(field, basis, collocation):

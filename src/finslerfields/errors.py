@@ -28,11 +28,11 @@ class HypothesisViolation(FinslerError):
     """The sampled precondition of a verification routine does not hold."""
 
 
-class ChartDomainError(FinslerError):
-    """A point or its image falls outside the usable chart domain."""
+class InvalidSettings(FinslerError, ValueError):
+    """Settings that no run can honour, such as an unsupported ansatz degree."""
 
 
-class UnderdeterminedSystem(FinslerError):
+class UnderdeterminedSystem(InvalidSettings):
     """A collocation system has too few rows for its unknown count."""
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
+from .errors import InvalidSettings
 from .norm_core import EuclideanNorm, RandersNorm, scale_norm
 
 ROUNDOFF_FLOOR = 1e-12
@@ -34,7 +35,7 @@ class ExperimentConfig(solver.SolverConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.resolution < 16:
-            raise ValueError("resolution must be >= 16")
+            raise InvalidSettings("resolution must be >= 16")
 
 
 @dataclass

@@ -1,26 +1,31 @@
 """Model manifolds (circle, flat torus, round 2-sphere) and Finsler fields on them.
 
-Points on the sphere are chart-tagged: chart 0 is the stereographic chart
-covering everything but the north pole, chart 1 the antipodal one, and the
-transition p -> R^2 p / |p|^2 is its own inverse.  Vector fields on the
-sphere are stored as complex-coefficient polynomials in (z, conj(z)) in
-chart 0 and pushed through the transition differential where needed.
+A sphere point is its ambient position p, a (3,) array with |p| = R, and a
+tangent vector at p is a (2,) array of components in the orthonormal frame
+``Sphere2.frame(p)``, the columns e1, e2 of a (3, 2) array.  The frame is
+defined at every point, both poles included.  It is not smooth, and need not
+be: every formula is pointwise, and the sphere's Finsler fields are isotropic
+in the frame, so the turning of the frame along a flow drops out of their
+Lie derivatives.  A sphere vector field is the tangent projection
+X(p) = w - (p.w) p / R^2 of a polynomial map w of R^3, and its 1-jet is the
+ambient one read in the frame: E^T X and E^T DX E.  Mobius maps are Lorentz
+matrices acting on the null cone.
 
-Point sets are batches: an (m, 2) array on the torus, a ``ChartPoint``
-holding (m,) charts and (m, 2) coords on the sphere, and an (m,) array on the
-circle.  Grids, Fibonacci points and ``sample_points`` come back as one
-batch.  Scalars, vector fields and solvable Finsler fields evaluate a whole
-batch in one call (``values``, ``grads``, ``jacobians``, ``evals``,
-``grads_x``, ``grads_y``); the one-point methods (``value``, ``grad``,
-``jacobian``, ``eval``, ``grad_x``, ``grad_y``) are batches of one.
-Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
-and ``lie_derivative`` take one point or a batch with the same formulas.
+Point sets are batches: an (m, 2) array on the torus, an (m, 3) array on the
+sphere and an (m,) array on the circle.  Grids, Fibonacci points and
+``sample_points`` come back as one batch.  Scalars, vector fields and
+solvable Finsler fields evaluate a whole batch in one call (``values``,
+``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``); the one-point
+methods (``value``, ``grad``, ``jacobian``, ``eval``, ``grad_x``, ``grad_y``)
+are batches of one.  Diffeomorphisms (``apply``, ``differential``), pullback
+and averaged fields and ``lie_derivative`` take one point or a batch with the
+same formulas.
 
 A list of vector fields of one class on one manifold is one stacked table
 (``field_tables``), through that class's one stacking rule: torus Fourier
 fields are columns of one coefficient matrix on [1, cos psi, sin psi] over
 their distinct modes (one ``frac``, one phase matrix), sphere polynomial
-fields are columns on the monomials z^j conj(z)^k (one chart split).  A
+fields are columns on the monomials of p / R and on their derivatives.  A
 combination holds basis elements only and contracts its coefficients into
 that matrix, and a single field is a table of one column.
 """
@@ -31,46 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, DegenerateVector
+from .errors import DegenerateVector
 from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm,
                         fibonacci_directions, scale_norm)
 from .averaging import average
-
-CHART_ASSIGN_FACTOR = 1.5
 
 
 # ---------------------------------------------------------------------------
 # manifolds and points
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A sphere point in one chart; (m,) charts with (m, 2) coords are a batch of m points."""
-
-    chart: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-
 def stack_points(points):
     """One batch from a point or a batch (see the module docstring)."""
-    if isinstance(points, ChartPoint):
-        return ChartPoint(np.atleast_1d(points.chart), np.atleast_2d(points.coords))
-    return np.asarray(points, dtype=float).reshape(-1, 2)
-
-
-def _take(points, index):
-    """The rows of a batch at an index: one point for an integer, a batch for an index array."""
-    if isinstance(points, ChartPoint):
-        return ChartPoint(points.chart[index], points.coords[index])
-    return points[index]
-
-
-def _point_count(points):
-    pts = stack_points(points)
-    return len(pts.coords if isinstance(pts, ChartPoint) else pts)
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -109,7 +87,7 @@ class FlatTorus:
 
 
 class Sphere2:
-    """Round 2-sphere of radius R in two stereographic charts."""
+    """Round 2-sphere of radius R: the points p of R^3 with |p| = R."""
 
     dim = 2
 
@@ -118,97 +96,28 @@ class Sphere2:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
-    # The chart formulas below act on a (2,) point or an (m, 2) batch alike.
+    def frame(self, points):
+        """Orthonormal tangent frames (..., 3, 2) at (..., 3) points, with e1 x e2 = p / |p|.
 
-    def transition(self, p):
-        """The chart transition p -> R^2 p / |p|^2 (an involution)."""
-        p = np.asarray(p, dtype=float)
-        u = np.sum(p * p, axis=-1)
-        if np.any(u == 0.0):
-            raise ChartDomainError("transition undefined at the chart origin (pole)")
-        return self.radius**2 * p / u[..., None]
-
-    def transition_jacobian(self, p):
-        p = np.asarray(p, dtype=float)
-        u = np.sum(p * p, axis=-1)[..., None, None]
-        return self.radius**2 * (np.eye(2) * u - 2.0 * p[..., :, None] * p[..., None, :]) / u**2
-
-    def transition_hessian(self, p):
-        """H[i, j, k] = d^2 T_i / dp_j dp_k for the transition map."""
-        p = np.asarray(p, dtype=float)
-        u = np.sum(p * p, axis=-1)[..., None, None, None]
-        pi, pj, pk = p[..., :, None, None], p[..., None, :, None], p[..., None, None, :]
-        eye = np.eye(2)
-        dij, dik, djk = eye[:, :, None], eye[:, None, :], eye[None, :, :]
-        h = (
-            2.0 * (dij * pk - dik * pj - djk * pi) / u**2
-            - 4.0 * pk * (dij * u - 2.0 * pi * pj) / u**3
-        )
-        return self.radius**2 * h
-
-    def chart_point(self, numerator, denominator=1.0 + 0.0j):
-        """Point(s) from projective pairs (P : Q) with z = P/Q in chart 0; scalars or arrays.
-
-        Each point goes to the chart where its coordinate is bounded, so the
-        divisor taken in that chart (Q in chart 0, P in chart 1) is nonzero.
+        The branchless frame of Duff et al., "Building an orthonormal basis,
+        revisited", JCGT 6(1) (2017): accurate at every point, both poles
+        included, and discontinuous across the equator, which no pointwise
+        formula notices.  Points off the sphere by more than 1e-8 R raise.
         """
-        p, q = np.asarray(numerator, dtype=complex), np.asarray(denominator, dtype=complex)
-        if np.any((p == 0) & (q == 0)):
-            raise ChartDomainError("projective pair (0, 0) is not a point")
-        zero = np.abs(p) <= CHART_ASSIGN_FACTOR * self.radius * np.abs(q)
-        ratio = np.where(zero, p, q) / np.where(zero, q, p)
-        z = np.where(zero, ratio, self.radius**2 * ratio.conjugate())
-        return ChartPoint(np.where(zero, 0, 1)[()], np.stack([z.real, z.imag], axis=-1))
-
-    def convert(self, pt, chart):
-        if pt.chart == chart:
-            return pt
-        return ChartPoint(chart, self.transition(pt.coords))
-
-    # These take a ChartPoint: one point, or a batch with (m,) charts.
-
-    def conformal_factor(self, pt):
-        u = np.sum(pt.coords**2, axis=-1)
-        return 2.0 * self.radius**2 / (self.radius**2 + u)
-
-    def conformal_factor_grad(self, pt):
-        u = np.sum(pt.coords**2, axis=-1)
-        lam = 2.0 * self.radius**2 / (self.radius**2 + u)
-        return -lam[..., None] * 2.0 * pt.coords / (self.radius**2 + u)[..., None]
-
-    def ambient(self, pt):
-        """Unit-sphere-scale ambient position (|n| = R)."""
-        r2 = self.radius**2
-        u = np.sum(pt.coords**2, axis=-1)
-        d = r2 + u
-        horizontal = 2.0 * r2 * pt.coords / d[..., None]
-        vertical = self.radius * (u - r2) / d
-        vertical = np.where(np.asarray(pt.chart) == 1, -vertical, vertical)
-        return np.concatenate([horizontal, vertical[..., None]], axis=-1)
-
-    def ambient_jacobian(self, pt):
-        """dn/dcoords, a 3x2 matrix per point."""
-        r2 = self.radius**2
-        p = pt.coords
-        d = (r2 + np.sum(p * p, axis=-1))[..., None, None]
-        horizontal = 2.0 * r2 * (np.eye(2) * d - 2.0 * p[..., :, None] * p[..., None, :]) / d**2
-        vertical = 4.0 * self.radius * r2 * p[..., None, :] / d**2
-        vertical = np.where(np.asarray(pt.chart)[..., None, None] == 1, -vertical, vertical)
-        return np.concatenate([horizontal, vertical], axis=-2)
-
-    def from_ambient(self, n):
-        """Point(s) of ambient positions with |n| = R, a (3,) point or an (m, 3) batch."""
-        n = np.asarray(n, dtype=float)
-        off = np.abs(np.linalg.norm(n, axis=-1) - self.radius)
+        p = np.asarray(points, dtype=float)
+        length = np.sqrt(np.sum(p * p, axis=-1))
+        off = np.abs(length - self.radius)
         if np.any(off > 1e-8 * self.radius):
-            raise ChartDomainError(f"|n| is {off.max():.3e} off the sphere of radius {self.radius}")
-        denom = self.radius - n[..., 2]
-        pole = np.abs(denom) <= 1e-300   # the north pole is the pair (1 : 0)
-        return self.chart_point(np.where(pole, 1.0, (n[..., 0] + 1j * n[..., 1]) * self.radius),
-                                np.where(pole, 0.0, denom))
+            raise ValueError(f"|p| is {off.max():.3e} off the sphere of radius {self.radius}")
+        x, y, z = np.moveaxis(p, -1, 0) / length
+        sign = np.where(z >= 0.0, 1.0, -1.0)
+        a = -1.0 / (sign + z)
+        b = x * y * a
+        e1 = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+        return np.stack([e1, np.stack([b, sign + y * y * a, -y], axis=-1)], axis=-1)
 
     def fibonacci_points(self, count):
-        return self.from_ambient(fibonacci_directions(count) * self.radius)
+        return fibonacci_directions(count) * self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +143,10 @@ class ConstantScalar(ScalarField):
         self.const = float(value)
 
     def values(self, points):
-        return np.full(_point_count(points), self.const)
+        return np.full(len(stack_points(points)), self.const)
 
     def grads(self, points):
-        return np.zeros((_point_count(points), 2))
+        return np.zeros((len(stack_points(points)), 2))
 
 
 class TorusFourierScalar(ScalarField):
@@ -285,7 +194,10 @@ def _fourier_grads(torus, modes, c_cos, c_sin, cos, sin):
 
 
 class AmbientPolyScalar(ScalarField):
-    """Polynomial of degree <= 2 in the ambient coordinates, restricted to the sphere."""
+    """Polynomial of degree <= 2 in the ambient coordinates, restricted to the sphere.
+
+    ``grads`` are the frame components E^T grad rho of its ambient gradient.
+    """
 
     def __init__(self, sphere, const=0.0, linear=None, quadratic=None):
         self.sphere = sphere
@@ -295,14 +207,12 @@ class AmbientPolyScalar(ScalarField):
         self.quadratic = 0.5 * (q + q.T)
 
     def values(self, points):
-        n = self.sphere.ambient(stack_points(points))
-        return self.const + n @ self.linear + np.einsum("mi,ij,mj->m", n, self.quadratic, n)
+        p = stack_points(points)
+        return self.const + p @ self.linear + np.einsum("mi,ij,mj->m", p, self.quadratic, p)
 
     def grads(self, points):
-        pts = stack_points(points)
-        n = self.sphere.ambient(pts)
-        dn = self.sphere.ambient_jacobian(pts)
-        return np.einsum("mi,mij->mj", self.linear + 2.0 * n @ self.quadratic, dn)
+        p = stack_points(points)
+        return np.einsum("mi,mij->mj", self.linear + 2.0 * p @ self.quadratic, self.sphere.frame(p))
 
 
 class CircleFourierScalar:
@@ -383,45 +293,60 @@ class TorusFourierVectorField(VectorField):
 
 
 class SpherePolyVectorField(VectorField):
-    """Vector field on the sphere given by f(z, conj z) d/dz + conj in chart 0.
+    """The tangent projection X(p) = w - (p.w) p / R^2 of a polynomial map w of R^3.
 
-    ``coeffs`` maps (j, k) to the complex coefficient of z^j conj(z)^k.
-    Holomorphic entries (k = 0, degree <= 2) extend to the whole sphere;
-    antiholomorphic monomials are smooth away from the north pole only, which
-    is all the solver's ansatz needs.
+    ``coeffs`` maps exponents (i, j, k) to the (3,) ambient coefficient of the
+    monomial q1^i q2^j q3^k of the unit point q = p / R, and w(p) is R times
+    their sum: the field is R times a function of q, so its frame components
+    scale with R and its frame Jacobian does not.
     """
 
     def __init__(self, sphere, coeffs):
         self.manifold = sphere
-        self.coeffs = {tuple(key): complex(val) for key, val in coeffs.items()}
+        self.coeffs = {tuple(key): np.asarray(val, dtype=float) for key, val in coeffs.items()}
+        self._terms = (np.array(list(self.coeffs), dtype=int).reshape(-1, 3),
+                       np.array(list(self.coeffs.values())).reshape(-1, 3))   # exponents, vectors
 
     @staticmethod
     def _tables(elements, weights, points):
-        """One chart split and one table of the monomials z^j conj(z)^k of all elements,
-        against their (M, A) complex coefficients with the weights contracted in."""
+        """E^T X and E^T DX E from one matmul of the monomials of q = p / R and one of
+        their frame derivatives against the (K, 3, B) coefficients, weights contracted in.
+
+        With E^T q = 0 the projection leaves E^T w in the values and -(q.w) I in
+        the Jacobian: E^T DX E = E^T Dw E - (q.w) I.
+        """
         sphere = elements[0].manifold
-        keys = sorted(set().union(*(el.coeffs for el in elements))) or [(0, 0)]
-        coef = np.array([[el.coeffs.get(key, 0.0) for el in elements] for key in keys]) @ weights
-        j, k = np.array(keys).T
-        one = points.chart == 1
-        q = points.coords[one]
-        p = points.coords.copy()
-        p[one] = sphere.transition(q)
-        z = (p[:, 0] + 1j * p[:, 1])[:, None]
-        zbar = z.conjugate()
-        f = (z**j * zbar**k) @ coef
-        fz = (j * z ** np.maximum(j - 1, 0) * zbar**k) @ coef
-        fzbar = (k * z**j * zbar ** np.maximum(k - 1, 0)) @ coef
-        values = np.stack([f.real, f.imag], axis=1)
-        d = np.stack([fz + fzbar, 1j * (fz - fzbar)], axis=1)   # df/dx, df/dy
-        jac = np.stack([d.real, d.imag], axis=1)
-        # chart 1: V1(q) = T'(p) V0(p) with p = T(q), so
-        # dV1/dq = T''(p)[V0, T'(q) .] + T'(p) dV0/dp T'(q)
-        jp, jq = np.split(sphere.transition_jacobian(np.concatenate([p[one], q])), 2)
-        jac[one] = (np.einsum("mijk,mjb,mkl->milb", sphere.transition_hessian(p[one]), values[one], jq)
-                    + np.einsum("mij,mjkb,mkl->milb", jp, jac[one], jq))
-        values[one] = np.einsum("mij,mjb->mib", jp, values[one])
-        return values, jac
+        exps, coef = _monomial_coefficients(elements)
+        coef = (coef @ weights).reshape(len(exps), 3 * weights.shape[1])
+        # q_j^e from a table of powers; d/dq_l of a monomial is e_l q_l^(e_l - 1) times the others
+        q, frame, axes = points / sphere.radius, sphere.frame(points), np.arange(3)
+        powers = np.ones(q.shape + (exps.max(initial=0) + 1,))
+        for e in range(1, powers.shape[-1]):
+            powers[..., e] = powers[..., e - 1] * q
+        factors = powers[:, axes, exps]
+        lowered = exps * powers[:, axes, np.maximum(exps - 1, 0)]
+        derivatives = lowered * factors[..., [1, 2, 0]] * factors[..., [2, 0, 1]]   # (m, K, l)
+        m, n_fields = len(q), weights.shape[1]
+        rows = np.transpose(frame, (0, 2, 1))
+        w = (factors.prod(axis=-1) @ coef).reshape(m, 3, n_fields)
+        along = (rows @ np.transpose(derivatives, (0, 2, 1))).reshape(2 * m, -1) @ coef   # [m c, i b]
+        jac = rows @ np.transpose(along.reshape(m, 2, 3, n_fields), (0, 2, 1, 3)).reshape(m, 3, -1)
+        jac = jac.reshape(m, 2, 2, n_fields)
+        normal = np.einsum("mi,mib->mb", q, w)
+        jac[:, 0, 0] -= normal
+        jac[:, 1, 1] -= normal
+        return sphere.radius * (rows @ w), jac
+
+
+def _monomial_coefficients(fields):
+    """The distinct exponents (K, 3) of sphere polynomial fields, and their stacked
+    (K, 3, n) coefficients."""
+    exps = np.concatenate([field._terms[0] for field in fields])
+    owner = np.repeat(np.arange(len(fields)), [len(field.coeffs) for field in fields])
+    _, first, row = np.unique(exps @ [1, 1 << 16, 1 << 32], return_index=True, return_inverse=True)
+    coef = np.zeros((len(first), 3, len(fields)))
+    np.add.at(coef, (row, slice(None), owner), np.concatenate([field._terms[1] for field in fields]))
+    return exps[first], coef
 
 
 class CombinationVectorField(VectorField):
@@ -477,23 +402,17 @@ def field_tables(fields, points):
 
 
 def sphere_rotation_generators(sphere):
-    """The three Killing fields of the round metric, cyclic so(3) brackets."""
-    r = sphere.radius
-    return [
-        SpherePolyVectorField(sphere, {(0, 0): 0.5j * r, (2, 0): -0.5j / r}),
-        SpherePolyVectorField(sphere, {(0, 0): 0.5 * r, (2, 0): 0.5 / r}),
-        SpherePolyVectorField(sphere, {(1, 0): 1j}),
-    ]
+    """The three Killing fields p x e_k of the round metric, cyclic so(3) brackets."""
+    units = np.eye(3, dtype=int)
+    cross = np.cross(units[:, None], units)   # e_l x e_k at [l, k]
+    return [SpherePolyVectorField(sphere, {tuple(u): c for u, c in zip(units, cross[:, k])})
+            for k in range(3)]
 
 
 def sphere_gradient_generators(sphere):
-    """Gradient-type conformal fields (non-Killing) completing the conformal algebra."""
-    r = sphere.radius
-    return [
-        SpherePolyVectorField(sphere, {(0, 0): 0.5 * r, (2, 0): -0.5 / r}),
-        SpherePolyVectorField(sphere, {(0, 0): -0.5j * r, (2, 0): -0.5j / r}),
-        SpherePolyVectorField(sphere, {(1, 0): 1.0}),
-    ]
+    """The fields R e_k - (p.e_k) p / R, R^2 times the gradients of the heights p_k / R:
+    with the rotations they span the conformal algebra."""
+    return [SpherePolyVectorField(sphere, {(0, 0, 0): e}) for e in np.eye(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,78 +433,74 @@ class TorusTranslation:
         return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
 
 
-_SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+# (t, x, y, z) as the Hermitian matrix t + x s_1 + y s_2 + z s_3 for the basis s_a below,
+# which is (t - z) (zeta, 1)(zeta, 1)^H on the null cone, zeta = (x + i y) / (t - z)
+_SPIN_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]],
+                       dtype=complex)
+_MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 class MobiusMap:
-    """Fractional linear map z -> (az + b)/(cz + d) on the chart-0 coordinate.
+    """The conformal map of an orthochronous Lorentz matrix L acting on the null cone.
 
-    ``apply`` and ``differential`` take one ``ChartPoint`` or a batch.
+    A point p is the null ray of (R, p), and its image is R q / t for
+    (t, q) = L (R, p).  ``rotation``, ``translation`` and ``scaling`` act on
+    the stereographic coordinate z = R (p1 + i p2) / (R - p3) as a rotation,
+    z -> z + b and z -> s z: a spin matrix M acting on (z / R, 1) acts on the
+    null vectors through L_ab = tr(S_a M S_b M^H) / 2 (Penrose and Rindler,
+    Spinors and Space-Time, vol. 1, ch. 1).  ``apply`` and ``differential``
+    take one (3,) point or an (m, 3) batch, and no point is singular.
     """
 
-    def __init__(self, sphere, matrix):
+    def __init__(self, sphere, lorentz):
         self.manifold = sphere
-        self.matrix = np.asarray(matrix, dtype=complex)
-        # |det M| against |M|_F^2 of the map in units of R (w = z/R): both scale
-        # as s^2 under M -> s M, which maps alike, and neither depends on R
-        r = sphere.radius
-        unit = self.matrix * np.array([[1.0, 1.0 / r], [r, 1.0]])
-        if abs(np.linalg.det(self.matrix)) <= 1e-14 * np.sum(np.abs(unit) ** 2):
-            raise ValueError("Mobius matrix is singular")
+        self.lorentz = np.asarray(lorentz, dtype=float)
+        # L^T eta L = eta up to round-off in the entries of L, which grow with the boost
+        drift = np.max(np.abs(self.lorentz.T @ _MINKOWSKI @ self.lorentz - _MINKOWSKI))
+        if not (self.lorentz[0, 0] > 0.0 and drift <= 1e-10 * np.sum(self.lorentz**2)):
+            raise ValueError("not an orthochronous Lorentz matrix")
+
+    @classmethod
+    def _spin(cls, sphere, matrix):
+        """The map z / R -> (a z / R + b) / (c z / R + d) of matrix [[a, b], [c, d]]."""
+        spin = np.asarray(matrix, dtype=complex)
+        spin = spin / np.sqrt(np.linalg.det(spin))
+        lorentz = 0.5 * np.einsum("aij,jk,bkl,li->ab", _SPIN_BASIS, spin, _SPIN_BASIS, spin.conj().T)
+        return cls(sphere, lorentz.real)
 
     @classmethod
     def rotation(cls, sphere, axis, angle):
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        su2 = np.cos(angle / 2.0) * np.eye(2, dtype=complex) + 1j * np.sin(angle / 2.0) * (
-            axis[0] * _SIGMA[0] + axis[1] * _SIGMA[1] + axis[2] * _SIGMA[2]
-        )
-        r = sphere.radius
-        scale = np.array([[r, 0.0], [0.0, 1.0]], dtype=complex)
-        unscale = np.array([[1.0 / r, 0.0], [0.0, 1.0]], dtype=complex)
-        return cls(sphere, scale @ su2 @ unscale)
+        generator = np.tensordot(axis, _SPIN_BASIS[1:], axes=1)
+        return cls._spin(sphere, np.cos(angle / 2.0) * np.eye(2) + 1j * np.sin(angle / 2.0) * generator)
 
     @classmethod
     def translation(cls, sphere, b):
-        return cls(sphere, [[1.0, complex(b)], [0.0, 1.0]])
+        return cls._spin(sphere, [[1.0, complex(b) / sphere.radius], [0.0, 1.0]])
 
     @classmethod
     def scaling(cls, sphere, s):
-        return cls(sphere, [[complex(s), 0.0], [0.0, 1.0]])
+        return cls._spin(sphere, [[complex(s), 0.0], [0.0, 1.0]])
 
-    def _image_pairs(self, pt):
-        """Chart-1 mask and image pairs (P, Q) = M (p, q); (p, q) is (z, 1) or (R^2, conj w)."""
-        z = pt.coords[..., 0] + 1j * pt.coords[..., 1]
-        one = np.asarray(pt.chart) == 1
-        p = np.where(one, self.manifold.radius**2, z)
-        q = np.where(one, z.conjugate(), 1.0)
-        (a, b), (c, d) = self.matrix
-        return one, a * p + b * q, c * p + d * q
+    def _null_images(self, points):
+        """(t, q) = L (1, p / R): the image direction is q / t."""
+        unit = np.asarray(points, dtype=float) / self.manifold.radius
+        tq = self.lorentz[:, 0] + unit @ self.lorentz[:, 1:].T
+        return tq[..., :1], tq[..., 1:]
 
-    def apply(self, pt):
-        _, big_p, big_q = self._image_pairs(pt)
-        return self.manifold.chart_point(big_p, big_q)
+    def apply(self, points):
+        t, q = self._null_images(points)
+        return self.manifold.radius * q / t
 
-    def differential(self, pt):
-        """Real 2x2 differential from the chart of each point to the chart of its image.
-
-        In the holomorphic coordinates zeta = x + i s y, with s = 1 in chart 0
-        and s = -1 in chart 1 (zeta = conj w), the map is Mobius: with
-        k = det M (chart-0 source) or -R^2 det M (chart-1 source), d zeta'/d zeta
-        is k / Q^2 into chart 0 and -R^2 k / P^2 into chart 1.
-        """
-        one, big_p, big_q = self._image_pairs(pt)
-        out = self.manifold.chart_point(big_p, big_q).chart == 1
-        r2 = self.manifold.radius**2
-        k = np.linalg.det(self.matrix) * np.where(one, -r2, 1.0)
-        deriv = np.where(out, -r2 * k, k) / np.where(out, big_p, big_q) ** 2
-        # columns d zeta'/dx and d zeta'/dy, then the rows Re and s' Im of each
-        cols = deriv[..., None] * np.stack([np.ones(np.shape(one)), np.where(one, -1j, 1j)], -1)
-        return np.stack([cols.real, np.where(out, -1.0, 1.0)[..., None] * cols.imag], axis=-2)
+    def differential(self, points):
+        """E(f(p))^T Df E(p), from the ambient Df = (L_qq - (q / t) L_tq) / t of f(p) = R q / t,
+        where L_qq is the spatial block of L and L_tq its first row past L_tt."""
+        t, q = self._null_images(points)
+        image = q / t
+        df = (self.lorentz[1:, 1:] - image[..., :, None] * self.lorentz[0, 1:]) / t[..., None]
+        frames = self.manifold.frame
+        return np.swapaxes(frames(self.manifold.radius * image), -1, -2) @ df @ frames(points)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +508,7 @@ class MobiusMap:
 
 
 class FinslerField:
-    """Chart-based assignment of a Minkowski norm to each tangent space.
+    """Assignment of a Minkowski norm to each tangent space, in coordinates or in a frame.
 
     Solvable fields implement the batched ``evals`` (m,), ``grads_x`` and
     ``grads_y`` (m, 2) over a batch of points and an (m, 2) array of
@@ -640,7 +555,11 @@ def _checked_directions(ys, floor):
 
 
 class ConstantNormField(FinslerField):
-    """The same Minkowski norm on every tangent space of a flat torus."""
+    """The same Minkowski norm on every tangent space of a flat torus.
+
+    On the sphere only an isotropic norm is meaningful, since the frame turns
+    (``RoundSphereField``).
+    """
 
     def __init__(self, torus, norm):
         self.manifold = torus
@@ -659,28 +578,11 @@ class ConstantNormField(FinslerField):
         return self.norm
 
 
-class RoundSphereField(FinslerField):
-    """The round metric of a 2-sphere in stereographic charts."""
+class RoundSphereField(ConstantNormField):
+    """The round metric of a 2-sphere: the Euclidean norm in the orthonormal frame."""
 
     def __init__(self, sphere):
-        self.manifold = sphere
-
-    def evals(self, points, ys):
-        lengths = np.linalg.norm(_as_directions(ys), axis=-1)
-        return self.manifold.conformal_factor(stack_points(points)) * lengths
-
-    def grads_x(self, points, ys):
-        lengths = np.linalg.norm(_as_directions(ys), axis=-1)
-        return self.manifold.conformal_factor_grad(stack_points(points)) * lengths[:, None]
-
-    def grads_y(self, points, ys):
-        ys, lengths = _checked_directions(ys, 1e-12)
-        lam = self.manifold.conformal_factor(stack_points(points))
-        return lam[:, None] * ys / lengths[:, None]
-
-    def norm_at(self, pt):
-        lam = self.manifold.conformal_factor(pt)
-        return EuclideanNorm(lam**2 * np.eye(2))
+        super().__init__(sphere, EuclideanNorm(np.eye(2)))
 
 
 class ConformalRescaleField(FinslerField):
@@ -785,11 +687,9 @@ class PointwiseAveragedField(FinslerField):
     def _products(self, points, ys):
         """G(x) y for a batch, with ``matrix_at`` called once per distinct point."""
         points = stack_points(points)
-        charted = isinstance(points, ChartPoint)
-        keys = np.column_stack([points.chart, points.coords]) if charted else points
         seen = {}
-        first = [seen.setdefault(key.tobytes(), i) for i, key in enumerate(keys)]
-        mats = {i: self.matrix_at(_take(points, i)) for i in seen.values()}
+        first = [seen.setdefault(point.tobytes(), i) for i, point in enumerate(points)]
+        mats = {i: self.matrix_at(points[i]) for i in seen.values()}
         return np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
 
     def evals(self, points, ys):
@@ -810,7 +710,9 @@ def lie_derivative(field, vector_field, points, ys):
     """(L_V F)(x, y) through the complete lift of V, as an (m,) array over a batch.
 
     Equals V^i dF/dx^i + y^j (dV^i/dx^j) dF/dy^i; the x-derivatives of F are
-    analytic for every solvable field kind.
+    analytic for every solvable field kind.  On the sphere every term is read
+    in the frame, where the frame's own turning along V would add a rotation
+    of y, which a norm isotropic in the frame (every sphere field here) ignores.
     """
     ys, _ = _checked_directions(ys, 1e-12)
     points = stack_points(points)
@@ -838,7 +740,7 @@ def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
     """
     rng = np.random.default_rng(seed)
     points = sample_points(field.manifold, samples, seed=seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(_point_count(points), 2))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(points), 2))
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)   # two directions per point
     pushed = np.einsum("mij,mkj->mki", diffeo.differential(points), ys)
     image = diffeo.apply(points)

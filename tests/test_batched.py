@@ -18,10 +18,9 @@ from finslerfields.conformal_solver import (
 )
 from finslerfields import manifold
 from finslerfields.averaging import average
-from finslerfields.errors import ChartDomainError, DegenerateVector
+from finslerfields.errors import DegenerateVector
 from finslerfields.manifold import (
     AmbientPolyScalar,
-    ChartPoint,
     CombinationVectorField,
     ConformalRescaleField,
     ConstantNormField,
@@ -47,7 +46,7 @@ ASSEMBLY_RTOL = 1e-12
 def reference_assemble(field, basis, collocation):
     """Per-row assembly through the one-point lie_derivative."""
     points, ys = collocation_rows(collocation)
-    return np.array([[lie_derivative(field, el, _one_point(points, i), y)[0] for el in basis.elements]
+    return np.array([[lie_derivative(field, el, points[i], y)[0] for el in basis.elements]
                      for i, y in enumerate(ys)])
 
 
@@ -101,15 +100,15 @@ EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
 def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, case):
     """One stacked evaluation of all elements per assembly, on the P distinct points.
 
-    Torus elements take one ``frac``, sphere elements one chart transition;
-    no scalar is evaluated on its own and no ambient position is formed.
+    Torus elements take one ``frac``, sphere elements one tangent frame; no
+    scalar is evaluated on its own.
     """
     _, field, basis, config = case
     calls = []
 
     def counted(original, label, batch):
         def wrapper(*args):
-            calls.append((label, _point_total(args[batch])))
+            calls.append((label, len(args[batch])))
             return original(*args)
         return wrapper
 
@@ -119,54 +118,41 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
     rule = type(basis.elements[0])
     monkeypatch.setattr(rule, "_tables", staticmethod(counted(rule._tables, "stacked", 2)))
     monkeypatch.setattr(FlatTorus, "frac", counted(FlatTorus.frac, "frac", 1))
-    monkeypatch.setattr(Sphere2, "transition", counted(Sphere2.transition, "transition", 1))
-    monkeypatch.setattr(Sphere2, "ambient", counted(Sphere2.ambient, "ambient", 1))
+    monkeypatch.setattr(Sphere2, "frame", counted(Sphere2.frame, "frame", 1))
     torus = isinstance(basis.manifold, FlatTorus)
     n_points = config.x_density**2 if torus else config.sphere_points
     collocation = build_collocation(basis.manifold, config)
     system = assemble_system(field, basis, collocation)
     assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
     counts = Counter(calls)
-    if torus:
-        assert counts == {("stacked", n_points): 1, ("frac", n_points): 1}
-    else:
-        chart_one = int(np.sum(collocation[0].chart == 1))
-        assert 0 < chart_one < n_points
-        assert counts == {("stacked", n_points): 1, ("transition", chart_one): 1}
+    assert counts == {("stacked", n_points): 1, ("frac" if torus else "frame", n_points): 1}
 
 
 def _reference_tables(basis, points):
     """Element values (m, 2, A) and Jacobians (m, 2, 2, A), element by element.
 
-    Torus elements through their component scalars; sphere elements through
-    the chart-0 monomial sums f, df/dz, df/dconj(z), pushed into chart 1 by
-    the transition differential.
+    Torus elements through their component scalars; sphere elements point by
+    point through the ambient field X = R (w - (q.w) q) of q = p / R and its
+    full ambient Jacobian, read in the frame.
     """
     if isinstance(basis.manifold, FlatTorus):
         values = [np.stack([c.values(points) for c in el.components], axis=-1) for el in basis.elements]
         jacobians = [np.stack([c.grads(points) for c in el.components], axis=1) for el in basis.elements]
         return np.stack(values, axis=-1), np.stack(jacobians, axis=-1)
-    sphere, one = basis.manifold, points.chart == 1
-    p = points.coords.copy()
-    p[one] = sphere.transition(points.coords[one])
-    z = p[:, 0] + 1j * p[:, 1]
-    values, jacobians = [], []
-    for el in basis.elements:
-        f = sum(c * z**j * z.conjugate()**k for (j, k), c in el.coeffs.items())
-        fz = sum(j * c * z ** max(j - 1, 0) * z.conjugate()**k for (j, k), c in el.coeffs.items())
-        fzbar = sum(k * c * z**j * z.conjugate() ** max(k - 1, 0) for (j, k), c in el.coeffs.items())
-        v = np.stack([np.real(f), np.imag(f)], axis=-1) * np.ones((len(z), 1))
-        dfdx, dfdy = fz + fzbar, 1j * (fz - fzbar)
-        jac = np.stack([np.stack([np.real(dfdx), np.real(dfdy)], -1),
-                        np.stack([np.imag(dfdx), np.imag(dfdy)], -1)], axis=1) * np.ones((len(z), 1, 1))
-        for i in np.flatnonzero(one):
-            jq, jp = sphere.transition_jacobian(points.coords[i]), sphere.transition_jacobian(p[i])
-            hess = sphere.transition_hessian(p[i])
-            jac[i] = np.einsum("ijk,j,kl->il", hess, v[i], jq) + jp @ jac[i] @ jq
-            v[i] = jp @ v[i]
-        values.append(v)
-        jacobians.append(jac)
-    return np.stack(values, axis=-1), np.stack(jacobians, axis=-1)
+    sphere = basis.manifold
+    values = np.zeros((len(points), 2, basis.n_fields))
+    jacobians = np.zeros((len(points), 2, 2, basis.n_fields))
+    for i, p in enumerate(points):
+        q, frame = p / sphere.radius, sphere.frame(p)
+        for a, el in enumerate(basis.elements):
+            w = sum(c * np.prod(q ** np.array(e)) for e, c in el.coeffs.items())
+            dw = np.column_stack([
+                sum(c * e[l] * np.prod(q ** np.maximum(np.array(e) - np.eye(3, dtype=int)[l], 0))
+                    for e, c in el.coeffs.items()) for l in range(3)])
+            dx = dw - np.outer(q, w + dw.T @ q) - (q @ w) * np.eye(3)
+            values[i, :, a] = sphere.radius * frame.T @ (w - (q @ w) * q)
+            jacobians[i, :, :, a] = frame.T @ dx @ frame
+    return values, jacobians
 
 
 def _table_cases():
@@ -188,10 +174,11 @@ def test_stacked_tables_match_element_by_element(name, basis, points):
         assert np.max(np.abs(stacked - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def test_sphere_collocation_covers_both_charts():
+def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
     _, _, basis, config = _sphere_cases()[0]
     points, _ = build_collocation(basis.manifold, config)
-    assert set(points.chart) == {0, 1}
+    np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.3, rtol=1e-15)
+    assert points[:, 2].min() < -1.2 and points[:, 2].max() > 1.2
 
 
 def test_rescaled_torus_has_nonzero_grad_x():
@@ -212,7 +199,7 @@ def reference_collocation(manifold, config, offset_points=False):
         points = manifold.fibonacci_points(count)
         base_angle = 0.1309 if not offset_points else 0.4441
     index, ys = [], []
-    for i in range(_point_total(points)):
+    for i in range(len(points)):
         fan = config.n_directions
         angles = np.arange(fan) * (2.0 * np.pi / fan) + base_angle
         if config.n_extra_directions > 0:
@@ -221,7 +208,7 @@ def reference_collocation(manifold, config, offset_points=False):
         for y in np.stack([np.cos(angles), np.sin(angles)], axis=1):
             index.append(i)
             ys.append(y)
-    return _rows(points, np.array(index)), np.array(ys)
+    return points[np.array(index)], np.array(ys)
 
 
 @pytest.mark.parametrize("extra", [0, 2])
@@ -231,14 +218,11 @@ def reference_collocation(manifold, config, offset_points=False):
 def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, extra):
     config = SolverConfig(x_density=5, sphere_points=40, n_extra_directions=extra, seed=3)
     collocation = build_collocation(manifold, config, offset_points)
-    assert collocation[1].shape == (_point_total(collocation[0]), 8 + extra, 2)
+    assert collocation[1].shape == (len(collocation[0]), 8 + extra, 2)
     points, ys = collocation_rows(collocation)
     expected_points, expected_ys = reference_collocation(manifold, config, offset_points)
-    assert ys.shape == (_point_total(points), 2) == (len(expected_ys), 2)
+    assert ys.shape == (len(points), 2) == (len(expected_ys), 2)
     np.testing.assert_array_equal(ys, expected_ys)
-    if isinstance(manifold, Sphere2):
-        np.testing.assert_array_equal(points.chart, expected_points.chart)
-        points, expected_points = points.coords, expected_points.coords
     np.testing.assert_array_equal(points, expected_points)
 
 
@@ -246,8 +230,7 @@ def _basis_cases():
     torus = FlatTorus()
     sphere = Sphere2(0.8)
     torus_points = stack_points(torus.grid_points(5))
-    sphere_points = stack_points(sphere.fibonacci_points(30))
-    assert set(sphere_points.chart) == {0, 1}
+    sphere_points = np.vstack([[0.0, 0.0, 0.8], [0.0, 0.0, -0.8], sphere.fibonacci_points(30)])
     t_basis, s_basis = torus_basis(torus, 2), sphere_basis(sphere, 2)
     rng = np.random.default_rng(3)
     return [
@@ -260,23 +243,17 @@ def _basis_cases():
     ]
 
 
-def _one_point(points, i):
-    if isinstance(points, ChartPoint):
-        return ChartPoint(int(points.chart[i]), points.coords[i])
-    return points[i]
-
-
 BASIS_CASES = _basis_cases()
 
 
 @pytest.mark.parametrize("name,fields,points", BASIS_CASES, ids=[c[0] for c in BASIS_CASES])
 def test_batched_vector_fields_match_one_point_calls(name, fields, points):
-    m = len(points.coords) if isinstance(points, ChartPoint) else len(points)
+    m = len(points)
     for vf in fields:
         values, jacobians = vf.values(points), vf.jacobians(points)
         assert values.shape == (m, 2) and jacobians.shape == (m, 2, 2)
         for i in range(m):
-            pt = _one_point(points, i)
+            pt = points[i]
             np.testing.assert_allclose(values[i], vf.value(pt), rtol=0, atol=1e-13)
             np.testing.assert_allclose(jacobians[i], vf.jacobian(pt), rtol=0, atol=1e-12)
 
@@ -295,38 +272,67 @@ def test_batched_scalars_match_one_point_calls():
     for scalar, pts in cases:
         values, grads = scalar.values(pts), scalar.grads(pts)
         for i in range(len(values)):
-            pt = _one_point(pts, i)
+            pt = pts[i]
             assert values[i] == pytest.approx(scalar.value(pt), abs=1e-13)
             np.testing.assert_allclose(grads[i], scalar.grad(pt), rtol=0, atol=1e-13)
 
 
-def test_chart_one_jacobians_match_finite_differences():
+def _pole_batch(sphere):
+    """Both poles, then seeded points."""
+    rng = np.random.default_rng(2)
+    directions = rng.standard_normal((4, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return sphere.radius * np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], directions])
+
+
+def test_sphere_jacobians_match_finite_differences_along_great_circles():
+    # E^T DX E against differences of the ambient field E X, read in the frame at the point
     sphere = Sphere2(1.3)
-    vf = sphere_basis(sphere, 2).combination(np.linspace(-1.0, 1.0, 12))
-    q = np.array([[0.3, -0.4], [-0.9, 0.2], [0.05, 0.6]])
-    points = ChartPoint(np.ones(3, dtype=int), q)
+    vf = sphere_basis(sphere, 2).combination(np.linspace(-1.0, 1.0, 23))
+    points = _pole_batch(sphere)
+    frames = sphere.frame(points)
     h = 1e-6
-    fd = np.stack([
-        (vf.values(ChartPoint(points.chart, q + h * e)) - vf.values(ChartPoint(points.chart, q - h * e)))
-        / (2 * h)
-        for e in np.eye(2)
-    ], axis=-1)
-    np.testing.assert_allclose(vf.jacobians(points), fd, atol=1e-6)
+
+    def ambient(tangents, s):
+        moved = np.cos(s / 1.3) * points + 1.3 * np.sin(s / 1.3) * tangents
+        return np.einsum("mia,ma->mi", sphere.frame(moved), vf.values(moved))
+
+    fd = np.stack([(ambient(frames[..., a], h) - ambient(frames[..., a], -h)) / (2 * h)
+                   for a in (0, 1)], axis=-1)
+    np.testing.assert_allclose(vf.jacobians(points), np.swapaxes(frames, 1, 2) @ fd, atol=1e-7)
 
 
 def test_sphere_field_without_monomials_is_zero():
-    points = ChartPoint(np.array([0, 1]), np.array([[0.2, 0.1], [0.5, -0.3]]))
+    points = _pole_batch(Sphere2(1.0))
     vf = manifold.SpherePolyVectorField(Sphere2(1.0), {})
-    np.testing.assert_array_equal(vf.values(points), np.zeros((2, 2)))
-    np.testing.assert_array_equal(vf.jacobians(points), np.zeros((2, 2, 2)))
+    np.testing.assert_array_equal(vf.values(points), np.zeros((6, 2)))
+    np.testing.assert_array_equal(vf.jacobians(points), np.zeros((6, 2, 2)))
 
 
-def test_chart_one_origin_in_a_batch_is_rejected():
+def test_frames_tables_and_jets_are_finite_at_both_poles():
+    sphere = Sphere2(1.3)
+    points = _pole_batch(sphere)
+    basis = sphere_basis(sphere, 2)
+    rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5])
+    field = ConformalRescaleField(RoundSphereField(sphere), rho)
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.3
+    fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    collocation = (points, np.broadcast_to(fan, (len(points), 12, 2)))
+    for table in (sphere.frame(points), *manifold.field_tables(basis.elements, points),
+                  assemble_system(field, basis, collocation)):
+        assert np.all(np.isfinite(table))
+    assert np.max(np.abs(assemble_system(field, basis, collocation))) > 0.1
+
+
+def test_point_off_the_sphere_in_a_batch_is_rejected():
     sphere = Sphere2(1.0)
     vf = sphere_basis(sphere, 1).elements[0]
-    points = ChartPoint(np.array([0, 1]), np.array([[0.2, 0.1], [0.0, 0.0]]))
-    with pytest.raises(ChartDomainError):
+    points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 1e-6]])
+    with pytest.raises(ValueError, match="off the sphere"):
         vf.values(points)
+    with pytest.raises(ValueError, match="off the sphere"):
+        lie_derivative(ConformalRescaleField(RoundSphereField(sphere), AmbientPolyScalar(sphere, 2.0)),
+                       vf, points, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("field", [
@@ -337,7 +343,7 @@ def test_chart_one_origin_in_a_batch_is_rejected():
     PointwiseAveragedField(randers_torus_field(FlatTorus()), 64),
 ])
 def test_batched_grad_y_keeps_direction_safeguards(field):
-    points = stack_points(_two_points(field.manifold))
+    points = _two_points(field.manifold)
     good = np.array([[1.0, 0.0], [0.3, -0.7]])
     field.grads_y(points, good)
     with pytest.raises(DegenerateVector):
@@ -345,14 +351,14 @@ def test_batched_grad_y_keeps_direction_safeguards(field):
     with pytest.raises(ValueError):
         field.grads_y(points, np.array([[np.nan, 1.0], [0.3, -0.7]]))
     with pytest.raises(DegenerateVector):
-        field.grad_y(_one_point(points, 0), np.zeros(2))
+        field.grad_y(points[0], np.zeros(2))
     with pytest.raises(ValueError):
-        field.grad_y(_one_point(points, 0), np.array([np.nan, 1.0]))
+        field.grad_y(points[0], np.array([np.nan, 1.0]))
 
 
 def _two_points(manifold):
     if isinstance(manifold, Sphere2):
-        return ChartPoint(np.array([0, 1]), np.array([[0.2, 0.4], [0.5, -0.1]]))
+        return np.array([[0.0, 0.0, -1.0], [0.6, 0.0, 0.8]])
     return np.array([[0.1, 0.2], [0.7, 0.4]])
 
 
@@ -474,45 +480,30 @@ def test_field_tables_rejects_mixed_classes_and_manifolds():
 # diffeomorphisms, pullbacks and averaged fields
 
 
-def _point_total(points):
-    return len(points.coords) if isinstance(points, ChartPoint) else len(points)
-
-
-def _rows(points, index):
-    if isinstance(points, ChartPoint):
-        return ChartPoint(points.chart[index], points.coords[index])
-    return points[index]
-
-
 def _mobius_batch(sphere):
-    """A general Mobius map and a batch covering every pair of source and image charts.
-
-    The batch starts with the chart-1 origin (the north pole) and the map's
-    own pole z = -d/c, whose image is the north pole.
-    """
-    mob = MobiusMap(sphere, [[1.2 + 0.3j, 0.4], [-0.1j, 1.0]])
-    c, d = mob.matrix[1]
-    pole = -d / c
+    """A general Mobius map and a batch with both poles and the preimage of the north pole."""
+    parts = (MobiusMap.translation(sphere, 0.4 - 0.3j), MobiusMap.scaling(sphere, 1.7 + 0.4j),
+             MobiusMap.rotation(sphere, [0.2, -0.7, 0.4], 1.1))
+    mob = MobiusMap(sphere, parts[0].lorentz @ parts[1].lorentz @ parts[2].lorentz)
+    north = np.array([0.0, 0.0, sphere.radius])
     rng = np.random.default_rng(5)
-    charts = np.concatenate([[1, 0], rng.integers(0, 2, size=30)])
-    coords = np.vstack([[0.0, 0.0], [pole.real, pole.imag], rng.uniform(-2.0, 2.0, size=(30, 2))])
-    return mob, ChartPoint(charts, coords)
+    directions = rng.standard_normal((30, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    preimage = MobiusMap(sphere, np.linalg.inv(mob.lorentz)).apply(north)
+    return mob, np.vstack([north, -north, preimage, sphere.radius * directions])
 
 
 def test_mobius_batch_matches_one_point_calls():
-    mob, points = _mobius_batch(Sphere2(1.3))
+    sphere = Sphere2(1.3)
+    mob, points = _mobius_batch(sphere)
     images, jacobians = mob.apply(points), mob.differential(points)
-    assert jacobians.shape == (32, 2, 2)
-    pairs = set()
-    for i in range(32):
-        pt = _one_point(points, i)
-        image = mob.apply(pt)
-        assert images.chart[i] == image.chart
-        np.testing.assert_allclose(images.coords[i], image.coords, rtol=0, atol=1e-13)
+    assert images.shape == (33, 3) and jacobians.shape == (33, 2, 2)
+    assert np.all(np.isfinite(jacobians))
+    for i, pt in enumerate(points):
+        np.testing.assert_allclose(images[i], mob.apply(pt), rtol=0, atol=1e-13)
         np.testing.assert_allclose(jacobians[i], mob.differential(pt), rtol=0, atol=1e-13)
-        pairs.add((pt.chart, int(image.chart)))
-    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert (int(images.chart[1]), *images.coords[1]) == (1, 0.0, 0.0)
+    np.testing.assert_allclose(images[2], [0.0, 0.0, 1.3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(images, axis=1), 1.3, rtol=1e-14)
 
 
 def test_torus_translation_batch_matches_one_point_calls():
@@ -523,17 +514,6 @@ def test_torus_translation_batch_matches_one_point_calls():
     for i, x in enumerate(points):
         np.testing.assert_allclose(shift.apply(points)[i], shift.apply(x), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(shift.differential(points)[i], shift.differential(x))
-
-
-def test_batch_with_a_chart_pole_raises():
-    sphere = Sphere2(1.0)
-    with pytest.raises(ChartDomainError):
-        sphere.chart_point(np.array([0.5, 0.0, 2.0]), np.array([1.0, 0.0, 1.0]))
-    # the antiholomorphic ansatz fields are defined away from the chart-1 origin only
-    vf = sphere_basis(sphere, 2).elements[6]
-    points = ChartPoint(np.array([0, 1, 1]), np.array([[0.2, 0.1], [0.4, -0.3], [0.0, 0.0]]))
-    with pytest.raises(ChartDomainError):
-        lie_derivative(RoundSphereField(sphere), vf, points, np.ones((3, 2)))
 
 
 def _pullback_cases():
@@ -557,12 +537,12 @@ PULLBACK_CASES = _pullback_cases()
                          ids=[c[0] for c in PULLBACK_CASES])
 def test_pullback_matches_the_one_point_chain(name, base, diffeo, points):
     pulled = PullbackField(base, diffeo)
-    m = _point_total(points)
+    m = len(points)
     ys = np.random.default_rng(6).standard_normal((m, 2))
     values, grads = pulled.evals(points, ys), pulled.grads_y(points, ys)
     assert values.shape == (m,) and grads.shape == (m, 2)
     for i in range(m):
-        pt = _one_point(points, i)
+        pt = points[i]
         image, jac = diffeo.apply(pt), diffeo.differential(pt)
         assert values[i] == pytest.approx(base.eval(image, jac @ ys[i]), rel=1e-13)
         np.testing.assert_allclose(grads[i], jac.T @ base.grad_y(image, jac @ ys[i]),
@@ -573,14 +553,14 @@ def _averaged_cases():
     """Averaged fields with a batch of three distinct points, each repeated."""
     torus, sphere = FlatTorus(), Sphere2(1.3)
     rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 0.5, 0.2)])
-    sphere_points = ChartPoint(np.array([0, 1, 1]), np.array([[0.2, 0.4], [0.5, -0.1], [0.0, 0.0]]))
+    sphere_points = np.array([[0.0, 0.0, 1.3], [0.5, -1.2, 0.0], [0.0, 0.0, -1.3]])
     repeat = np.array([0, 1, 2, 0, 2, 2, 1, 0])
     return [
         ("rescaled randers torus",
          PointwiseAveragedField(ConformalRescaleField(randers_torus_field(torus), rho), 64),
          torus.grid_points(2)[[0, 1, 3]][repeat]),
         ("round sphere", PointwiseAveragedField(RoundSphereField(sphere), 64),
-         _rows(sphere_points, repeat)),
+         sphere_points[repeat]),
     ]
 
 
@@ -600,7 +580,7 @@ def test_averaged_field_averages_each_distinct_point_once(monkeypatch, name, fie
     values = field.evals(points, ys)
     assert calls == [64] * 3
     for i in range(8):
-        pt = _one_point(points, i)
+        pt = points[i]
         assert values[i] == pytest.approx(EuclideanNorm(field.matrix_at(pt))(ys[i]), rel=1e-14)
 
 
@@ -609,5 +589,5 @@ def test_averaged_field_grads_y_match_the_averaged_norm(name, field, points):
     ys = np.random.default_rng(8).standard_normal((8, 2))
     grads = field.grads_y(points, ys)
     for i in range(8):
-        expected = EuclideanNorm(field.matrix_at(_one_point(points, i))).gradient(ys[i])
+        expected = EuclideanNorm(field.matrix_at(points[i])).gradient(ys[i])
         np.testing.assert_allclose(grads[i], expected, rtol=1e-14, atol=1e-14)

@@ -6,6 +6,7 @@ import pytest
 from finslerfields import manifold
 from finslerfields.cli import main
 from finslerfields.experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     csv_summary,
     emit_report,
@@ -125,6 +126,29 @@ def test_run_rejects_invalid_settings(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name,degree,message", [
+    ("randers-torus", "4", "x_density 8 < 2 * degree 4 + 1"),
+    ("s2-round", "3", "sphere_basis supports degrees (1, 2), got 3"),
+])
+def test_run_rejects_settings_that_the_solve_meets(tmp_path, capsys, name, degree, message):
+    # met only when the basis is built or the solve starts, yet answered as a bad flag is
+    out = tmp_path / "out"
+    assert main(["run", name, "--degree", degree, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
+    assert not out.exists()
+
+
+def test_run_lets_other_errors_through(tmp_path, monkeypatch):
+    def broken(config):
+        raise ValueError("not a settings error")
+
+    monkeypatch.setitem(EXPERIMENTS, "s2-round", broken)
+    with pytest.raises(ValueError, match="not a settings error"):
+        main(["run", "s2-round", "--out", str(tmp_path / "out")])
+
+
 def test_lie_report_subcommand(tmp_path, capsys):
     cfg = tmp_path / "constants.json"
     cfg.write_text(json.dumps(rotation_algebra().to_dict()))
@@ -153,7 +177,7 @@ def test_emit_report_formats(tmp_path):
 
 @pytest.mark.parametrize("name,system", [
     ("riemannian-torus", {"rows": 640, "factor_rows": 384, "unknowns": 50}),
-    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 12}),
+    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 23}),
 ])
 def test_experiment_json_records_the_system_sizes(tmp_path, name, system):
     report = run_experiment(name, ExperimentConfig(name=name))

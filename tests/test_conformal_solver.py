@@ -33,6 +33,8 @@ from finslerfields.manifold import (
     TorusFourierScalar,
     TorusFourierVectorField,
     TorusTranslation,
+    sphere_gradient_generators,
+    sphere_rotation_generators,
     stack_points,
 )
 from finslerfields.norm_core import EuclideanNorm, RandersNorm
@@ -114,8 +116,10 @@ class TestBasisConstruction:
         assert basis.n_fields == 50
 
     def test_sphere_basis_counts(self):
-        basis = sphere_basis(Sphere2(1.0), 2)
-        assert basis.n_fields == 12
+        # all maps of degree <= d less the identity (d = 1), and the six quadratic
+        # maps that repeat or project to zero on the sphere (d = 2)
+        assert sphere_basis(Sphere2(1.0), 1).n_fields == 11
+        assert sphere_basis(Sphere2(1.0), 2).n_fields == 23
 
     def test_elements_linearly_independent_over_collocation(self):
         for basis in (torus_basis(FlatTorus(), 2), sphere_basis(Sphere2(1.0), 2)):
@@ -136,9 +140,9 @@ class TestAssemble:
         matrix = assemble_system(field, basis, collocation)
         assert np.max(np.abs(matrix)) <= 1e-14
 
-    def test_six_generator_conformal_system_has_six_dim_kernel(self):
+    def test_degree_one_conformal_system_has_six_dim_kernel(self):
         sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, degree=1)  # generators only
+        basis = sphere_basis(sphere, degree=1)  # affine maps: 6 generators and 5 that are not
         report = solve_fields(RoundSphereField(sphere), basis, config=SolverConfig(sphere_points=60))
         assert report.conformal_dim == 6
         assert np.linalg.matrix_rank(report.conformal_basis, tol=1e-10) == 6
@@ -291,11 +295,12 @@ class TestSolveFields:
                               config=SolverConfig(x_density=5))
         assert (report.killing_dim, report.conformal_dim) == (2, 2)
 
+    @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("radius", [1e-6, 1e-4, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e6])
-    def test_passed_verification_is_not_flagged(self, radius):
+    def test_passed_verification_is_not_flagged(self, radius, degree):
         # the ansatz is built in units of the radius, so every scale gives the r = 1 system
         sphere = Sphere2(radius)
-        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 2))
+        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, degree))
         assert (report.killing_dim, report.conformal_dim) == (3, 6)
         assert report.conformal_gap >= 1e4
         assert report.flags == []
@@ -360,7 +365,9 @@ class TestSolveFields:
         # the six generators make the centred system zero up to round-off; its
         # kernel is read against the uncentred system's scale, not its own
         sphere = Sphere2(radius)
-        report = solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 1))
+        basis = FieldBasis(sphere, sphere_rotation_generators(sphere)
+                           + sphere_gradient_generators(sphere), 1)
+        report = solve_fields(RoundSphereField(sphere), basis)
         assert (report.killing_dim, report.conformal_dim) == (3, 6)
         assert report.flags == []
 
@@ -376,6 +383,16 @@ class TestSolveFields:
         assert abs(coeffs[2]) > 0.99  # the polar rotation generator
         assert np.max(np.abs(np.delete(coeffs, 2))) <= 1e-8
         assert report.max_residual <= 10.0 * report.tolerance_used
+
+    def test_rescaled_sphere_keeps_the_conformal_algebra(self):
+        # rho F is conformal to F, so all six conformal fields of the round sphere remain
+        sphere = Sphere2(1.0)
+        rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5])
+        field = ConformalRescaleField(RoundSphereField(sphere), rho)
+        report = solve_fields(field, sphere_basis(sphere, 2))
+        assert (report.killing_dim, report.conformal_dim) == (1, 6)
+        assert report.conformal_gap >= 1e4
+        assert report.flags == []
 
 
 def _factor_solve_cases():

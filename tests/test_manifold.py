@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from finslerfields.errors import ChartDomainError, DegenerateVector
+from finslerfields.conformal_solver import sphere_basis
+from finslerfields.errors import DegenerateVector
 from finslerfields.manifold import (
-    ChartPoint,
+    AmbientPolyScalar,
     Circle,
     CircleFourierScalar,
     CircleNormField,
@@ -39,53 +40,59 @@ def cos_mode_rho(torus):
     return TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
 
 
-class TestSphereCharts:
-    def test_transition_is_involutive(self):
-        sphere = Sphere2(1.3)
-        p = np.array([0.8, -0.4])
-        assert np.max(np.abs(sphere.transition(sphere.transition(p)) - p)) <= 1e-10
+def _sphere_batch(sphere, count=12, seed=0):
+    """Seeded points of the sphere with both poles first."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((count, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return sphere.radius * np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], directions])
 
-    def test_transition_jacobian_and_hessian_match_finite_differences(self):
-        sphere = Sphere2(1.0)
-        p = np.array([0.7, 0.2])
-        h = 1e-6
-        jac_fd = np.stack(
-            [(sphere.transition(p + h * e) - sphere.transition(p - h * e)) / (2 * h)
-             for e in np.eye(2)], axis=1)
-        np.testing.assert_allclose(sphere.transition_jacobian(p), jac_fd, atol=1e-8)
-        hess_fd = np.stack(
-            [(sphere.transition_jacobian(p + h * e) - sphere.transition_jacobian(p - h * e)) / (2 * h)
-             for e in np.eye(2)], axis=2)
-        np.testing.assert_allclose(sphere.transition_hessian(p), hess_fd, atol=1e-7)
 
-    def test_ambient_agrees_across_charts(self):
+def _great_circle(sphere, p, tangent, s):
+    """The point at arc length s from p along the unit tangent vector."""
+    angle = s / sphere.radius
+    return np.cos(angle) * p + sphere.radius * np.sin(angle) * tangent
+
+
+class TestSpherePoints:
+    @pytest.mark.parametrize("radius", [1e-6, 1.3, 1e6])
+    def test_frame_is_orthonormal_tangent_and_right_handed(self, radius):
+        sphere = Sphere2(radius)
+        points = _sphere_batch(sphere)
+        frame = sphere.frame(points)
+        assert frame.shape == (len(points), 3, 2)
+        np.testing.assert_allclose(np.swapaxes(frame, 1, 2) @ frame,
+                                   np.broadcast_to(np.eye(2), (len(points), 2, 2)), atol=1e-15)
+        assert np.max(np.abs(np.einsum("mia,mi->ma", frame, points / radius))) <= 1e-15
+        orientation = np.linalg.det(np.concatenate([frame, points[:, :, None] / radius], axis=2))
+        np.testing.assert_allclose(orientation, 1.0, atol=1e-14)
+
+    def test_fibonacci_points_lie_on_the_sphere_in_both_hemispheres(self):
         sphere = Sphere2(2.0)
-        pt0 = ChartPoint(0, np.array([1.1, -0.6]))
-        pt1 = sphere.convert(pt0, 1)
-        np.testing.assert_allclose(sphere.ambient(pt0), sphere.ambient(pt1), atol=1e-12)
-        assert np.linalg.norm(sphere.ambient(pt0)) == pytest.approx(2.0, abs=1e-12)
+        points = sphere.fibonacci_points(40)
+        np.testing.assert_allclose(np.linalg.norm(points, axis=1), 2.0, rtol=1e-15)
+        assert points[:, 2].min() < -1.9 and points[:, 2].max() > 1.9
 
-    def test_chart_assignment_prefers_bounded_coordinate(self):
-        sphere = Sphere2(1.0)
-        near_north = sphere.chart_point(10.0 + 0.0j)
-        assert near_north.chart == 1
-        assert np.linalg.norm(near_north.coords) <= 0.2
-
-    def test_metric_agrees_on_overlap(self):
-        sphere = Sphere2(1.0)
+    def test_metric_is_the_length_of_the_ambient_vector(self):
+        # the frame is one of many at each point; the round metric reads any of them alike
+        sphere = Sphere2(1.3)
         field = RoundSphereField(sphere)
+        points = _sphere_batch(sphere, 10)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            p = rng.uniform(0.6, 1.4, size=2)  # inside the overlap annulus
-            pt0 = ChartPoint(0, p)
-            pt1 = sphere.convert(pt0, 1)
-            y = rng.standard_normal(2)
-            pushed = sphere.transition_jacobian(p) @ y
-            assert abs(field.eval(pt0, y) - field.eval(pt1, pushed)) <= 1e-8
+        ambient = rng.standard_normal((len(points), 3))
+        tangent = ambient - np.einsum("mi,mi->m", ambient, points)[:, None] * points / 1.3**2
+        ys = np.einsum("mia,mi->ma", sphere.frame(points), tangent)
+        np.testing.assert_allclose(field.evals(points, ys), np.linalg.norm(tangent, axis=1),
+                                   rtol=1e-14)
 
-    def test_pole_transition_rejected(self):
-        with pytest.raises(ChartDomainError):
-            Sphere2(1.0).transition(np.zeros(2))
+    @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e6])
+    def test_points_off_the_sphere_are_rejected(self, radius):
+        sphere = Sphere2(radius)
+        sphere.frame(radius * np.array([0.6, 0.0, 0.8 + 1e-9]))
+        with pytest.raises(ValueError, match="off the sphere"):
+            sphere.frame(radius * np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8 + 1e-7]]))
+        with pytest.raises(ValueError, match="off the sphere"):
+            sphere.frame(np.zeros(3))
 
 
 class TestMetricEval:
@@ -94,10 +101,12 @@ class TestMetricEval:
         for x in torus.grid_points(3):
             assert field.eval(x, np.array([1.0, 0.0])) == pytest.approx(1.5, abs=1e-14)
 
-    def test_round_sphere_origin_factor(self):
-        field = RoundSphereField(Sphere2(1.0))
-        origin = ChartPoint(0, np.zeros(2))
-        assert field.eval(origin, np.array([1.0, 0.0])) == pytest.approx(2.0, abs=1e-14)
+    def test_round_sphere_is_the_frame_length_at_both_poles(self):
+        field = RoundSphereField(Sphere2(1.7))
+        for pole in ([0.0, 0.0, 1.7], [0.0, 0.0, -1.7]):
+            assert field.eval(np.array(pole), np.array([0.6, -0.8])) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_array_equal(field.grad_x(np.array(pole), np.array([0.6, -0.8])),
+                                          np.zeros(2))
 
     def test_conformal_rescale_multiplies(self):
         torus, base = randers_torus()
@@ -107,19 +116,19 @@ class TestMetricEval:
         assert field.eval(x, y) == pytest.approx(3.0 * base.eval(x, y), rel=1e-14)
 
     def test_sphere_rescale_gradients_match_finite_differences(self):
-        from finslerfields.manifold import AmbientPolyScalar
-
-        sphere = Sphere2(1.0)
+        # grad_x is the derivative along the frame vectors at fixed frame components,
+        # which the round factor |y| does not notice: differences along great circles
+        sphere = Sphere2(1.3)
         rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.3, -0.1, 0.5],
                                 quadratic=0.2 * np.eye(3))
         field = ConformalRescaleField(RoundSphereField(sphere), rho)
         y = np.array([0.6, -0.9])
         h = 1e-6
-        for pt in (ChartPoint(0, np.array([0.4, 0.7])), ChartPoint(1, np.array([-0.3, 0.2]))):
+        for pt in _sphere_batch(sphere, 4):
             fd = np.array([
-                (field.eval(ChartPoint(pt.chart, pt.coords + h * e), y)
-                 - field.eval(ChartPoint(pt.chart, pt.coords - h * e), y)) / (2 * h)
-                for e in np.eye(2)
+                (field.eval(_great_circle(sphere, pt, e, h), y)
+                 - field.eval(_great_circle(sphere, pt, e, -h), y)) / (2 * h)
+                for e in sphere.frame(pt).T
             ])
             np.testing.assert_allclose(field.grad_x(pt, y), fd, atol=1e-7)
 
@@ -160,7 +169,7 @@ class TestLieDerivative:
         rng = np.random.default_rng(2)
         points = sphere.fibonacci_points(24)
         for i in range(24):
-            pt = _point_at(points, i)
+            pt = points[i]
             for v in sphere_rotation_generators(sphere):
                 y = rng.standard_normal(2)
                 assert abs(lie_derivative(field, v, pt, y)[0]) <= 1e-8
@@ -168,12 +177,12 @@ class TestLieDerivative:
     def test_translation_flow_is_conformal_with_y_independent_factor(self):
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
-        v = SpherePolyVectorField(sphere, {(0, 0): 0.4})  # generator of z -> z + 0.4 t
+        v = _translation_generator(sphere, 0.4)
         rng = np.random.default_rng(3)
         factors_by_point = []
         points = sphere.fibonacci_points(12)
         for i in range(12):
-            pt = _point_at(points, i)
+            pt = points[i]
             vals = []
             for _ in range(6):
                 y = rng.standard_normal(2)
@@ -185,8 +194,8 @@ class TestLieDerivative:
     def test_flow_oracle_first_order_agreement(self):
         sphere = Sphere2(1.0)
         field = RoundSphereField(sphere)
-        v = SpherePolyVectorField(sphere, {(0, 0): 0.4})
-        pt = ChartPoint(0, np.array([0.5, -0.2]))
+        v = _translation_generator(sphere, 0.4)
+        pt = np.array([0.5, -0.2, np.sqrt(0.71)])
         y = np.array([0.7, 0.3])
         exact = lie_derivative(field, v, pt, y)[0]
         errs = []
@@ -249,7 +258,7 @@ class TestLieDerivative:
         rng = np.random.default_rng(9)
         points = sphere.fibonacci_points(10)
         for i in range(10):
-            pt = _point_at(points, i)
+            pt = points[i]
             y = rng.standard_normal(2)
             coeffs = rng.standard_normal(6)
             combo = CombinationVectorField(elements, coeffs)
@@ -258,19 +267,50 @@ class TestLieDerivative:
             )
             assert abs(lie_derivative(field, combo, pt, y)[0] - expected) <= 1e-10
 
-    def test_chart_invariance_of_the_scalar(self):
-        # evaluating L_V F in either chart representation gives the same number
-        sphere = Sphere2(1.0)
+    def test_rotating_the_sphere_leaves_the_scalar(self):
+        # L_V F at (p, y) equals L_{M V} F at (M p, M y) for a rotation M: the frames at
+        # p and at M p are unrelated, so the scalar does not depend on the frame
+        sphere = Sphere2(1.3)
         field = RoundSphereField(sphere)
-        v = sphere_gradient_generators(sphere)[0]
-        p = np.array([0.9, 0.5])
-        pt0 = ChartPoint(0, p)
-        pt1 = sphere.convert(pt0, 1)
-        y = np.array([0.3, -1.2])
-        pushed = sphere.transition_jacobian(p) @ y
-        assert lie_derivative(field, v, pt0, y)[0] == pytest.approx(
-            lie_derivative(field, v, pt1, pushed)[0], abs=1e-10
-        )
+        matrix = np.array([[0.2, 0.0, 0.0], [-0.4, 0.1, 0.7], [0.0, 0.5, -0.3]])
+        shift = np.array([1.0, 0.0, -0.2])
+        v = _affine_field(sphere, matrix, shift)
+        rot = _rodrigues([0.3, -0.5, 0.8], 0.7)
+        moved = _affine_field(sphere, rot @ matrix @ rot.T, rot @ shift)
+        rng = np.random.default_rng(10)
+        for p in _sphere_batch(sphere, 6):
+            y = np.cross(p, rng.standard_normal(3))
+            here = lie_derivative(field, v, p, sphere.frame(p).T @ y)[0]
+            there = lie_derivative(field, moved, rot @ p, sphere.frame(rot @ p).T @ (rot @ y))[0]
+            assert there == pytest.approx(here, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("rescaled", [False, True], ids=["round", "rescaled"])
+    def test_lie_derivative_is_the_rate_along_the_ambient_flow(self, rescaled):
+        # d/dt F(phi_t p, D phi_t y) at t = 0 by central differences, for each affine ansatz
+        # field: phi_t = exp(t A) for a rotation, RK4 on the flow and its Jacobian otherwise
+        sphere = Sphere2(1.3)
+        field = RoundSphereField(sphere)
+        if rescaled:
+            rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5 / 1.3])
+            field = ConformalRescaleField(field, rho)
+
+        def value(p, v):
+            return field.evals(p, sphere.frame(p).T @ v)[0]
+
+        rng = np.random.default_rng(11)
+        h = 1e-5
+        for element in sphere_basis(sphere, 1).elements:
+            matrix, shift = _affine_parts(element)
+            for p in _sphere_batch(sphere, 4, seed=12):
+                y = np.cross(p, rng.standard_normal(3))
+                if np.array_equal(matrix, -matrix.T) and not shift.any():
+                    steps = [_skew_exp(t * matrix) for t in (h, -h)]
+                    moved = [(step @ p, step @ y) for step in steps]
+                else:
+                    moved = [_rk4_flow(sphere, matrix, shift, p, y, t) for t in (h, -h)]
+                rate = (value(*moved[0]) - value(*moved[1])) / (2 * h)
+                exact = lie_derivative(field, element, p, sphere.frame(p).T @ y)[0]
+                assert abs(rate - exact) <= 1e-8 * value(p, y)
 
 
 class TestPullback:
@@ -291,7 +331,7 @@ class TestPullback:
         rng = np.random.default_rng(7)
         points = sphere.fibonacci_points(20)
         for i in range(20):
-            pt = _point_at(points, i)
+            pt = points[i]
             y = rng.standard_normal(2)
             assert pulled.eval(pt, y) == pytest.approx(field.eval(pt, y), rel=1e-10)
 
@@ -302,7 +342,7 @@ class TestPullback:
         rng = np.random.default_rng(8)
         points = sphere.fibonacci_points(15)
         for i in range(15):
-            pt = _point_at(points, i)
+            pt = points[i]
             ratios = []
             for _ in range(5):
                 y = rng.standard_normal(2)
@@ -314,7 +354,7 @@ class TestPullback:
         field = RoundSphereField(sphere)
         mob = MobiusMap.translation(sphere, 0.3 + 0.1j)
         pulled = PullbackField(field, mob)
-        pt = ChartPoint(0, np.array([0.2, 0.4]))
+        pt = np.array([0.2, 0.4, -np.sqrt(0.8)])
         slice_norm = pulled.norm_at(pt)
         y = np.array([1.1, -0.7])
         assert float(slice_norm(y)) == pytest.approx(pulled.eval(pt, y), rel=1e-12)
@@ -327,7 +367,7 @@ class TestAveragedField:
         averaged = PointwiseAveragedField(field, 256)
         points = sphere.fibonacci_points(6)
         for i in range(6):
-            pt = _point_at(points, i)
+            pt = points[i]
             np.testing.assert_allclose(
                 averaged.matrix_at(pt), field.norm_at(pt).matrix, atol=1e-10
             )
@@ -454,65 +494,101 @@ class TestCircleProfile:
         assert averaged.matrix_at(0.3)[0, 0] == pytest.approx(expected, abs=1e-14)
 
 
+def _stereographic(sphere, points):
+    """z = R (p1 + i p2) / (R - p3), away from the north pole."""
+    r = sphere.radius
+    return r * (points[:, 0] + 1j * points[:, 1]) / (r - points[:, 2])
+
+
+def _from_stereographic(sphere, z):
+    r2 = sphere.radius**2
+    u = np.abs(z) ** 2
+    return sphere.radius * np.stack([2 * sphere.radius * z.real, 2 * sphere.radius * z.imag,
+                                     u - r2], axis=-1) / (u + r2)[:, None]
+
+
+def _general_mobius(sphere):
+    """A Mobius map that is no rotation, translation or scaling on its own."""
+    parts = (MobiusMap.translation(sphere, 0.4 - 0.3j), MobiusMap.scaling(sphere, 1.7 + 0.4j),
+             MobiusMap.rotation(sphere, [0.2, -0.7, 0.4], 1.1))
+    return MobiusMap(sphere, parts[0].lorentz @ parts[1].lorentz @ parts[2].lorentz)
+
+
 class TestMobiusDifferential:
-    def _fd_differential(self, sphere, mob, pt, h=1e-7):
-        image = mob.apply(pt)
-        cols = []
-        for e in np.eye(2):
-            plus = sphere.convert(mob.apply(ChartPoint(pt.chart, pt.coords + h * e)), image.chart)
-            minus = sphere.convert(mob.apply(ChartPoint(pt.chart, pt.coords - h * e)), image.chart)
-            cols.append((plus.coords - minus.coords) / (2 * h))
-        return np.stack(cols, axis=1)
+    def _fd_differential(self, sphere, mob, pt, h=1e-6):
+        """Differences of the image along great circles through pt, read in the image frame."""
+        cols = [(mob.apply(_great_circle(sphere, pt, e, h))
+                 - mob.apply(_great_circle(sphere, pt, e, -h))) / (2 * h) for e in sphere.frame(pt).T]
+        return sphere.frame(mob.apply(pt)).T @ np.stack(cols, axis=1)
 
-    def test_all_chart_combinations(self):
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    def test_differential_matches_finite_differences_at_both_poles(self, radius):
+        sphere = Sphere2(radius)
+        for mob in (_general_mobius(sphere), MobiusMap.scaling(sphere, 3.0),
+                    MobiusMap.translation(sphere, 0.5 * radius)):
+            for pt in _sphere_batch(sphere, 6, seed=1):
+                fd = self._fd_differential(sphere, mob, pt, h=1e-6 * radius)
+                np.testing.assert_allclose(mob.differential(pt), fd, atol=1e-6 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("radius", [1e-6, 1.3, 1e6])
+    def test_constructors_match_their_closed_forms(self, radius):
+        sphere = Sphere2(radius)
+        points = _sphere_batch(sphere, 20, seed=2)
+        north, rest = points[0], points[1:]
+        rot = MobiusMap.rotation(sphere, [0.3, -0.5, 0.8], 0.7)
+        np.testing.assert_allclose(rot.apply(points), points @ _rodrigues([0.3, -0.5, 0.8], 0.7).T,
+                                   rtol=0, atol=1e-14 * radius)
+        for scale in (2.5, 0.8 + 0.6j, 1e-8, 1e8):
+            mob = MobiusMap.scaling(sphere, scale)
+            np.testing.assert_allclose(mob.apply(north), north, rtol=0, atol=1e-15 * radius)
+            expected = _from_stereographic(sphere, scale * _stereographic(sphere, rest))
+            np.testing.assert_allclose(mob.apply(rest), expected, rtol=0, atol=1e-12 * radius)
+        for shift in (0.3, 0.4 - 1.2j):
+            mob = MobiusMap.translation(sphere, shift * radius)
+            np.testing.assert_allclose(mob.apply(north), north, rtol=0, atol=1e-15 * radius)
+            expected = _from_stereographic(sphere, _stereographic(sphere, rest) + shift * radius)
+            np.testing.assert_allclose(mob.apply(rest), expected, rtol=0, atol=1e-13 * radius)
+
+    def test_rotation_differential_is_the_rotation_in_the_frames(self):
+        sphere = Sphere2(1.3)
+        points = _sphere_batch(sphere, 8, seed=3)
+        matrix = _rodrigues([1.0, 2.0, -0.5], 2.2)
+        rot = MobiusMap.rotation(sphere, [1.0, 2.0, -0.5], 2.2)
+        expected = np.swapaxes(sphere.frame(points @ matrix.T), 1, 2) @ matrix @ sphere.frame(points)
+        np.testing.assert_allclose(rot.differential(points), expected, rtol=0, atol=1e-14)
+
+    def test_identity_matrix_is_the_identity(self):
         sphere = Sphere2(1.0)
-        mob = MobiusMap(sphere, [[1.2 + 0.3j, 0.4], [-0.1j, 1.0]])
-        cases = [
-            ChartPoint(0, np.array([0.2, 0.1])),    # stays in chart 0
-            ChartPoint(0, np.array([1.2, 0.9])),    # crosses into chart 1
-            ChartPoint(1, np.array([0.15, -0.1])),  # near-pole source
-            ChartPoint(1, np.array([1.1, 0.8])),    # chart 1 to chart 0
-        ]
-        for pt in cases:
-            jac = mob.differential(pt)
-            fd = self._fd_differential(sphere, mob, pt)
-            np.testing.assert_allclose(jac, fd, atol=1e-6)
+        mob = MobiusMap(sphere, np.eye(4))
+        points = _sphere_batch(sphere, 3)
+        np.testing.assert_array_equal(mob.apply(points), points)
+        identity = np.broadcast_to(np.eye(2), (len(points), 2, 2))
+        np.testing.assert_allclose(mob.differential(points), identity, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("scale", [1e-8, 1e8])
-    def test_scaled_identity_is_accepted_as_the_identity(self, scale):
-        sphere = Sphere2(1.0)
-        mob = MobiusMap(sphere, scale * np.eye(2))
-        points = ChartPoint(np.array([0, 0, 1]), np.array([[0.2, 0.1], [1.0, -0.9], [0.3, 0.4]]))
-        image = mob.apply(points)
-        np.testing.assert_array_equal(image.chart, points.chart)
-        np.testing.assert_allclose(image.coords, points.coords, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(mob.differential(points), np.broadcast_to(np.eye(2), (3, 2, 2)),
-                                   rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-8])
-    def test_singular_matrix_is_rejected_at_any_scale(self, scale):
-        with pytest.raises(ValueError, match="singular"):
-            MobiusMap(Sphere2(1.0), scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+    @pytest.mark.parametrize("matrix", [2.0 * np.eye(4), np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                        np.zeros((4, 4)), np.full((4, 4), np.nan)],
+                             ids=["scaled", "time-reversing", "zero", "nan"])
+    def test_non_lorentz_matrix_is_rejected(self, matrix):
+        with pytest.raises(ValueError, match="Lorentz"):
+            MobiusMap(Sphere2(1.0), matrix)
 
     @pytest.mark.parametrize("radius", [1e-8, 1.0, 1e8])
     def test_rotation_is_accepted_at_any_radius(self, radius):
         sphere = Sphere2(radius)
         quarter = MobiusMap.rotation(sphere, [0.0, 0.0, 1.0], 0.5 * np.pi)
-        pt = ChartPoint(0, radius * np.array([0.3, 0.2]))
-        # the rotation about the polar axis multiplies z by a unit complex number
-        image = quarter.apply(pt)
-        assert image.chart == 0
-        assert np.linalg.norm(image.coords) == pytest.approx(np.linalg.norm(pt.coords), rel=1e-12)
+        pt = radius * np.array([0.6, 0.0, 0.8])
+        # the rotation about the polar axis turns (p1, p2) and keeps p3
+        np.testing.assert_allclose(quarter.apply(pt), radius * np.array([0.0, 0.6, 0.8]),
+                                   rtol=0, atol=1e-15 * radius)
 
     def test_rotation_composition_matches(self):
         sphere = Sphere2(1.0)
         first = MobiusMap.rotation(sphere, [1.0, 0.0, 0.0], 0.4)
         second = MobiusMap.rotation(sphere, [0.0, 1.0, 0.0], 0.9)
-        composed = MobiusMap(sphere, second.matrix @ first.matrix)
-        pt = ChartPoint(0, np.array([0.5, -0.3]))
+        composed = MobiusMap(sphere, second.lorentz @ first.lorentz)
+        pt = np.array([0.5, -0.3, np.sqrt(0.66)])
         step1 = first.apply(pt)
-        two_steps = sphere.convert(second.apply(step1), composed.apply(pt).chart)
-        np.testing.assert_allclose(composed.apply(pt).coords, two_steps.coords, atol=1e-12)
+        np.testing.assert_allclose(composed.apply(pt), second.apply(step1), atol=1e-12)
         chained = second.differential(step1) @ first.differential(pt)
         np.testing.assert_allclose(composed.differential(pt), chained, atol=1e-10)
 
@@ -539,28 +615,82 @@ class TestVectorFieldRepresentations:
             np.testing.assert_allclose(v.value(x + shift), v.value(x), atol=1e-12)
             np.testing.assert_allclose(v.jacobian(x + shift), v.jacobian(x), atol=1e-12)
 
-    def test_sphere_field_jacobian_matches_finite_differences_in_second_chart(self):
-        sphere = Sphere2(1.0)
-        v = SpherePolyVectorField(sphere, {(1, 1): 0.6 + 0.2j, (0, 2): -0.4j})
-        q = np.array([0.8, -0.5])
-        pt = ChartPoint(1, q)
+    def test_sphere_field_jacobian_matches_finite_differences_at_both_poles(self):
+        # E^T DX E: differences of the ambient field E X along great circles, read in the frame
+        sphere = Sphere2(1.3)
+        v = SpherePolyVectorField(sphere, {(1, 1, 0): [0.6, 0.2, -0.1], (0, 0, 2): [0.0, -0.4, 0.3],
+                                           (0, 1, 0): [1.0, 0.0, 0.5]})
         h = 1e-6
-        fd = np.stack(
-            [(v.value(ChartPoint(1, q + h * e)) - v.value(ChartPoint(1, q - h * e))) / (2 * h)
-             for e in np.eye(2)], axis=1)
-        np.testing.assert_allclose(v.jacobian(pt), fd, atol=1e-7)
+
+        def ambient(p):
+            return sphere.frame(p) @ v.value(p)
+
+        for pt in _sphere_batch(sphere, 4, seed=4):
+            fd = np.stack([(ambient(_great_circle(sphere, pt, e, h))
+                            - ambient(_great_circle(sphere, pt, e, -h))) / (2 * h)
+                           for e in sphere.frame(pt).T], axis=1)
+            np.testing.assert_allclose(v.jacobian(pt), sphere.frame(pt).T @ fd, atol=1e-8)
 
     def test_rotation_generators_close_cyclically(self):
         sphere = Sphere2(1.0)
         r1, r2, r3 = sphere_rotation_generators(sphere)
-        pt = ChartPoint(0, np.array([0.3, 0.8]))
+        pt = np.array([0.3, 0.8, -np.sqrt(0.27)])
         bracket = r2.jacobian(pt) @ r1.value(pt) - r1.jacobian(pt) @ r2.value(pt)
         np.testing.assert_allclose(bracket, r3.value(pt), atol=1e-12)
 
 
-def _point_at(points, i):
-    """Point i of a sphere batch."""
-    return ChartPoint(points.chart[i], points.coords[i])
+def _affine_field(sphere, matrix, shift):
+    """The tangent projection of w(q) = matrix q + shift, q = p / R."""
+    units = [tuple(u) for u in np.eye(3, dtype=int)]
+    return SpherePolyVectorField(sphere, {(0, 0, 0): shift, **dict(zip(units, np.transpose(matrix)))})
+
+
+def _affine_parts(field):
+    """(matrix, shift) of a field of degree <= 1."""
+    zero = np.zeros(3)
+    units = [tuple(u) for u in np.eye(3, dtype=int)]
+    assert set(field.coeffs) <= {(0, 0, 0), *units}
+    return (np.column_stack([field.coeffs.get(u, zero) for u in units]),
+            field.coeffs.get((0, 0, 0), zero))
+
+
+def _translation_generator(sphere, b):
+    """The generator of z -> z + b t in z = R (p1 + i p2) / (R - p3), for real b."""
+    matrix = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return _affine_field(sphere, b / sphere.radius * matrix, b / sphere.radius * np.eye(3)[0])
+
+
+def _rodrigues(axis, angle):
+    """The rotation by angle about axis, counterclockwise seen from its tip."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.cross(k, np.eye(3)).T    # cross @ v = k x v
+    return np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+
+
+def _skew_exp(skew):
+    """exp of a skew 3x3 matrix."""
+    axis = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
+    angle = np.linalg.norm(axis)
+    return np.eye(3) if angle == 0.0 else _rodrigues(axis, angle)
+
+
+def _rk4_flow(sphere, matrix, shift, p, y, t):
+    """One RK4 step of length t for the ambient flow of the projected affine field and
+    its Jacobian acting on y: (phi_t p, D phi_t y)."""
+    r2 = sphere.radius**2
+
+    def rates(state):
+        x, v = state
+        w = matrix @ x + sphere.radius * shift
+        jac = matrix - np.outer(x, w + matrix.T @ x) / r2 - (x @ w) / r2 * np.eye(3)
+        return np.array([w - (x @ w) * x / r2, jac @ v])
+
+    state = np.array([p, y], dtype=float)
+    k1 = rates(state)
+    k2 = rates(state + 0.5 * t * k1)
+    k3 = rates(state + 0.5 * t * k2)
+    k4 = rates(state + t * k3)
+    return state + t * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def _scaled_scalar(scalar, factor):
