@@ -44,7 +44,6 @@ from .conformal_solver import (
     assemble_system,
     build_collocation,
     extract_structure_constants,
-    lie_bracket_fields,
     null_space,
     solve_fields,
     sphere_basis,

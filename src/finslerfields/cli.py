@@ -88,7 +88,7 @@ def cmd_run(args):
         return 2
     args.out.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        emit_report(report, args.out / f"{report.name}.json", fmt="json")
+        emit_report(report, args.out / f"{report.name}.json")
         status = "pass" if report.passed else "FAIL"
         dims = ""
         if report.killing_dim is not None:
@@ -148,13 +148,14 @@ def _field_from_config(cfg):
 
 def cmd_solve_fields(args):
     cfg = _load_json(args.config)
+    # as in cmd_run: the solver section, the basis or the solve may reject the settings
     try:
         solver_cfg = solver.SolverConfig(**cfg.get("solver", {}))
-    except ValueError as exc:
-        print(f"invalid solver settings: {exc}", file=sys.stderr)
+        field, basis = _field_from_config(cfg)
+        report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
+    except InvalidSettings as exc:
+        print(f"invalid settings: {exc}", file=sys.stderr)
         return 2
-    field, basis = _field_from_config(cfg)
-    report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
     doc = {
         "experiment": cfg.get("name", "solve-fields"),
         "manifold": cfg["manifold"],

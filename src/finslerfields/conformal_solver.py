@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ClosureFailure, InvalidSettings, UnderdeterminedSystem
-from .lie_algebra import bracket_constants, null_space
+from .errors import InvalidSettings, UnderdeterminedSystem
+from .lie_algebra import RANK_TOL, bracket_constants, null_space
 from .manifold import (
     CombinationVectorField,
     FlatTorus,
@@ -38,6 +38,8 @@ MIN_ROW_FACTOR = 3
 GAP_WARN = 1e2
 # A verification residual above this multiple of ``tolerance_used`` fails the self-check.
 VERIFY_TOL_FACTOR = 10.0
+# Largest pointwise residual of the brackets of extracted fields re-expanded in their span.
+BRACKET_TOL = 1e-6
 
 
 def torus_fourier_modes(degree):
@@ -322,34 +324,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
 # bracket and algebra extraction
 
 
-def _bracket_values(values, jacobians, first, second):
-    """[V, W] = DW V - DV W for the pairs (first, second) of fields in (m, 2, B) value and
-    (m, 2, 2, B) Jacobian tables, one column per pair, flattened point by point."""
-    brackets = (np.einsum("mijp,mjp->mip", jacobians[..., second], values[..., first])
-                - np.einsum("mijp,mjp->mip", jacobians[..., first], values[..., second]))
-    return brackets.reshape(2 * len(brackets), -1)
-
-
-def lie_bracket_fields(v, w, basis, sample_count=40, tol=1e-6):
-    """Bracket [V, W] re-expanded in the basis by least squares.
-
-    The basis elements, V and W are evaluated in one stacked table.  Returns
-    the expanded field and the pointwise expansion residual; raises
-    ClosureFailure when the bracket leaves the span of the basis.
-    """
-    points = sample_points(basis.manifold, sample_count, seed=11)
-    n = basis.n_fields
-    values, jacobians = field_tables(basis.elements + [v, w], points)
-    emat = values[..., :n].reshape(-1, n)
-    target = _bracket_values(values, jacobians, [n], [n + 1])[:, 0]
-    coeffs, *_ = np.linalg.lstsq(emat, target, rcond=None)
-    residual = float(np.max(np.abs(emat @ coeffs - target)))
-    if residual > tol:
-        raise ClosureFailure(residual, f"bracket leaves the basis span (residual {residual:.3e})")
-    return basis.combination(coeffs), residual
-
-
-def extract_structure_constants(fields, sample_count=60, tol=1e-6):
+def extract_structure_constants(fields, sample_count=60):
     """Structure constants of a list of fields whose brackets close in their span.
 
     The fields are evaluated in one stacked table (combinations of the same
@@ -361,11 +336,14 @@ def extract_structure_constants(fields, sample_count=60, tol=1e-6):
     points = sample_points(fields[0].manifold, sample_count, seed=11)
     values, jacobians = field_tables(fields, points)
     first, second = np.triu_indices(len(fields), 1)
-    targets = _bracket_values(values, jacobians, first, second)
-    return bracket_constants(values.reshape(-1, len(fields)), targets, tol)
+    # [V, W] = DW V - DV W, one column per pair, flattened point by point as the values are
+    brackets = (np.einsum("mijp,mjp->mip", jacobians[..., second], values[..., first])
+                - np.einsum("mijp,mjp->mip", jacobians[..., first], values[..., second]))
+    generators = values.reshape(-1, len(fields))
+    return bracket_constants(generators, brackets.reshape(len(generators), -1), BRACKET_TOL)
 
 
-def transitivity_check(fields, points, threshold_ratio=1e-8):
+def transitivity_check(fields, points):
     """Whether the fields span the tangent space at each point."""
     if not fields:
         raise ValueError("need at least one field")
@@ -373,7 +351,7 @@ def transitivity_check(fields, points, threshold_ratio=1e-8):
     frames = field_tables(fields, points)[0].transpose(0, 2, 1)
     svals = np.linalg.svd(frames, compute_uv=False)
     smax = np.maximum(svals[:, 0], 1e-300)
-    ranks = (svals > threshold_ratio * smax[:, None]).sum(axis=1)
+    ranks = (svals > RANK_TOL * smax[:, None]).sum(axis=1)
     return [bool(rank >= needed) for rank in ranks]
 
 

@@ -382,13 +382,8 @@ def csv_summary(reports, path=None):
     return text
 
 
-def emit_report(report, path, fmt="json"):
-    """Write one report as a JSON document or a one-row CSV summary."""
+def emit_report(report, path):
+    """Write one report as a JSON document."""
     path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-    elif fmt == "csv":
-        csv_summary([report], path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
     return path

@@ -3,8 +3,8 @@
 Provides the Killing form, solvability via the derived series and via the
 Cartan criterion, the Killing-form radical, semisimplicity and nilpotency of
 adjoint maps, and the compact-type decomposition into derived algebra plus
-center.  All rank decisions use a relative singular-value threshold so that
-dimension counts are auditable.
+center.  The diagnostics decide every rank with one relative singular-value
+threshold, ``RANK_TOL``, so that dimension counts are auditable.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def null_space(matrix, tol_ratio=RANK_TOL, reference=None):
     return dim, basis, padded
 
 
-def _orth_basis(vectors, tol=RANK_TOL):
+def _orth_basis(vectors):
     """Orthonormal basis (rows) of the span of a stack of row vectors."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.size == 0:
@@ -118,7 +118,7 @@ def _orth_basis(vectors, tol=RANK_TOL):
     _, svals, vt = np.linalg.svd(vectors, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return np.zeros((0, vectors.shape[1]))
-    rank = int((svals > tol * svals[0]).sum())
+    rank = int((svals > RANK_TOL * svals[0]).sum())
     return vt[:rank]
 
 
@@ -147,28 +147,28 @@ def derived_subspace(algebra):
     return _bracket_span(algebra, np.eye(algebra.dim), np.eye(algebra.dim))
 
 
-def cartan_solvability(algebra, tol=RANK_TOL):
+def cartan_solvability(algebra):
     """Solvability via B(g, [g, g]) = 0."""
     derived = derived_subspace(algebra)
     if derived.shape[0] == 0:
         return True
     gram = killing_gram(algebra)
     worst = float(np.max(np.abs(gram @ derived.T)))
-    return worst <= tol
+    return worst <= RANK_TOL
 
 
-def killing_radical(algebra, tol=RANK_TOL):
+def killing_radical(algebra):
     """Kernel of the Killing form, verified to be a solvable ideal.
 
     Returns an orthonormal row basis; raises IdealCheckError when the kernel
     fails the ideal property, which signals broken input constants.
     """
-    _, radical, _ = null_space(killing_gram(algebra), tol)
+    _, radical, _ = null_space(killing_gram(algebra))
     if radical.shape[0] not in (0, algebra.dim):
         # rows [e_i, r] for every basis vector e_i and radical vector r
         brackets = np.einsum("rj,ijk->irk", radical, algebra.constants)
         worst = float(np.max(np.abs(brackets - brackets @ (radical.T @ radical))))
-        if worst > tol:
+        if worst > RANK_TOL:
             raise IdealCheckError(f"Killing-form kernel is not an ideal (residual {worst:.3e})")
     if radical.shape[0] > 0:
         sub, _ = subalgebra_constants(algebra, radical)
@@ -195,18 +195,18 @@ def bracket_constants(generators, brackets, tol):
     return LieAlgebraSC(constants), worst
 
 
-def subalgebra_constants(algebra, basis, tol=1e-8):
+def subalgebra_constants(algebra, basis):
     """Structure constants of the span of the given (row) basis vectors."""
     basis = np.asarray(basis, dtype=float)
     first, second = np.triu_indices(len(basis), 1)
     brackets = np.einsum("pi,pj,ijk->kp", basis[first], basis[second], algebra.constants)
-    return bracket_constants(basis.T, brackets, tol)
+    return bracket_constants(basis.T, brackets, RANK_TOL)
 
 
-def ad_semisimple(algebra, u, tol=RANK_TOL):
+def ad_semisimple(algebra, u):
     """Whether ad(u) is diagonalizable over C.
 
-    Eigenvalues are clustered with radius tol * smax; each cluster must have
+    Eigenvalues are clustered with radius RANK_TOL * smax; each cluster must have
     geometric multiplicity equal to its size.  A warning is emitted when the
     clustering is ambiguous (distinct eigenvalues within 10x of the radius).
     """
@@ -214,7 +214,7 @@ def ad_semisimple(algebra, u, tol=RANK_TOL):
     smax = float(np.linalg.norm(mat, 2))
     if smax <= 1e-300:
         return True
-    radius = tol * smax
+    radius = RANK_TOL * smax
     eigs = np.linalg.eigvals(mat)
     clusters = []
     for lam in sorted(eigs, key=lambda z: (z.real, z.imag)):
@@ -242,21 +242,21 @@ def ad_semisimple(algebra, u, tol=RANK_TOL):
     return True
 
 
-def ad_nilpotent(algebra, u, tol=RANK_TOL):
+def ad_nilpotent(algebra, u):
     """Whether ad(u)^n vanishes relative to |ad(u)|^n."""
     mat = ad_matrix(algebra, u)
     norm = float(np.linalg.norm(mat, 2))
     if norm <= 1e-300:
         return True
     power = np.linalg.matrix_power(mat, algebra.dim)
-    return float(np.linalg.norm(power, 2)) <= tol * norm**algebra.dim
+    return float(np.linalg.norm(power, 2)) <= RANK_TOL * norm**algebra.dim
 
 
-def center_basis(algebra, tol=RANK_TOL):
+def center_basis(algebra):
     """Orthonormal basis of {u : [u, g] = 0}."""
     # u is central iff u^T C = 0 for the (n, n^2) stacked constants C: the kernel of the tall C^T
     n = algebra.dim
-    return null_space(algebra.constants.reshape(n, n * n).T, tol)[1]
+    return null_space(algebra.constants.reshape(n, n * n).T)[1]
 
 
 @dataclass
@@ -271,7 +271,7 @@ class CompactDecompositionReport:
     kernel_equals_center: bool
 
 
-def compact_decomposition_check(algebra, tol=RANK_TOL):
+def compact_decomposition_check(algebra):
     """For negative-semidefinite Killing form, verify g = [g, g] (+) center.
 
     When the Killing form has a positive eigenvalue the report only records
@@ -280,7 +280,7 @@ def compact_decomposition_check(algebra, tol=RANK_TOL):
     gram = killing_gram(algebra)
     eigs = np.linalg.eigvalsh(gram)
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    compact = bool(eigs[-1] <= tol * scale)
+    compact = bool(eigs[-1] <= RANK_TOL * scale)
     derived = derived_subspace(algebra)
     center = center_basis(algebra)
     if not compact:
@@ -312,12 +312,12 @@ def compact_decomposition_check(algebra, tol=RANK_TOL):
     )
 
 
-def killing_signature(algebra, tol=RANK_TOL):
+def killing_signature(algebra):
     """(positive, negative, zero) eigenvalue counts of the Killing-form Gram matrix."""
     eigs = np.linalg.eigvalsh(killing_gram(algebra))
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    pos = int((eigs > tol * scale).sum())
-    neg = int((eigs < -tol * scale).sum())
+    pos = int((eigs > RANK_TOL * scale).sum())
+    neg = int((eigs < -RANK_TOL * scale).sum())
     return pos, neg, algebra.dim - pos - neg
 
 

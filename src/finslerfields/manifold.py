@@ -749,13 +749,16 @@ def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
     return float(np.max(np.abs(ratio - mapped)))
 
 
+# Largest spread of the reversibility ratio that still counts as constant.
+LAMBDA_TOL = 1e-10
+
+
 @dataclass
 class LambdaProfile:
     xs: np.ndarray
     values: np.ndarray
     spread: float
     constant: bool
-    tol: float
 
     def to_csv(self, path):
         lines = ["x,value"]
@@ -765,11 +768,11 @@ class LambdaProfile:
         return path
 
 
-def circle_lambda_profile(field, grid=256, tol=1e-10):
-    """Reversibility ratio along a circle field and a constancy flag."""
+def circle_lambda_profile(field, grid=256):
+    """Reversibility ratio along a circle field and a constancy flag (spread <= LAMBDA_TOL)."""
     if not isinstance(field.manifold, Circle):
         raise ValueError("lambda profile is defined for circle fields")
     xs = field.manifold.sample_points(grid)
     values = field.ratio(xs)
     spread = float(values.max() - values.min())
-    return LambdaProfile(xs=xs, values=values, spread=spread, constant=spread <= tol, tol=tol)
+    return LambdaProfile(xs=xs, values=values, spread=spread, constant=spread <= LAMBDA_TOL)

@@ -16,11 +16,16 @@ import numpy as np
 from .errors import ConvexityViolation, DegenerateVector, InadmissibleNorm
 
 DEGENERATE_FLOOR = 1e-8
-DEFAULT_FD_STEP = 1e-5
-# Central second differences carry about 4 eps / step**2 of roundoff, so
-# Hessians take a step near eps**(1/4) rather than the gradients' step.
+# Central-difference steps relative to |y|.  Second differences carry about
+# 4 eps / step**2 of roundoff, so Hessians take a step near eps**(1/4)
+# rather than the gradients' step.
+GRADIENT_FD_STEP = 1e-5
 HESSIAN_FD_STEP = 1e-4
+# Axiom gates: smallest tensor eigenvalue over the largest, relative
+# homogeneity residual, and smallest sampled value of F.
 PD_RATIO = 1e-8
+HOMOGENEITY_TOL = 1e-10
+POSITIVITY_FLOOR = 1e-12
 
 
 def _check_spd(mat, name):
@@ -130,57 +135,40 @@ class MinkowskiNorm:
             raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {DEGENERATE_FLOOR:.0e}")
         return ys
 
-    def gradient(self, y, step=DEFAULT_FD_STEP):
+    def gradient(self, y):
         """Gradient of F at one nonzero vector: a batch of one."""
-        return self.gradient_batch(np.asarray(y, dtype=float)[None], step=step)[0]
+        return self.gradient_batch(np.asarray(y, dtype=float)[None])[0]
 
-    def gradient_batch(self, ys, step=DEFAULT_FD_STEP):
-        """Gradients of F at an (m, dim) batch of nonzero vectors.
+    def gradient_batch(self, ys):
+        """Gradients of F at an (m, dim) batch of nonzero vectors."""
+        return self._gradients(self._checked(ys))
 
-        ``step`` is the relative finite-difference step of families without a
-        closed-form gradient.
-        """
-        return self._gradients(self._checked(ys), step)
-
-    def _gradients(self, ys, step):
+    def _gradients(self, ys):
         raise NotImplementedError
 
     def _tensors(self, ys):
         """Closed-form Hessians of F^2/2 at checked rows, or None without a closed form."""
         return None
 
-    def tensor_batch(self, ys, scheme="auto", step=HESSIAN_FD_STEP):
+    def tensor_batch(self, ys):
         """Hessians of F^2/2 at an (m, dim) batch, without the positive-definiteness gate.
 
-        ``scheme`` "auto" takes the closed form when the family has one and
-        central differences otherwise, "analytic" requires the closed form,
-        and "fd" always takes central differences (``step`` relative to |y|).
+        The family's closed form when it has one, else central differences at
+        ``HESSIAN_FD_STEP`` times |y|.
         """
-        if scheme not in ("auto", "analytic", "fd"):
-            raise ValueError(f"unknown scheme {scheme!r}")
         ys = self._checked(ys)
-        mats = None if scheme == "fd" else self._tensors(ys)
-        if mats is not None:
-            return mats
-        if scheme == "analytic":
-            raise ValueError("no analytic fundamental tensor for this norm")
-        return central_hessian(lambda v: 0.5 * self(v) ** 2, ys, step * np.linalg.norm(ys, axis=1))
+        mats = self._tensors(ys)
+        if mats is None:
+            mats = central_hessian(lambda v: 0.5 * self(v) ** 2, ys,
+                                   HESSIAN_FD_STEP * np.linalg.norm(ys, axis=1))
+        return mats
 
-    def _tensor_matrix_any(self, y, scheme="auto", step=HESSIAN_FD_STEP):
+    def _tensor_matrix_any(self, y):
         """Tensor matrix at one vector without the positive-definiteness gate: a batch of one."""
-        return self.tensor_batch(np.asarray(y, dtype=float)[None], scheme=scheme, step=step)[0]
+        return self.tensor_batch(np.asarray(y, dtype=float)[None])[0]
 
-    def fundamental_tensor(self, y, scheme="auto", step=HESSIAN_FD_STEP):
-        """Fundamental tensor at y, verified positive definite.
-
-        Parameters
-        ----------
-        y : array_like
-            Nonzero base vector.
-        scheme : {"auto", "analytic", "fd"}
-            As for ``tensor_batch``.
-        step : float
-            Relative finite-difference step (scaled by |y|).
+    def fundamental_tensor(self, y):
+        """Fundamental tensor at a nonzero base vector y, verified positive definite.
 
         Raises
         ------
@@ -190,7 +178,7 @@ class MinkowskiNorm:
             If the resulting matrix is not positive definite; the offending
             eigenvalue is attached to the exception.
         """
-        mat = self._tensor_matrix_any(y, scheme=scheme, step=step)
+        mat = self._tensor_matrix_any(y)
         mat = 0.5 * (mat + mat.T)
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] <= PD_RATIO * max(abs(eigs[-1]), 1e-300):
@@ -214,7 +202,7 @@ class EuclideanNorm(MinkowskiNorm):
     def __call__(self, y):
         return _quadratic_norm(np.asarray(y, dtype=float), self.matrix)
 
-    def _gradients(self, ys, step):
+    def _gradients(self, ys):
         return (ys @ self.matrix) / self(ys)[:, None]
 
     def _tensors(self, ys):
@@ -246,13 +234,13 @@ class RandersNorm(MinkowskiNorm):
         alpha = np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", y, self.a, y), 0.0))
         return alpha + y @ self.b
 
-    def _gradients(self, ys, step):
+    def _gradients(self, ys):
         return (ys @ self.a) / _quadratic_norm(ys, self.a)[:, None] + self.b
 
     def _tensors(self, ys):
         # (F / alpha) (a - l l^T) + grad F grad F^T, with l = a y / alpha the gradient of alpha
         alpha = _quadratic_norm(ys, self.a)
-        grad = self._gradients(ys, None)
+        grad = self._gradients(ys)
         ell = grad - self.b
         core = self.a - ell[:, :, None] * ell[:, None, :]
         fval = alpha + np.einsum("mi,i->m", ys, self.b)
@@ -284,15 +272,15 @@ class GenericNorm(MinkowskiNorm):
         values = _shaped(self.func(rows), (len(rows),), "norm callable").reshape(y.shape[:-1])
         return float(values) if y.ndim == 1 else values
 
-    def _gradients(self, ys, step):
+    def _gradients(self, ys):
         if self.grad is None:
-            return central_gradient(self, ys, step * np.linalg.norm(ys, axis=1))
+            return central_gradient(self, ys, GRADIENT_FD_STEP * np.linalg.norm(ys, axis=1))
         return _shaped(self.grad(ys), ys.shape, "grad")
 
     def _tensors(self, ys):
         if self.grad is None or self.hess is None:
             return None
-        g = self._gradients(ys, None)
+        g = self._gradients(ys)
         hess = _shaped(self.hess(ys), ys.shape + (self.dim,), "hess")
         return self(ys)[:, None, None] * hess + g[:, :, None] * g[:, None, :]
 
@@ -343,8 +331,7 @@ class AxiomReport:
         return self.positivity_pass and self.homogeneity_pass and self.convexity_pass
 
 
-def check_axioms(norm, samples=200, seed=0, homogeneity_tol=1e-10,
-                 pd_ratio=PD_RATIO, positivity_floor=1e-12, scheme="auto"):
+def check_axioms(norm, samples=200, seed=0):
     """Sample directions and report how far the norm is from the axioms.
 
     Failures are recorded in the report rather than raised, so degenerate
@@ -367,15 +354,15 @@ def check_axioms(norm, samples=200, seed=0, homogeneity_tol=1e-10,
     scaled = np.asarray(norm(lams[:, :, None] * dirs), dtype=float)
     max_resid = float(np.max(np.abs(scaled - lams * values) / np.maximum(lams * values, 1e-300)))
 
-    positivity_pass = min_norm > positivity_floor
-    homogeneity_pass = max_resid <= homogeneity_tol
+    positivity_pass = min_norm > POSITIVITY_FLOOR
+    homogeneity_pass = max_resid <= HOMOGENEITY_TOL
     failures = []
     if not positivity_pass:
         failures.append(f"min F over samples is {min_norm:.3e}")
     if not homogeneity_pass:
         failures.append(f"homogeneity residual {max_resid:.3e}")
     try:
-        mats = norm.tensor_batch(dirs, scheme=scheme)
+        mats = norm.tensor_batch(dirs)
     except Exception as exc:  # a norm that cannot be differentiated is reported, not raised
         failures.append(f"tensor evaluation failed: {exc}")
         min_eig = max_eig = np.nan
@@ -383,7 +370,7 @@ def check_axioms(norm, samples=200, seed=0, homogeneity_tol=1e-10,
     else:
         eigs = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))
         min_eig, max_eig = float(eigs[:, 0].min()), float(eigs[:, -1].max())
-        convexity_pass = bool(min_eig > pd_ratio * max(max_eig, 1e-300))
+        convexity_pass = bool(min_eig > PD_RATIO * max(max_eig, 1e-300))
         if not convexity_pass:
             failures.append(f"fundamental tensor eigenvalue {min_eig:.3e} (max {max_eig:.3e})")
     return AxiomReport(

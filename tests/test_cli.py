@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ def test_solve_fields_rejects_invalid_solver_settings(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and "tol_ratio" in captured.err
 
 
+EUCLIDEAN_TORUS = {"manifold": {"kind": "flat_torus"},
+                   "metric": {"kind": "constant_norm",
+                              "norm": {"family": "euclidean", "dim": 2,
+                                       "q": [[1.0, 0.0], [0.0, 1.0]]}}}
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 3},
+     "sphere_basis supports degrees (1, 2), got 3"),
+    ({**EUCLIDEAN_TORUS, "degree": 4}, "x_density 8 < 2 * degree 4 + 1"),
+], ids=["sphere-degree-3", "torus-degree-4"])
+def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, capsys, config,
+                                                                     message):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["solve-fields", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_settings(tmp_path, capsys):
     # exit code 2, as for an unknown experiment: 1 means a check failed
     assert main(["run", "circle-lambda", "--tol", "0", "--out", str(tmp_path / "out")]) == 2
@@ -160,19 +184,16 @@ def test_lie_report_subcommand(tmp_path, capsys):
     assert not doc["solvable_cartan"]
 
 
-def test_emit_report_formats(tmp_path):
+def test_emit_report_writes_json_and_the_summary_one_row(tmp_path):
     report = run_experiment("circle-lambda", ExperimentConfig(name="circle-lambda"))
-    json_path = emit_report(report, tmp_path / "r.json", fmt="json")
+    json_path = emit_report(report, tmp_path / "r.json")
     doc = json.loads(json_path.read_text())
     assert doc["experiment"] == "circle-lambda"
     assert doc["passed"] is True
     assert all({"name", "value", "threshold", "comparison", "passed"} <= set(c) for c in doc["checks"])
-    emit_report(report, tmp_path / "r.csv", fmt="csv")
-    lines = (tmp_path / "r.csv").read_text().splitlines()
+    lines = csv_summary([report]).splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("circle-lambda,")
-    with pytest.raises(ValueError):
-        emit_report(report, tmp_path / "r.txt", fmt="yaml")
 
 
 @pytest.mark.parametrize("name,system", [
@@ -237,7 +258,10 @@ def test_algebra_signature_uses_the_configured_radius(tmp_path, monkeypatch, rad
 
     monkeypatch.setattr(manifold, "Sphere2", RecordingSphere)
     name = "conformal-algebra-signature"
-    report = run_experiment(name, ExperimentConfig(name=name, metric_params={"radius": radius}))
+    # an ambiguous ad_semisimple clustering would warn, and a warning fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(name, ExperimentConfig(name=name, metric_params={"radius": radius}))
     assert report.passed
     assert (report.killing_dim, report.conformal_dim) == (3, 6)
     assert report.extra["conformal_signature"] == [3, 3, 0]

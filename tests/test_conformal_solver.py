@@ -10,7 +10,6 @@ from finslerfields.conformal_solver import (
     build_collocation,
     collocation_rows,
     extract_structure_constants,
-    lie_bracket_fields,
     null_space,
     pushforward_subspace_angle,
     solve_fields,
@@ -20,7 +19,7 @@ from finslerfields.conformal_solver import (
     transitivity_check,
 )
 from finslerfields.errors import ClosureFailure, UnderdeterminedSystem
-from finslerfields.lie_algebra import killing_gram, killing_signature
+from finslerfields.lie_algebra import killing_gram, killing_signature, rotation_algebra
 from finslerfields.manifold import (
     AmbientPolyScalar,
     ConformalRescaleField,
@@ -469,56 +468,57 @@ class TestKillingSpaceInvariance:
         assert pushforward_subspace_angle(fields, rot, points) <= 1e-6
 
 
-class TestBrackets:
-    def test_commuting_translations(self):
-        torus = FlatTorus()
-        basis = torus_basis(torus, 1)
-        v = TorusFourierVectorField.coordinate(torus, 0)
-        w = TorusFourierVectorField.coordinate(torus, 1)
-        bracket, residual = lie_bracket_fields(v, w, basis)
-        assert residual <= 1e-12
-        assert np.max(np.abs(bracket.coefficients)) <= 1e-12
+def _solved_fields(field, basis, mode):
+    report = solve_fields(field, basis, mode=mode)
+    coefficients = report.killing_basis if mode == "killing" else report.conformal_basis
+    return [basis.combination(c) for c in coefficients]
 
-    def test_rotations_close_on_third_generator(self):
-        sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, 2)
-        r1, r2, r3 = basis.elements[0], basis.elements[1], basis.elements[2]
-        bracket, residual = lie_bracket_fields(r1, r2, basis)
-        assert residual <= 1e-10
-        expected = np.zeros(basis.n_fields)
-        expected[2] = 1.0
-        np.testing.assert_allclose(bracket.coefficients, expected, atol=1e-10)
 
-    def test_rotation_with_gradient_stays_in_conformal_algebra(self):
-        sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, 2)
-        rotation = basis.elements[0]
-        gradient = basis.elements[5]
-        _, residual = lie_bracket_fields(rotation, gradient, basis)
-        assert residual <= 1e-8
+def _torus_killing_fields():
+    torus = FlatTorus()
+    return _solved_fields(randers_field(torus), torus_basis(torus, 2), "killing")
 
-    def test_closure_failure_raises(self):
-        torus = FlatTorus()
-        basis = torus_basis(torus, 1)
-        v = TorusFourierVectorField.coordinate(
-            torus, 0, TorusFourierScalar(torus, terms=[((1, 0), 1.0, 0.0)])
-        )
-        w = TorusFourierVectorField.coordinate(
-            torus, 1, TorusFourierScalar(torus, terms=[((1, 0), 1.0, 0.0)])
-        )
-        with pytest.raises(ClosureFailure):
-            lie_bracket_fields(v, w, basis)
+
+def _sphere_fields(mode):
+    sphere = Sphere2(1.0)
+    return _solved_fields(RoundSphereField(sphere), sphere_basis(sphere, 2), mode)
+
+
+def _rotations_and_gradients():
+    sphere = Sphere2(1.0)
+    return sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
+
+
+def _translations():
+    torus = FlatTorus()
+    return [TorusFourierVectorField.coordinate(torus, i) for i in (0, 1)]
+
+
+def _modes_times_coordinates():
+    torus = FlatTorus()
+    mode = TorusFourierScalar(torus, terms=[((1, 0), 1.0, 0.0)])
+    return [TorusFourierVectorField.coordinate(torus, i, mode) for i in (0, 1)]
+
+
+def _rotation_and_gradient():
+    # the rotation about e1 turns the gradient of p2 into that of p3
+    sphere = Sphere2(1.0)
+    return [sphere_rotation_generators(sphere)[0], sphere_gradient_generators(sphere)[1]]
 
 
 class TestStructureConstants:
-    def test_torus_killing_is_abelian(self):
-        torus = FlatTorus()
-        basis = torus_basis(torus, 2)
-        report = solve_fields(randers_field(torus), basis, mode="killing")
-        fields = [basis.combination(c) for c in report.killing_basis]
-        algebra, residual = extract_structure_constants(fields)
+    @pytest.mark.parametrize("fields", [_torus_killing_fields, _translations],
+                             ids=["solved", "translations"])
+    def test_torus_killing_is_abelian(self, fields):
+        algebra, residual = extract_structure_constants(fields())
         assert residual <= 1e-10
         assert np.max(np.abs(algebra.constants)) <= 1e-10
+
+    def test_rotations_close_on_the_third_generator(self):
+        # [r1, r2] = r3 cyclically: the constants of the rotation algebra
+        algebra, residual = extract_structure_constants(sphere_rotation_generators(Sphere2(1.0)))
+        assert residual <= 1e-10
+        np.testing.assert_allclose(algebra.constants, rotation_algebra().constants, atol=1e-10)
 
     def test_single_field_has_zero_constants(self):
         torus = FlatTorus()
@@ -526,28 +526,23 @@ class TestStructureConstants:
         assert residual == 0.0
         assert algebra.constants.shape == (1, 1, 1) and not algebra.constants.any()
 
-    def test_brackets_leaving_the_span_raise(self):
-        torus = FlatTorus()
-        mode = TorusFourierScalar(torus, terms=[((1, 0), 1.0, 0.0)])
-        fields = [TorusFourierVectorField.coordinate(torus, i, mode) for i in (0, 1)]
+    @pytest.mark.parametrize("fields", [_modes_times_coordinates, _rotation_and_gradient],
+                             ids=["torus-modes", "rotation-and-gradient"])
+    def test_brackets_leaving_the_span_raise(self, fields):
         with pytest.raises(ClosureFailure):
-            extract_structure_constants(fields)
+            extract_structure_constants(fields())
 
     def test_sphere_killing_algebra_is_rotation_type(self):
-        sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, 2)
-        report = solve_fields(RoundSphereField(sphere), basis, mode="killing")
-        fields = [basis.combination(c) for c in report.killing_basis]
-        algebra, _ = extract_structure_constants(fields)
+        algebra, _ = extract_structure_constants(_sphere_fields("killing"))
         eigs = np.linalg.eigvalsh(killing_gram(algebra))
         assert np.all(eigs < -1e-8)  # negative definite Killing form
 
-    def test_sphere_conformal_algebra_signature(self):
-        sphere = Sphere2(1.0)
-        basis = sphere_basis(sphere, 2)
-        report = solve_fields(RoundSphereField(sphere), basis)
-        fields = [basis.combination(c) for c in report.conformal_basis]
-        algebra, _ = extract_structure_constants(fields)
+    @pytest.mark.parametrize("fields",
+                             [lambda: _sphere_fields("conformal"), _rotations_and_gradients],
+                             ids=["solved", "rotations-and-gradients"])
+    def test_sphere_conformal_algebra_signature(self, fields):
+        algebra, residual = extract_structure_constants(fields())
+        assert residual <= 1e-8
         assert killing_signature(algebra) == (3, 3, 0)
 
 

@@ -148,6 +148,15 @@ class TestAdSemisimpleAndNilpotent:
         assert ad_nilpotent(algebra, y)
         assert not ad_semisimple(algebra, y)
 
+    def test_clusters_near_the_radius_warn(self):
+        # [x, y] = y, [x, z] = (1 + 3e-8) z: ad(x) has eigenvalues 1 and 1 + 3e-8, two
+        # clusters 3e-8 apart, within 10x of the radius RANK_TOL * |ad(x)|
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
+        c[0, 2, 2], c[2, 0, 2] = 1.0 + 3e-8, -(1.0 + 3e-8)
+        with pytest.warns(UserWarning, match="within 10x of the tolerance radius"):
+            assert ad_semisimple(LieAlgebraSC(c), [1.0, 0.0, 0.0])
+
     def test_zero_map_is_both(self):
         algebra = abelian_algebra(2)
         assert ad_semisimple(algebra, np.ones(2))

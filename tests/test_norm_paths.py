@@ -1,4 +1,4 @@
-"""One batched path for norm derivatives: one-point forms, schemes and input checks."""
+"""One batched path for norm derivatives: one-point forms, fallbacks and input checks."""
 
 import numpy as np
 import pytest
@@ -50,6 +50,13 @@ def _families(randers):
     return [EuclideanNorm(randers.a), randers, GenericNorm(2, randers)]
 
 
+def _reference_tensors(norm, ys):
+    """Central-difference Hessians of F^2/2 at HESSIAN_FD_STEP |y|, as GenericNorm takes them."""
+    ys = np.asarray(ys, dtype=float)
+    return central_hessian(lambda v: 0.5 * norm(v) ** 2, ys,
+                           HESSIAN_FD_STEP * np.linalg.norm(ys, axis=1))
+
+
 @PROPERTY
 @given(randers_norms(), nonzero_vectors())
 def test_one_point_forms_are_row_zero_of_the_batch(randers, ys):
@@ -61,12 +68,12 @@ def test_one_point_forms_are_row_zero_of_the_batch(randers, ys):
 @PROPERTY
 @given(randers_norms(), nonzero_vectors())
 def test_finite_difference_tensor_matches_closed_form(randers, ys):
-    # at the default step, tensor_batch central differences stay within 1e-6 of
-    # the closed form; the derivative-free GenericNorm takes them unasked
+    # at HESSIAN_FD_STEP, central differences stay within 1e-6 of the closed
+    # form; the derivative-free GenericNorm takes them
     euclid, _, generic = _families(randers)
-    pairs = [(euclid.tensor_batch(ys, scheme="fd"), euclid.tensor_batch(ys, scheme="analytic")),
-             (randers.tensor_batch(ys, scheme="fd"), randers.tensor_batch(ys, scheme="analytic")),
-             (generic.tensor_batch(ys), randers.tensor_batch(ys, scheme="analytic"))]
+    pairs = [(_reference_tensors(euclid, ys), euclid.tensor_batch(ys)),
+             (_reference_tensors(randers, ys), randers.tensor_batch(ys)),
+             (generic.tensor_batch(ys), randers.tensor_batch(ys))]
     for fd, analytic in pairs:
         scale = np.max(np.abs(analytic), axis=(1, 2))[:, None, None]
         assert np.all(np.abs(fd - analytic) <= 1e-6 * scale)
@@ -89,22 +96,14 @@ FAMILY_IDS = ["euclidean", "randers", "generic"]
 
 
 @pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
-def test_fd_scheme_takes_finite_differences_on_every_path(norm):
+def test_closed_form_or_reference_differences_on_every_path(norm):
+    # the derivative-free GenericNorm has no closed form and takes the reference
     y = np.array([0.6, -1.7])
-    reference = central_hessian(lambda v: 0.5 * norm(v) ** 2, y[None],
-                                HESSIAN_FD_STEP * np.linalg.norm(y[None], axis=1))[0]
-    np.testing.assert_array_equal(norm.tensor_batch([y], scheme="fd")[0], reference)
-    np.testing.assert_array_equal(norm.fundamental_tensor(y, scheme="fd").matrix, reference)
-
-
-@pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
-def test_unknown_scheme_rejected_on_every_path(norm):
-    y = np.array([0.6, -1.7])
-    for call in (lambda: norm.tensor_batch([y], scheme="bogus"),
-                 lambda: norm._tensor_matrix_any(y, scheme="bogus"),
-                 lambda: norm.fundamental_tensor(y, scheme="bogus")):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            call()
+    closed = norm._tensors(y[None])
+    expected = _reference_tensors(norm, [y])[0] if closed is None else closed[0]
+    np.testing.assert_array_equal(norm.tensor_batch([y])[0], expected)
+    np.testing.assert_array_equal(norm._tensor_matrix_any(y), expected)
+    np.testing.assert_array_equal(norm.fundamental_tensor(y).matrix, expected)
 
 
 @pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
@@ -170,7 +169,7 @@ def test_stencil_is_one_call(m):
     ys = np.logspace(-2, 2, m)[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     # one call on the whole stencil: 2n points per row for gradients, 1 + 2n^2 for tensors
     for evaluate, points in ((norm.gradient_batch, 4),
-                             (lambda v: norm.tensor_batch(v, scheme="fd"), 9)):
+                             (norm.tensor_batch, 9)):
         calls.clear()
         batch = evaluate(ys)
         assert calls == [m * points]
@@ -179,9 +178,10 @@ def test_stencil_is_one_call(m):
 
 
 def test_failed_tensor_evaluation_fails_convexity():
-    # the wrapped callable has no analytic Hessian, so every tensor evaluation fails
-    norm = GenericNorm(2, RandersNorm(np.eye(2), [0.5, 0]))
-    report = check_axioms(norm, samples=5, scheme="analytic")
+    # the supplied Hessian has the wrong shape, so every tensor evaluation fails
+    randers = RandersNorm(np.eye(2), [0.5, 0])
+    norm = GenericNorm(2, randers, randers.gradient_batch, lambda ys: np.zeros(len(ys)))
+    report = check_axioms(norm, samples=5)
     assert not report.convexity_pass
     assert not report.passed
     assert np.isnan(report.min_tensor_eigenvalue)
