@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
-from .errors import InvalidSettings
+from .errors import InadmissibleNorm, InvalidSettings
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -99,7 +99,11 @@ def cmd_run(args):
 
 
 def cmd_average(args):
-    norm = norm_from_dict(_load_json(args.config))
+    try:
+        norm = norm_from_dict(_load_json(args.config))
+    except (InvalidSettings, InadmissibleNorm) as exc:
+        print(f"invalid settings: {exc}", file=sys.stderr)
+        return 2
     quadrature = averaging.sample_indicatrix(norm, args.resolution)
     coarse = averaging.averaged_norm(norm, quadrature).matrix
     fine = averaging.average(norm, 2 * args.resolution).matrix
@@ -148,12 +152,13 @@ def _field_from_config(cfg):
 
 def cmd_solve_fields(args):
     cfg = _load_json(args.config)
-    # as in cmd_run: the solver section, the basis or the solve may reject the settings
+    # as in cmd_run: the solver section, the norm record, the basis or the solve may
+    # reject the settings
     try:
         solver_cfg = solver.SolverConfig(**cfg.get("solver", {}))
         field, basis = _field_from_config(cfg)
         report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
-    except InvalidSettings as exc:
+    except (InvalidSettings, InadmissibleNorm) as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)
         return 2
     doc = {

@@ -6,7 +6,10 @@ linear in V.  Within a finite ansatz of vector fields they become linear
 systems in the field coefficients, one row per collocation pair (x, y): the
 rows (L_B F)/F, and the same rows centred over each point's fan.  A point's
 rows are its field jets times its element jets, so the solve works on at
-most six rows per point.  Each kernel is extracted by an SVD of an R factor
+most six rows per point.  Each solve evaluates both jet tables once, over
+the fit and verification points stacked: the field's (F, dF/dx, dF/dy) from
+one ``jets`` call and the elements' (m, 6, A) table from one
+``field_tables`` call.  Each kernel is extracted by an SVD of an R factor
 with a relative singular-value threshold and audited through the spectral
 gap around that threshold.
 """
@@ -173,24 +176,33 @@ def collocation_rows(collocation):
     return points[np.repeat(np.arange(len(fan)), fan.shape[1])], fan.reshape(-1, 2)
 
 
+def _require_rows(fan, basis):
+    """Rejects a (P, D, 2) fan with fewer than ``MIN_ROW_FACTOR`` rows per unknown."""
+    n_rows = fan.shape[0] * fan.shape[1]
+    if n_rows < MIN_ROW_FACTOR * basis.n_fields:
+        raise UnderdeterminedSystem(f"{n_rows} rows for {basis.n_fields} unknowns "
+                                    f"(need >= {MIN_ROW_FACTOR}x)")
+
+
 def _jet_tables(field, basis, collocation):
     """Field 1-jets over F, (P, D, 6), F itself, (P, D, 1), and element 1-jets, (P, 6, A).
 
     L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i: the field's 1-jet (dF/dx, y (x) dF/dy) per
-    row dotted with the element's (V, DV) per distinct point, from one ``field_tables``.
+    row, from one ``jets``, dotted with the element's (V, DV) per distinct point, from one
+    ``field_tables``.  Rows and points are independent, so a stacked collocation gives
+    the stacked tables of its parts.
     """
     points, fan = collocation
     n_points, n_dirs, _ = fan.shape
-    if n_points * n_dirs < MIN_ROW_FACTOR * basis.n_fields:
-        raise UnderdeterminedSystem(f"{n_points * n_dirs} rows for {basis.n_fields} unknowns "
-                                    f"(need >= {MIN_ROW_FACTOR}x)")
+    # the element table first, so that its transients and the row jets do not coexist
+    element_jets = field_tables(basis.elements, points)
     row_points, ys = collocation_rows(collocation)
-    lift = field.grads_y(row_points, ys)[:, :, None] * ys[:, None, :]
-    field_jets = np.hstack([field.grads_x(row_points, ys), lift.reshape(-1, 4)])
-    evals = field.evals(row_points, ys).reshape(n_points, n_dirs, 1)
-    values, jacobians = field_tables(basis.elements, points)
-    element_jets = np.concatenate([values, jacobians.reshape(n_points, 4, -1)], axis=1)
-    return field_jets.reshape(n_points, n_dirs, 6) / evals, evals, element_jets
+    evals, grads_x, grads_y = field.jets(row_points, ys)
+    field_jets = np.hstack([grads_x, (grads_y[:, :, None] * ys[:, None, :]).reshape(-1, 4)])
+    field_jets = field_jets.reshape(n_points, n_dirs, 6)
+    evals = evals.reshape(n_points, n_dirs, 1)
+    field_jets /= evals
+    return field_jets, evals, element_jets
 
 
 def assemble_system(field, basis, collocation):
@@ -199,6 +211,7 @@ def assemble_system(field, basis, collocation):
     One row per point and direction of the (points, fan) ``collocation``, point by
     point; column a holds (L_{B_a} F)(x, y), F times the product of the two jet tables.
     """
+    _require_rows(collocation[1], basis)
     jets, evals, element_jets = _jet_tables(field, basis, collocation)
     return (evals * (jets @ element_jets)).reshape(-1, basis.n_fields)
 
@@ -267,7 +280,9 @@ def solve_fields(field, basis, mode="conformal", config=None):
     centred jets and a QR of the stacked R_p E_p give R_C, and the kernels are
     read from R_C and [R_C; sqrt(D) M] against the largest singular value of
     N (a conformal ansatz has a round-off centred system).  Residuals are
-    evaluated jet-wise on a disjoint collocation set.  A torus basis of degree
+    evaluated jet-wise on a disjoint collocation set, whose jets come from the
+    same evaluation as the fit points' (one ``_jet_tables`` call per solve);
+    only the fit rows count towards ``MIN_ROW_FACTOR``.  A torus basis of degree
     d needs x_density >= 2d + 1.  Safeguards that fire go to ``flags``, among
     them a verification residual above ``VERIFY_TOL_FACTOR`` tolerances.
     """
@@ -277,11 +292,23 @@ def solve_fields(field, basis, mode="conformal", config=None):
     if isinstance(basis.manifold, FlatTorus) and config.x_density < 2 * basis.degree + 1:
         raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {basis.degree} + 1")
     n = basis.n_fields
-    jets, _, elements = _jet_tables(field, basis, build_collocation(basis.manifold, config))
+    fit_points, fit_fan = build_collocation(basis.manifold, config)
+    ver_points, ver_fan = build_collocation(basis.manifold, config, offset_points=True)
+    _require_rows(fit_fan, basis)
+    # one jet evaluation of the fit points followed by the verification points
+    jets, _, elements = _jet_tables(field, basis, (np.concatenate([fit_points, ver_points]),
+                                                   np.concatenate([fit_fan, ver_fan])))
+    jets, ver_jets = np.split(jets, [len(fit_points)])
+    elements, ver_elements = np.split(elements, [len(fit_points)])
+    # np.linalg.qr copies its input twice: the verification elements are copied
+    # out so that the stacked element table is freed before that QR
+    ver_elements = ver_elements.copy()
     means = jets.mean(axis=1, keepdims=True)
     factors = np.linalg.qr(jets - means, mode="r")
-    r_centred = np.linalg.qr((factors @ elements).reshape(-1, n), mode="r")
     fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
+    stacked_factors = (factors @ elements).reshape(-1, n)
+    del elements
+    r_centred = np.linalg.qr(stacked_factors, mode="r")
     k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]), config.tol_ratio)
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
@@ -298,8 +325,6 @@ def solve_fields(field, basis, mode="conformal", config=None):
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
 
-    verification = build_collocation(basis.manifold, config, offset_points=True)
-    ver_jets, _, ver_elements = _jet_tables(field, basis, verification)
     killing = ver_jets @ (ver_elements @ k_basis.T)
     report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
     if mode == "conformal":
@@ -334,7 +359,8 @@ def extract_structure_constants(fields, sample_count=60):
     if not fields:
         raise ValueError("need at least one field")
     points = sample_points(fields[0].manifold, sample_count, seed=11)
-    values, jacobians = field_tables(fields, points)
+    jets = field_tables(fields, points)
+    values, jacobians = jets[:, :2], jets[:, 2:].reshape(len(jets), 2, 2, -1)
     first, second = np.triu_indices(len(fields), 1)
     # [V, W] = DW V - DV W, one column per pair, flattened point by point as the values are
     brackets = (np.einsum("mijp,mjp->mip", jacobians[..., second], values[..., first])
@@ -348,7 +374,7 @@ def transitivity_check(fields, points):
     if not fields:
         raise ValueError("need at least one field")
     needed = fields[0].manifold.dim
-    frames = field_tables(fields, points)[0].transpose(0, 2, 1)
+    frames = field_tables(fields, points)[:, :2].transpose(0, 2, 1)
     svals = np.linalg.svd(frames, compute_uv=False)
     smax = np.maximum(svals[:, 0], 1e-300)
     ranks = (svals > RANK_TOL * smax[:, None]).sum(axis=1)
@@ -363,9 +389,9 @@ def pushforward_subspace_angle(fields, diffeo, points):
     """
     points = stack_points(points)
     jac, image = diffeo.differential(points), diffeo.apply(points)
-    pushed = np.einsum("mij,mjb->mib", jac, field_tables(fields, points)[0])
+    pushed = np.einsum("mij,mjb->mib", jac, field_tables(fields, points)[:, :2])
     q1, _ = np.linalg.qr(pushed.reshape(-1, len(fields)))
-    q2, _ = np.linalg.qr(field_tables(fields, image)[0].reshape(-1, len(fields)))
+    q2, _ = np.linalg.qr(field_tables(fields, image)[:, :2].reshape(-1, len(fields)))
     cosines = np.linalg.svd(q1.T @ q2, compute_uv=False)
     cosines = np.clip(cosines, -1.0, 1.0)
     return float(np.max(np.arccos(cosines)))

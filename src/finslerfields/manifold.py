@@ -15,16 +15,17 @@ Point sets are batches: an (m, 2) array on the torus, an (m, 3) array on the
 sphere and an (m,) array on the circle.  Grids, Fibonacci points and
 ``sample_points`` come back as one batch.  Scalars, vector fields and
 solvable Finsler fields evaluate a whole batch in one call (``values``,
-``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``); the one-point
-methods (``value``, ``grad``, ``jacobian``, ``eval``, ``grad_x``, ``grad_y``)
-are batches of one.  Diffeomorphisms (``apply``, ``differential``), pullback
-and averaged fields and ``lie_derivative`` take one point or a batch with the
-same formulas.
+``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets``
+for all three of F's); the one-point methods (``value``, ``grad``,
+``jacobian``, ``eval``, ``grad_x``, ``grad_y``) are batches of one.
+Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
+and ``lie_derivative`` take one point or a batch with the same formulas.
 
-A list of vector fields of one class on one manifold is one stacked table
-(``field_tables``), through that class's one stacking rule: torus Fourier
-fields are columns of one coefficient matrix on [1, cos psi, sin psi] over
-their distinct modes (one ``frac``, one phase matrix), sphere polynomial
+A list of vector fields of one class on one manifold is one (m, 6, B) table
+of 1-jets, values then the row-major Jacobian (``field_tables``), through its
+class's one stacking rule: torus Fourier fields are one matmul of
+[1, cos psi, sin psi] over their distinct modes (one ``frac``) with their
+coefficients and the phase derivatives folded into them, sphere polynomial
 fields are columns on the monomials of p / R and on their derivatives.  A
 combination holds basis elements only and contracts its coefficients into
 that matrix, and a single field is a table of one column.
@@ -163,9 +164,9 @@ class TorusFourierScalar(ScalarField):
         return self.const + cos @ self._terms[:, 2] + sin @ self._terms[:, 3]
 
     def grads(self, points):
-        modes, coef = self._terms[:, :2], self._terms[:, 2:, None]
-        return _fourier_grads(self.torus, modes, coef[:, 0], coef[:, 1],
-                              *_fourier_phases(self.torus, modes, points))[..., 0]
+        cos, sin = _fourier_phases(self.torus, self._terms[:, :2], points)
+        dpsi = _phase_gradients(self.torus, self._terms[:, :2]).T[:, :, None]
+        return (cos @ (dpsi * self._terms[:, 3:]) - sin @ (dpsi * self._terms[:, 2:3]))[..., 0].T
 
 
 def _fourier_coefficients(scalars):
@@ -187,10 +188,9 @@ def _fourier_phases(torus, modes, points):
     return np.cos(psi), np.sin(psi)
 
 
-def _fourier_grads(torus, modes, c_cos, c_sin, cos, sin):
-    """x-gradients (m, 2, n) of sum_k c_cos cos psi_k + c_sin sin psi_k for (K, n) coefficients."""
-    dpsi = 2.0 * np.pi * (modes @ torus.inv_lattice).T[:, :, None]
-    return (cos @ (dpsi * c_sin) - sin @ (dpsi * c_cos)).transpose(1, 0, 2)
+def _phase_gradients(torus, modes):
+    """dpsi/dx = 2 pi k L^-1 of each mode's phase, (K, 2): xi = L^-1 x."""
+    return 2.0 * np.pi * (modes @ torus.inv_lattice)
 
 
 class AmbientPolyScalar(ScalarField):
@@ -239,18 +239,18 @@ class CircleFourierScalar:
 class VectorField:
     """Vector field with batched ``values`` (m, 2) and ``jacobians`` (m, 2, 2).
 
-    Each class implements one stacking rule ``_tables`` that evaluates a list
-    of its elements at once (see ``field_tables``); a single field is that
-    rule with one element.
+    Each class implements one stacking rule ``_tables`` that evaluates the
+    1-jets of a list of its elements at once (see ``field_tables``); a single
+    field is that rule with one element.
     """
 
     manifold = None
 
     def values(self, points):
-        return field_tables([self], points)[0][..., 0]
+        return field_tables([self], points)[:, :2, 0]
 
     def jacobians(self, points):
-        return field_tables([self], points)[1][..., 0]
+        return field_tables([self], points)[:, 2:, 0].reshape(-1, 2, 2)
 
     def value(self, pt):
         return self.values(pt)[0]
@@ -275,21 +275,22 @@ class TorusFourierVectorField(VectorField):
 
     @staticmethod
     def _tables(elements, weights, points):
-        """Components as the columns of one coefficient table, weights contracted in.
-
-        Its rows are the dictionary [1, cos psi, sin psi] over the distinct
-        modes of the Fourier and constant scalars, which meets one phase matrix.
+        """(m, 6, B) jets as [1, cos psi, sin psi] @ J over the distinct modes, weights
+        contracted in: rows 0-1 of the jet matrix J hold the coefficients, and rows
+        2-5 hold DV^i/dx^j with dpsi/dx^j = 2 pi (k L^-1)_j folded in, a sin
+        coefficient times it on the cos row and minus a cos one on the sin row.
         """
-        modes, table = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements])
-        n_fields = weights.shape[1]
-        table = (table.reshape(len(table), 2, -1) @ weights).reshape(len(table), -1)
+        modes, coef = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements])
+        coef = coef.reshape(len(coef), 2, -1) @ weights
         torus, k = elements[0].manifold, len(modes)
-        c_cos, c_sin = table[1:k + 1], table[k + 1:]
+        dpsi = _phase_gradients(torus, modes)[:, None, :, None]   # [k, i, j, b]
+        jets = np.zeros((len(coef), 3, 2, weights.shape[1]))
+        jets[:, 0] = coef
+        jets[1:k + 1, 1:] = dpsi * coef[k + 1:, :, None]
+        jets[k + 1:, 1:] = -(dpsi * coef[1:k + 1, :, None])
         cos, sin = _fourier_phases(torus, modes, points)
-        values = table[0] + cos @ c_cos + sin @ c_sin
-        grads = _fourier_grads(torus, modes, c_cos, c_sin, cos, sin)
-        m = len(values)
-        return values.reshape(m, 2, n_fields), grads.reshape(m, 2, 2, n_fields).transpose(0, 2, 1, 3)
+        dictionary = np.hstack([np.ones((len(cos), 1)), cos, sin])
+        return (dictionary @ jets.reshape(len(jets), -1)).reshape(len(cos), 6, -1)
 
 
 class SpherePolyVectorField(VectorField):
@@ -309,33 +310,44 @@ class SpherePolyVectorField(VectorField):
 
     @staticmethod
     def _tables(elements, weights, points):
-        """E^T X and E^T DX E from one matmul of the monomials of q = p / R and one of
-        their frame derivatives against the (K, 3, B) coefficients, weights contracted in.
+        """(m, 6, B) jets E^T X and E^T DX E from one matmul of the monomials of q = p / R
+        and one of their frame derivatives against the (K, 3, B) coefficients, weights
+        contracted in, written into one preallocated table.
 
         With E^T q = 0 the projection leaves E^T w in the values and -(q.w) I in
         the Jacobian: E^T DX E = E^T Dw E - (q.w) I.
         """
         sphere = elements[0].manifold
         exps, coef = _monomial_coefficients(elements)
-        coef = (coef @ weights).reshape(len(exps), 3 * weights.shape[1])
-        # q_j^e from a table of powers; d/dq_l of a monomial is e_l q_l^(e_l - 1) times the others
-        q, frame, axes = points / sphere.radius, sphere.frame(points), np.arange(3)
-        powers = np.ones(q.shape + (exps.max(initial=0) + 1,))
-        for e in range(1, powers.shape[-1]):
-            powers[..., e] = powers[..., e - 1] * q
-        factors = powers[:, axes, exps]
-        lowered = exps * powers[:, axes, np.maximum(exps - 1, 0)]
-        derivatives = lowered * factors[..., [1, 2, 0]] * factors[..., [2, 0, 1]]   # (m, K, l)
-        m, n_fields = len(q), weights.shape[1]
-        rows = np.transpose(frame, (0, 2, 1))
-        w = (factors.prod(axis=-1) @ coef).reshape(m, 3, n_fields)
-        along = (rows @ np.transpose(derivatives, (0, 2, 1))).reshape(2 * m, -1) @ coef   # [m c, i b]
-        jac = rows @ np.transpose(along.reshape(m, 2, 3, n_fields), (0, 2, 1, 3)).reshape(m, 3, -1)
-        jac = jac.reshape(m, 2, 2, n_fields)
+        m, n_fields = len(points), weights.shape[1]
+        coef = (coef @ weights).reshape(len(exps), 3 * n_fields)
+        q, rows = points / sphere.radius, np.transpose(sphere.frame(points), (0, 2, 1))
+        monomials, along = _monomials(q, rows, exps)   # its (m, K, 3) temporaries end here
+        w = (monomials @ coef).reshape(m, 3, n_fields)
+        # E^T Dw E = E^T (Dw E): the frame derivatives [m c, i b] turned to [m, i, c b]
+        along = np.transpose((along.reshape(2 * m, -1) @ coef).reshape(m, 2, 3, n_fields),
+                             (0, 2, 1, 3)).reshape(m, 3, -1)
+        jets = np.empty((m, 3, 2, n_fields))   # E^T w at [:, 0], E^T Dw E at [:, 1 + i, j]
+        np.matmul(rows, w, out=jets[:, 0])
+        jets[:, 0] *= sphere.radius
+        np.matmul(rows, along, out=jets[:, 1:].reshape(m, 2, -1))
         normal = np.einsum("mi,mib->mb", q, w)
-        jac[:, 0, 0] -= normal
-        jac[:, 1, 1] -= normal
-        return sphere.radius * (rows @ w), jac
+        jets[:, 1, 0] -= normal
+        jets[:, 2, 1] -= normal
+        return jets.reshape(m, 6, n_fields)
+
+
+def _monomials(q, rows, exps):
+    """Monomials q^e (m, K) of (K, 3) exponents and their derivatives along the frame rows,
+    (m, 2, K): q_j^e from a table of powers, d/dq_l q^e = e_l q_l^(e_l - 1) times the others."""
+    axes = np.arange(3)
+    powers = np.ones(q.shape + (exps.max(initial=0) + 1,))
+    for e in range(1, powers.shape[-1]):
+        powers[..., e] = powers[..., e - 1] * q
+    factors = powers[:, axes, exps]
+    lowered = exps * powers[:, axes, np.maximum(exps - 1, 0)]
+    derivatives = lowered * factors[..., [1, 2, 0]] * factors[..., [2, 0, 1]]   # (m, K, l)
+    return factors.prod(axis=-1), rows @ np.transpose(derivatives, (0, 2, 1))
 
 
 def _monomial_coefficients(fields):
@@ -377,7 +389,8 @@ def _combination_terms(field, scale=1.0):
 
 
 def field_tables(fields, points):
-    """Values (m, 2, B) and Jacobians (m, 2, 2, B) of B vector fields.
+    """The (m, 6, B) 1-jets of B vector fields: values at [:, :2] and the Jacobian
+    dV^i/dx^j at [:, 2 + 2 i + j], so that [:, 2:] reshapes to (m, 2, 2, B).
 
     Combinations are expanded into their distinct elements, which go through
     their class's ``_tables`` in one call, with the (A, B) coefficients that
@@ -513,9 +526,15 @@ class FinslerField:
     Solvable fields implement the batched ``evals`` (m,), ``grads_x`` and
     ``grads_y`` (m, 2) over a batch of points and an (m, 2) array of
     directions; ``eval``, ``grad_x`` and ``grad_y`` are their one-point forms.
+    ``jets`` returns all three, and a field that shares work between them
+    overrides it to evaluate once.
     """
 
     manifold = None
+
+    def jets(self, points, ys):
+        """(F, dF/dx, dF/dy) over a batch: (m,), (m, 2) and (m, 2)."""
+        return self.evals(points, ys), self.grads_x(points, ys), self.grads_y(points, ys)
 
     def evals(self, points, ys):
         raise NotImplementedError
@@ -596,14 +615,18 @@ class ConformalRescaleField(FinslerField):
     def evals(self, points, ys):
         return self.rho.values(points) * self.base.evals(points, ys)
 
+    def jets(self, points, ys):
+        """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho once."""
+        rho = self.rho.values(points)
+        evals, grads_x, grads_y = self.base.jets(points, ys)
+        return (rho * evals, self.rho.grads(points) * evals[:, None] + rho[:, None] * grads_x,
+                rho[:, None] * grads_y)
+
     def grads_x(self, points, ys):
-        return (
-            self.rho.grads(points) * self.base.evals(points, ys)[:, None]
-            + self.rho.values(points)[:, None] * self.base.grads_x(points, ys)
-        )
+        return self.jets(points, ys)[1]
 
     def grads_y(self, points, ys):
-        return self.rho.values(points)[:, None] * self.base.grads_y(points, ys)
+        return self.jets(points, ys)[2]
 
     def norm_at(self, pt):
         return scale_norm(self.base.norm_at(pt), self.rho.value(pt))
@@ -716,9 +739,10 @@ def lie_derivative(field, vector_field, points, ys):
     """
     ys, _ = _checked_directions(ys, 1e-12)
     points = stack_points(points)
-    v, jac = field_tables([vector_field], points)
-    return (np.einsum("mi,mi->m", v[..., 0], field.grads_x(points, ys))
-            + np.einsum("mij,mj,mi->m", jac[..., 0], ys, field.grads_y(points, ys)))
+    jets = field_tables([vector_field], points)[..., 0]
+    _, grads_x, grads_y = field.jets(points, ys)
+    return (np.einsum("mi,mi->m", jets[:, :2], grads_x)
+            + np.einsum("mij,mj,mi->m", jets[:, 2:].reshape(-1, 2, 2), ys, grads_y))
 
 
 def sample_points(manifold, count, seed=0):

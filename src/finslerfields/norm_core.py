@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvexityViolation, DegenerateVector, InadmissibleNorm
+from .errors import ConvexityViolation, DegenerateVector, InadmissibleNorm, InvalidSettings
 
 DEGENERATE_FLOOR = 1e-8
 # Central-difference steps relative to |y|.  Second differences carry about
@@ -31,13 +31,13 @@ POSITIVITY_FLOOR = 1e-12
 def _check_spd(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+        raise InvalidSettings(f"{name} must be a square matrix")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
+        raise InvalidSettings(f"{name} must be symmetric")
     mat = 0.5 * (mat + mat.T)
     if np.linalg.eigvalsh(mat)[0] <= 0.0:
-        raise ValueError(f"{name} must be positive definite")
+        raise InvalidSettings(f"{name} must be positive definite")
     return mat
 
 
@@ -223,7 +223,7 @@ class RandersNorm(MinkowskiNorm):
         self.b = np.asarray(b, dtype=float)
         self.dim = self.a.shape[0]
         if self.b.shape != (self.dim,):
-            raise ValueError("b must match the dimension of a")
+            raise InvalidSettings("b must match the dimension of a")
         dual = float(np.sqrt(self.b @ np.linalg.solve(self.a, self.b)))
         if dual >= 1.0:
             raise InadmissibleNorm(f"a-dual norm of b is {dual:.6f} >= 1")
@@ -285,14 +285,21 @@ class GenericNorm(MinkowskiNorm):
         return self(ys)[:, None, None] * hess + g[:, :, None] * g[:, None, :]
 
 
+def _record_array(data, key):
+    try:
+        return np.array(data[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSettings(f"norm record needs a numeric array {key!r}") from exc
+
+
 def norm_from_dict(data):
     """Rebuild a closed-form norm from its serialized record."""
-    family = data["family"]
+    family = data.get("family")
     if family == "euclidean":
-        return EuclideanNorm(np.array(data["q"], dtype=float))
+        return EuclideanNorm(_record_array(data, "q"))
     if family == "randers":
-        return RandersNorm(np.array(data["a"], dtype=float), np.array(data["b"], dtype=float))
-    raise ValueError(f"unknown norm family {family!r}")
+        return RandersNorm(_record_array(data, "a"), _record_array(data, "b"))
+    raise InvalidSettings(f"unknown norm family {family!r}")
 
 
 def scale_norm(norm, c):

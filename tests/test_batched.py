@@ -8,6 +8,7 @@ import pytest
 
 from finslerfields.conformal_solver import (
     SolverConfig,
+    _jet_tables,
     assemble_system,
     build_collocation,
     collocation_rows,
@@ -167,11 +168,73 @@ TABLE_CASES = _table_cases()
 
 @pytest.mark.parametrize("name,basis,points", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
 def test_stacked_tables_match_element_by_element(name, basis, points):
-    stacked_values, stacked_jacobians = manifold.field_tables(basis.elements, points)
+    table = manifold.field_tables(basis.elements, points)
     values, jacobians = _reference_tables(basis, points)
-    assert stacked_values.shape == (len(values), 2, basis.n_fields)
-    for stacked, reference in ((stacked_values, values), (stacked_jacobians, jacobians)):
+    assert table.shape == (len(values), 6, basis.n_fields)
+    stacked_jacobians = table[:, 2:].reshape(len(points), 2, 2, -1)
+    for stacked, reference in ((table[:, :2], values), (stacked_jacobians, jacobians)):
         assert np.max(np.abs(stacked - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_dictionary_rule_on_a_skewed_lattice():
+    """On L = [[1, 0.3], [0, 1.2]] the phase derivatives 2 pi k L^-1 are not those of
+    2 pi k L^-T, which the identity lattice would not tell apart."""
+    torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    elements = torus_basis(torus, 2).elements
+    points = torus.grid_points(6)
+    table = manifold.field_tables(elements, points)
+    step = 1e-6
+    for a, el in enumerate(elements):
+        for j, shift in enumerate(step * np.eye(2)):
+            difference = (el.values(points + shift) - el.values(points - shift)) / (2.0 * step)
+            np.testing.assert_allclose(table[:, [2 + j, 4 + j], a], difference, rtol=0, atol=1e-7)
+        np.testing.assert_array_equal(table[..., a], manifold.field_tables([el], points)[..., 0])
+    coeffs = np.random.default_rng(7).normal(size=len(elements))
+    combined = manifold.field_tables([CombinationVectorField(elements, coeffs)], points)[..., 0]
+    np.testing.assert_allclose(combined, table @ coeffs, rtol=0,
+                               atol=1e-14 * np.max(np.abs(table @ coeffs)))
+
+
+def _jets_cases():
+    torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 0.7, 0.2), ((1, 1), 0.0, 0.3)])
+    rho2 = TorusFourierScalar(torus, const=1.5, terms=[((0, 1), 0.4, -0.3)])
+    randers = randers_torus_field(torus)
+    sphere = Sphere2(1.3)
+    return [("randers torus", randers, torus.grid_points(5)),
+            ("euclidean torus", ConstantNormField(torus, EuclideanNorm([[2.0, 0.3], [0.3, 1.0]])),
+             torus.grid_points(5)),
+            ("rescaled randers torus", ConformalRescaleField(randers, rho), torus.grid_points(5)),
+            # a base with dF/dx != 0
+            ("twice rescaled randers torus",
+             ConformalRescaleField(ConformalRescaleField(randers, rho), rho2), torus.grid_points(5)),
+            ("round sphere", RoundSphereField(sphere), sphere.fibonacci_points(25))]
+
+
+JETS_CASES = _jets_cases()
+
+
+@pytest.mark.parametrize("name,field,points", JETS_CASES, ids=[c[0] for c in JETS_CASES])
+def test_one_jets_evaluation_equals_the_three_methods(name, field, points):
+    angles = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, len(points))
+    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    separate = (field.evals(points, ys), field.grads_x(points, ys), field.grads_y(points, ys))
+    for one, reference in zip(field.jets(points, ys), separate):
+        assert one.shape == reference.shape
+        np.testing.assert_allclose(one, reference, rtol=0, atol=1e-15 * np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("name,field,basis,config", [CASES[1], CASES[3]],
+                         ids=[CASES[1][0], CASES[3][0]])
+def test_stacked_jet_tables_equal_the_fit_and_verification_calls(name, field, basis, config):
+    fit = build_collocation(basis.manifold, config)
+    verification = build_collocation(basis.manifold, config, offset_points=True)
+    stacked = _jet_tables(field, basis, tuple(np.concatenate(parts) for parts in zip(fit, verification)))
+    separate = [_jet_tables(field, basis, collocation) for collocation in (fit, verification)]
+    for joint, fit_part, verification_part in zip(stacked, *separate):
+        reference = np.concatenate([fit_part, verification_part])
+        assert joint.shape == reference.shape
+        np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-15 * np.max(np.abs(reference)))
 
 
 def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
@@ -318,7 +381,7 @@ def test_frames_tables_and_jets_are_finite_at_both_poles():
     angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.3
     fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     collocation = (points, np.broadcast_to(fan, (len(points), 12, 2)))
-    for table in (sphere.frame(points), *manifold.field_tables(basis.elements, points),
+    for table in (sphere.frame(points), manifold.field_tables(basis.elements, points),
                   assemble_system(field, basis, collocation)):
         assert np.all(np.isfinite(table))
     assert np.max(np.abs(assemble_system(field, basis, collocation))) > 0.1
@@ -448,11 +511,12 @@ def test_combination_of_batches_is_linear():
             scale = np.max(np.abs(expected))
             for vf in (combo, nested):
                 assert np.max(np.abs(getattr(vf, method)(points) - expected)) <= 1e-14 * scale
-        values, jacobians = manifold.field_tables([combo, elements[3], nested], points)
-        np.testing.assert_allclose(values[..., 0], values[..., 2], rtol=0,
-                                   atol=1e-14 * np.max(np.abs(values[..., 0])))
-        np.testing.assert_allclose(values[..., 1], elements[3].values(points), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(jacobians[..., 1], elements[3].jacobians(points), rtol=0, atol=1e-14)
+        table = manifold.field_tables([combo, elements[3], nested], points)
+        np.testing.assert_allclose(table[..., 0], table[..., 2], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(table[..., 0])))
+        np.testing.assert_allclose(table[:, :2, 1], elements[3].values(points), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(table[:, 2:, 1].reshape(-1, 2, 2), elements[3].jacobians(points),
+                                   rtol=0, atol=1e-14)
 
 
 def test_combination_of_combinations_stores_basis_elements_only():

@@ -141,6 +141,32 @@ def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, c
     assert not out.exists()
 
 
+BAD_NORMS = {
+    "randers-drift-1.5": ({"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [1.5, 0]},
+                          "a-dual norm of b is 1.500000 >= 1"),
+    "unknown-family": ({"family": "finsler", "dim": 2}, "unknown norm family 'finsler'"),
+    "indefinite-q": ({"family": "euclidean", "dim": 2, "q": [[1, 0], [0, -1]]},
+                     "Q must be positive definite"),
+    "euclidean-without-q": ({"family": "euclidean", "dim": 2}, "norm record needs a numeric array 'q'"),
+    "randers-b-length-3": ({"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [0.1, 0, 0]},
+                           "b must match the dimension of a"),
+}
+
+
+@pytest.mark.parametrize("command", ["average", "solve-fields"])
+@pytest.mark.parametrize("record,message", list(BAD_NORMS.values()), ids=list(BAD_NORMS))
+def test_bad_norm_record_is_invalid_settings(tmp_path, capsys, command, record, message):
+    # exit code 2 and one line, as for bad solver settings: 1 means a check failed
+    config = record if command == "average" else {
+        **EUCLIDEAN_TORUS, "metric": {"kind": "constant_norm", "norm": record}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
+
+
 def test_run_rejects_invalid_settings(tmp_path, capsys):
     # exit code 2, as for an unknown experiment: 1 means a check failed
     assert main(["run", "circle-lambda", "--tol", "0", "--out", str(tmp_path / "out")]) == 2

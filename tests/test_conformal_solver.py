@@ -163,6 +163,15 @@ class TestAssemble:
         with pytest.raises(UnderdeterminedSystem):
             assemble_system(field, basis, collocation)
 
+    @pytest.mark.parametrize("n_directions,rows", [(3, 75), (4, 100)])
+    def test_row_bound_counts_the_fit_rows_only(self, n_directions, rows):
+        # 25 fit points at degree 2 (50 unknowns): under 3 x 50 rows, although the
+        # fit and verification rows evaluated together would meet the bound
+        torus = FlatTorus()
+        config = SolverConfig(x_density=5, n_directions=n_directions, n_extra_directions=0)
+        with pytest.raises(UnderdeterminedSystem, match=rf"^{rows} rows for 50 unknowns"):
+            solve_fields(randers_field(torus), torus_basis(torus, 2), config=config)
+
     def test_unknown_mode_rejected(self):
         torus = FlatTorus()
         basis = torus_basis(torus, 0)
