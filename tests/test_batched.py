@@ -224,6 +224,21 @@ def test_one_jets_evaluation_equals_the_three_methods(name, field, points):
         np.testing.assert_allclose(one, reference, rtol=0, atol=1e-15 * np.max(np.abs(reference)))
 
 
+@pytest.mark.parametrize("name,field,points", JETS_CASES[:4], ids=[c[0] for c in JETS_CASES[:4]])
+def test_torus_jets_match_central_differences(name, field, points):
+    # the rescaled fields' grads_x and grads_y are slices of jets: this checks the product rule
+    points = np.asarray(points, dtype=float)
+    angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, len(points))
+    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    _, grads_x, grads_y = field.jets(points, ys)
+    step = 1e-6
+    for j, shift in enumerate(step * np.eye(2)):
+        fd_x = (field.evals(points + shift, ys) - field.evals(points - shift, ys)) / (2 * step)
+        fd_y = (field.evals(points, ys + shift) - field.evals(points, ys - shift)) / (2 * step)
+        np.testing.assert_allclose(grads_x[:, j], fd_x, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(grads_y[:, j], fd_y, rtol=0, atol=1e-7)
+
+
 @pytest.mark.parametrize("name,field,basis,config", [CASES[1], CASES[3]],
                          ids=[CASES[1][0], CASES[3][0]])
 def test_stacked_jet_tables_equal_the_fit_and_verification_calls(name, field, basis, config):
