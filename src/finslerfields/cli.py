@@ -36,7 +36,6 @@ def build_parser():
     run_p.add_argument("--out", type=Path, default=Path("reports"))
     run_p.add_argument("--resolution", type=int)
     run_p.add_argument("--degree", type=int)
-    run_p.add_argument("--tol", type=float, dest="tol_ratio")
     run_p.add_argument("--seed", type=int)
 
     avg_p = sub.add_parser("average", help="averaged norm of a serialized Minkowski norm")
@@ -62,13 +61,21 @@ def _load_json(path):
         return json.load(handle)
 
 
+def _settings(cls, settings, **fixed):
+    """cls(**settings, **fixed); a key that names no other field of cls raises InvalidSettings."""
+    known = sorted({f.name for f in dataclasses.fields(cls)} - set(fixed))
+    unknown = sorted(set(settings) - set(known))
+    if unknown:
+        raise InvalidSettings(f"unknown settings {unknown}; known: {known}")
+    return cls(**settings, **fixed)
+
+
 def _experiment_config(name, file_cfg, args):
     """The config of one experiment: the file's settings, overridden by the flags given."""
-    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "name"]
-    fields = {key: file_cfg[key] for key in keys if key in file_cfg}
-    fields.update((key, getattr(args, key)) for key in ("resolution", "degree", "tol_ratio", "seed")
-                  if getattr(args, key) is not None)
-    return ExperimentConfig(name=name, **fields)
+    settings = {key: value for key, value in file_cfg.items() if key != "experiments"}
+    settings.update((key, getattr(args, key)) for key in ("resolution", "degree", "seed")
+                    if getattr(args, key) is not None)
+    return _settings(ExperimentConfig, settings, name=name)
 
 
 def cmd_run(args):
@@ -155,7 +162,7 @@ def cmd_solve_fields(args):
     # as in cmd_run: the solver section, the norm record, the basis or the solve may
     # reject the settings
     try:
-        solver_cfg = solver.SolverConfig(**cfg.get("solver", {}))
+        solver_cfg = _settings(solver.SolverConfig, cfg.get("solver", {}))
         field, basis = _field_from_config(cfg)
         report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
     except (InvalidSettings, InadmissibleNorm) as exc:

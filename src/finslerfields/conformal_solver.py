@@ -10,8 +10,8 @@ most six rows per point.  Each solve evaluates both jet tables once, over
 the fit and verification points stacked: the field's (F, dF/dx, dF/dy) from
 one ``jets`` call and the elements' (m, 6, A) table from one
 ``field_tables`` call.  Each kernel is extracted by an SVD of an R factor
-with a relative singular-value threshold and audited through the spectral
-gap around that threshold.
+with the fixed relative singular-value threshold ``RANK_TOL`` and audited
+through the spectral gap around that threshold.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .manifold import (
     stack_points,
 )
 
-DEFAULT_TOL_RATIO = 1e-8
 MIN_ROW_FACTOR = 3
 GAP_WARN = 1e2
 # A verification residual above this multiple of ``tolerance_used`` fails the self-check.
 VERIFY_TOL_FACTOR = 10.0
-# Largest pointwise residual of the brackets of extracted fields re-expanded in their span.
+# Largest pointwise residual of the brackets of extracted fields re-expanded in their
+# span, relative to the brackets' scale (see ``extract_structure_constants``).
 BRACKET_TOL = 1e-6
 
 
@@ -121,20 +121,15 @@ def sphere_basis(sphere, degree=2):
 
 @dataclass
 class SolverConfig:
-    """Collocation and kernel settings, validated on construction: each can change a count."""
+    """Collocation settings, validated on construction: each can change a count."""
 
     x_density: int = 8          # per-axis grid on the torus
     sphere_points: int = 150    # Fibonacci points on the sphere
     n_directions: int = 8       # fixed directions per point
     n_extra_directions: int = 2  # seeded random supplement
     seed: int = 0
-    tol_ratio: float = DEFAULT_TOL_RATIO
 
     def __post_init__(self):
-        # a relative threshold of 0 calls no singular value zero and one of 1
-        # calls all of them zero: either returns a dimension without a flag
-        if not 0.0 < self.tol_ratio < 1.0:
-            raise InvalidSettings(f"tol_ratio must lie in (0, 1), got {self.tol_ratio!r}")
         if self.x_density < 2 or self.sphere_points < 16:
             raise InvalidSettings("x_density must be >= 2 and sphere_points >= 16")
         # centring over a fan of D directions leaves D - 1 equations per point:
@@ -309,7 +304,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
     stacked_factors = (factors @ elements).reshape(-1, n)
     del elements
     r_centred = np.linalg.qr(stacked_factors, mode="r")
-    k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]), config.tol_ratio)
+    k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]))
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
     report = SolveReport(
@@ -319,7 +314,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_basis=k_basis,
         killing_singular_values=k_svals,
         killing_gap=k_gap,
-        tolerance_used=config.tol_ratio * (float(k_svals[0]) or 1.0),
+        tolerance_used=RANK_TOL * (float(k_svals[0]) or 1.0),
         system={"rows": jets[..., 0].size, "factor_rows": factors[..., 0].size, "unknowns": n},
     )
     if k_gap < GAP_WARN:
@@ -328,7 +323,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
     killing = ver_jets @ (ver_elements @ k_basis.T)
     report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
     if mode == "conformal":
-        c_dim, c_basis, c_svals = null_space(r_centred, config.tol_ratio, float(k_svals[0]))
+        c_dim, c_basis, c_svals = null_space(r_centred, float(k_svals[0]))
         ver_means = ver_jets.mean(axis=1, keepdims=True)
         c_jets = ver_elements @ c_basis.T
         report.conformal_dim = c_dim
@@ -354,7 +349,11 @@ def extract_structure_constants(fields, sample_count=60):
 
     The fields are evaluated in one stacked table (combinations of the same
     elements as one evaluation of those elements); the brackets of all pairs
-    are formed from it and expanded in one least-squares solve.
+    are formed from it and expanded in one least-squares solve.  Constants
+    scale as s = max|V| / max|x| over the sample points (about 1 on a sphere
+    of any radius) and brackets as s max|V|: constants at or below
+    RANK_TOL * s are exact zeros, and a residual above BRACKET_TOL * s * max|V|
+    raises ClosureFailure.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -366,7 +365,10 @@ def extract_structure_constants(fields, sample_count=60):
     brackets = (np.einsum("mijp,mjp->mip", jacobians[..., second], values[..., first])
                 - np.einsum("mijp,mjp->mip", jacobians[..., first], values[..., second]))
     generators = values.reshape(-1, len(fields))
-    return bracket_constants(generators, brackets.reshape(len(generators), -1), BRACKET_TOL)
+    size = float(np.max(np.abs(values)))
+    scale = size / float(np.max(np.abs(points)))
+    return bracket_constants(generators, brackets.reshape(len(generators), -1),
+                             BRACKET_TOL * scale * size, scale)
 
 
 def transitivity_check(fields, points):

@@ -3,8 +3,15 @@
 Provides the Killing form, solvability via the derived series and via the
 Cartan criterion, the Killing-form radical, semisimplicity and nilpotency of
 adjoint maps, and the compact-type decomposition into derived algebra plus
-center.  The diagnostics decide every rank with one relative singular-value
-threshold, ``RANK_TOL``, so that dimension counts are auditable.
+center.
+
+One threshold, ``RANK_TOL``, and one reference, the algebra's scale s (its
+largest |constant|), decide what counts as zero: s for brackets, the center
+and ad(u) per unit |u|, s^2 for the Killing form.  A zero algebra reads as
+abelian under every test, and so does a round-off one, since
+``bracket_constants`` writes constants at or below RANK_TOL times the scale
+of their fields as exact zeros.  ``null_space`` takes the reference from
+its caller; nilpotency compares ad(u)^n with |ad(u)|^n, free of scale.
 """
 
 from __future__ import annotations
@@ -30,30 +37,27 @@ class LieAlgebraSC:
             raise ValueError("structure constants must form an (n, n, n) array")
         self.constants = constants
         self.dim = constants.shape[0]
-        anti = float(np.max(np.abs(constants + constants.transpose(1, 0, 2)))) if self.dim else 0.0
-        if anti > ANTISYM_TOL:
-            raise ValueError(f"antisymmetry residual {anti:.3e} exceeds {ANTISYM_TOL:.0e}")
+        self.scale = float(np.max(np.abs(constants), initial=0.0))
+        anti = float(np.max(np.abs(constants + constants.transpose(1, 0, 2)), initial=0.0))
+        if anti > ANTISYM_TOL * self.scale:
+            raise ValueError(f"antisymmetry residual {anti:.3e} exceeds {ANTISYM_TOL:.0e} s")
         jac = self.jacobi_residual()
-        if jac > JACOBI_TOL:
-            raise ValueError(f"Jacobi residual {jac:.3e} exceeds {JACOBI_TOL:.0e}")
+        if jac > JACOBI_TOL * self.scale**2:
+            raise ValueError(f"Jacobi residual {jac:.3e} exceeds {JACOBI_TOL:.0e} s^2")
 
     def jacobi_residual(self):
         c = self.constants
         term = np.einsum("jkm,iml->ijkl", c, c)
         total = term + np.einsum("kim,jml->ijkl", c, c) + np.einsum("ijm,kml->ijkl", c, c)
-        return float(np.max(np.abs(total))) if self.dim else 0.0
+        return float(np.max(np.abs(total), initial=0.0))
 
     def bracket(self, u, v):
         return np.einsum("i,j,ijk->k", u, v, self.constants)
 
     def to_dict(self):
-        entries = []
         c = self.constants
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if c[i, j, k] != 0.0:
-                        entries.append([i, j, k, float(c[i, j, k])])
+        entries = [[int(i), int(j), int(k), float(c[i, j, k])]
+                   for i, j in zip(*np.triu_indices(self.dim, 1)) for k in np.flatnonzero(c[i, j])]
         return {"dim": self.dim, "entries": entries}
 
     @classmethod
@@ -84,47 +88,39 @@ def killing_gram(algebra):
     return 0.5 * (gram + gram.T)
 
 
-def null_space(matrix, tol_ratio=RANK_TOL, reference=None):
-    """Kernel dimension and an orthonormal kernel basis by SVD.
+def _split(matrix, reference=None):
+    """Row-space and kernel bases (rows) of a matrix, and its n singular values, by one SVD.
 
-    Singular values below tol_ratio times ``reference`` (by default the
+    Singular values below RANK_TOL times ``reference`` (by default the
     largest one) count as zero; a zero reference, as of a zero matrix, gives
     a full kernel.  A tall matrix is replaced by its square R factor (same
     singular values and V); a wide one needs the full V, whose trailing rows
     span the kernel directions that have no singular value.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        raise ValueError("empty matrix")
     rows, n = matrix.shape
-    if rows > n:
-        matrix = np.linalg.qr(matrix, mode="r")
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
-    padded = np.zeros(n)
-    padded[: len(svals)] = svals
-    smax = float(padded[0]) if reference is None else reference
+    padded, vt = np.zeros(n), np.eye(n)
+    if rows:
+        if rows > n:
+            matrix = np.linalg.qr(matrix, mode="r")
+        _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
+        padded[: len(svals)] = svals
+    smax = float(padded.max(initial=0.0)) if reference is None else reference
     if smax == 0.0:
-        return n, np.eye(n), padded
-    dim = int((padded < tol_ratio * smax).sum())
-    basis = vt[n - dim:] if dim > 0 else np.zeros((0, n))
-    return dim, basis, padded
+        return np.zeros((0, n)), np.eye(n), padded
+    rank = int((padded >= RANK_TOL * smax).sum())
+    return vt[:rank], vt[rank:], padded
 
 
-def _orth_basis(vectors):
-    """Orthonormal basis (rows) of the span of a stack of row vectors."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.size == 0:
-        return np.zeros((0, vectors.shape[-1] if vectors.ndim == 2 else 0))
-    _, svals, vt = np.linalg.svd(vectors, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((0, vectors.shape[1]))
-    rank = int((svals > RANK_TOL * svals[0]).sum())
-    return vt[:rank]
+def null_space(matrix, reference=None):
+    """Kernel dimension, an orthonormal kernel basis (rows) and the singular values (see ``_split``)."""
+    _, kernel, svals = _split(matrix, reference)
+    return len(kernel), kernel, svals
 
 
 def _bracket_span(algebra, basis_a, basis_b):
     brackets = np.einsum("ai,bj,ijk->abk", basis_a, basis_b, algebra.constants)
-    return _orth_basis(brackets.reshape(len(basis_a) * len(basis_b), algebra.dim))
+    return _split(brackets.reshape(len(basis_a) * len(basis_b), algebra.dim), algebra.scale)[0]
 
 
 def derived_series(algebra):
@@ -154,7 +150,7 @@ def cartan_solvability(algebra):
         return True
     gram = killing_gram(algebra)
     worst = float(np.max(np.abs(gram @ derived.T)))
-    return worst <= RANK_TOL
+    return worst <= RANK_TOL * algebra.scale**2
 
 
 def killing_radical(algebra):
@@ -163,12 +159,12 @@ def killing_radical(algebra):
     Returns an orthonormal row basis; raises IdealCheckError when the kernel
     fails the ideal property, which signals broken input constants.
     """
-    _, radical, _ = null_space(killing_gram(algebra))
+    _, radical, _ = null_space(killing_gram(algebra), algebra.scale**2)
     if radical.shape[0] not in (0, algebra.dim):
         # rows [e_i, r] for every basis vector e_i and radical vector r
         brackets = np.einsum("rj,ijk->irk", radical, algebra.constants)
         worst = float(np.max(np.abs(brackets - brackets @ (radical.T @ radical))))
-        if worst > RANK_TOL:
+        if worst > RANK_TOL * algebra.scale:
             raise IdealCheckError(f"Killing-form kernel is not an ideal (residual {worst:.3e})")
     if radical.shape[0] > 0:
         sub, _ = subalgebra_constants(algebra, radical)
@@ -177,11 +173,13 @@ def killing_radical(algebra):
     return radical
 
 
-def bracket_constants(generators, brackets, tol):
+def bracket_constants(generators, brackets, tol, scale):
     """Structure constants of n generators (columns) and the worst expansion residual.
 
     ``brackets`` holds the brackets of the pairs i < j as columns, in
     ``np.triu_indices(n, 1)`` order; one least-squares solve expands them all.
+    A residual above ``tol`` raises ClosureFailure, and constants at or below
+    RANK_TOL times ``scale`` are written as exact zeros.
     """
     n = generators.shape[1]
     first, second = np.triu_indices(n, 1)
@@ -189,6 +187,7 @@ def bracket_constants(generators, brackets, tol):
     worst = float(np.max(np.abs(generators @ coeffs - brackets), initial=0.0))
     if worst > tol:
         raise ClosureFailure(worst, f"brackets leave the span (residual {worst:.3e})")
+    coeffs[np.abs(coeffs) <= RANK_TOL * scale] = 0.0
     constants = np.zeros((n, n, n))
     constants[first, second] = coeffs.T
     constants[second, first] = -coeffs.T
@@ -200,21 +199,20 @@ def subalgebra_constants(algebra, basis):
     basis = np.asarray(basis, dtype=float)
     first, second = np.triu_indices(len(basis), 1)
     brackets = np.einsum("pi,pj,ijk->kp", basis[first], basis[second], algebra.constants)
-    return bracket_constants(basis.T, brackets, RANK_TOL)
+    return bracket_constants(basis.T, brackets, RANK_TOL * algebra.scale, algebra.scale)
 
 
 def ad_semisimple(algebra, u):
     """Whether ad(u) is diagonalizable over C.
 
-    Eigenvalues are clustered with radius RANK_TOL * smax; each cluster must have
-    geometric multiplicity equal to its size.  A warning is emitted when the
-    clustering is ambiguous (distinct eigenvalues within 10x of the radius).
+    Eigenvalues are clustered with radius RANK_TOL * |u| s; each cluster must
+    have geometric multiplicity equal to its size.  A warning is emitted when
+    the clustering is ambiguous (distinct eigenvalues within 10x of the radius).
     """
     mat = ad_matrix(algebra, u)
-    smax = float(np.linalg.norm(mat, 2))
-    if smax <= 1e-300:
+    radius = RANK_TOL * algebra.scale * float(np.linalg.norm(u))
+    if radius == 0.0:
         return True
-    radius = RANK_TOL * smax
     eigs = np.linalg.eigvals(mat)
     clusters = []
     for lam in sorted(eigs, key=lambda z: (z.real, z.imag)):
@@ -246,7 +244,7 @@ def ad_nilpotent(algebra, u):
     """Whether ad(u)^n vanishes relative to |ad(u)|^n."""
     mat = ad_matrix(algebra, u)
     norm = float(np.linalg.norm(mat, 2))
-    if norm <= 1e-300:
+    if norm == 0.0:
         return True
     power = np.linalg.matrix_power(mat, algebra.dim)
     return float(np.linalg.norm(power, 2)) <= RANK_TOL * norm**algebra.dim
@@ -256,7 +254,7 @@ def center_basis(algebra):
     """Orthonormal basis of {u : [u, g] = 0}."""
     # u is central iff u^T C = 0 for the (n, n^2) stacked constants C: the kernel of the tall C^T
     n = algebra.dim
-    return null_space(algebra.constants.reshape(n, n * n).T)[1]
+    return null_space(algebra.constants.reshape(n, n * n).T, algebra.scale)[1]
 
 
 @dataclass
@@ -277,36 +275,23 @@ def compact_decomposition_check(algebra):
     When the Killing form has a positive eigenvalue the report only records
     that the algebra is not of compact type.
     """
-    gram = killing_gram(algebra)
-    eigs = np.linalg.eigvalsh(gram)
-    scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    compact = bool(eigs[-1] <= RANK_TOL * scale)
     derived = derived_subspace(algebra)
     center = center_basis(algebra)
-    if not compact:
-        return CompactDecompositionReport(
-            compact_type=False,
-            max_gram_eigenvalue=float(eigs[-1]),
-            derived_dim=derived.shape[0],
-            center_dim=center.shape[0],
-            direct_sum=False,
-            kernel_equals_center=False,
-        )
-    stacked = np.vstack([derived, center]) if derived.size or center.size else np.zeros((0, algebra.dim))
-    joint_rank = _orth_basis(stacked).shape[0] if stacked.size else 0
-    direct_sum = (derived.shape[0] + center.shape[0] == algebra.dim) and joint_rank == algebra.dim
-    kernel = killing_radical(algebra)
-    same_dim = kernel.shape[0] == center.shape[0]
-    if same_dim and kernel.shape[0] > 0:
-        cosines = np.linalg.svd(kernel @ center.T, compute_uv=False)
-        kernel_equals_center = bool(np.min(cosines) > 1.0 - 1e-8)
-    else:
-        kernel_equals_center = same_dim
+    compact = killing_signature(algebra)[0] == 0
+    direct_sum = kernel_equals_center = False
+    if compact:
+        joint_rank = len(_split(np.vstack([derived, center]))[0])
+        direct_sum = len(derived) + len(center) == algebra.dim == joint_rank
+        kernel = killing_radical(algebra)
+        kernel_equals_center = len(kernel) == len(center)
+        if kernel_equals_center and len(kernel) > 0:
+            cosines = np.linalg.svd(kernel @ center.T, compute_uv=False)
+            kernel_equals_center = bool(np.min(cosines) > 1.0 - RANK_TOL)
     return CompactDecompositionReport(
-        compact_type=True,
-        max_gram_eigenvalue=float(eigs[-1]),
-        derived_dim=derived.shape[0],
-        center_dim=center.shape[0],
+        compact_type=compact,
+        max_gram_eigenvalue=float(np.linalg.eigvalsh(killing_gram(algebra))[-1]),
+        derived_dim=len(derived),
+        center_dim=len(center),
         direct_sum=direct_sum,
         kernel_equals_center=kernel_equals_center,
     )
@@ -315,9 +300,8 @@ def compact_decomposition_check(algebra):
 def killing_signature(algebra):
     """(positive, negative, zero) eigenvalue counts of the Killing-form Gram matrix."""
     eigs = np.linalg.eigvalsh(killing_gram(algebra))
-    scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    pos = int((eigs > RANK_TOL * scale).sum())
-    neg = int((eigs < -RANK_TOL * scale).sum())
+    pos = int((eigs > RANK_TOL * algebra.scale**2).sum())
+    neg = int((eigs < -RANK_TOL * algebra.scale**2).sum())
     return pos, neg, algebra.dim - pos - neg
 
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector
+from .errors import DegenerateVector, InvalidSettings
+from .lie_algebra import RANK_TOL
 from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm,
                         fibonacci_directions, scale_norm)
 from .averaging import average
@@ -71,7 +72,7 @@ class FlatTorus:
         self.lattice = np.eye(2) if lattice is None else np.asarray(lattice, dtype=float)
         # |det L| against |L|_F^2: both scale as s^2 under L -> s L, a torus of the same shape
         if abs(np.linalg.det(self.lattice)) <= 1e-12 * np.sum(self.lattice**2):
-            raise ValueError("lattice basis is degenerate")
+            raise InvalidSettings("lattice basis is degenerate")
         self.inv_lattice = np.linalg.inv(self.lattice)
 
     def frac(self, x):
@@ -94,7 +95,7 @@ class Sphere2:
 
     def __init__(self, radius=1.0):
         if radius <= 0:
-            raise ValueError("radius must be positive")
+            raise InvalidSettings("radius must be positive")
         self.radius = float(radius)
 
     def frame(self, points):
@@ -576,11 +577,18 @@ def _checked_directions(ys, floor):
 class ConstantNormField(FinslerField):
     """The same Minkowski norm on every tangent space of a flat torus.
 
-    On the sphere only an isotropic norm is meaningful, since the frame turns
-    (``RoundSphereField``).
+    On the sphere the frame turns, and jumps across the equator, so only a
+    multiple of the Euclidean norm is a continuous metric there
+    (``RoundSphereField``); any other norm raises InvalidSettings.
     """
 
     def __init__(self, torus, norm):
+        if isinstance(torus, Sphere2):
+            angles = np.arange(16) * (np.pi / 8.0)
+            values = norm(np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+            if np.ptp(values) > RANK_TOL * np.max(values):
+                raise InvalidSettings("a sphere's constant norm must be a multiple of the "
+                                      "Euclidean one")
         self.manifold = torus
         self.norm = norm
 
@@ -783,13 +791,6 @@ class LambdaProfile:
     values: np.ndarray
     spread: float
     constant: bool
-
-    def to_csv(self, path):
-        lines = ["x,value"]
-        lines += [f"{x:.12e},{v:.12e}" for x, v in zip(self.xs, self.values)]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        return path
 
 
 def circle_lambda_profile(field, grid=256):

@@ -17,7 +17,7 @@ from finslerfields.conformal_solver import (
     sphere_basis,
     torus_basis,
 )
-from finslerfields import manifold
+from finslerfields import lie_algebra, manifold
 from finslerfields.averaging import average
 from finslerfields.errors import DegenerateVector
 from finslerfields.manifold import (
@@ -494,10 +494,11 @@ def test_killing_kernel_is_that_of_the_rows_before_division_by_f(name, field, ba
     assert _kernel_angle(report.killing_basis, ref_kernel) <= 1e-8
 
 
-def test_collapsed_gap_is_flagged_without_warning():
+def test_collapsed_gap_is_flagged_without_warning(monkeypatch):
     torus = FlatTorus()
     # a threshold inside the nonzero spectrum leaves no gap around it
-    config = SolverConfig(x_density=6, tol_ratio=0.5)
+    monkeypatch.setattr(lie_algebra, "RANK_TOL", 0.5)
+    config = SolverConfig(x_density=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         report = solve_fields(randers_torus_field(torus), torus_basis(torus, 1), config=config)

@@ -110,12 +110,12 @@ def test_solve_fields_rejects_invalid_solver_settings(tmp_path, capsys):
         "metric": {"kind": "constant_norm",
                    "norm": {"family": "randers", "dim": 2,
                             "a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.5, 0.0]}},
-        "solver": {"tol_ratio": 0},
+        "solver": {"x_density": 1},
     }))
     assert main(["solve-fields", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "tol_ratio" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "x_density" in captured.err
 
 
 EUCLIDEAN_TORUS = {"manifold": {"kind": "flat_torus"},
@@ -124,11 +124,33 @@ EUCLIDEAN_TORUS = {"manifold": {"kind": "flat_torus"},
                                        "q": [[1.0, 0.0], [0.0, 1.0]]}}}
 
 
+@pytest.mark.parametrize("command", ["run", "solve-fields"])
+@pytest.mark.parametrize("key", ["tol_ratio", "x_densty"])
+def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, key):
+    # the retired kernel threshold and a typo are named, neither crashed on nor ignored
+    config = {"experiments": ["circle-lambda"], key: 1e-8}
+    if command == "solve-fields":
+        config = {**EUCLIDEAN_TORUS, "degree": 1, "solver": {key: 1e-8}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"invalid settings: unknown settings ['{key}']; known: [")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config,message", [
     ({"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 3},
      "sphere_basis supports degrees (1, 2), got 3"),
     ({**EUCLIDEAN_TORUS, "degree": 4}, "x_density 8 < 2 * degree 4 + 1"),
-], ids=["sphere-degree-3", "torus-degree-4"])
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "flat_torus", "lattice": [[1.0, 2.0], [0.5, 1.0]]}},
+     "lattice basis is degenerate"),
+    ({"manifold": {"kind": "sphere", "radius": 0.0}, "metric": {"kind": "round"}},
+     "radius must be positive"),
+], ids=["sphere-degree-3", "torus-degree-4", "degenerate-lattice", "sphere-radius-0"])
 def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, capsys, config,
                                                                      message):
     cfg = tmp_path / "solve.json"
@@ -169,10 +191,10 @@ def test_bad_norm_record_is_invalid_settings(tmp_path, capsys, command, record, 
 
 def test_run_rejects_invalid_settings(tmp_path, capsys):
     # exit code 2, as for an unknown experiment: 1 means a check failed
-    assert main(["run", "circle-lambda", "--tol", "0", "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", "circle-lambda", "--resolution", "8", "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "tol_ratio" in captured.err
+    assert captured.err.splitlines() == ["invalid settings: resolution must be >= 16"]
     assert not (tmp_path / "out").exists()
 
 
@@ -258,18 +280,18 @@ def test_failing_experiment_yields_exit_one(tmp_path, monkeypatch):
 
 def test_invalid_experiment_config_rejected():
     with pytest.raises(ValueError):
-        ExperimentConfig(name="x", tol_ratio=-1.0)
+        ExperimentConfig(name="x", resolution=8)
     with pytest.raises(ValueError):
         ExperimentConfig(name="x", x_density=1)
 
 
 def test_flag_overrides_reach_the_solver(tmp_path):
-    # a coarser tolerance must be echoed in the config section of the report
-    code = main(["run", "circle-lambda", "--tol", "1e-6", "--seed", "5",
+    # a flag overrides the default and is echoed in the config section of the report
+    code = main(["run", "circle-lambda", "--resolution", "512", "--seed", "5",
                  "--out", str(tmp_path)])
     assert code == 0
     doc = json.loads((tmp_path / "circle-lambda.json").read_text())
-    assert doc["config"]["tol_ratio"] == 1e-6
+    assert doc["config"]["resolution"] == 512
     assert doc["config"]["seed"] == 5
 
 

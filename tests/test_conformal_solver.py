@@ -19,7 +19,13 @@ from finslerfields.conformal_solver import (
     transitivity_check,
 )
 from finslerfields.errors import ClosureFailure, UnderdeterminedSystem
-from finslerfields.lie_algebra import killing_gram, killing_signature, rotation_algebra
+from finslerfields.lie_algebra import (
+    compact_decomposition_check,
+    derived_series,
+    killing_gram,
+    killing_signature,
+    rotation_algebra,
+)
 from finslerfields.manifold import (
     AmbientPolyScalar,
     ConformalRescaleField,
@@ -181,12 +187,10 @@ class TestAssemble:
 
 class TestSolveFields:
     @pytest.mark.parametrize("key,value", [
-        ("tol_ratio", 0.0), ("tol_ratio", -1e-8), ("tol_ratio", 1.0), ("tol_ratio", 1.5),
-        ("tol_ratio", float("nan")), ("x_density", 1), ("sphere_points", 15),
+        ("x_density", 1), ("sphere_points", 15),
         ("n_directions", 0), ("n_extra_directions", -1), ("n_directions", 2),
     ])
     def test_solver_config_rejects_settings_that_change_counts(self, key, value):
-        # tol_ratio 0 gave 0/0 and 1.5 gave 50/50 on the Randers torus, without a flag;
         # with one direction per point the centred system is zero, so every field
         # would read as conformal
         with pytest.raises(ValueError, match=key):
@@ -424,8 +428,8 @@ class TestFactorSolve:
         field, basis, config = _factor_solve_cases()[case]
         rows, centred = full_systems(field, basis, build_collocation(basis.manifold, config))
         report = solve_fields(field, basis, config=config)
-        k_dim, _, k_svals = null_space(rows, config.tol_ratio)
-        c_dim, _, c_svals = null_space(centred, config.tol_ratio, k_svals[0])
+        k_dim, _, k_svals = null_space(rows)
+        c_dim, _, c_svals = null_space(centred, k_svals[0])
         scale = 1e-12 * k_svals[0]
         assert np.max(np.abs(report.killing_singular_values - k_svals)) <= scale
         assert np.max(np.abs(report.conformal_singular_values - c_svals)) <= scale
@@ -553,6 +557,44 @@ class TestStructureConstants:
         algebra, residual = extract_structure_constants(fields())
         assert residual <= 1e-8
         assert killing_signature(algebra) == (3, 3, 0)
+
+    @pytest.mark.parametrize("lattice", [None, [[1.0, 0.3], [0.0, 1.2]]], ids=["unit", "skewed"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_solved_randers_torus_algebra_reads_as_abelian(self, degree, lattice):
+        # the extracted constants are round-off, up to 2e-15 at degree 3: measured against
+        # their own size rather than the fields' they read as a solvable, non-compact algebra
+        torus = FlatTorus(None if lattice is None else np.array(lattice))
+        fields = _solved_fields(randers_field(torus), torus_basis(torus, degree), "conformal")
+        algebra, _ = extract_structure_constants(fields)
+        assert not algebra.constants.any()
+        assert derived_series(algebra) == [2, 0]
+        assert killing_signature(algebra) == (0, 0, 2)
+        report = compact_decomposition_check(algebra)
+        assert (report.compact_type, report.derived_dim, report.center_dim) == (True, 0, 2)
+
+    @pytest.mark.parametrize("radius", [1e-8, 1.0, 1e10])
+    def test_closure_is_judged_at_the_fields_scale(self, radius):
+        # residuals scale with R: so(3) re-expands to 5.7e-6 at R = 1e10, and the pair below,
+        # which does not close, to 0.97 R, under an absolute 1e-6 for R <= 1e-6
+        sphere = Sphere2(radius)
+        algebra, _ = extract_structure_constants(sphere_rotation_generators(sphere))
+        np.testing.assert_allclose(algebra.constants, rotation_algebra().constants, atol=1e-8)
+        pair = [sphere_rotation_generators(sphere)[0], sphere_basis(sphere, 2).elements[-1]]
+        with pytest.raises(ClosureFailure):
+            extract_structure_constants(pair)
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_solved_sphere_algebras_at_any_radius(self, degree, radius):
+        sphere = Sphere2(radius)
+        basis = sphere_basis(sphere, degree)
+        report = solve_fields(RoundSphereField(sphere), basis)
+        killing, _ = extract_structure_constants([basis.combination(c) for c in report.killing_basis])
+        conformal, _ = extract_structure_constants(
+            [basis.combination(c) for c in report.conformal_basis])
+        decomposition = compact_decomposition_check(killing)
+        assert (decomposition.compact_type, decomposition.derived_dim) == (True, 3)
+        assert killing_signature(conformal) == (3, 3, 0)
 
 
 class TestTransitivity:

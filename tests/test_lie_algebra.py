@@ -210,3 +210,16 @@ class TestSignature:
     def test_direct_sum_signature_has_kernel(self):
         algebra = direct_sum(rotation_algebra(), abelian_algebra(2))
         assert killing_signature(algebra) == (0, 3, 2)
+
+    def test_round_off_killing_form_of_a_nilpotent_algebra_is_zero(self):
+        # Heisenberg [x, y] = z plus 1e-16 noise: its Killing form is round-off, which
+        # measured against its own largest eigenvalue has a sign
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+        noise = 1e-16 * np.random.default_rng(0).standard_normal((3, 3, 3))
+        algebra = LieAlgebraSC(c + noise - noise.transpose(1, 0, 2))
+        assert killing_signature(algebra) == (0, 0, 3)
+        assert killing_radical(algebra).shape[0] == 3
+        report = compact_decomposition_check(algebra)
+        assert (report.compact_type, report.derived_dim, report.center_dim) == (True, 1, 1)
+        assert not report.direct_sum

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finslerfields.conformal_solver import sphere_basis
-from finslerfields.errors import DegenerateVector
+from finslerfields.errors import DegenerateVector, InvalidSettings
 from finslerfields.manifold import (
     AmbientPolyScalar,
     Circle,
@@ -107,6 +107,19 @@ class TestMetricEval:
             assert field.eval(np.array(pole), np.array([0.6, -0.8])) == pytest.approx(1.0, abs=1e-15)
             np.testing.assert_array_equal(field.grad_x(np.array(pole), np.array([0.6, -0.8])),
                                           np.zeros(2))
+
+    @pytest.mark.parametrize("norm", [RandersNorm(np.eye(2), [0.3, 0.0]),
+                                      EuclideanNorm(np.diag([1.0, 4.0]))],
+                             ids=["randers", "anisotropic"])
+    def test_sphere_rejects_a_norm_the_frame_turns(self, norm):
+        # the frame jumps across the equator, so such a field is not continuous; the solve
+        # would return 0/3 with a gap of 1e15 and no flag
+        with pytest.raises(InvalidSettings, match="multiple of the Euclidean"):
+            ConstantNormField(Sphere2(1.0), norm)
+
+    def test_sphere_accepts_a_multiple_of_the_euclidean_norm(self):
+        field = ConstantNormField(Sphere2(2.0), EuclideanNorm(9.0 * np.eye(2)))
+        assert field.eval(np.array([0.0, 0.0, 2.0]), np.array([0.6, 0.8])) == pytest.approx(3.0)
 
     def test_conformal_rescale_multiplies(self):
         torus, base = randers_torus()
@@ -470,18 +483,6 @@ class TestCircleProfile:
         expected = [max(p / m, m / p) for p, m in zip(plus, minus)]
         np.testing.assert_array_equal(field.ratio(xs), expected)
 
-    def test_profile_csv_export(self, tmp_path):
-        circle = Circle()
-        field = CircleNormField(
-            circle,
-            forward=CircleFourierScalar(circle, const=1.4),
-            backward=CircleFourierScalar(circle, const=0.7),
-        )
-        path = circle_lambda_profile(field, grid=16).to_csv(tmp_path / "profile.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        assert len(lines) == 17
-
     def test_circle_average_uses_both_sides(self):
         circle = Circle()
         field = CircleNormField(
@@ -601,7 +602,7 @@ class TestFlatTorusLattice:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_degenerate_lattice_is_rejected_at_any_scale(self, scale):
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(InvalidSettings, match="degenerate"):
             FlatTorus(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
