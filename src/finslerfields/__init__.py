@@ -21,7 +21,6 @@ from .averaging import (
     verify_equivariance,
 )
 from .manifold import (
-    Circle,
     CircleNormField,
     ConformalRescaleField,
     ConstantNormField,

@@ -2,8 +2,11 @@
 
 The unit level set {F = 1} carries the volume measure of the Hessian metric;
 averaging the fundamental tensor against that measure produces an inner
-product.  The construction commutes with positive scalings and linear maps
-that intertwine two norms, which is what ``verify_equivariance`` checks.
+product.  In dimension 1 the indicatrix is the two points 1/F(1) and
+-1/F(-1) under counting measure, so a norm p y (y > 0), q |y| (y < 0)
+averages to (p^2 + q^2) / 2.  The construction commutes with positive
+scalings and linear maps that intertwine two norms, which is what
+``verify_equivariance`` checks.
 """
 
 from __future__ import annotations
@@ -55,9 +58,12 @@ class AveragedNorm:
 def _reference_grid(n, resolution):
     """Unit directions u (m, n), tangent frames du (m, n - 1, n) and the cell measure.
 
-    The circle is split into equal arcs; the 2-sphere into a theta-phi grid
-    with cell centres in theta, so no node sits on a pole.
+    The 0-sphere is its two points +-1 with empty frames and unit cells, whatever
+    the resolution; the circle is split into equal arcs; the 2-sphere into a
+    theta-phi grid with cell centres in theta, so no node sits on a pole.
     """
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.zeros((2, 0, 1)), 1.0
     if n == 2:
         if resolution < 16:
             raise ValueError("resolution must be >= 16 for n = 2")
@@ -80,11 +86,11 @@ def _reference_grid(n, resolution):
         du_t = np.stack([ct * cp, ct * sp, -st], axis=1)
         du_p = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=1)
         return u, np.stack([du_t, du_p], axis=1), step * step
-    raise ValueError("indicatrix sampling is implemented for n = 2 and n = 3")
+    raise ValueError("indicatrix sampling is implemented for n = 1, 2 and 3")
 
 
 def sample_indicatrix(norm, resolution):
-    """Quadrature nodes, weights and tensors on the indicatrix of a 2-D or 3-D norm.
+    """Quadrature nodes, weights and tensors on the indicatrix of a 1-D, 2-D or 3-D norm.
 
     Nodes are radial projections y = u/F(u) of a reference-sphere grid, whose
     tangent frames push forward to dy = du/F - u (grad F . du)/F^2.  The

@@ -127,16 +127,21 @@ def cmd_average(args):
     return 0
 
 
+def _entry(section, key):
+    """section[key] of a config section; a missing entry raises InvalidSettings."""
+    if not isinstance(section, dict) or key not in section:
+        raise InvalidSettings(f"the config needs a {key!r} entry")
+    return section[key]
+
+
 def _field_from_config(cfg):
-    manifold_cfg = cfg["manifold"]
-    metric_cfg = cfg["metric"]
-    kind = manifold_cfg["kind"]
+    manifold_cfg, metric_cfg = _entry(cfg, "manifold"), _entry(cfg, "metric")
+    kind, metric = _entry(manifold_cfg, "kind"), _entry(metric_cfg, "kind")
     if kind == "flat_torus":
         torus = mf.FlatTorus(np.array(manifold_cfg.get("lattice", np.eye(2).tolist())))
-        if metric_cfg["kind"] == "constant_norm":
-            base = mf.ConstantNormField(torus, norm_from_dict(metric_cfg["norm"]))
-        else:
-            raise ValueError(f"unsupported torus metric {metric_cfg['kind']!r}")
+        if metric != "constant_norm":
+            raise InvalidSettings(f"unsupported torus metric {metric!r}")
+        base = mf.ConstantNormField(torus, norm_from_dict(_entry(metric_cfg, "norm")))
         if "rescale" in metric_cfg:
             r = metric_cfg["rescale"]
             rho = mf.TorusFourierScalar(
@@ -149,12 +154,12 @@ def _field_from_config(cfg):
         return base, basis
     if kind == "sphere":
         sphere = mf.Sphere2(manifold_cfg.get("radius", 1.0))
-        if metric_cfg["kind"] != "round":
-            raise ValueError(f"unsupported sphere metric {metric_cfg['kind']!r}")
+        if metric != "round":
+            raise InvalidSettings(f"unsupported sphere metric {metric!r}")
         field = mf.RoundSphereField(sphere)
         basis = solver.sphere_basis(sphere, cfg.get("degree", 2))
         return field, basis
-    raise ValueError(f"unsupported manifold {kind!r}")
+    raise InvalidSettings(f"unsupported manifold {kind!r}")
 
 
 def cmd_solve_fields(args):

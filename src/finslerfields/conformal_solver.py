@@ -16,7 +16,7 @@ through the spectral gap around that threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -72,7 +72,9 @@ class FieldBasis:
 
 
 def torus_basis(torus, degree):
-    """Coordinate fields times Fourier modes up to the given degree."""
+    """Coordinate fields times Fourier modes up to the given degree, on a 2-torus."""
+    if torus.dim != 2:
+        raise InvalidSettings(f"torus_basis takes a 2-torus, got a {torus.dim}-torus")
     elements = [
         TorusFourierVectorField.coordinate(torus, 0),
         TorusFourierVectorField.coordinate(torus, 1),
@@ -130,6 +132,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # every int field, a subclass's included, takes a Python int and not a bool
+        wrong = [f.name for f in fields(self) if f.type == "int" and type(getattr(self, f.name)) is not int]
+        if wrong:
+            raise InvalidSettings(f"settings {wrong} must be integers")
         if self.x_density < 2 or self.sphere_points < 16:
             raise InvalidSettings("x_density must be >= 2 and sphere_points >= 16")
         # centring over a fan of D directions leaves D - 1 equations per point:
@@ -185,7 +191,8 @@ def _jet_tables(field, basis, collocation):
     L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i: the field's 1-jet (dF/dx, y (x) dF/dy) per
     row, from one ``jets``, dotted with the element's (V, DV) per distinct point, from one
     ``field_tables``.  Rows and points are independent, so a stacked collocation gives
-    the stacked tables of its parts.
+    the stacked tables of its parts.  A field that is not positive and finite at every
+    row raises InvalidSettings.
     """
     points, fan = collocation
     n_points, n_dirs, _ = fan.shape
@@ -196,6 +203,8 @@ def _jet_tables(field, basis, collocation):
     field_jets = np.hstack([grads_x, (grads_y[:, :, None] * ys[:, None, :]).reshape(-1, 4)])
     field_jets = field_jets.reshape(n_points, n_dirs, 6)
     evals = evals.reshape(n_points, n_dirs, 1)
+    if not np.all(np.isfinite(evals) & (evals > 0.0)):
+        raise InvalidSettings(f"the field is not positive: min F = {evals.min():.3e} at a collocation row")
     field_jets /= evals
     return field_jets, evals, element_jets
 

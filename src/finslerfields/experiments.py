@@ -158,7 +158,7 @@ def _rescaled_torus_experiment(config, base_norm):
     else:
         nontransitive_fraction = 1.0
 
-    control_field = mf.ConformalRescaleField(base, mf.ConstantScalar(2.0))
+    control_field = mf.ConformalRescaleField(base, mf.TorusFourierScalar(torus, const=2.0))
     control = solver.solve_fields(field=control_field, basis=basis, mode="killing", config=config)
     control_fields = [basis.combination(c) for c in control.killing_basis]
     control_transitive = solver.transitivity_check(control_fields, sample)
@@ -187,16 +187,16 @@ def exp_rescaled_riemannian_torus(config):
 
 
 def exp_circle_lambda(config):
-    circle = mf.Circle()
+    circle = mf.FlatTorus([[2.0 * np.pi]])
     varying = mf.CircleNormField(
         circle,
-        forward=mf.CircleFourierScalar(circle, const=2.0, terms=[(1, 0.0, 1.0)]),
-        backward=mf.CircleFourierScalar(circle, const=1.0),
+        forward=mf.TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0)]),
+        backward=mf.TorusFourierScalar(circle, const=1.0),
     )
     constant = mf.CircleNormField(
         circle,
-        forward=mf.CircleFourierScalar(circle, const=1.4),
-        backward=mf.CircleFourierScalar(circle, const=0.7),
+        forward=mf.TorusFourierScalar(circle, const=1.4),
+        backward=mf.TorusFourierScalar(circle, const=0.7),
     )
     profile_varying = mf.circle_lambda_profile(varying, grid=256)
     profile_constant = mf.circle_lambda_profile(constant, grid=256)

@@ -289,7 +289,7 @@ def compact_decomposition_check(algebra):
             kernel_equals_center = bool(np.min(cosines) > 1.0 - RANK_TOL)
     return CompactDecompositionReport(
         compact_type=compact,
-        max_gram_eigenvalue=float(np.linalg.eigvalsh(killing_gram(algebra))[-1]),
+        max_gram_eigenvalue=float(np.linalg.eigvalsh(killing_gram(algebra))[-1]) if algebra.dim else 0.0,
         derived_dim=len(derived),
         center_dim=len(center),
         direct_sum=direct_sum,

@@ -1,4 +1,7 @@
-"""Model manifolds (circle, flat torus, round 2-sphere) and Finsler fields on them.
+"""Model manifolds (flat tori of any dimension, round 2-sphere) and Finsler fields on them.
+
+The circle of length L is the 1-torus ``FlatTorus([[L]])``; the vector-field
+ansatz and the solver take the 2-torus and the sphere.
 
 A sphere point is its ambient position p, a (3,) array with |p| = R, and a
 tangent vector at p is a (2,) array of components in the orthonormal frame
@@ -11,8 +14,8 @@ X(p) = w - (p.w) p / R^2 of a polynomial map w of R^3, and its 1-jet is the
 ambient one read in the frame: E^T X and E^T DX E.  Mobius maps are Lorentz
 matrices acting on the null cone.
 
-Point sets are batches: an (m, 2) array on the torus, an (m, 3) array on the
-sphere and an (m,) array on the circle.  Grids, Fibonacci points and
+Point sets are batches: an (m, n) array on the n-torus, the circle included
+as (m, 1), and an (m, 3) array on the sphere.  Grids, Fibonacci points and
 ``sample_points`` come back as one batch.  Scalars, vector fields and
 solvable Finsler fields evaluate a whole batch in one call (``values``,
 ``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets``
@@ -53,39 +56,31 @@ def stack_points(points):
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-@dataclass(frozen=True)
-class Circle:
-    length: float = 2.0 * np.pi
-
-    dim = 1
-
-    def sample_points(self, count):
-        return np.arange(count) * self.length / count
-
-
 class FlatTorus:
-    """R^2 modulo the lattice spanned by the columns of ``lattice``."""
-
-    dim = 2
+    """R^n modulo the lattice spanned by the columns of the (n, n) ``lattice`` (default I_2)."""
 
     def __init__(self, lattice=None):
         self.lattice = np.eye(2) if lattice is None else np.asarray(lattice, dtype=float)
-        # |det L| against |L|_F^2: both scale as s^2 under L -> s L, a torus of the same shape
-        if abs(np.linalg.det(self.lattice)) <= 1e-12 * np.sum(self.lattice**2):
+        if (self.lattice.ndim != 2 or not 0 < len(self.lattice) == self.lattice.shape[1]
+                or not np.all(np.isfinite(self.lattice))):
+            raise InvalidSettings(f"lattice must be a finite (n, n) matrix, got {self.lattice.tolist()}")
+        self.dim = len(self.lattice)
+        # |det L| against |L|_F^n: both scale as s^n under L -> s L, a torus of the same shape
+        if abs(np.linalg.det(self.lattice)) <= 1e-12 * np.sum(self.lattice**2) ** (self.dim / 2):
             raise InvalidSettings("lattice basis is degenerate")
         self.inv_lattice = np.linalg.inv(self.lattice)
 
     def frac(self, x):
-        """Lattice coordinates of a (2,) point or an (m, 2) batch."""
+        """Lattice coordinates of an (n,) point or an (m, n) batch."""
         return np.asarray(x, dtype=float) @ self.inv_lattice.T
 
     def wrap(self, x):
         return (self.frac(x) % 1.0) @ self.lattice.T
 
     def grid_points(self, per_axis, offset=(0.31, 0.47)):
-        """The (per_axis**2, 2) offset grid in lattice coordinates, first index outermost."""
-        index = np.stack(np.meshgrid(np.arange(per_axis), np.arange(per_axis), indexing="ij"), -1)
-        return ((index.reshape(-1, 2) + np.asarray(offset)) / per_axis) @ self.lattice.T
+        """The (per_axis**n, n) offset grid in lattice coordinates, first index outermost."""
+        index = np.indices((per_axis,) * self.dim).reshape(self.dim, -1).T
+        return ((index + np.asarray(offset)) / per_axis) @ self.lattice.T
 
 
 class Sphere2:
@@ -136,50 +131,43 @@ class ScalarField:
         return self.grads(pt)[0]
 
 
-class ConstantScalar(ScalarField):
-    """A constant; in a torus Fourier table it is a scalar without modes."""
-
-    _terms = np.zeros((0, 4))
-
-    def __init__(self, value):
-        self.const = float(value)
-
-    def values(self, points):
-        return np.full(len(stack_points(points)), self.const)
-
-    def grads(self, points):
-        return np.zeros((len(stack_points(points)), 2))
-
-
 class TorusFourierScalar(ScalarField):
-    """const + sum of cos/sin modes exp(2 pi i k . xi) in lattice coordinates."""
+    """const + sum of cos/sin modes exp(2 pi i k . xi) in lattice coordinates, k of length n.
+
+    A constant is a scalar without modes.  ``values`` sums the modes with the
+    same arithmetic at every batch size, so a point's value does not depend on
+    the batch it is evaluated in.
+    """
 
     def __init__(self, torus, const=0.0, terms=()):
         self.torus = torus
         self.const = float(const)
         self.terms = [(np.array(k, dtype=float), float(a), float(b)) for k, a, b in terms]
-        self._terms = np.array([[*k, a, b] for k, a, b in self.terms]).reshape(-1, 4)  # k1, k2, a, b
+        if any(k.shape != (torus.dim,) for k, _, _ in self.terms):
+            raise InvalidSettings(f"a mode on a {torus.dim}-torus has {torus.dim} entries")
+        self._terms = np.array([[*k, a, b] for k, a, b in self.terms]).reshape(-1, torus.dim + 2)  # k, a, b
 
     def values(self, points):
-        cos, sin = _fourier_phases(self.torus, self._terms[:, :2], points)
-        return self.const + cos @ self._terms[:, 2] + sin @ self._terms[:, 3]
+        cos, sin = _fourier_phases(self.torus, self._terms[:, :-2], points)
+        return (self.const + np.einsum("mk,k->m", cos, self._terms[:, -2])
+                + np.einsum("mk,k->m", sin, self._terms[:, -1]))
 
     def grads(self, points):
-        cos, sin = _fourier_phases(self.torus, self._terms[:, :2], points)
-        dpsi = _phase_gradients(self.torus, self._terms[:, :2]).T[:, :, None]
-        return (cos @ (dpsi * self._terms[:, 3:]) - sin @ (dpsi * self._terms[:, 2:3]))[..., 0].T
+        cos, sin = _fourier_phases(self.torus, self._terms[:, :-2], points)
+        dpsi = _phase_gradients(self.torus, self._terms[:, :-2]).T[:, :, None]
+        return (cos @ (dpsi * self._terms[:, -1:]) - sin @ (dpsi * self._terms[:, -2:-1]))[..., 0].T
 
 
 def _fourier_coefficients(scalars):
-    """The distinct modes (K, 2) of Fourier and constant scalars, and their stacked
+    """The distinct modes (K, 2) of Fourier scalars on a 2-torus, and their stacked
     (1 + 2K, n) coefficients on the dictionary [1, cos psi, sin psi]."""
     terms = np.concatenate([s._terms for s in scalars])
-    distinct, row = np.unique(terms[:, :2] @ np.array([1.0, 1j]), return_inverse=True)
+    distinct, row = np.unique(terms[:, :-2] @ np.array([1.0, 1j]), return_inverse=True)
     owner = np.repeat(np.arange(len(scalars)), [len(s._terms) for s in scalars])
     k = len(distinct)
     coef = np.zeros((1 + 2 * k, len(scalars)))
     coef[0] = [s.const for s in scalars]
-    np.add.at(coef, (np.concatenate([1 + row, 1 + k + row]), np.tile(owner, 2)), terms[:, 2:].T.ravel())
+    np.add.at(coef, (np.concatenate([1 + row, 1 + k + row]), np.tile(owner, 2)), terms[:, -2:].T.ravel())
     return np.stack([distinct.real, distinct.imag], axis=-1), coef
 
 
@@ -190,7 +178,7 @@ def _fourier_phases(torus, modes, points):
 
 
 def _phase_gradients(torus, modes):
-    """dpsi/dx = 2 pi k L^-1 of each mode's phase, (K, 2): xi = L^-1 x."""
+    """dpsi/dx = 2 pi k L^-1 of each mode's phase, (K, n): xi = L^-1 x."""
     return 2.0 * np.pi * (modes @ torus.inv_lattice)
 
 
@@ -214,23 +202,6 @@ class AmbientPolyScalar(ScalarField):
     def grads(self, points):
         p = stack_points(points)
         return np.einsum("mi,mij->mj", self.linear + 2.0 * p @ self.quadratic, self.sphere.frame(p))
-
-
-class CircleFourierScalar:
-    """const + sum of cos/sin harmonics on a circle of given length."""
-
-    def __init__(self, circle, const=0.0, terms=()):
-        self.circle = circle
-        self.const = float(const)
-        self.terms = [(int(n), float(a), float(b)) for n, a, b in terms]
-
-    def value(self, x):
-        """The value at a point x, or at each x of an array."""
-        out = np.full(np.shape(x), self.const)
-        for n, a, b in self.terms:
-            psi = 2.0 * np.pi * n * x / self.circle.length
-            out += a * np.cos(psi) + b * np.sin(psi)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +236,12 @@ class TorusFourierVectorField(VectorField):
 
     def __init__(self, torus, components):
         self.manifold = torus
-        self.components = components  # pair of TorusFourierScalar / ConstantScalar
+        self.components = components  # pair of TorusFourierScalar
 
     @classmethod
     def coordinate(cls, torus, index, scalar=None):
-        scalar = ConstantScalar(1.0) if scalar is None else scalar
-        zero = ConstantScalar(0.0)
+        scalar = TorusFourierScalar(torus, const=1.0) if scalar is None else scalar
+        zero = TorusFourierScalar(torus)
         comps = (scalar, zero) if index == 0 else (zero, scalar)
         return cls(torus, comps)
 
@@ -434,7 +405,7 @@ def sphere_gradient_generators(sphere):
 
 
 class TorusTranslation:
-    """x -> x + shift on a flat torus; a (2,) point or an (m, 2) batch."""
+    """x -> x + shift on a flat torus; an (n,) point or an (m, n) batch."""
 
     def __init__(self, torus, shift):
         self.manifold = torus
@@ -444,7 +415,8 @@ class TorusTranslation:
         return self.manifold.wrap(np.asarray(x, dtype=float) + self.shift)
 
     def differential(self, x):
-        return np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2))
+        dim = self.manifold.dim
+        return np.broadcast_to(np.eye(dim), np.shape(x)[:-1] + (dim, dim))
 
 
 # (t, x, y, z) as the Hermitian matrix t + x s_1 + y s_2 + z s_3 for the basis s_a below,
@@ -583,6 +555,8 @@ class ConstantNormField(FinslerField):
     """
 
     def __init__(self, torus, norm):
+        if norm.dim != torus.dim:
+            raise InvalidSettings(f"the norm has dimension {norm.dim} and the manifold {torus.dim}")
         if isinstance(torus, Sphere2):
             angles = np.arange(16) * (np.pi / 8.0)
             values = norm(np.stack([np.cos(angles), np.sin(angles)], axis=-1))
@@ -641,23 +615,28 @@ class ConformalRescaleField(FinslerField):
 
 
 class CircleNormField(FinslerField):
-    """One-dimensional field F(x, y) = p(x) y for y > 0, q(x) |y| for y < 0."""
+    """F(x, y) = p(x) y for y >= 0 and q(x) |y| for y < 0 on a 1-torus, p and q Fourier scalars."""
 
     def __init__(self, circle, forward, backward):
+        if circle.dim != 1:
+            raise InvalidSettings(f"a circle field lives on a 1-torus, got dimension {circle.dim}")
         self.manifold = circle
         self.forward = forward
         self.backward = backward
 
-    def eval(self, x, y):
-        y = float(np.asarray(y).reshape(()))
-        if y >= 0.0:
-            return self.forward.value(x) * y
-        return self.backward.value(x) * (-y)
+    def evals(self, points, ys):
+        y = _as_directions(ys)[:, 0]
+        return np.where(y >= 0.0, self.forward.values(points) * y, self.backward.values(points) * -y)
 
-    def ratio(self, xs):
-        """max(F(x, +1)/F(x, -1), F(x, -1)/F(x, +1)) at each x of an array."""
-        plus, minus = self.forward.value(xs), self.backward.value(xs)
+    def ratio(self, points):
+        """max(F(x, +1)/F(x, -1), F(x, -1)/F(x, +1)) over an (m, 1) batch."""
+        plus, minus = self.forward.values(points), self.backward.values(points)
         return np.maximum(plus / minus, minus / plus)
+
+    def norm_at(self, pt):
+        """The Randers norm ((p + q)/2) |y| + ((p - q)/2) y, admissible exactly when p, q > 0."""
+        p, q = self.forward.value(pt), self.backward.value(pt)
+        return RandersNorm([[(0.5 * (p + q)) ** 2]], [0.5 * (p - q)])
 
 
 def pull_norm(norm, jac):
@@ -706,10 +685,6 @@ class PointwiseAveragedField(FinslerField):
         self.resolution = int(resolution)
 
     def matrix_at(self, pt):
-        if isinstance(self.manifold, Circle):
-            fwd = self.source.eval(pt, 1.0)
-            bwd = self.source.eval(pt, -1.0)
-            return np.array([[0.5 * (fwd**2 + bwd**2)]])
         return average(self.source.norm_at(pt), self.resolution).matrix
 
     def norm_at(self, pt):
@@ -755,10 +730,8 @@ def lie_derivative(field, vector_field, points, ys):
 
 def sample_points(manifold, count, seed=0):
     """Deterministic sample points for residual sweeps."""
-    if isinstance(manifold, Circle):
-        return manifold.sample_points(count)
     if isinstance(manifold, FlatTorus):
-        return np.random.default_rng(seed).uniform(size=(count, 2)) @ manifold.lattice.T
+        return np.random.default_rng(seed).uniform(size=(count, manifold.dim)) @ manifold.lattice.T
     if isinstance(manifold, Sphere2):
         return manifold.fibonacci_points(count)
     raise ValueError(f"unsupported manifold {manifold!r}")
@@ -794,10 +767,10 @@ class LambdaProfile:
 
 
 def circle_lambda_profile(field, grid=256):
-    """Reversibility ratio along a circle field and a constancy flag (spread <= LAMBDA_TOL)."""
-    if not isinstance(field.manifold, Circle):
+    """Reversibility ratio on a grid of (grid, 1) points and a constancy flag (spread <= LAMBDA_TOL)."""
+    if not isinstance(field, CircleNormField):
         raise ValueError("lambda profile is defined for circle fields")
-    xs = field.manifold.sample_points(grid)
+    xs = field.manifold.grid_points(grid, offset=(0.0,))
     values = field.ratio(xs)
     spread = float(values.max() - values.min())
     return LambdaProfile(xs=xs, values=values, spread=spread, constant=spread <= LAMBDA_TOL)

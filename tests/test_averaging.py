@@ -115,6 +115,15 @@ class TestAveragedNorm:
         assert abs(mat[1, 1] - mat[2, 2]) <= 1e-6  # rotational symmetry about axis 1
         assert np.max(np.abs(mat - np.diag(np.diag(mat)))) <= 1e-8
 
+    @pytest.mark.parametrize("p,q", [(1.4, 0.7), (1.0, 1.0), (0.3, 2.5)])
+    def test_one_dimensional_average_is_the_mean_square(self, p, q):
+        # ((p + q)/2) |y| + ((p - q)/2) y: its indicatrix is 1/p and -1/q under counting measure
+        norm = RandersNorm([[(0.5 * (p + q)) ** 2]], [0.5 * (p - q)])
+        quad = sample_indicatrix(norm, 16)
+        np.testing.assert_allclose(quad.points, [[1 / p], [-1 / q]], rtol=1e-15)
+        np.testing.assert_array_equal(quad.weights, [1.0, 1.0])
+        assert average(norm, 16).matrix[0, 0] == pytest.approx(0.5 * (p**2 + q**2), abs=1e-14)
+
     def test_average_evaluates_tensors_once(self):
         norm = RandersNorm(np.eye(2), [0.3, 0.0])
         calls = []

@@ -25,7 +25,6 @@ from finslerfields.manifold import (
     CombinationVectorField,
     ConformalRescaleField,
     ConstantNormField,
-    ConstantScalar,
     FlatTorus,
     MobiusMap,
     PointwiseAveragedField,
@@ -343,7 +342,7 @@ def test_batched_scalars_match_one_point_calls():
     cases = [
         (AmbientPolyScalar(sphere, const=1.0, linear=[0.1, 0.2, 0.3], quadratic=np.ones((3, 3))),
          points),
-        (ConstantScalar(3.0), points),
+        (TorusFourierScalar(FlatTorus(), const=3.0), stack_points(FlatTorus().grid_points(4))),
         (TorusFourierScalar(torus, const=0.5, terms=[((2, -1), 0.3, 0.4)]),
          stack_points(torus.grid_points(4))),
     ]
@@ -415,7 +414,7 @@ def test_point_off_the_sphere_in_a_batch_is_rejected():
 
 @pytest.mark.parametrize("field", [
     randers_torus_field(FlatTorus()),
-    ConformalRescaleField(randers_torus_field(FlatTorus()), ConstantScalar(2.0)),
+    ConformalRescaleField(randers_torus_field(FlatTorus()), TorusFourierScalar(FlatTorus(), const=2.0)),
     RoundSphereField(Sphere2(1.0)),
     PullbackField(RoundSphereField(Sphere2(1.0)), MobiusMap.translation(Sphere2(1.0), 0.3)),
     PointwiseAveragedField(randers_torus_field(FlatTorus()), 64),

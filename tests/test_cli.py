@@ -150,7 +150,23 @@ def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, k
      "lattice basis is degenerate"),
     ({"manifold": {"kind": "sphere", "radius": 0.0}, "metric": {"kind": "round"}},
      "radius must be positive"),
-], ids=["sphere-degree-3", "torus-degree-4", "degenerate-lattice", "sphere-radius-0"])
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "flat_torus", "lattice": [[2.0]]}},
+     "the norm has dimension 2 and the manifold 1"),
+    ({"manifold": {"kind": "flat_torus", "lattice": [[2.0]]},
+      "metric": {"kind": "constant_norm", "norm": {"family": "euclidean", "dim": 1, "q": [[1.0]]}}},
+     "torus_basis takes a 2-torus, got a 1-torus"),
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "flat_torus", "lattice": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+     "lattice must be a finite (n, n) matrix, got [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]"),
+    ({**EUCLIDEAN_TORUS, "metric": {"kind": "constant_norm",
+                                    "norm": {"family": "euclidean", "dim": 3, "q": np.eye(3).tolist()}}},
+     "the norm has dimension 3 and the manifold 2"),
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "cube"}}, "unsupported manifold 'cube'"),
+    ({"manifold": {"kind": "sphere"}, "metric": {"kind": "constant_norm"}},
+     "unsupported sphere metric 'constant_norm'"),
+    ({"metric": EUCLIDEAN_TORUS["metric"]}, "the config needs a 'manifold' entry"),
+], ids=["sphere-degree-3", "torus-degree-4", "degenerate-lattice", "sphere-radius-0",
+        "circle-lattice", "circle-basis", "lattice-2x3", "norm-dim-3", "cube", "sphere-constant-norm",
+        "no-manifold"])
 def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, capsys, config,
                                                                      message):
     cfg = tmp_path / "solve.json"
@@ -161,6 +177,37 @@ def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, c
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invalid settings: {message}"]
     assert not out.exists()
+
+
+RHO_TERMS = {"negative-constant": {"const": -1.0},
+             "sign-changing": {"const": 0.5, "terms": [[[1, 0], 1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("rescale", list(RHO_TERMS.values()), ids=list(RHO_TERMS))
+def test_solve_fields_rejects_a_field_that_is_not_positive(tmp_path, capsys, rescale):
+    # F = rho F0 with rho = -1 or 0.5 + cos 2 pi x1: a collocation row has F <= 0
+    config = {**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": rescale}}
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["solve-fields", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("invalid settings: the field is not positive: min F = -")
+
+
+@pytest.mark.parametrize("value", ["8", 8.5, True], ids=["string", "float", "bool"])
+def test_integer_settings_take_integers_only(tmp_path, capsys, value):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({**EUCLIDEAN_TORUS, "degree": 1, "solver": {"x_density": value}}))
+    assert main(["solve-fields", "--config", str(cfg)]) == 2
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({"experiments": ["circle-lambda"], "x_density": value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(run_cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == ["invalid settings: settings ['x_density'] must be integers"] * 2
 
 
 BAD_NORMS = {
@@ -230,6 +277,29 @@ def test_lie_report_subcommand(tmp_path, capsys):
     assert doc["dim"] == 3
     assert doc["killing_signature"] == [0, 3, 0]
     assert not doc["solvable_cartan"]
+
+
+def test_lie_report_of_the_zero_algebra(tmp_path, capsys):
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps({"dim": 0, "entries": []}))
+    assert main(["lie-report", "--constants", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["dim"], doc["compact_type"], doc["direct_sum"]) == (0, True, True)
+    assert doc["killing_gram_eigenvalues"] == [] and doc["killing_signature"] == [0, 0, 0]
+
+
+def test_average_of_a_one_dimensional_randers_norm(tmp_path, capsys):
+    # sqrt(1.1025) |y| + 0.35 y is 1.4 y forwards and 0.7 |y| backwards: (1.4^2 + 0.7^2) / 2
+    cfg = tmp_path / "norm.json"
+    cfg.write_text(json.dumps({"family": "randers", "dim": 1, "a": [[1.1025]], "b": [0.35]}))
+    table = tmp_path / "quad.csv"
+    assert main(["average", "--config", str(cfg), "--table", str(table)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert float(out[1]) == pytest.approx(1.225, abs=1e-12)
+    lines = table.read_text().splitlines()
+    assert lines[0] == "y1,weight" and len(lines) == 3
+    nodes = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_allclose(nodes, [[1 / 1.4, 1.0], [-1 / 0.7, 1.0]], rtol=1e-12)   # 13 digits
 
 
 def test_emit_report_writes_json_and_the_summary_one_row(tmp_path):

@@ -18,7 +18,8 @@ from finslerfields.conformal_solver import (
     torus_fourier_modes,
     transitivity_check,
 )
-from finslerfields.errors import ClosureFailure, UnderdeterminedSystem
+from finslerfields.errors import ClosureFailure, InvalidSettings, UnderdeterminedSystem
+from finslerfields.experiments import ExperimentConfig
 from finslerfields.lie_algebra import (
     compact_decomposition_check,
     derived_series,
@@ -195,6 +196,27 @@ class TestSolveFields:
         # would read as conformal
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{"n_extra_directions": 0, key: value})
+
+    @pytest.mark.parametrize("cls,key,value", [
+        (cls, key, value) for cls in (SolverConfig, ExperimentConfig)
+        for key, value in [("x_density", "8"), ("x_density", 8.5), ("sphere_points", np.int64(150)),
+                           ("n_directions", True), ("seed", None)]
+    ] + [(ExperimentConfig, "degree", 2.0), (ExperimentConfig, "resolution", "1024")])
+    def test_integer_settings_take_python_ints(self, cls, key, value):
+        with pytest.raises(InvalidSettings, match=f"\\['{key}'\\] must be integers"):
+            cls(**{key: value})
+
+    @pytest.mark.parametrize("rho", [
+        lambda torus: TorusFourierScalar(torus, const=-1.0),
+        lambda torus: TorusFourierScalar(torus, const=0.5, terms=[((1, 0), 1.0, 0.0)]),
+        lambda torus: TorusFourierScalar(torus, const=np.nan),
+    ], ids=["negative", "sign-changing", "nan"])
+    def test_field_that_is_not_positive_is_rejected(self, rho):
+        # rho = 0.5 + cos 2 pi x1 used to give K/C 1/2 with no flag
+        torus = FlatTorus()
+        field = ConformalRescaleField(randers_field(torus), rho(torus))
+        with pytest.raises(InvalidSettings, match="the field is not positive"):
+            solve_fields(field, torus_basis(torus, 1))
 
     def test_solver_config_accepts_the_smallest_settings(self):
         config = SolverConfig(x_density=2, sphere_points=16, n_directions=3, n_extra_directions=0)

@@ -189,6 +189,7 @@ class TestCompactDecomposition:
         assert report.derived_dim == 3
         assert report.center_dim == 0
         assert report.direct_sum
+        assert report.max_gram_eigenvalue == pytest.approx(-2.0)
 
     def test_abelian(self):
         report = compact_decomposition_check(abelian_algebra(3))
@@ -196,6 +197,12 @@ class TestCompactDecomposition:
         assert report.derived_dim == 0
         assert report.center_dim == 3
         assert report.direct_sum
+
+    def test_zero_algebra(self):
+        report = compact_decomposition_check(LieAlgebraSC.from_dict({"dim": 0, "entries": []}))
+        assert (report.compact_type, report.direct_sum, report.derived_dim, report.center_dim) == (
+            True, True, 0, 0)
+        assert report.max_gram_eigenvalue == 0.0
 
     def test_affine_not_compact_type(self):
         report = compact_decomposition_check(affine_algebra())

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from finslerfields.conformal_solver import sphere_basis
-from finslerfields.errors import DegenerateVector, InvalidSettings
+from finslerfields.conformal_solver import sphere_basis, torus_basis
+from finslerfields.errors import DegenerateVector, InadmissibleNorm, InvalidSettings
 from finslerfields.manifold import (
     AmbientPolyScalar,
-    Circle,
-    CircleFourierScalar,
     CircleNormField,
     ConformalRescaleField,
     ConstantNormField,
-    ConstantScalar,
     FlatTorus,
     MobiusMap,
     PointwiseAveragedField,
@@ -437,62 +434,154 @@ class TestRatioInvariance:
         assert isometry_ratio_invariance(field, mob) <= 1e-8
 
 
+def _circle():
+    """The circle of length 2 pi as a 1-torus."""
+    return FlatTorus([[2.0 * np.pi]])
+
+
 class TestCircleProfile:
     def test_reversible_field_has_unit_ratio(self):
-        circle = Circle()
-        scale = CircleFourierScalar(circle, const=1.5, terms=[(1, 0.3, 0.0)])
+        circle = _circle()
+        scale = TorusFourierScalar(circle, const=1.5, terms=[((1,), 0.3, 0.0)])
         field = CircleNormField(circle, forward=scale, backward=scale)
         profile = circle_lambda_profile(field)
         assert profile.constant
         assert np.max(np.abs(profile.values - 1.0)) <= 1e-12
 
     def test_varying_ratio_flagged_nonconstant(self):
-        circle = Circle()
+        circle = _circle()
         field = CircleNormField(
             circle,
-            forward=CircleFourierScalar(circle, const=2.0, terms=[(1, 0.0, 1.0)]),
-            backward=CircleFourierScalar(circle, const=1.0),
+            forward=TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0)]),
+            backward=TorusFourierScalar(circle, const=1.0),
         )
         profile = circle_lambda_profile(field, grid=256)
         assert not profile.constant
-        expected = np.maximum(2.0 + np.sin(profile.xs), 1.0)
+        assert profile.xs.shape == (256, 1)
+        expected = np.maximum(2.0 + np.sin(profile.xs[:, 0]), 1.0)
         np.testing.assert_allclose(profile.values, expected, atol=1e-12)
         assert profile.spread > 1.9
 
     def test_constant_anisotropy_ratio(self):
-        circle = Circle()
+        circle = _circle()
         field = CircleNormField(
             circle,
-            forward=CircleFourierScalar(circle, const=1.4),
-            backward=CircleFourierScalar(circle, const=0.7),
+            forward=TorusFourierScalar(circle, const=1.4),
+            backward=TorusFourierScalar(circle, const=0.7),
         )
         profile = circle_lambda_profile(field)
         assert profile.constant
         assert profile.values[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_batched_ratio_equals_the_one_point_evaluations(self):
-        circle = Circle()
+        circle = _circle()
         field = CircleNormField(
             circle,
-            forward=CircleFourierScalar(circle, const=2.0, terms=[(1, 0.0, 1.0), (3, 0.2, -0.1)]),
-            backward=CircleFourierScalar(circle, const=1.0, terms=[(2, 0.3, 0.0)]),
+            forward=TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0), ((3,), 0.2, -0.1)]),
+            backward=TorusFourierScalar(circle, const=1.0, terms=[((2,), 0.3, 0.0)]),
         )
-        xs = circle.sample_points(64)
+        xs = circle.grid_points(64, offset=(0.0,))
         plus = [field.eval(x, 1.0) for x in xs]
         minus = [field.eval(x, -1.0) for x in xs]
         expected = [max(p / m, m / p) for p, m in zip(plus, minus)]
         np.testing.assert_array_equal(field.ratio(xs), expected)
 
     def test_circle_average_uses_both_sides(self):
-        circle = Circle()
+        circle = _circle()
         field = CircleNormField(
             circle,
-            forward=CircleFourierScalar(circle, const=1.4),
-            backward=CircleFourierScalar(circle, const=0.7),
+            forward=TorusFourierScalar(circle, const=1.4),
+            backward=TorusFourierScalar(circle, const=0.7),
         )
         averaged = PointwiseAveragedField(field, 16)
         expected = 0.5 * (1.4**2 + 0.7**2)
-        assert averaged.matrix_at(0.3)[0, 0] == pytest.approx(expected, abs=1e-14)
+        assert averaged.matrix_at([0.3])[0, 0] == pytest.approx(expected, abs=1e-14)
+
+    def test_fourier_scalar_on_the_circle_is_the_harmonic_sum(self):
+        # const + sum a cos(2 pi n x / L) + b sin(2 pi n x / L) on the circle of length L
+        length = 2.0 * np.pi
+        circle = FlatTorus([[length]])
+        terms = [(1, 0.0, 1.0), (3, 0.2, -0.1)]
+        scalar = TorusFourierScalar(circle, const=2.0, terms=[((n,), a, b) for n, a, b in terms])
+        xs = circle.grid_points(64, offset=(0.0,))
+        assert xs.shape == (64, 1)
+        x = xs[:, 0]
+        phases = [(n, a, b, 2 * np.pi * n * x / length) for n, a, b in terms]
+        expected = 2.0 + sum(a * np.cos(psi) + b * np.sin(psi) for _, a, b, psi in phases)
+        derivative = sum((2 * np.pi * n / length) * (b * np.cos(psi) - a * np.sin(psi))
+                         for n, a, b, psi in phases)
+        np.testing.assert_allclose(scalar.values(xs), expected, rtol=0, atol=1e-15)
+        assert scalar.grads(xs).shape == (64, 1)
+        np.testing.assert_allclose(scalar.grads(xs)[:, 0], derivative, rtol=0, atol=1e-14)
+
+    def test_circle_norm_is_the_one_dimensional_randers_norm(self):
+        circle = _circle()
+        forward = TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0)])
+        field = CircleNormField(circle, forward=forward, backward=TorusFourierScalar(circle, const=0.5))
+        for x in circle.grid_points(7, offset=(0.2,)):
+            norm = field.norm_at(x)
+            assert norm.dim == 1
+            for y in (1.0, -1.0, 2.5, -0.3):
+                assert norm(np.array([y])) == pytest.approx(field.eval(x, y), rel=1e-14)
+        # q = 0 is not a norm: F(-1) = 0
+        flat = CircleNormField(circle, forward=forward, backward=TorusFourierScalar(circle))
+        with pytest.raises(InadmissibleNorm):
+            flat.norm_at([0.1])
+
+
+class TestTorusDimension:
+    @pytest.mark.parametrize("lattice", [[[1.0, 2.0]], [1.0, 2.0], [[]], np.zeros((2, 2, 2)), [[np.nan]]],
+                             ids=["2x1", "vector", "empty", "3-axis", "nan"])
+    def test_lattice_that_is_not_a_finite_square_matrix_is_rejected(self, lattice):
+        with pytest.raises(InvalidSettings, match="matrix"):
+            FlatTorus(lattice)
+
+    @pytest.mark.parametrize("lattice", [[[0.0]], np.diag([1.0, 1.0, 0.0])],
+                             ids=["zero circle", "flat 3-torus"])
+    def test_degenerate_lattice_of_any_dimension_is_rejected(self, lattice):
+        with pytest.raises(InvalidSettings, match="degenerate"):
+            FlatTorus(lattice)
+
+    def test_three_torus_points_and_translations(self):
+        torus = FlatTorus(np.diag([1.0, 2.0, 3.0]))
+        assert torus.dim == 3
+        grid = torus.grid_points(3, offset=(0.0, 0.0, 0.0))
+        assert grid.shape == (27, 3)
+        np.testing.assert_allclose(grid[:3], [[0, 0, 0], [0, 0, 1], [0, 0, 2]], atol=1e-15)
+        shift = TorusTranslation(torus, [0.5, 1.5, 2.5])
+        np.testing.assert_array_equal(shift.differential(grid), np.broadcast_to(np.eye(3), (27, 3, 3)))
+        np.testing.assert_allclose(shift.apply(grid[1]), [0.5, 1.5, 0.5], atol=1e-15)
+
+    def test_three_torus_fourier_scalar(self):
+        torus = FlatTorus(np.diag([1.0, 2.0, 3.0]))
+        scalar = TorusFourierScalar(torus, const=0.5, terms=[((1, 0, -2), 0.3, 0.4)])
+        points = np.random.default_rng(4).uniform(size=(9, 3))
+        psi = 2 * np.pi * (points[:, 0] - 2 * points[:, 2] / 3.0)
+        np.testing.assert_allclose(scalar.values(points), 0.5 + 0.3 * np.cos(psi) + 0.4 * np.sin(psi),
+                                   rtol=0, atol=1e-15)
+        dpsi = 2 * np.pi * np.array([1.0, 0.0, -2.0 / 3.0])
+        expected = (0.4 * np.cos(psi) - 0.3 * np.sin(psi))[:, None] * dpsi
+        np.testing.assert_allclose(scalar.grads(points), expected, rtol=0, atol=1e-14)
+
+    def test_circle_field_on_a_two_torus_is_rejected(self):
+        torus = FlatTorus()
+        with pytest.raises(InvalidSettings, match="1-torus"):
+            CircleNormField(torus, TorusFourierScalar(torus, const=1.0), TorusFourierScalar(torus, const=1.0))
+
+    def test_mode_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(InvalidSettings, match="entries"):
+            TorusFourierScalar(FlatTorus(), terms=[((1,), 1.0, 0.0)])
+
+    def test_norm_of_another_dimension_is_rejected(self):
+        with pytest.raises(InvalidSettings, match="norm has dimension 3"):
+            ConstantNormField(FlatTorus(), EuclideanNorm(np.eye(3)))
+        with pytest.raises(InvalidSettings, match="norm has dimension 2"):
+            ConstantNormField(_circle(), EuclideanNorm(np.eye(2)))
+
+    @pytest.mark.parametrize("lattice", [[[2.0]], np.eye(3)], ids=["circle", "3-torus"])
+    def test_torus_basis_takes_the_two_torus_only(self, lattice):
+        with pytest.raises(InvalidSettings, match="2-torus"):
+            torus_basis(FlatTorus(lattice), 1)
 
 
 def _stereographic(sphere, points):
@@ -701,6 +790,6 @@ def _scaled_scalar(scalar, factor):
 
 
 def test_constant_scalar_interface():
-    c = ConstantScalar(2.5)
+    c = TorusFourierScalar(FlatTorus(), const=2.5)
     assert c.value(np.zeros(2)) == 2.5
     np.testing.assert_allclose(c.grad(np.zeros(2)), np.zeros(2))
