@@ -132,8 +132,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every int field, a subclass's included, takes a Python int and not a bool
-        wrong = [f.name for f in fields(self) if f.type == "int" and type(getattr(self, f.name)) is not int]
+        # every int field, a subclass's included, takes a Python int and not a bool;
+        # an annotation is the type itself or, under postponed evaluation, its name
+        wrong = [f.name for f in fields(self)
+                 if f.type in (int, "int") and type(getattr(self, f.name)) is not int]
         if wrong:
             raise InvalidSettings(f"settings {wrong} must be integers")
         if self.x_density < 2 or self.sphere_points < 16:

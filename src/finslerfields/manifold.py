@@ -77,8 +77,15 @@ class FlatTorus:
     def wrap(self, x):
         return (self.frac(x) % 1.0) @ self.lattice.T
 
-    def grid_points(self, per_axis, offset=(0.31, 0.47)):
-        """The (per_axis**n, n) offset grid in lattice coordinates, first index outermost."""
+    def grid_points(self, per_axis, offset=None):
+        """The (per_axis**n, n) offset grid in lattice coordinates, first index outermost.
+
+        The default offset (0.31, 0.47) is the 2-torus'; other dimensions name theirs.
+        """
+        if offset is None and self.dim == 2:
+            offset = (0.31, 0.47)
+        if offset is None or np.shape(offset) != (self.dim,):
+            raise InvalidSettings(f"a grid on a {self.dim}-torus takes an offset of {self.dim} entries")
         index = np.indices((per_axis,) * self.dim).reshape(self.dim, -1).T
         return ((index + np.asarray(offset)) / per_axis) @ self.lattice.T
 
@@ -570,7 +577,7 @@ class ConstantNormField(FinslerField):
         return self.norm(_as_directions(ys))
 
     def grads_x(self, points, ys):
-        return np.zeros((len(_as_directions(ys)), 2))
+        return np.zeros((len(_as_directions(ys)), self.manifold.dim))
 
     def grads_y(self, points, ys):
         return self.norm.gradient_batch(_as_directions(ys))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,18 @@ class TestSolveFields:
     def test_integer_settings_take_python_ints(self, cls, key, value):
         with pytest.raises(InvalidSettings, match=f"\\['{key}'\\] must be integers"):
             cls(**{key: value})
+
+    def test_integer_check_reads_annotations_that_are_types(self):
+        # this module does not postpone annotations, so the new field's type is int itself
+        @dataclasses.dataclass
+        class Sized(SolverConfig):
+            count: int = 3
+
+        assert dataclasses.fields(Sized)[-1].type is int
+        assert Sized().count == 3
+        for value in ("3", 3.5, True):
+            with pytest.raises(InvalidSettings, match="\\['count'\\] must be integers"):
+                Sized(count=value)
 
     @pytest.mark.parametrize("rho", [
         lambda torus: TorusFourierScalar(torus, const=-1.0),

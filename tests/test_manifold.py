@@ -552,6 +552,23 @@ class TestTorusDimension:
         np.testing.assert_array_equal(shift.differential(grid), np.broadcast_to(np.eye(3), (27, 3, 3)))
         np.testing.assert_allclose(shift.apply(grid[1]), [0.5, 1.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("lattice", [[[2.0]], np.eye(3)], ids=["circle", "3-torus"])
+    def test_grid_without_an_offset_is_the_two_torus_only(self, lattice):
+        torus = FlatTorus(lattice)
+        with pytest.raises(InvalidSettings, match=f"{torus.dim} entries"):
+            torus.grid_points(3)
+        with pytest.raises(InvalidSettings, match=f"{torus.dim} entries"):
+            torus.grid_points(3, offset=(0.31, 0.47))
+        assert FlatTorus().grid_points(3).shape == (9, 2)
+
+    def test_constant_norm_on_the_circle_has_one_point_gradient_entry(self):
+        circle = _circle()
+        field = ConstantNormField(circle, EuclideanNorm(np.eye(1)))
+        points = circle.grid_points(5, offset=(0.0,))
+        ys = np.array([[1.0], [-2.0], [0.5], [3.0], [-1.0]])
+        np.testing.assert_array_equal(field.grads_x(points, ys), np.zeros((5, 1)))
+        np.testing.assert_allclose(field.evals(points, ys), np.abs(ys[:, 0]), rtol=0, atol=1e-15)
+
     def test_three_torus_fourier_scalar(self):
         torus = FlatTorus(np.diag([1.0, 2.0, 3.0]))
         scalar = TorusFourierScalar(torus, const=0.5, terms=[((1, 0, -2), 0.3, 0.4)])
