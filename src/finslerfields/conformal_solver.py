@@ -132,8 +132,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every int field, a subclass's included, takes a Python int and not a bool;
-        # an annotation is the type itself or, under postponed evaluation, its name
+        # every int field (a subclass's too) takes a Python int, not a bool; f.type is int or "int"
         wrong = [f.name for f in fields(self)
                  if f.type in (int, "int") and type(getattr(self, f.name)) is not int]
         if wrong:

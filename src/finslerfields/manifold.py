@@ -80,11 +80,9 @@ class FlatTorus:
     def grid_points(self, per_axis, offset=None):
         """The (per_axis**n, n) offset grid in lattice coordinates, first index outermost.
 
-        The default offset (0.31, 0.47) is the 2-torus'; other dimensions name theirs.
-        """
-        if offset is None and self.dim == 2:
-            offset = (0.31, 0.47)
-        if offset is None or np.shape(offset) != (self.dim,):
+        Only the 2-torus has a default offset, (0.31, 0.47)."""
+        offset = (0.31, 0.47) if offset is None and self.dim == 2 else offset
+        if np.shape(offset) != (self.dim,):
             raise InvalidSettings(f"a grid on a {self.dim}-torus takes an offset of {self.dim} entries")
         index = np.indices((per_axis,) * self.dim).reshape(self.dim, -1).T
         return ((index + np.asarray(offset)) / per_axis) @ self.lattice.T
