@@ -43,6 +43,7 @@ from .conformal_solver import (
     assemble_system,
     build_collocation,
     extract_structure_constants,
+    field_from_spec,
     null_space,
     solve_fields,
     sphere_basis,

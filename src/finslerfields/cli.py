@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
+from . import averaging, conformal_solver as solver, lie_algebra
 from .errors import InadmissibleNorm, InvalidSettings
 from .experiments import (
     EXPERIMENTS,
@@ -20,7 +20,7 @@ from .experiments import (
     report_to_dict,
     run_experiment,
 )
-from .norm_core import norm_from_dict
+from .norm_core import norm_from_dict, record_keys
 
 
 def build_parser():
@@ -63,11 +63,8 @@ def _load_json(path):
 
 def _settings(cls, settings, **fixed):
     """cls(**settings, **fixed); a key that names no other field of cls raises InvalidSettings."""
-    known = sorted({f.name for f in dataclasses.fields(cls)} - set(fixed))
-    unknown = sorted(set(settings) - set(known))
-    if unknown:
-        raise InvalidSettings(f"unknown settings {unknown}; known: {known}")
-    return cls(**settings, **fixed)
+    known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    return cls(**record_keys(settings, "solver", known), **fixed)
 
 
 def _experiment_config(name, file_cfg, args):
@@ -90,7 +87,7 @@ def cmd_run(args):
     try:
         configs = [_experiment_config(name, file_cfg, args) for name in names]
         reports = [run_experiment(config.name, config) for config in configs]
-    except InvalidSettings as exc:
+    except (InvalidSettings, InadmissibleNorm) as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)
         return 2
     args.out.mkdir(parents=True, exist_ok=True)
@@ -127,48 +124,12 @@ def cmd_average(args):
     return 0
 
 
-def _entry(section, key):
-    """section[key] of a config section; a missing entry raises InvalidSettings."""
-    if not isinstance(section, dict) or key not in section:
-        raise InvalidSettings(f"the config needs a {key!r} entry")
-    return section[key]
-
-
-def _field_from_config(cfg):
-    manifold_cfg, metric_cfg = _entry(cfg, "manifold"), _entry(cfg, "metric")
-    kind, metric = _entry(manifold_cfg, "kind"), _entry(metric_cfg, "kind")
-    if kind == "flat_torus":
-        torus = mf.FlatTorus(np.array(manifold_cfg.get("lattice", np.eye(2).tolist())))
-        if metric != "constant_norm":
-            raise InvalidSettings(f"unsupported torus metric {metric!r}")
-        base = mf.ConstantNormField(torus, norm_from_dict(_entry(metric_cfg, "norm")))
-        if "rescale" in metric_cfg:
-            r = metric_cfg["rescale"]
-            rho = mf.TorusFourierScalar(
-                torus,
-                const=r.get("const", 0.0),
-                terms=[(tuple(t[0]), t[1], t[2]) for t in r.get("terms", [])],
-            )
-            base = mf.ConformalRescaleField(base, rho)
-        basis = solver.torus_basis(torus, cfg.get("degree", 2))
-        return base, basis
-    if kind == "sphere":
-        sphere = mf.Sphere2(manifold_cfg.get("radius", 1.0))
-        if metric != "round":
-            raise InvalidSettings(f"unsupported sphere metric {metric!r}")
-        field = mf.RoundSphereField(sphere)
-        basis = solver.sphere_basis(sphere, cfg.get("degree", 2))
-        return field, basis
-    raise InvalidSettings(f"unsupported manifold {kind!r}")
-
-
 def cmd_solve_fields(args):
     cfg = _load_json(args.config)
-    # as in cmd_run: the solver section, the norm record, the basis or the solve may
-    # reject the settings
+    # as in cmd_run: the field spec, the solver section or the solve may reject the settings
     try:
+        field, basis = solver.field_from_spec(cfg)
         solver_cfg = _settings(solver.SolverConfig, cfg.get("solver", {}))
-        field, basis = _field_from_config(cfg)
         report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
     except (InvalidSettings, InadmissibleNorm) as exc:
         print(f"invalid settings: {exc}", file=sys.stderr)

@@ -24,7 +24,10 @@ from .errors import InvalidSettings, UnderdeterminedSystem
 from .lie_algebra import RANK_TOL, bracket_constants, null_space
 from .manifold import (
     CombinationVectorField,
+    ConformalRescaleField,
+    ConstantNormField,
     FlatTorus,
+    RoundSphereField,
     Sphere2,
     SpherePolyVectorField,
     TorusFourierScalar,
@@ -35,6 +38,7 @@ from .manifold import (
     sphere_rotation_generators,
     stack_points,
 )
+from .norm_core import norm_from_dict, record_array, record_keys, record_kind
 
 MIN_ROW_FACTOR = 3
 GAP_WARN = 1e2
@@ -115,6 +119,45 @@ def sphere_basis(sphere, degree=2):
     elements = (sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
                 + [SpherePolyVectorField(sphere, coeffs) for coeffs in maps])
     return FieldBasis(manifold=sphere, elements=elements, degree=degree)
+
+
+# The keys of a spec's manifold section besides "kind", and those of its metric, per kind.
+SPEC_MANIFOLD_KEYS = {"flat_torus": ("lattice",), "sphere": ("radius",)}
+SPEC_METRIC_KEYS = {"flat_torus": {"constant_norm": ("norm", "rescale")}, "sphere": {"round": ()}}
+
+
+def field_from_spec(spec):
+    """The (field, basis) of a ``solve-fields`` config in the README's format, by default on the
+    unit square or sphere, unrescaled and at degree 2; its ``solver`` and ``name`` are not read.
+
+    An unknown key at any level, a section that is not an object, a degree that is not an
+    int, or an entry that is not finite numbers of the right shape raises InvalidSettings.
+    """
+    record_keys(spec, "the config", ("manifold", "metric", "degree", "solver", "name"))
+    degree = spec.get("degree", 2)
+    if type(degree) is not int or degree < 0:
+        raise InvalidSettings(f"degree must be a non-negative int, got {degree!r}")
+    kind = record_kind(spec.get("manifold"), "manifold", SPEC_MANIFOLD_KEYS)
+    record_kind(spec.get("metric"), "metric", SPEC_METRIC_KEYS[kind])
+    section, metric = spec["manifold"], spec["metric"]
+    if kind == "sphere":
+        sphere = Sphere2(record_array({"radius": 1.0, **section}, "radius", "the sphere", ()))
+        return RoundSphereField(sphere), sphere_basis(sphere, degree)
+    torus = FlatTorus(record_array(section, "lattice", "the torus") if "lattice" in section else None)
+    field = ConstantNormField(torus, norm_from_dict(metric.get("norm")))
+    if "rescale" in metric:
+        rescale = record_keys(metric["rescale"], "rescale", ("const", "terms"))
+        terms = rescale.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 3 for t in terms):
+            raise InvalidSettings(f"a rescale term is [k, a, b], got {terms}")
+        modes = []
+        for term in terms:
+            term = dict(zip("kab", term))
+            modes.append([record_array(term, key, "a rescale term [k, a, b]", shape)
+                          for key, shape in (("k", (torus.dim,)), ("a", ()), ("b", ()))])
+        rho = TorusFourierScalar(torus, record_array({"const": 0, **rescale}, "const", "rescale", ()), modes)
+        field = ConformalRescaleField(field, rho)
+    return field, torus_basis(torus, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Named experiments reproducing the conformal-rigidity dichotomy at desk scale.
 
-Each experiment builds a model Finsler field, runs the relevant solvers or
-averaging routines, and records pass/fail checks against expectations that
-live here (not in the config), so a config cannot silently weaken acceptance.
+Each solver experiment solves a field spec (``field_from_spec``), kept in ``extra.spec``,
+and every experiment records pass/fail checks against expectations that live
+here (not in the config), so a config cannot silently weaken acceptance.
 Every experiment returns (checks, solve_report, extra, algebra); the solve
 report and the structure-constant algebra are None where it has none.
 """
@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
 from .errors import InvalidSettings
-from .norm_core import EuclideanNorm, RandersNorm, scale_norm
+from .norm_core import RandersNorm, record_keys, scale_norm
 
 ROUNDOFF_FLOOR = 1e-12
 
@@ -36,6 +36,7 @@ class ExperimentConfig(solver.SolverConfig):
         super().__post_init__()
         if self.resolution < 16:
             raise InvalidSettings("resolution must be >= 16")
+        record_keys(self.metric_params, "metric_params", ("b", "radius"))
 
 
 @dataclass
@@ -80,10 +81,30 @@ def _check(checks, name, value, comparison, threshold):
                         comparison=comparison, passed=passed))
 
 
-def _randers_torus_field(config):
-    torus = mf.FlatTorus()
-    b = np.asarray(config.metric_params.get("b", (0.5, 0.0)), dtype=float)
-    return torus, mf.ConstantNormField(torus, RandersNorm(np.eye(2), b))
+def _torus(norm, **metric):
+    return {"kind": "flat_torus"}, {"kind": "constant_norm", "norm": norm, **metric}
+
+
+def _sphere(config):
+    return {"kind": "sphere", "radius": config.metric_params.get("radius", 1.0)}, {"kind": "round"}
+
+
+def _randers(config):
+    return {"family": "randers", "dim": 2, "a": np.eye(2).tolist(),
+            "b": config.metric_params.get("b", [0.5, 0.0])}
+
+
+EUCLIDEAN = {"family": "euclidean", "dim": 2, "q": np.eye(2).tolist()}
+# rho = 2 + cos 2 pi x1 of the rescaled tori
+RESCALE = {"const": 2.0, "terms": [[[1, 0], 1.0, 0.0]]}
+
+
+def _solve(config, manifold, metric, mode, **settings):
+    """(spec, field, basis, report) of a solve, spec being its complete ``solve-fields`` config."""
+    settings = {**{f.name: getattr(config, f.name) for f in fields(solver.SolverConfig)}, **settings}
+    spec = {"manifold": manifold, "metric": metric, "degree": config.degree, "solver": settings}
+    field, basis = solver.field_from_spec(spec)
+    return spec, field, basis, solver.solve_fields(field, basis, mode, solver.SolverConfig(**settings))
 
 
 # ---------------------------------------------------------------------------
@@ -91,40 +112,29 @@ def _randers_torus_field(config):
 
 
 def exp_s2_round(config):
-    sphere = mf.Sphere2(config.metric_params.get("radius", 1.0))
-    field = mf.RoundSphereField(sphere)
-    basis = solver.sphere_basis(sphere, degree=config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config)
+    spec, _, _, report = _solve(config, *_sphere(config), "conformal")
 
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 3)
     _check(checks, "conformal_dim", report.conformal_dim, "==", 6)
     _check(checks, "conformal spectral gap", report.conformal_gap, ">=", 1e4)
     _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
-    return checks, report, {}, None
+    return checks, report, {"spec": spec}, None
 
 
 def exp_riemannian_torus(config):
-    torus = mf.FlatTorus()
-    field = mf.ConstantNormField(torus, EuclideanNorm(np.eye(2)))
-    basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config)
+    spec, _, _, report = _solve(config, *_torus(EUCLIDEAN), "conformal")
 
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 2)
     _check(checks, "conformal_dim", report.conformal_dim, "==", 2)
     _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
-    return checks, report, {}, None
+    return checks, report, {"spec": spec}, None
 
 
 def exp_randers_torus(config):
-    torus, field = _randers_torus_field(config)
-    basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="conformal", config=config)
-    doubled = solver.solve_fields(
-        field, basis, mode="conformal",
-        config=replace(config, x_density=2 * config.x_density),
-    )
+    spec, field, basis, report = _solve(config, *_torus(_randers(config)), "conformal")
+    doubled = solver.solve_fields(field, basis, "conformal", replace(config, x_density=2 * config.x_density))
 
     checks = []
     _check(checks, "killing_dim", report.killing_dim, "==", 2)
@@ -139,26 +149,22 @@ def exp_randers_torus(config):
     _check(checks, "dims stable under density doubling", stable, "==", 1)
     _check(checks, "verification residual", report.max_residual, "<=", report.verification_bound)
     return checks, report, {"doubled_killing_dim": doubled.killing_dim,
-                            "doubled_conformal_dim": doubled.conformal_dim}, None
+                            "doubled_conformal_dim": doubled.conformal_dim, "spec": spec}, None
 
 
-def _rescaled_torus_experiment(config, base_norm):
-    torus = mf.FlatTorus()
-    base = mf.ConstantNormField(torus, base_norm)
-    rho = mf.TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
-    field = mf.ConformalRescaleField(base, rho)
-    basis = solver.torus_basis(torus, config.degree)
-    report = solver.solve_fields(field, basis, mode="killing", config=config)
+def _rescaled_torus_experiment(config, norm):
+    spec, field, basis, report = _solve(config, *_torus(norm, rescale=RESCALE), "killing")
 
-    sample = torus.grid_points(16, offset=(0.23, 0.61))
+    sample = basis.manifold.grid_points(16, offset=(0.23, 0.61))
     if report.killing_dim > 0:
-        fields = [basis.combination(c) for c in report.killing_basis]
-        transitive = solver.transitivity_check(fields, sample)
+        killing_fields = [basis.combination(c) for c in report.killing_basis]
+        transitive = solver.transitivity_check(killing_fields, sample)
         nontransitive_fraction = 1.0 - sum(transitive) / len(transitive)
     else:
         nontransitive_fraction = 1.0
 
-    control_field = mf.ConformalRescaleField(base, mf.TorusFourierScalar(torus, const=2.0))
+    # the control: the same base field times the constant 2, on the same basis
+    control_field = mf.ConformalRescaleField(field.base, mf.TorusFourierScalar(basis.manifold, const=2.0))
     control = solver.solve_fields(field=control_field, basis=basis, mode="killing", config=config)
     control_fields = [basis.combination(c) for c in control.killing_basis]
     control_transitive = solver.transitivity_check(control_fields, sample)
@@ -174,16 +180,17 @@ def _rescaled_torus_experiment(config, base_norm):
         "nontransitive_fraction": nontransitive_fraction,
         "control_killing_dim": control.killing_dim,
         "control_transitive_fraction": control_fraction,
+        "spec": spec,
     }
     return checks, report, extra, None
 
 
 def exp_rescaled_randers_torus(config):
-    return _rescaled_torus_experiment(config, _randers_torus_field(config)[1].norm)
+    return _rescaled_torus_experiment(config, _randers(config))
 
 
 def exp_rescaled_riemannian_torus(config):
-    return _rescaled_torus_experiment(config, EuclideanNorm(np.eye(2)))
+    return _rescaled_torus_experiment(config, EUCLIDEAN)
 
 
 def exp_circle_lambda(config):
@@ -239,21 +246,14 @@ def exp_averaging_equivariance(config):
 
 
 def exp_conformal_algebra_signature(config):
-    sphere = mf.Sphere2(config.metric_params.get("radius", 1.0))
-    field = mf.RoundSphereField(sphere)
-    basis = solver.sphere_basis(sphere, degree=config.degree)
-    report = solver.solve_fields(
-        field, basis, mode="conformal",
-        config=replace(config, sphere_points=max(100, config.sphere_points // 2)),
-    )
+    spec, _, basis, report = _solve(config, *_sphere(config), "conformal",
+                                    sphere_points=max(100, config.sphere_points // 2))
     killing_fields = [basis.combination(c) for c in report.killing_basis]
     conformal_fields = [basis.combination(c) for c in report.conformal_basis]
     killing_algebra, _ = solver.extract_structure_constants(killing_fields)
     conformal_algebra, _ = solver.extract_structure_constants(conformal_fields)
 
-    torus, torus_field = _randers_torus_field(config)
-    torus_basis = solver.torus_basis(torus, config.degree)
-    torus_report = solver.solve_fields(torus_field, torus_basis, mode="killing", config=config)
+    _, _, torus_basis, torus_report = _solve(config, *_torus(_randers(config)), "killing")
     torus_fields = [torus_basis.combination(c) for c in torus_report.killing_basis]
     torus_algebra, _ = solver.extract_structure_constants(torus_fields)
 
@@ -273,6 +273,7 @@ def exp_conformal_algebra_signature(config):
     extra = {
         "conformal_signature": [pos, neg, zero],
         "torus_killing_dim": torus_report.killing_dim,
+        "spec": spec,
     }
     return checks, report, extra, conformal_algebra
 

@@ -148,8 +148,8 @@ class TorusFourierScalar(ScalarField):
         self.torus = torus
         self.const = float(const)
         self.terms = [(np.array(k, dtype=float), float(a), float(b)) for k, a, b in terms]
-        if any(k.shape != (torus.dim,) for k, _, _ in self.terms):
-            raise InvalidSettings(f"a mode on a {torus.dim}-torus has {torus.dim} entries")
+        if any(k.shape != (torus.dim,) or np.any(k != np.round(k)) for k, _, _ in self.terms):
+            raise InvalidSettings(f"a mode on a {torus.dim}-torus has {torus.dim} entries, each an integer")
         self._terms = np.array([[*k, a, b] for k, a, b in self.terms]).reshape(-1, torus.dim + 2)  # k, a, b
 
     def values(self, points):

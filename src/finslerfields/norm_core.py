@@ -285,21 +285,45 @@ class GenericNorm(MinkowskiNorm):
         return self(ys)[:, None, None] * hess + g[:, :, None] * g[:, None, :]
 
 
-def _record_array(data, key):
+def record_keys(record, name, known):
+    """record, once it is a dict without a key outside ``known``; else InvalidSettings."""
+    if not isinstance(record, dict):
+        raise InvalidSettings(f"{name} must be an object, got {type(record).__name__}")
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        raise InvalidSettings(f"unknown settings {unknown}; known: {sorted(known)}")
+    return record
+
+
+def record_kind(record, name, kinds, key="kind"):
+    """record[key], one of ``kinds`` (each mapped to the other keys it takes), once record has no other."""
+    kind = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidSettings(f"unsupported {name} {key} {kind!r}; known: {sorted(kinds)}")
+    record_keys(record, name, (key, *kinds[kind]))
+    return kind
+
+
+def record_array(record, key, owner="norm record", shape=None):
+    """record[key] as a float array of finite numbers (of ``shape`` unless None), else InvalidSettings."""
     try:
-        return np.array(data[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSettings(f"norm record needs a numeric array {key!r}") from exc
+        array = np.asarray(record[key])
+    except (KeyError, ValueError):  # no entry, or a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)) or shape not in (None, array.shape):
+        shaped = "" if shape is None else f" of shape {shape}"
+        raise InvalidSettings(f"{owner} needs a numeric array {key!r}{shaped}")
+    return array.astype(float)
+
+
+NORM_FAMILIES = {"euclidean": ("dim", "q"), "randers": ("dim", "a", "b")}
 
 
 def norm_from_dict(data):
-    """Rebuild a closed-form norm from its serialized record."""
-    family = data.get("family")
-    if family == "euclidean":
-        return EuclideanNorm(_record_array(data, "q"))
-    if family == "randers":
-        return RandersNorm(_record_array(data, "a"), _record_array(data, "b"))
-    raise InvalidSettings(f"unknown norm family {family!r}")
+    """Rebuild a closed-form norm from its serialized record, checked as ``record_kind`` does."""
+    if record_kind(data, "norm record", NORM_FAMILIES, key="family") == "euclidean":
+        return EuclideanNorm(record_array(data, "q"))
+    return RandersNorm(record_array(data, "a"), record_array(data, "b"))
 
 
 def scale_norm(norm, c):

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerfields import manifold
 from finslerfields.cli import main
 from finslerfields.experiments import (
     EXPERIMENTS,
@@ -160,13 +159,44 @@ def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, k
     ({**EUCLIDEAN_TORUS, "metric": {"kind": "constant_norm",
                                     "norm": {"family": "euclidean", "dim": 3, "q": np.eye(3).tolist()}}},
      "the norm has dimension 3 and the manifold 2"),
-    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "cube"}}, "unsupported manifold 'cube'"),
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "cube"}},
+     "unsupported manifold kind 'cube'; known: ['flat_torus', 'sphere']"),
     ({"manifold": {"kind": "sphere"}, "metric": {"kind": "constant_norm"}},
-     "unsupported sphere metric 'constant_norm'"),
-    ({"metric": EUCLIDEAN_TORUS["metric"]}, "the config needs a 'manifold' entry"),
+     "unsupported metric kind 'constant_norm'; known: ['round']"),
+    ({"metric": EUCLIDEAN_TORUS["metric"]},
+     "unsupported manifold kind None; known: ['flat_torus', 'sphere']"),
+    ({**EUCLIDEAN_TORUS, "manifold": {"kind": "flat_torus", "lattice": [[1.0, 2.0], [3.0]]}},
+     "the torus needs a numeric array 'lattice'"),
+    ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": {"terms": [[1, 0]]}}},
+     "a rescale term is [k, a, b], got [[1, 0]]"),
+    ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": {"terms": [[[1, 0, 0], 1, 0]]}}},
+     "a rescale term [k, a, b] needs a numeric array 'k' of shape (2,)"),
+    ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"],
+                                    "rescale": {"const": 2.0, "terms": [[[0.5, 0], 1.0, 0.0]]}}},
+     "a mode on a 2-torus has 2 entries, each an integer"),
+    ({**EUCLIDEAN_TORUS, "degree": "2"}, "degree must be a non-negative int, got '2'"),
+    ({"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 2.0},
+     "degree must be a non-negative int, got 2.0"),
+    ({**EUCLIDEAN_TORUS, "degree": -1}, "degree must be a non-negative int, got -1"),
+    ({"manifold": {"kind": "sphere", "radius": "2"}, "metric": {"kind": "round"}},
+     "the sphere needs a numeric array 'radius' of shape ()"),
+    ([EUCLIDEAN_TORUS], "the config must be an object, got list"),
+    # misspelt lattice, rescale and degree keys are named, not read as their defaults
+    ({"manifold": {"kind": "flat_torus", "latice": [[2.0, 0.0], [0.0, 1.0]]},
+      "metric": {**EUCLIDEAN_TORUS["metric"], "rescal": {"const": 2.0}}, "degre": 1},
+     "unknown settings ['degre']; known: ['degree', 'manifold', 'metric', 'name', 'solver']"),
+    ({"manifold": {"kind": "flat_torus", "latice": [[2.0, 0.0], [0.0, 1.0]]},
+      "metric": EUCLIDEAN_TORUS["metric"]}, "unknown settings ['latice']; known: ['kind', 'lattice']"),
+    ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescal": {"const": 2.0}}},
+     "unknown settings ['rescal']; known: ['kind', 'norm', 'rescale']"),
+    ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": [2.0]}},
+     "rescale must be an object, got list"),
 ], ids=["sphere-degree-3", "torus-degree-4", "degenerate-lattice", "sphere-radius-0",
         "circle-lattice", "circle-basis", "lattice-2x3", "norm-dim-3", "cube", "sphere-constant-norm",
-        "no-manifold"])
+        "no-manifold", "ragged-lattice", "short-rescale-term", "rescale-k-of-length-3",
+        "rescale-k-fractional", "degree-string", "sphere-degree-float", "degree-negative",
+        "radius-string", "top-level-list", "misspelt-keys", "misspelt-lattice", "misspelt-rescale",
+        "rescale-list"])
 def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, capsys, config,
                                                                      message):
     cfg = tmp_path / "solve.json"
@@ -213,12 +243,17 @@ def test_integer_settings_take_integers_only(tmp_path, capsys, value):
 BAD_NORMS = {
     "randers-drift-1.5": ({"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [1.5, 0]},
                           "a-dual norm of b is 1.500000 >= 1"),
-    "unknown-family": ({"family": "finsler", "dim": 2}, "unknown norm family 'finsler'"),
+    "unknown-family": ({"family": "finsler", "dim": 2},
+                       "unsupported norm record family 'finsler'; known: ['euclidean', 'randers']"),
     "indefinite-q": ({"family": "euclidean", "dim": 2, "q": [[1, 0], [0, -1]]},
                      "Q must be positive definite"),
     "euclidean-without-q": ({"family": "euclidean", "dim": 2}, "norm record needs a numeric array 'q'"),
     "randers-b-length-3": ({"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [0.1, 0, 0]},
                            "b must match the dimension of a"),
+    "randers-b-nan": ({"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [float("nan"), 0]},
+                      "norm record needs a numeric array 'b'"),
+    "misspelt-q": ({"family": "euclidean", "dim": 2, "q": [[1, 0], [0, 1]], "qq": 1},
+                   "unknown settings ['qq']; known: ['dim', 'family', 'q']"),
 }
 
 
@@ -366,15 +401,7 @@ def test_flag_overrides_reach_the_solver(tmp_path):
 
 
 @pytest.mark.parametrize("radius", [0.5, 2.0, 1e3])
-def test_algebra_signature_uses_the_configured_radius(tmp_path, monkeypatch, radius):
-    used = []
-
-    class RecordingSphere(manifold.Sphere2):
-        def __init__(self, radius=1.0):
-            used.append(radius)
-            super().__init__(radius)
-
-    monkeypatch.setattr(manifold, "Sphere2", RecordingSphere)
+def test_algebra_signature_uses_the_configured_radius(tmp_path, radius):
     name = "conformal-algebra-signature"
     # an ambiguous ad_semisimple clustering would warn, and a warning fails the run
     with warnings.catch_warnings():
@@ -384,4 +411,48 @@ def test_algebra_signature_uses_the_configured_radius(tmp_path, monkeypatch, rad
     assert (report.killing_dim, report.conformal_dim) == (3, 6)
     assert report.extra["conformal_signature"] == [3, 3, 0]
     doc = json.loads(emit_report(report, tmp_path / "r.json").read_text())
-    assert used == [doc["config"]["metric_params"]["radius"]] == [radius]
+    assert doc["extra"]["spec"]["manifold"] == {"kind": "sphere", "radius": radius}
+    assert doc["config"]["metric_params"]["radius"] == radius
+
+
+SOLVER_EXPERIMENTS = ["s2-round", "riemannian-torus", "randers-torus", "rescaled-randers-torus",
+                      "rescaled-riemannian-torus", "conformal-algebra-signature"]
+
+
+@pytest.mark.parametrize("name", SOLVER_EXPERIMENTS)
+def test_experiment_spec_solves_to_the_same_report(tmp_path, capsys, name):
+    # extra.spec is the solve-fields config of the experiment's reported solve
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"metric_params": {"b": [0.3, 0.2], "radius": 1.7}}))
+    assert main(["run", name, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+    doc = json.loads((tmp_path / "run" / f"{name}.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc["extra"]["spec"]))
+    mode = "killing" if doc["conformal_dim"] is None else "conformal"
+    assert main(["solve-fields", "--config", str(spec), "--mode", mode,
+                 "--out", str(tmp_path / "solve.json")]) == 0
+    solved = json.loads((tmp_path / "solve.json").read_text())
+    assert solved["killing_dim"] == doc["killing_dim"]
+    assert solved["conformal_dim"] == doc["conformal_dim"]
+    assert solved["singular_values"] == doc["singular_values"]
+
+
+METRIC_PARAMS = {
+    "b-string": ("randers-torus", {"b": "x"}, "norm record needs a numeric array 'b'"),
+    "radius-string": ("s2-round", {"radius": "2"},
+                      "the sphere needs a numeric array 'radius' of shape ()"),
+    "inadmissible-b": ("randers-torus", {"b": [1.5, 0.0]}, "a-dual norm of b is 1.500000 >= 1"),
+    "misspelt-b": ("randers-torus", {"bee": [0.1, 0.0]}, "unknown settings ['bee']; known: ['b', 'radius']"),
+}
+
+
+@pytest.mark.parametrize("name,params,message", list(METRIC_PARAMS.values()), ids=list(METRIC_PARAMS))
+def test_run_rejects_bad_metric_params(tmp_path, capsys, name, params, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"metric_params": params}))
+    out = tmp_path / "out"
+    assert main(["run", name, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
+    assert not out.exists()
