@@ -61,10 +61,8 @@ def _load_json(path):
         return json.load(handle)
 
 
-def _settings(cls, settings, **fixed):
-    """cls(**settings, **fixed); a key that names no other field of cls raises InvalidSettings."""
-    known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
-    return cls(**record_keys(settings, "solver", known), **fixed)
+# the keys of a ``run --config`` file: the experiment settings other than the name, and the experiments
+RUN_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"name"} | {"experiments"}
 
 
 def _experiment_config(name, file_cfg, args):
@@ -72,24 +70,20 @@ def _experiment_config(name, file_cfg, args):
     settings = {key: value for key, value in file_cfg.items() if key != "experiments"}
     settings.update((key, getattr(args, key)) for key in ("resolution", "degree", "seed")
                     if getattr(args, key) is not None)
-    return _settings(ExperimentConfig, settings, name=name)
+    return ExperimentConfig(**settings, name=name)
 
 
 def cmd_run(args):
-    file_cfg = _load_json(args.config) if args.config else {}
+    # settings are rejected when the file is read, when a config is built or when a solve
+    # meets them, and either way before the output directory is made
+    file_cfg = record_keys(_load_json(args.config) if args.config else {}, "the config", RUN_KEYS)
     names = args.names or file_cfg.get("experiments") or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
-    # settings are rejected when a config is built or when a solve meets them, and
-    # either way before the output directory is made
-    try:
-        configs = [_experiment_config(name, file_cfg, args) for name in names]
-        reports = [run_experiment(config.name, config) for config in configs]
-    except (InvalidSettings, InadmissibleNorm) as exc:
-        print(f"invalid settings: {exc}", file=sys.stderr)
-        return 2
+    configs = [_experiment_config(name, file_cfg, args) for name in names]
+    reports = [run_experiment(config.name, config) for config in configs]
     args.out.mkdir(parents=True, exist_ok=True)
     for report in reports:
         emit_report(report, args.out / f"{report.name}.json")
@@ -103,11 +97,7 @@ def cmd_run(args):
 
 
 def cmd_average(args):
-    try:
-        norm = norm_from_dict(_load_json(args.config))
-    except (InvalidSettings, InadmissibleNorm) as exc:
-        print(f"invalid settings: {exc}", file=sys.stderr)
-        return 2
+    norm = norm_from_dict(_load_json(args.config))
     quadrature = averaging.sample_indicatrix(norm, args.resolution)
     coarse = averaging.averaged_norm(norm, quadrature).matrix
     fine = averaging.average(norm, 2 * args.resolution).matrix
@@ -126,14 +116,8 @@ def cmd_average(args):
 
 def cmd_solve_fields(args):
     cfg = _load_json(args.config)
-    # as in cmd_run: the field spec, the solver section or the solve may reject the settings
-    try:
-        field, basis = solver.field_from_spec(cfg)
-        solver_cfg = _settings(solver.SolverConfig, cfg.get("solver", {}))
-        report = solver.solve_fields(field, basis, mode=args.mode, config=solver_cfg)
-    except (InvalidSettings, InadmissibleNorm) as exc:
-        print(f"invalid settings: {exc}", file=sys.stderr)
-        return 2
+    field, basis, config = solver.field_from_spec(cfg)
+    report = solver.solve_fields(field, basis, mode=args.mode, config=config)
     doc = {
         "experiment": cfg.get("name", "solve-fields"),
         "manifold": cfg["manifold"],
@@ -187,7 +171,13 @@ def main(argv=None):
         "solve-fields": cmd_solve_fields,
         "lie-report": cmd_lie_report,
     }
-    return handlers[args.command](args)
+    # a setting that no run can honour, wherever a command meets it, is one line on stderr
+    # and exit code 2; code 1 means a check failed, and any other error propagates
+    try:
+        return handlers[args.command](args)
+    except (InvalidSettings, InadmissibleNorm) as exc:
+        print(f"invalid settings: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

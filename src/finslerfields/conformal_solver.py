@@ -34,8 +34,6 @@ from .manifold import (
     TorusFourierVectorField,
     field_tables,
     sample_points,
-    sphere_gradient_generators,
-    sphere_rotation_generators,
     stack_points,
 )
 from .norm_core import norm_from_dict, record_array, record_keys, record_kind
@@ -50,13 +48,8 @@ BRACKET_TOL = 1e-6
 
 
 def torus_fourier_modes(degree):
-    """(0, 0) plus one representative per +-k pair with max-norm <= degree."""
-    ks = []
-    for k1 in range(-degree, degree + 1):
-        for k2 in range(-degree, degree + 1):
-            if (k2 > 0) or (k2 == 0 and k1 > 0):
-                ks.append((k1, k2))
-    return ks
+    """One representative per +-k pair of the nonzero k with max-norm <= degree."""
+    return [(k1, k2) for k1 in range(-degree, degree + 1) for k2 in range(degree + 1) if k2 > 0 or k1 > 0]
 
 
 @dataclass
@@ -75,14 +68,17 @@ class FieldBasis:
         return CombinationVectorField(self.elements, coefficients)
 
 
+def _check_degree(degree):
+    if type(degree) is not int or degree < 0:
+        raise InvalidSettings(f"degree must be a non-negative int, got {degree!r}")
+
+
 def torus_basis(torus, degree):
     """Coordinate fields times Fourier modes up to the given degree, on a 2-torus."""
+    _check_degree(degree)
     if torus.dim != 2:
         raise InvalidSettings(f"torus_basis takes a 2-torus, got a {torus.dim}-torus")
-    elements = [
-        TorusFourierVectorField.coordinate(torus, 0),
-        TorusFourierVectorField.coordinate(torus, 1),
-    ]
+    elements = [TorusFourierVectorField.coordinate(torus, i) for i in (0, 1)]
     for k in torus_fourier_modes(degree):
         modes = [TorusFourierScalar(torus, terms=[(k, 1.0, 0.0)]),
                  TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
@@ -91,34 +87,34 @@ def torus_basis(torus, degree):
     return FieldBasis(manifold=torus, elements=elements, degree=degree)
 
 
-SPHERE_DEGREES = (1, 2)
-
-
 def sphere_basis(sphere, degree=2):
-    """Tangent projections of the polynomial maps w of R^3 of degree <= d, for d in (1, 2).
+    """Tangent projections of the monomial maps q^e e_k of R^3 with |e| <= d, q = p / R.
 
-    On the sphere, maps f(p) p project to zero and |p|^2 = R^2, so the identity
-    is left out at degree 1, and the quadratic maps q_i^2 e_i, q2^2 e1, q3^2 e2
-    and q1^2 e3 at degree 2.  That leaves 11 fields at degree 1 (the three
-    rotations, the three gradient fields and five traceless symmetric maps)
-    and 23 at degree 2, where the 12 quadratic maps follow.  The monomials are
-    those of q = p / R (see ``SpherePolyVectorField``), so the assembled system
-    does not depend on the radius.  Other degrees raise InvalidSettings rather
-    than being recorded for an ansatz they do not describe.
+    On the sphere q1^2 = 1 - q2^2 - q3^2, and the projection kills f(q) q, so
+    every map follows from those kept: e1 = 0, or e1 = 1 and k = 3, or e1 = 1,
+    k = 2 and e2 = 0.  They span the vector spherical harmonics grad Y_l, l <= d + 1,
+    and p x grad Y_l, l <= d (Hill, Am. J. Phys. 22, 1954), ((d + 2)^2 - 1) +
+    ((d + 1)^2 - 1) fields: 3 gradients at d = 0, 11 at d = 1.  The system assembled
+    on functions of q (see ``SpherePolyVectorField``) does not depend on the radius.
     """
-    if degree not in SPHERE_DEGREES:
-        raise InvalidSettings(f"sphere_basis supports degrees {SPHERE_DEGREES}, got {degree!r}")
-    units, eye = np.eye(3, dtype=int), np.eye(3)
-    # traceless symmetric maps, as {exponent: coefficient}: q_j e_i + q_i e_j, q_i e_i - q_i+1 e_i+1
-    maps = [{tuple(units[j]): eye[i], tuple(units[i]): eye[j]} for i, j in ((0, 1), (1, 2), (0, 2))]
-    maps += [{tuple(units[i]): eye[i], tuple(units[i + 1]): -eye[i + 1]} for i in (0, 1)]
-    if degree == 2:
-        # q_i q_j e_k, keeping of the squares only q1^2 e2, q2^2 e3 and q3^2 e1
-        maps += [{tuple(units[i] + units[j]): eye[k]} for i in range(3) for j in range(i, 3)
-                 for k in range(3) if i != j or k == (i + 1) % 3]
-    elements = (sphere_rotation_generators(sphere) + sphere_gradient_generators(sphere)
-                + [SpherePolyVectorField(sphere, coeffs) for coeffs in maps])
+    _check_degree(degree)
+    eye = np.eye(3)
+    # by total degree n, so that the basis of degree d begins the basis of degree d + 1
+    elements = [SpherePolyVectorField(sphere, {(e1, e2, n - e1 - e2): eye[k]})
+                for n in range(degree + 1) for e1 in (0, 1) for e2 in range(n - e1 + 1)
+                for k in range(3) if e1 == 0 or k == 2 or (k == 1 and e2 == 0)]
     return FieldBasis(manifold=sphere, elements=elements, degree=degree)
+
+
+def _require_sampling(manifold, degree, config):
+    """UnderdeterminedSystem unless the sample points resolve the degree d: x_density >= 2d + 1,
+    from which on a grid determines a trigonometric polynomial of degree d, and sphere_points
+    >= (d + 2)^2, the dimension of the polynomials of degree <= d + 1 on the sphere."""
+    _check_degree(degree)
+    if isinstance(manifold, FlatTorus) and config.x_density < 2 * degree + 1:
+        raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {degree} + 1")
+    if isinstance(manifold, Sphere2) and config.sphere_points < (degree + 2) ** 2:
+        raise UnderdeterminedSystem(f"sphere_points {config.sphere_points} < (degree {degree} + 2)^2")
 
 
 # The keys of a spec's manifold section besides "kind", and those of its metric, per kind.
@@ -127,22 +123,25 @@ SPEC_METRIC_KEYS = {"flat_torus": {"constant_norm": ("norm", "rescale")}, "spher
 
 
 def field_from_spec(spec):
-    """The (field, basis) of a ``solve-fields`` config in the README's format, by default on the
-    unit square or sphere, unrescaled and at degree 2; its ``solver`` and ``name`` are not read.
+    """The (field, basis, config) of a ``solve-fields`` config in the README's format, by
+    default on the unit square or sphere, unrescaled, at degree 2 and with the default
+    solver settings; its ``name`` is not read.
 
-    An unknown key at any level, a section that is not an object, a degree that is not an
-    int, or an entry that is not finite numbers of the right shape raises InvalidSettings.
+    An unknown key at any level, a section that is not an object, a degree that is not a
+    non-negative int or that the sampling cannot resolve (checked before the basis is
+    built), or an entry that is not finite numbers of the right shape raises InvalidSettings.
     """
     record_keys(spec, "the config", ("manifold", "metric", "degree", "solver", "name"))
+    config = SolverConfig(**record_keys(spec.get("solver", {}), "solver",
+                                        [f.name for f in fields(SolverConfig)]))
     degree = spec.get("degree", 2)
-    if type(degree) is not int or degree < 0:
-        raise InvalidSettings(f"degree must be a non-negative int, got {degree!r}")
     kind = record_kind(spec.get("manifold"), "manifold", SPEC_MANIFOLD_KEYS)
     record_kind(spec.get("metric"), "metric", SPEC_METRIC_KEYS[kind])
     section, metric = spec["manifold"], spec["metric"]
     if kind == "sphere":
         sphere = Sphere2(record_array({"radius": 1.0, **section}, "radius", "the sphere", ()))
-        return RoundSphereField(sphere), sphere_basis(sphere, degree)
+        _require_sampling(sphere, degree, config)
+        return RoundSphereField(sphere), sphere_basis(sphere, degree), config
     torus = FlatTorus(record_array(section, "lattice", "the torus") if "lattice" in section else None)
     field = ConstantNormField(torus, norm_from_dict(metric.get("norm")))
     if "rescale" in metric:
@@ -157,7 +156,8 @@ def field_from_spec(spec):
                           for key, shape in (("k", (torus.dim,)), ("a", ()), ("b", ()))])
         rho = TorusFourierScalar(torus, record_array({"const": 0, **rescale}, "const", "rescale", ()), modes)
         field = ConformalRescaleField(field, rho)
-    return field, torus_basis(torus, degree)
+    _require_sampling(torus, degree, config)
+    return field, torus_basis(torus, degree), config
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +330,15 @@ def solve_fields(field, basis, mode="conformal", config=None):
     N (a conformal ansatz has a round-off centred system).  Residuals are
     evaluated jet-wise on a disjoint collocation set, whose jets come from the
     same evaluation as the fit points' (one ``_jet_tables`` call per solve);
-    only the fit rows count towards ``MIN_ROW_FACTOR``.  A torus basis of degree
-    d needs x_density >= 2d + 1.  Safeguards that fire go to ``flags``, among
-    them a verification residual above ``VERIFY_TOL_FACTOR`` tolerances.
+    only the fit rows count towards ``MIN_ROW_FACTOR``, and the sample points
+    must resolve the basis degree (``_require_sampling``).  Safeguards that fire
+    go to ``flags``, among them a verification residual above
+    ``VERIFY_TOL_FACTOR`` tolerances.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
     config = config or SolverConfig()
-    if isinstance(basis.manifold, FlatTorus) and config.x_density < 2 * basis.degree + 1:
-        raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {basis.degree} + 1")
+    _require_sampling(basis.manifold, basis.degree, config)
     n = basis.n_fields
     fit_points, fit_fan = build_collocation(basis.manifold, config)
     ver_points, ver_fan = build_collocation(basis.manifold, config, offset_points=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, conformal_solver as solver, lie_algebra, manifold as mf
-from .errors import InvalidSettings
+from .errors import ClosureFailure, InvalidSettings
 from .norm_core import RandersNorm, record_keys, scale_norm
 
 ROUNDOFF_FLOOR = 1e-12
@@ -103,8 +103,8 @@ def _solve(config, manifold, metric, mode, **settings):
     """(spec, field, basis, report) of a solve, spec being its complete ``solve-fields`` config."""
     settings = {**{f.name: getattr(config, f.name) for f in fields(solver.SolverConfig)}, **settings}
     spec = {"manifold": manifold, "metric": metric, "degree": config.degree, "solver": settings}
-    field, basis = solver.field_from_spec(spec)
-    return spec, field, basis, solver.solve_fields(field, basis, mode, solver.SolverConfig(**settings))
+    field, basis, solver_config = solver.field_from_spec(spec)
+    return spec, field, basis, solver.solve_fields(field, basis, mode, solver_config)
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +245,42 @@ def exp_averaging_equivariance(config):
     return checks, None, extra, None
 
 
+def _algebra(checks, label, fields):
+    """The structure constants of fields, or None after a failed check where there are none
+    or their brackets leave their span (the three gradient fields of sphere degree 0)."""
+    try:
+        if fields:
+            return solver.extract_structure_constants(fields)[0]
+    except ClosureFailure:
+        pass
+    _check(checks, f"{label} fields give structure constants", 0, "==", 1)
+    return None
+
+
 def exp_conformal_algebra_signature(config):
     spec, _, basis, report = _solve(config, *_sphere(config), "conformal",
                                     sphere_points=max(100, config.sphere_points // 2))
-    killing_fields = [basis.combination(c) for c in report.killing_basis]
-    conformal_fields = [basis.combination(c) for c in report.conformal_basis]
-    killing_algebra, _ = solver.extract_structure_constants(killing_fields)
-    conformal_algebra, _ = solver.extract_structure_constants(conformal_fields)
+    checks = []
+    killing_algebra = _algebra(checks, "sphere killing", [basis.combination(c) for c in report.killing_basis])
+    conformal_algebra = _algebra(checks, "sphere conformal",
+                                 [basis.combination(c) for c in report.conformal_basis])
 
     _, _, torus_basis, torus_report = _solve(config, *_torus(_randers(config)), "killing")
-    torus_fields = [torus_basis.combination(c) for c in torus_report.killing_basis]
-    torus_algebra, _ = solver.extract_structure_constants(torus_fields)
+    torus_algebra = _algebra(checks, "torus killing",
+                             [torus_basis.combination(c) for c in torus_report.killing_basis])
 
-    checks = []
     for label, algebra in (("sphere", killing_algebra), ("torus", torus_algebra)):
-        worst_b = max(
-            lie_algebra.killing_form(algebra, e, e) for e in np.eye(algebra.dim)
-        )
+        if algebra is None:
+            continue
+        worst_b = max(lie_algebra.killing_form(algebra, e, e) for e in np.eye(algebra.dim))
         _check(checks, f"{label} killing basis max B(U,U)", worst_b, "<=", 1e-8)
-        all_semisimple = int(all(
-            lie_algebra.ad_semisimple(algebra, e) for e in np.eye(algebra.dim)
-        ))
+        all_semisimple = int(all(lie_algebra.ad_semisimple(algebra, e) for e in np.eye(algebra.dim)))
         _check(checks, f"{label} killing basis ad semisimple", all_semisimple, "==", 1)
-    pos, neg, zero = lie_algebra.killing_signature(conformal_algebra)
-    _check(checks, "conformal algebra positive eigenvalues", pos, "==", 3)
-    _check(checks, "conformal algebra negative eigenvalues", neg, "==", 3)
-    extra = {
-        "conformal_signature": [pos, neg, zero],
-        "torus_killing_dim": torus_report.killing_dim,
-        "spec": spec,
-    }
+    signature = None if conformal_algebra is None else list(lie_algebra.killing_signature(conformal_algebra))
+    if signature is not None:
+        _check(checks, "conformal algebra positive eigenvalues", signature[0], "==", 3)
+        _check(checks, "conformal algebra negative eigenvalues", signature[1], "==", 3)
+    extra = {"conformal_signature": signature, "torus_killing_dim": torus_report.killing_dim, "spec": spec}
     return checks, report, extra, conformal_algebra
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosureFailure, IdealCheckError
+from .errors import ClosureFailure, IdealCheckError, InvalidSettings
 
 RANK_TOL = 1e-8
 ANTISYM_TOL = 1e-10
@@ -62,9 +62,16 @@ class LieAlgebraSC:
 
     @classmethod
     def from_dict(cls, data):
-        n = int(data["dim"])
+        """The algebra of a ``to_dict`` record; a record of another form raises InvalidSettings."""
+        n = data.get("dim") if isinstance(data, dict) and set(data) == {"dim", "entries"} else None
+        entries = data["entries"] if type(n) is int and n >= 0 else None
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 4 and all(type(i) is int and 0 <= i < n for i in e[:3])
+                and e[0] != e[1] and type(e[3]) in (int, float) and np.isfinite(e[3]) for e in entries):
+            raise InvalidSettings("constants are {'dim': n, 'entries': [[i, j, k, value], ...]} with n >= 0, "
+                                  f"i, j, k in range(n), i != j and finite values; got {data!r}")
         c = np.zeros((n, n, n))
-        for i, j, k, val in data["entries"]:
+        for i, j, k, val in entries:
             c[i, j, k] = float(val)
             c[j, i, k] = -float(val)
         return cls(c)

@@ -19,8 +19,9 @@ as (m, 1), and an (m, 3) array on the sphere.  Grids, Fibonacci points and
 ``sample_points`` come back as one batch.  Scalars, vector fields and
 solvable Finsler fields evaluate a whole batch in one call (``values``,
 ``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets``
-for all three of F's); the one-point methods (``value``, ``grad``,
-``jacobian``, ``eval``, ``grad_x``, ``grad_y``) are batches of one.
+for all three of F's).  The one-point methods ``value``, ``jacobian`` and
+``eval`` are batches of one, kept because the benchmark (``bench/``) calls or
+wraps them by name.
 Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
 and ``lie_derivative`` take one point or a batch with the same formulas.
 
@@ -131,9 +132,6 @@ class ScalarField:
 
     def value(self, pt):
         return float(self.values(pt)[0])
-
-    def grad(self, pt):
-        return self.grads(pt)[0]
 
 
 class TorusFourierScalar(ScalarField):
@@ -503,7 +501,7 @@ class FinslerField:
 
     Solvable fields implement the batched ``evals`` (m,), ``grads_x`` and
     ``grads_y`` (m, 2) over a batch of points and an (m, 2) array of
-    directions; ``eval``, ``grad_x`` and ``grad_y`` are their one-point forms.
+    directions; ``eval`` is the one-point form of ``evals``.
     ``jets`` returns all three, and a field that shares work between them
     overrides it to evaluate once.
     """
@@ -525,12 +523,6 @@ class FinslerField:
 
     def eval(self, pt, y):
         return float(self.evals(pt, y)[0])
-
-    def grad_x(self, pt, y):
-        return self.grads_x(pt, y)[0]
-
-    def grad_y(self, pt, y):
-        return self.grads_y(pt, y)[0]
 
     def norm_at(self, pt):
         raise NotImplementedError

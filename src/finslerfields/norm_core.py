@@ -111,11 +111,12 @@ class MinkowskiNorm:
 
     ``gradient_batch`` and ``tensor_batch`` take an (m, dim) array, check it
     once and hand the rows to the family's ``_gradients`` and ``_tensors``.
-    The one-point forms (``gradient``, ``_tensor_matrix_any``,
-    ``fundamental_tensor``) are batches of one.  The closed-form families bind
-    both batched entry points as their own class attributes, so a tool that
-    patches and later restores a family's attributes (``bench/tracing.py``)
-    restores that family instead of leaving the base-class patch behind.
+    The one-point forms ``_tensor_matrix_any`` and ``fundamental_tensor`` are
+    batches of one, kept because the benchmark (``bench/``) wraps them by
+    name.  The closed-form families bind both batched entry points as their
+    own class attributes, so a tool that patches and later restores a
+    family's attributes (``bench/tracing.py``) restores that family instead
+    of leaving the base-class patch behind.
     """
 
     dim: int
@@ -134,10 +135,6 @@ class MinkowskiNorm:
         if np.any(lengths < DEGENERATE_FLOOR):
             raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {DEGENERATE_FLOOR:.0e}")
         return ys
-
-    def gradient(self, y):
-        """Gradient of F at one nonzero vector: a batch of one."""
-        return self.gradient_batch(np.asarray(y, dtype=float)[None])[0]
 
     def gradient_batch(self, ys):
         """Gradients of F at an (m, dim) batch of nonzero vectors."""
@@ -320,10 +317,16 @@ NORM_FAMILIES = {"euclidean": ("dim", "q"), "randers": ("dim", "a", "b")}
 
 
 def norm_from_dict(data):
-    """Rebuild a closed-form norm from its serialized record, checked as ``record_kind`` does."""
+    """Rebuild a closed-form norm from its serialized record, checked as ``record_kind`` does;
+    a ``dim`` other than that of its matrices raises InvalidSettings."""
     if record_kind(data, "norm record", NORM_FAMILIES, key="family") == "euclidean":
-        return EuclideanNorm(record_array(data, "q"))
-    return RandersNorm(record_array(data, "a"), record_array(data, "b"))
+        norm = EuclideanNorm(record_array(data, "q"))
+    else:
+        norm = RandersNorm(record_array(data, "a"), record_array(data, "b"))
+    dim = data.get("dim", norm.dim)
+    if type(dim) is not int or dim != norm.dim:
+        raise InvalidSettings(f"the norm record has dim {dim!r} and matrices of dimension {norm.dim}")
+    return norm
 
 
 def scale_norm(norm, c):

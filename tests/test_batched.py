@@ -19,7 +19,7 @@ from finslerfields.conformal_solver import (
 )
 from finslerfields import lie_algebra, manifold
 from finslerfields.averaging import average
-from finslerfields.errors import DegenerateVector
+from finslerfields.errors import DegenerateVector, InvalidSettings
 from finslerfields.manifold import (
     AmbientPolyScalar,
     CombinationVectorField,
@@ -261,7 +261,7 @@ def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
 def test_rescaled_torus_has_nonzero_grad_x():
     _, field, basis, config = _torus_cases()[1]
     points, fan = build_collocation(basis.manifold, config)
-    assert np.linalg.norm(field.grad_x(points[0], fan[0, 0])) > 0.1
+    assert np.linalg.norm(field.grads_x(points[:1], fan[0, :1])[0]) > 0.1
 
 
 def reference_collocation(manifold, config, offset_points=False):
@@ -351,7 +351,7 @@ def test_batched_scalars_match_one_point_calls():
         for i in range(len(values)):
             pt = pts[i]
             assert values[i] == pytest.approx(scalar.value(pt), abs=1e-13)
-            np.testing.assert_allclose(grads[i], scalar.grad(pt), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(grads[i], scalar.grads(pt[None])[0], rtol=0, atol=1e-13)
 
 
 def _pole_batch(sphere):
@@ -428,9 +428,9 @@ def test_batched_grad_y_keeps_direction_safeguards(field):
     with pytest.raises(ValueError):
         field.grads_y(points, np.array([[np.nan, 1.0], [0.3, -0.7]]))
     with pytest.raises(DegenerateVector):
-        field.grad_y(points[0], np.zeros(2))
+        field.grads_y(points[:1], np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        field.grad_y(points[0], np.array([np.nan, 1.0]))
+        field.grads_y(points[:1], np.array([[np.nan, 1.0]]))
 
 
 def _two_points(manifold):
@@ -505,10 +505,12 @@ def test_collapsed_gap_is_flagged_without_warning(monkeypatch):
     assert any("killing spectral gap" in flag for flag in report.flags)
 
 
-@pytest.mark.parametrize("degree", [0, 3, 4])
-def test_sphere_basis_rejects_unsupported_degrees(degree):
-    with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        sphere_basis(Sphere2(1.0), degree)
+@pytest.mark.parametrize("degree", [-1, 2.0, "2", True])
+@pytest.mark.parametrize("build", [lambda d: sphere_basis(Sphere2(1.0), d),
+                                   lambda d: torus_basis(FlatTorus(), d)], ids=["sphere", "torus"])
+def test_basis_builders_reject_a_degree_that_is_not_a_non_negative_int(build, degree):
+    with pytest.raises(InvalidSettings, match="degree must be a non-negative int"):
+        build(degree)
 
 
 def test_combination_of_batches_is_linear():
@@ -624,7 +626,7 @@ def test_pullback_matches_the_one_point_chain(name, base, diffeo, points):
         pt = points[i]
         image, jac = diffeo.apply(pt), diffeo.differential(pt)
         assert values[i] == pytest.approx(base.eval(image, jac @ ys[i]), rel=1e-13)
-        np.testing.assert_allclose(grads[i], jac.T @ base.grad_y(image, jac @ ys[i]),
+        np.testing.assert_allclose(grads[i], jac.T @ base.grads_y(image[None], (jac @ ys[i])[None])[0],
                                    rtol=1e-13, atol=1e-13)
 
 
@@ -668,5 +670,5 @@ def test_averaged_field_grads_y_match_the_averaged_norm(name, field, points):
     ys = np.random.default_rng(8).standard_normal((8, 2))
     grads = field.grads_y(points, ys)
     for i in range(8):
-        expected = EuclideanNorm(field.matrix_at(points[i])).gradient(ys[i])
+        expected = EuclideanNorm(field.matrix_at(points[i])).gradient_batch(ys[i:i + 1])[0]
         np.testing.assert_allclose(grads[i], expected, rtol=1e-14, atol=1e-14)

@@ -142,8 +142,8 @@ def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, k
 
 
 @pytest.mark.parametrize("config,message", [
-    ({"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 3},
-     "sphere_basis supports degrees (1, 2), got 3"),
+    ({"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 3,
+      "solver": {"sphere_points": 24}}, "sphere_points 24 < (degree 3 + 2)^2"),
     ({**EUCLIDEAN_TORUS, "degree": 4}, "x_density 8 < 2 * degree 4 + 1"),
     ({**EUCLIDEAN_TORUS, "manifold": {"kind": "flat_torus", "lattice": [[1.0, 2.0], [0.5, 1.0]]}},
      "lattice basis is degenerate"),
@@ -191,7 +191,7 @@ def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, k
      "unknown settings ['rescal']; known: ['kind', 'norm', 'rescale']"),
     ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": [2.0]}},
      "rescale must be an object, got list"),
-], ids=["sphere-degree-3", "torus-degree-4", "degenerate-lattice", "sphere-radius-0",
+], ids=["sphere-degree-3-at-24-points", "torus-degree-4", "degenerate-lattice", "sphere-radius-0",
         "circle-lattice", "circle-basis", "lattice-2x3", "norm-dim-3", "cube", "sphere-constant-norm",
         "no-manifold", "ragged-lattice", "short-rescale-term", "rescale-k-of-length-3",
         "rescale-k-fractional", "degree-string", "sphere-degree-float", "degree-negative",
@@ -254,6 +254,10 @@ BAD_NORMS = {
                       "norm record needs a numeric array 'b'"),
     "misspelt-q": ({"family": "euclidean", "dim": 2, "q": [[1, 0], [0, 1]], "qq": 1},
                    "unknown settings ['qq']; known: ['dim', 'family', 'q']"),
+    "dim-3-of-a-2x2-q": ({"family": "euclidean", "dim": 3, "q": [[1, 0], [0, 1]]},
+                         "the norm record has dim 3 and matrices of dimension 2"),
+    "dim-string": ({"family": "randers", "dim": "2", "a": [[1, 0], [0, 1]], "b": [0.1, 0]},
+                   "the norm record has dim '2' and matrices of dimension 2"),
 }
 
 
@@ -282,7 +286,9 @@ def test_run_rejects_invalid_settings(tmp_path, capsys):
 
 @pytest.mark.parametrize("name,degree,message", [
     ("randers-torus", "4", "x_density 8 < 2 * degree 4 + 1"),
-    ("s2-round", "3", "sphere_basis supports degrees (1, 2), got 3"),
+    ("s2-round", "11", "sphere_points 150 < (degree 11 + 2)^2"),
+    ("randers-torus", "200", "x_density 8 < 2 * degree 200 + 1"),
+    ("s2-round", "200", "sphere_points 150 < (degree 200 + 2)^2"),
 ])
 def test_run_rejects_settings_that_the_solve_meets(tmp_path, capsys, name, degree, message):
     # met only when the basis is built or the solve starts, yet answered as a bad flag is
@@ -321,6 +327,29 @@ def test_lie_report_of_the_zero_algebra(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["dim"], doc["compact_type"], doc["direct_sum"]) == (0, True, True)
     assert doc["killing_gram_eigenvalues"] == [] and doc["killing_signature"] == [0, 0, 0]
+
+
+BAD_CONSTANTS = {
+    "index-out-of-range": {"dim": 2, "entries": [[0, 1, 5, 1.0]]},
+    "negative-index": {"dim": 2, "entries": [[0, 1, -1, 1.0]]},
+    "bracket-of-itself": {"dim": 2, "entries": [[1, 1, 0, 1.0]]},
+    "value-string": {"dim": 2, "entries": [[0, 1, 0, "1"]]},
+    "dim-string": {"dim": "x", "entries": []},
+    "no-entries": {"dim": 0},
+    "list": [],
+}
+
+
+@pytest.mark.parametrize("record", list(BAD_CONSTANTS.values()), ids=list(BAD_CONSTANTS))
+def test_lie_report_rejects_a_record_that_is_not_an_algebra(tmp_path, capsys, record):
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps(record))
+    assert main(["lie-report", "--constants", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid settings: constants are {'dim': n, 'entries': [[i, j, k, value], ...]} with n >= 0, "
+        f"i, j, k in range(n), i != j and finite values; got {record!r}"]
 
 
 def test_average_of_a_one_dimensional_randers_norm(tmp_path, capsys):
@@ -456,3 +485,32 @@ def test_run_rejects_bad_metric_params(tmp_path, capsys, name, params, message):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invalid settings: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config,kind", [([EUCLIDEAN_TORUS], "list"), ("s2-round", "str"), (2, "int")],
+                         ids=["list", "string", "number"])
+def test_run_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys, config, kind):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: the config must be an object, got {kind}"]
+    assert not out.exists()
+
+
+def test_sphere_degree_zero_reports_failed_checks(tmp_path, capsys):
+    # the three gradient fields: none is Killing, and their brackets, rotations, leave their span
+    out = tmp_path / "out"
+    assert main(["run", "s2-round", "conformal-algebra-signature", "--degree", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "conformal-algebra-signature.json").read_text())
+    assert (doc["killing_dim"], doc["conformal_dim"], doc["passed"]) == (0, 3, False)
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+        "sphere killing fields give structure constants",
+        "sphere conformal fields give structure constants"]
+    assert doc["extra"]["conformal_signature"] is None and doc["structure_constants"] is None
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("s2-round,0,3,") and rows[1].endswith(",fail")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from finslerfields import conformal_solver
 from finslerfields.conformal_solver import (
     VERIFY_TOL_FACTOR,
     FieldBasis,
@@ -12,6 +13,7 @@ from finslerfields.conformal_solver import (
     build_collocation,
     collocation_rows,
     extract_structure_constants,
+    field_from_spec,
     null_space,
     pushforward_subspace_angle,
     solve_fields,
@@ -38,9 +40,11 @@ from finslerfields.manifold import (
     RoundSphereField,
     ScalarField,
     Sphere2,
+    SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
     TorusTranslation,
+    field_tables,
     sphere_gradient_generators,
     sphere_rotation_generators,
     stack_points,
@@ -123,11 +127,27 @@ class TestBasisConstruction:
         basis = torus_basis(FlatTorus(), 2)
         assert basis.n_fields == 50
 
-    def test_sphere_basis_counts(self):
-        # all maps of degree <= d less the identity (d = 1), and the six quadratic
-        # maps that repeat or project to zero on the sphere (d = 2)
-        assert sphere_basis(Sphere2(1.0), 1).n_fields == 11
-        assert sphere_basis(Sphere2(1.0), 2).n_fields == 23
+    @pytest.mark.parametrize("degree", range(9))
+    def test_sphere_basis_counts(self, degree):
+        # the vector spherical harmonics of degree <= d + 1: 3 gradients at d = 0, 11 at d = 1
+        assert sphere_basis(Sphere2(1.0), degree).n_fields == (degree + 2) ** 2 + (degree + 1) ** 2 - 2
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_sphere_basis_spans_all_projected_maps(self, degree):
+        # the oracle: all monomial maps q^e e_k with |e| <= d, projected; at sampled points
+        # the kept fields have full rank, and all the maps together add nothing to it
+        sphere = Sphere2(1.7)
+        points = sphere.fibonacci_points(2 * (degree + 2) ** 2)
+        every = [SpherePolyVectorField(sphere, {e: unit}) for e in np.ndindex((degree + 1,) * 3)
+                 if sum(e) <= degree for unit in np.eye(3)]
+        kept = sphere_basis(sphere, degree).elements
+
+        def rank(fields):
+            values = field_tables(fields, points)[:, :2].reshape(-1, len(fields))
+            svals = np.linalg.svd(values, compute_uv=False)
+            return int(np.sum(svals > 1e-9 * svals[0]))
+
+        assert rank(kept) == rank(kept + every) == len(kept)
 
     def test_elements_linearly_independent_over_collocation(self):
         for basis in (torus_basis(FlatTorus(), 2), sphere_basis(Sphere2(1.0), 2)):
@@ -337,13 +357,42 @@ class TestSolveFields:
             solve_fields(randers_field(torus), torus_basis(torus, degree),
                          config=SolverConfig(x_density=x_density))
 
+    @pytest.mark.parametrize("degree,sphere_points", [(3, 24), (11, 150)])
+    def test_sphere_points_that_cannot_carry_the_ansatz_are_rejected(self, degree, sphere_points):
+        # (d + 2)^2 is the dimension of the polynomials of degree <= d + 1 on the sphere;
+        # degree 11 at 150 points gave C = 11, caught only by the verification flag
+        sphere = Sphere2(1.0)
+        with pytest.raises(UnderdeterminedSystem,
+                           match=rf"sphere_points {sphere_points} < \(degree {degree} \+ 2\)\^2"):
+            solve_fields(RoundSphereField(sphere), sphere_basis(sphere, degree),
+                         config=SolverConfig(sphere_points=sphere_points))
+
+    @pytest.mark.parametrize("kind", ["flat_torus", "sphere"])
+    def test_a_degree_the_sampling_cannot_carry_is_rejected_before_the_basis(self, monkeypatch,
+                                                                             kind):
+        def unbuilt(*args):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(conformal_solver, "torus_basis", unbuilt)
+        monkeypatch.setattr(conformal_solver, "sphere_basis", unbuilt)
+        metric = {"kind": "round"} if kind == "sphere" else {
+            "kind": "constant_norm", "norm": {"family": "euclidean", "dim": 2, "q": np.eye(2).tolist()}}
+        with pytest.raises(UnderdeterminedSystem):
+            field_from_spec({"manifold": {"kind": kind}, "metric": metric, "degree": 200})
+
+    def test_field_spec_reads_its_solver_section(self):
+        spec = {"manifold": {"kind": "sphere"}, "metric": {"kind": "round"}, "degree": 1,
+                "solver": {"sphere_points": 40, "seed": 3}}
+        _, basis, config = field_from_spec(spec)
+        assert (basis.n_fields, config) == (11, SolverConfig(sphere_points=40, seed=3))
+
     def test_torus_grid_of_two_degrees_plus_one_is_accepted(self):
         torus = FlatTorus()
         report = solve_fields(randers_field(torus), torus_basis(torus, 2),
                               config=SolverConfig(x_density=5))
         assert (report.killing_dim, report.conformal_dim) == (2, 2)
 
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", range(1, 7))
     @pytest.mark.parametrize("radius", [1e-6, 1e-4, 1e-3, 1e-2, 1.0, 1e2, 1e3, 1e4, 1e6])
     def test_passed_verification_is_not_flagged(self, radius, degree):
         # the ansatz is built in units of the radius, so every scale gives the r = 1 system
@@ -427,9 +476,12 @@ class TestSolveFields:
         basis = sphere_basis(sphere, 2)
         report = solve_fields(field, basis, mode="killing")
         assert report.killing_dim == 1
-        coeffs = report.killing_basis[0]
-        assert abs(coeffs[2]) > 0.99  # the polar rotation generator
-        assert np.max(np.abs(np.delete(coeffs, 2))) <= 1e-8
+        points = sphere.fibonacci_points(50)
+        solved = basis.combination(report.killing_basis[0]).values(points)
+        polar = sphere_rotation_generators(sphere)[2].values(points)   # p x e3
+        scale = np.sum(solved * polar) / np.sum(polar * polar)
+        assert abs(scale) > 0.1
+        assert np.max(np.abs(solved - scale * polar)) <= 1e-8
         assert report.max_residual <= 10.0 * report.tolerance_used
 
     def test_rescaled_sphere_keeps_the_conformal_algebra(self):
