@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from .experiments import (
 from .norm_core import norm_from_dict, record_keys
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="finslerfields",
         description="Conformal/Killing field experiments on model Finsler manifolds",
@@ -77,7 +80,10 @@ def cmd_run(args):
     # settings are rejected when the file is read, when a config is built or when a solve
     # meets them, and either way before the output directory is made
     file_cfg = record_keys(_load_json(args.config) if args.config else {}, "the config", RUN_KEYS)
-    names = args.names or file_cfg.get("experiments") or list(EXPERIMENTS)
+    listed = file_cfg.get("experiments", [])
+    if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
+        raise InvalidSettings(f"experiments must be a list of experiment names, got {listed!r}")
+    names = args.names or listed or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)

@@ -9,14 +9,17 @@ rows are its field jets times its element jets, so the solve works on at
 most six rows per point.  Each solve evaluates both jet tables once, over
 the fit and verification points stacked: the field's (F, dF/dx, dF/dy) from
 one ``jets`` call and the elements' (m, 6, A) table from one
-``field_tables`` call.  Each kernel is extracted by an SVD of an R factor
-with the fixed relative singular-value threshold ``RANK_TOL`` and audited
-through the spectral gap around that threshold.
+``field_tables`` call.  What does not depend on the field is shared across a
+run: equal specs get one manifold and one basis (``field_from_spec``), and the
+collocations and element tables are kept in ``manifold.RESULTS``.  Each kernel
+is extracted by an SVD of an R factor with the fixed relative singular-value
+threshold ``RANK_TOL`` and audited through the spectral gap around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .errors import InvalidSettings, UnderdeterminedSystem
 from .lie_algebra import RANK_TOL, bracket_constants, null_space
 from .manifold import (
     CombinationVectorField,
+    RESULTS,
     ConformalRescaleField,
     ConstantNormField,
     FlatTorus,
@@ -52,12 +56,12 @@ def torus_fourier_modes(degree):
     return [(k1, k2) for k1 in range(-degree, degree + 1) for k2 in range(degree + 1) if k2 > 0 or k1 > 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldBasis:
-    """Finite-dimensional ansatz of vector-field elements."""
+    """Finite-dimensional ansatz of vector-field elements, shared by the solves that use it."""
 
     manifold: object
-    elements: list
+    elements: tuple
     degree: int
 
     @property
@@ -84,7 +88,7 @@ def torus_basis(torus, degree):
                  TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
         elements.extend(TorusFourierVectorField.coordinate(torus, i, mode)
                         for i in (0, 1) for mode in modes)
-    return FieldBasis(manifold=torus, elements=elements, degree=degree)
+    return FieldBasis(manifold=torus, elements=tuple(elements), degree=degree)
 
 
 def sphere_basis(sphere, degree=2):
@@ -100,9 +104,9 @@ def sphere_basis(sphere, degree=2):
     _check_degree(degree)
     eye = np.eye(3)
     # by total degree n, so that the basis of degree d begins the basis of degree d + 1
-    elements = [SpherePolyVectorField(sphere, {(e1, e2, n - e1 - e2): eye[k]})
-                for n in range(degree + 1) for e1 in (0, 1) for e2 in range(n - e1 + 1)
-                for k in range(3) if e1 == 0 or k == 2 or (k == 1 and e2 == 0)]
+    elements = tuple(SpherePolyVectorField(sphere, {(e1, e2, n - e1 - e2): eye[k]})
+                     for n in range(degree + 1) for e1 in (0, 1) for e2 in range(n - e1 + 1)
+                     for k in range(3) if e1 == 0 or k == 2 or (k == 1 and e2 == 0))
     return FieldBasis(manifold=sphere, elements=elements, degree=degree)
 
 
@@ -122,10 +126,23 @@ SPEC_MANIFOLD_KEYS = {"flat_torus": ("lattice",), "sphere": ("radius",)}
 SPEC_METRIC_KEYS = {"flat_torus": {"constant_norm": ("norm", "rescale")}, "sphere": {"round": ()}}
 
 
+@lru_cache(maxsize=16)
+def _shared_manifold(kind, geometry):
+    """The one manifold of a spec's radius or lattice rows, which its field and basis share."""
+    return Sphere2(geometry) if kind == "sphere" else FlatTorus(geometry)
+
+
+@lru_cache(maxsize=16)
+def _shared_basis(manifold, degree):
+    """The one basis of a shared manifold and a degree, so that its tables are found cached."""
+    return (sphere_basis if isinstance(manifold, Sphere2) else torus_basis)(manifold, degree)
+
+
 def field_from_spec(spec):
     """The (field, basis, config) of a ``solve-fields`` config in the README's format, by
     default on the unit square or sphere, unrescaled, at degree 2 and with the default
-    solver settings; its ``name`` is not read.
+    solver settings; its ``name`` is not read.  Specs whose manifold sections (after
+    defaults) and degrees are equal share one manifold and one basis.
 
     An unknown key at any level, a section that is not an object, a degree that is not a
     non-negative int or that the sampling cannot resolve (checked before the basis is
@@ -139,10 +156,12 @@ def field_from_spec(spec):
     record_kind(spec.get("metric"), "metric", SPEC_METRIC_KEYS[kind])
     section, metric = spec["manifold"], spec["metric"]
     if kind == "sphere":
-        sphere = Sphere2(record_array({"radius": 1.0, **section}, "radius", "the sphere", ()))
+        radius = float(record_array({"radius": 1.0, **section}, "radius", "the sphere", ()))
+        sphere = _shared_manifold(kind, radius)
         _require_sampling(sphere, degree, config)
-        return RoundSphereField(sphere), sphere_basis(sphere, degree), config
+        return RoundSphereField(sphere), _shared_basis(sphere, degree), config
     torus = FlatTorus(record_array(section, "lattice", "the torus") if "lattice" in section else None)
+    torus = _shared_manifold(kind, tuple(map(tuple, torus.lattice.tolist())))
     field = ConstantNormField(torus, norm_from_dict(metric.get("norm")))
     if "rescale" in metric:
         rescale = record_keys(metric["rescale"], "rescale", ("const", "terms"))
@@ -157,7 +176,7 @@ def field_from_spec(spec):
         rho = TorusFourierScalar(torus, record_array({"const": 0, **rescale}, "const", "rescale", ()), modes)
         field = ConformalRescaleField(field, rho)
     _require_sampling(torus, degree, config)
-    return field, torus_basis(torus, degree), config
+    return field, _shared_basis(torus, degree), config
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +210,21 @@ class SolverConfig:
 
 
 def build_collocation(manifold, config, offset_points=False):
-    """The P distinct sample points and their (P, D, 2) fan of unit directions.
+    """The P distinct sample points and their (P, D, 2) fan of unit directions, read-only.
 
     Each point gets D = ``n_directions + n_extra_directions`` directions: the
     fixed fan of ``n_directions`` angles, then ``n_extra_directions`` seeded
-    random ones.  The offset variant is disjoint from the default.
+    random ones.  The offset variant is disjoint from the default.  A collocation
+    is kept in ``RESULTS`` by the manifold's geometry and the settings.
     """
+    geometry = (manifold.lattice.tobytes() if isinstance(manifold, FlatTorus)
+                else getattr(manifold, "radius", None))
+    settings = tuple(getattr(config, f.name) for f in fields(SolverConfig))
+    return RESULTS.get(("collocation", type(manifold), geometry, settings, offset_points),
+                       lambda: _collocation(manifold, config, offset_points))
+
+
+def _collocation(manifold, config, offset_points):
     rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
     if isinstance(manifold, FlatTorus):
         shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
@@ -348,14 +376,10 @@ def solve_fields(field, basis, mode="conformal", config=None):
                                                    np.concatenate([fit_fan, ver_fan])))
     jets, ver_jets = np.split(jets, [len(fit_points)])
     elements, ver_elements = np.split(elements, [len(fit_points)])
-    # np.linalg.qr copies its input twice: the verification elements are copied
-    # out so that the stacked element table is freed before that QR
-    ver_elements = ver_elements.copy()
     means = jets.mean(axis=1, keepdims=True)
     factors = np.linalg.qr(jets - means, mode="r")
     fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
     stacked_factors = (factors @ elements).reshape(-1, n)
-    del elements
     r_centred = np.linalg.qr(stacked_factors, mode="r")
     k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]))
     k_gap = _spectral_gap(k_svals, k_dim, n)

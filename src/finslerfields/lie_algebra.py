@@ -62,7 +62,8 @@ class LieAlgebraSC:
 
     @classmethod
     def from_dict(cls, data):
-        """The algebra of a ``to_dict`` record; a record of another form raises InvalidSettings."""
+        """The algebra of a ``to_dict`` record; a record of another form, or constants that fail
+        the constructor's antisymmetry or Jacobi check, raise InvalidSettings."""
         n = data.get("dim") if isinstance(data, dict) and set(data) == {"dim", "entries"} else None
         entries = data["entries"] if type(n) is int and n >= 0 else None
         if not isinstance(entries, list) or not all(
@@ -74,7 +75,10 @@ class LieAlgebraSC:
         for i, j, k, val in entries:
             c[i, j, k] = float(val)
             c[j, i, k] = -float(val)
-        return cls(c)
+        try:
+            return cls(c)
+        except ValueError as exc:
+            raise InvalidSettings(f"the constants are not a Lie algebra: {exc}") from exc
 
 
 def ad_matrix(algebra, u):

@@ -32,12 +32,16 @@ class's one stacking rule: torus Fourier fields are one matmul of
 coefficients and the phase derivatives folded into them, sphere polynomial
 fields are columns on the monomials of p / R and on their derivatives.  A
 combination holds basis elements only and contracts its coefficients into
-that matrix, and a single field is a table of one column.
+their table, and a single field is a table of one column.  Element tables and
+the solver's collocations are kept read-only in ``RESULTS``, one process-wide
+cache by value, so that a run computes each once.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from threading import Lock
 
 import numpy as np
 
@@ -46,6 +50,49 @@ from .lie_algebra import RANK_TOL
 from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm,
                         fibonacci_directions, scale_norm)
 from .averaging import average
+
+
+# ---------------------------------------------------------------------------
+# shared results
+
+# about 2.5 times the tables and collocations that a default run keeps (3.2 MB), and what an
+# entry costs beyond its arrays (its key and slot), so that small entries count too
+CACHE_BYTES, ENTRY_BYTES = 8 << 20, 1 << 10
+
+
+class ResultCache:
+    """Read-only arrays by key, least recently used evicted first past ``budget`` bytes.  A
+    result is the same found or computed, and one larger than the budget is not kept."""
+
+    def __init__(self, budget):
+        self.budget, self.nbytes, self.entries, self.lock = budget, 0, OrderedDict(), Lock()
+
+    def get(self, key, compute):
+        """``compute()``'s array or tuple of arrays, made read-only and kept under ``key``, which
+        may hold objects that compare by identity, such as field elements."""
+        with self.lock:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return self.entries[key][0]
+        value = compute()
+        arrays = value if isinstance(value, tuple) else (value,)
+        for array in arrays:
+            array.flags.writeable = False
+        size = ENTRY_BYTES + sum(array.nbytes for array in arrays)
+        with self.lock:
+            if size <= self.budget and key not in self.entries:
+                self.entries[key], self.nbytes = (value, size), self.nbytes + size
+                while self.nbytes > self.budget:
+                    self.nbytes -= self.entries.popitem(last=False)[1][1]
+        return value
+
+    def clear(self):
+        with self.lock:
+            self.nbytes = 0
+            self.entries.clear()
+
+
+RESULTS = ResultCache(CACHE_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +296,17 @@ class TorusFourierVectorField(VectorField):
         return cls(torus, comps)
 
     @staticmethod
-    def _tables(elements, weights, points):
-        """(m, 6, B) jets as [1, cos psi, sin psi] @ J over the distinct modes, weights
-        contracted in: rows 0-1 of the jet matrix J hold the coefficients, and rows
-        2-5 hold DV^i/dx^j with dpsi/dx^j = 2 pi (k L^-1)_j folded in, a sin
-        coefficient times it on the cos row and minus a cos one on the sin row.
+    def _tables(elements, points):
+        """(m, 6, A) jets as [1, cos psi, sin psi] @ J over the distinct modes: rows 0-1
+        of the jet matrix J hold the coefficients, and rows 2-5 hold DV^i/dx^j with
+        dpsi/dx^j = 2 pi (k L^-1)_j folded in, a sin coefficient times it on the cos
+        row and minus a cos one on the sin row.
         """
         modes, coef = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements])
-        coef = coef.reshape(len(coef), 2, -1) @ weights
+        coef = coef.reshape(len(coef), 2, -1)
         torus, k = elements[0].manifold, len(modes)
         dpsi = _phase_gradients(torus, modes)[:, None, :, None]   # [k, i, j, b]
-        jets = np.zeros((len(coef), 3, 2, weights.shape[1]))
+        jets = np.zeros((len(coef), 3, 2, len(elements)))
         jets[:, 0] = coef
         jets[1:k + 1, 1:] = dpsi * coef[k + 1:, :, None]
         jets[k + 1:, 1:] = -(dpsi * coef[1:k + 1, :, None])
@@ -284,18 +331,18 @@ class SpherePolyVectorField(VectorField):
                        np.array(list(self.coeffs.values())).reshape(-1, 3))   # exponents, vectors
 
     @staticmethod
-    def _tables(elements, weights, points):
-        """(m, 6, B) jets E^T X and E^T DX E from one matmul of the monomials of q = p / R
-        and one of their frame derivatives against the (K, 3, B) coefficients, weights
-        contracted in, written into one preallocated table.
+    def _tables(elements, points):
+        """(m, 6, A) jets E^T X and E^T DX E from one matmul of the monomials of q = p / R
+        and one of their frame derivatives against the (K, 3, A) coefficients, written
+        into one preallocated table.
 
         With E^T q = 0 the projection leaves E^T w in the values and -(q.w) I in
         the Jacobian: E^T DX E = E^T Dw E - (q.w) I.
         """
         sphere = elements[0].manifold
         exps, coef = _monomial_coefficients(elements)
-        m, n_fields = len(points), weights.shape[1]
-        coef = (coef @ weights).reshape(len(exps), 3 * n_fields)
+        m, n_fields = len(points), len(elements)
+        coef = coef.reshape(len(exps), 3 * n_fields)
         q, rows = points / sphere.radius, np.transpose(sphere.frame(points), (0, 2, 1))
         monomials, along = _monomials(q, rows, exps)   # its (m, K, 3) temporaries end here
         w = (monomials @ coef).reshape(m, 3, n_fields)
@@ -367,10 +414,12 @@ def field_tables(fields, points):
     """The (m, 6, B) 1-jets of B vector fields: values at [:, :2] and the Jacobian
     dV^i/dx^j at [:, 2 + 2 i + j], so that [:, 2:] reshapes to (m, 2, 2, B).
 
-    Combinations are expanded into their distinct elements, which go through
-    their class's ``_tables`` in one call, with the (A, B) coefficients that
-    form the fields contracted in.  Elements of different classes or
-    manifolds raise ValueError.
+    Combinations are expanded into their distinct elements, whose (m, 6, A)
+    table comes from one call of their class's ``_tables``, or from ``RESULTS``
+    keyed by the elements (compared by identity) and the points' bytes.  It is
+    returned as it is, read-only, when the fields are the elements, and with the
+    (A, B) coefficients that form the fields contracted in otherwise.  Elements
+    of different classes or manifolds raise ValueError.
     """
     points = stack_points(points)
     elements, index, entries = [], {}, []
@@ -383,10 +432,15 @@ def field_tables(fields, points):
     first = elements[0]
     if any(type(el) is not type(first) or el.manifold is not first.manifold for el in elements):
         raise ValueError("field_tables takes fields of one class on one manifold")
+    elements = tuple(elements)
+    table = RESULTS.get(("field_tables", elements, points.shape, points.tobytes()),
+                        lambda: type(first)._tables(elements, points))
+    if len(fields) == len(elements) and all(vf is el for vf, el in zip(fields, elements)):
+        return table
     weights = np.zeros((len(elements), len(fields)))
     rows, cols, coefs = zip(*entries)
     np.add.at(weights, (rows, cols), coefs)
-    return type(first)._tables(elements, weights, points)
+    return (table.reshape(-1, len(elements)) @ weights).reshape(len(points), 6, -1)
 
 
 def sphere_rotation_generators(sphere):

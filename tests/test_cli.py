@@ -352,6 +352,16 @@ def test_lie_report_rejects_a_record_that_is_not_an_algebra(tmp_path, capsys, re
         f"i, j, k in range(n), i != j and finite values; got {record!r}"]
 
 
+def test_lie_report_rejects_constants_that_fail_jacobi(tmp_path, capsys):
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps({"dim": 3, "entries": [[0, 1, 0, 1.0], [1, 2, 1, 1.0], [0, 2, 2, 1.0]]}))
+    assert main(["lie-report", "--constants", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid settings: the constants are not a Lie algebra: Jacobi residual 1.000e+00 exceeds 1e-08 s^2"]
+
+
 def test_average_of_a_one_dimensional_randers_norm(tmp_path, capsys):
     # sqrt(1.1025) |y| + 0.35 y is 1.4 y forwards and 0.7 |y| backwards: (1.4^2 + 0.7^2) / 2
     cfg = tmp_path / "norm.json"
@@ -497,6 +507,20 @@ def test_run_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys, confi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invalid settings: the config must be an object, got {kind}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiments", [5, "randers-torus", ["circle-lambda", 2]],
+                         ids=["number", "string", "list-with-a-number"])
+def test_run_rejects_experiments_that_are_not_a_list_of_names(tmp_path, capsys, experiments):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiments": experiments}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid settings: experiments must be a list of experiment names, got {experiments!r}"]
     assert not out.exists()
 
 

@@ -140,7 +140,7 @@ class TestBasisConstruction:
         points = sphere.fibonacci_points(2 * (degree + 2) ** 2)
         every = [SpherePolyVectorField(sphere, {e: unit}) for e in np.ndindex((degree + 1,) * 3)
                  if sum(e) <= degree for unit in np.eye(3)]
-        kept = sphere_basis(sphere, degree).elements
+        kept = list(sphere_basis(sphere, degree).elements)
 
         def rank(fields):
             values = field_tables(fields, points)[:, :2].reshape(-1, len(fields))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finslerfields.errors import IdealCheckError
+from finslerfields.errors import IdealCheckError, InvalidSettings
 from finslerfields.lie_algebra import (
     LieAlgebraSC,
     abelian_algebra,
@@ -38,6 +38,18 @@ class TestConstruction:
             c[j, i, k] = -v
         with pytest.raises(ValueError):
             LieAlgebraSC(c)
+
+    def test_a_record_that_fails_jacobi_is_invalid_settings(self):
+        # [e0, e1] = e0, [e1, e2] = e1, [e0, e2] = e2: the Jacobi sum of (e0, e1, e2) is e0 - e1
+        record = {"dim": 3, "entries": [[0, 1, 0, 1.0], [1, 2, 1, 1.0], [0, 2, 2, 1.0]]}
+        with pytest.raises(InvalidSettings, match="not a Lie algebra: Jacobi residual"):
+            LieAlgebraSC.from_dict(record)
+        c = np.zeros((3, 3, 3))
+        for i, j, k, v in record["entries"]:
+            c[i, j, k], c[j, i, k] = v, -v
+        with pytest.raises(ValueError, match="Jacobi residual") as raised:
+            LieAlgebraSC(c)
+        assert not isinstance(raised.value, InvalidSettings)
 
     def test_serialization_roundtrip(self):
         algebra = rotation_algebra()
