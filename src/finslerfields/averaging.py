@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityViolation, HypothesisViolation
+from .errors import ConvexityViolation, HypothesisViolation, InvalidSettings
 from .norm_core import EuclideanNorm
 
 NODE_TOL = 1e-10
@@ -66,7 +66,7 @@ def _reference_grid(n, resolution):
         return np.array([[1.0], [-1.0]]), np.zeros((2, 0, 1)), 1.0
     if n == 2:
         if resolution < 16:
-            raise ValueError("resolution must be >= 16 for n = 2")
+            raise InvalidSettings("resolution must be >= 16 for n = 2")
         step = 2.0 * np.pi / resolution
         theta = np.arange(resolution) * step
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -74,7 +74,7 @@ def _reference_grid(n, resolution):
         return u, du, step
     if n == 3:
         if resolution < 256:
-            raise ValueError("resolution must be >= 256 for n = 3")
+            raise InvalidSettings("resolution must be >= 256 for n = 3")
         n_theta = max(8, int(round(np.sqrt(resolution / 2.0))))
         step = np.pi / n_theta
         theta = (np.arange(n_theta) + 0.5) * step
@@ -86,7 +86,7 @@ def _reference_grid(n, resolution):
         du_t = np.stack([ct * cp, ct * sp, -st], axis=1)
         du_p = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=1)
         return u, np.stack([du_t, du_p], axis=1), step * step
-    raise ValueError("indicatrix sampling is implemented for n = 1, 2 and 3")
+    raise InvalidSettings(f"indicatrix sampling is implemented for n = 1, 2 and 3, got n = {n}")
 
 
 def sample_indicatrix(norm, resolution):

@@ -199,6 +199,8 @@ class SolverConfig:
                  if f.type in (int, "int") and type(getattr(self, f.name)) is not int]
         if wrong:
             raise InvalidSettings(f"settings {wrong} must be integers")
+        if self.seed < 0:
+            raise InvalidSettings(f"seed must be >= 0, got {self.seed}")
         if self.x_density < 2 or self.sphere_points < 16:
             raise InvalidSettings("x_density must be >= 2 and sphere_points >= 16")
         # centring over a fan of D directions leaves D - 1 equations per point:

@@ -17,37 +17,40 @@ matrices acting on the null cone.
 Point sets are batches: an (m, n) array on the n-torus, the circle included
 as (m, 1), and an (m, 3) array on the sphere.  Grids, Fibonacci points and
 ``sample_points`` come back as one batch.  Scalars, vector fields and
-solvable Finsler fields evaluate a whole batch in one call (``values``,
-``grads``, ``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets``
-for all three of F's).  The one-point methods ``value``, ``jacobian`` and
-``eval`` are batches of one, kept because the benchmark (``bench/``) calls or
-wraps them by name.
-Diffeomorphisms (``apply``, ``differential``), pullback and averaged fields
-and ``lie_derivative`` take one point or a batch with the same formulas.
+solvable Finsler fields evaluate a whole batch in one call (a scalar's
+``jets``, value then gradient, of which ``values`` and ``grads`` are slices;
+``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets`` for all three
+of F's).  The one-point methods ``value``, ``jacobian`` and ``eval`` are
+batches of one, kept because the benchmark (``bench/``) calls or wraps them
+by name.  Diffeomorphisms (``apply``, ``differential``), pullback and
+averaged fields and ``lie_derivative`` take one point or a batch with the
+same formulas.
 
-A list of vector fields of one class on one manifold is one (m, 6, B) table
-of 1-jets, values then the row-major Jacobian (``field_tables``), through its
-class's one stacking rule: torus Fourier fields are one matmul of
-[1, cos psi, sin psi] over their distinct modes (one ``frac``) with their
-coefficients and the phase derivatives folded into them, sphere polynomial
-fields are columns on the monomials of p / R and on their derivatives.  A
-combination holds basis elements only and contracts its coefficients into
-their table, and a single field is a table of one column.  Element tables and
-the solver's collocations are kept read-only in ``RESULTS``, one process-wide
-cache by value, so that a run computes each once.
+Each field family has one jet rule, shared by its scalars and vector fields.
+On a torus, Fourier terms are gathered by mode (``_distinct_terms``) into a
+jet matrix on [1, cos psi, sin psi], contracted with that dictionary from one
+``frac`` (``_fourier_jets``); on the sphere, polynomials in q = p / R go
+through the monomials of q and their frame derivatives (``_monomials``).  A
+list of vector fields of one class on one manifold is one (m, 6, B) table of
+1-jets, values then the row-major Jacobian (``field_tables``), through its
+class's ``_tables``.  A combination holds basis elements only and contracts
+its coefficients into their table, and a single field is a table of one
+column.  Element tables and the solver's collocations are kept read-only in
+``RESULTS``, one process-wide cache by value, so that a run computes each once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from threading import Lock
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidSettings
+from .errors import InvalidSettings
 from .lie_algebra import RANK_TOL
-from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm,
+from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm, checked_vectors,
                         fibonacci_directions, scale_norm)
 from .averaging import average
 
@@ -175,18 +178,25 @@ class Sphere2:
 
 
 class ScalarField:
-    """Scalar function on a manifold; subclasses implement the batched ``values``/``grads``."""
+    """Scalar function on a manifold.  Subclasses implement the batched ``jets`` (m, 1 + n),
+    the value then the gradient, of which ``values``, ``grads`` and ``value`` are slices."""
+
+    def values(self, points):
+        return self.jets(points)[:, 0]
+
+    def grads(self, points):
+        return self.jets(points)[:, 1:]
 
     def value(self, pt):
-        return float(self.values(pt)[0])
+        return float(self.jets(pt)[0, 0])
 
 
 class TorusFourierScalar(ScalarField):
     """const + sum of cos/sin modes exp(2 pi i k . xi) in lattice coordinates, k of length n.
 
-    A constant is a scalar without modes.  ``values`` sums the modes with the
-    same arithmetic at every batch size, so a point's value does not depend on
-    the batch it is evaluated in.
+    A constant is a scalar without modes.  Its jet matrix (``_fourier_matrix``) is built once,
+    at its first ``jets`` call, and its jets sum the modes with the same arithmetic at every
+    batch size, so a point's value does not depend on the batch it is evaluated in.
     """
 
     def __init__(self, torus, const=0.0, terms=()):
@@ -195,63 +205,79 @@ class TorusFourierScalar(ScalarField):
         self.terms = [(np.array(k, dtype=float), float(a), float(b)) for k, a, b in terms]
         if any(k.shape != (torus.dim,) or np.any(k != np.round(k)) for k, _, _ in self.terms):
             raise InvalidSettings(f"a mode on a {torus.dim}-torus has {torus.dim} entries, each an integer")
-        self._terms = np.array([[*k, a, b] for k, a, b in self.terms]).reshape(-1, torus.dim + 2)  # k, a, b
+        self._terms = (np.array([k for k, _, _ in self.terms], dtype=int).reshape(-1, torus.dim),
+                       np.array([(a, b) for _, a, b in self.terms]).reshape(-1, 2))   # modes, (a, b)
 
-    def values(self, points):
-        cos, sin = _fourier_phases(self.torus, self._terms[:, :-2], points)
-        return (self.const + np.einsum("mk,k->m", cos, self._terms[:, -2])
-                + np.einsum("mk,k->m", sin, self._terms[:, -1]))
+    @cached_property
+    def _matrix(self):
+        modes, jet = _fourier_matrix(self.torus, [self])
+        return modes, jet[..., 0]
 
-    def grads(self, points):
-        cos, sin = _fourier_phases(self.torus, self._terms[:, :-2], points)
-        dpsi = _phase_gradients(self.torus, self._terms[:, :-2]).T[:, :, None]
-        return (cos @ (dpsi * self._terms[:, -1:]) - sin @ (dpsi * self._terms[:, -2:-1]))[..., 0].T
-
-
-def _fourier_coefficients(scalars):
-    """The distinct modes (K, 2) of Fourier scalars on a 2-torus, and their stacked
-    (1 + 2K, n) coefficients on the dictionary [1, cos psi, sin psi]."""
-    terms = np.concatenate([s._terms for s in scalars])
-    distinct, row = np.unique(terms[:, :-2] @ np.array([1.0, 1j]), return_inverse=True)
-    owner = np.repeat(np.arange(len(scalars)), [len(s._terms) for s in scalars])
-    k = len(distinct)
-    coef = np.zeros((1 + 2 * k, len(scalars)))
-    coef[0] = [s.const for s in scalars]
-    np.add.at(coef, (np.concatenate([1 + row, 1 + k + row]), np.tile(owner, 2)), terms[:, -2:].T.ravel())
-    return np.stack([distinct.real, distinct.imag], axis=-1), coef
+    def jets(self, points):
+        return _fourier_jets(self.torus, *self._matrix, points)
 
 
-def _fourier_phases(torus, modes, points):
-    """cos psi and sin psi, psi = 2 pi k . xi over K modes, (m, K) each, from one ``frac``."""
-    psi = 2.0 * np.pi * (torus.frac(stack_points(points)) @ modes.T)
-    return np.cos(psi), np.sin(psi)
+def _distinct_terms(terms):
+    """The distinct integer keys (K, d) of S owners' terms, in lexicographic order, and the
+    (K, ..., S) sums of their values per key and owner.  ``terms`` holds one pair of
+    (T, d) keys and (T, ...) values per owner."""
+    keys, values = (np.concatenate(part) for part in zip(*terms))
+    owner = np.repeat(np.arange(len(terms)), [len(key) for key, _ in terms])
+    distinct, row = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(distinct),) + values.shape[1:] + (len(terms),))
+    np.add.at(sums, (row.ravel(), ..., owner), values)
+    return distinct, sums
 
 
-def _phase_gradients(torus, modes):
-    """dpsi/dx = 2 pi k L^-1 of each mode's phase, (K, n): xi = L^-1 x."""
-    return 2.0 * np.pi * (modes @ torus.inv_lattice)
+def _fourier_matrix(torus, scalars):
+    """The distinct modes (K, n) of Fourier scalars and their (1 + 2K, 1 + n, S) jet matrix
+    on [1, cos psi, sin psi]: column 0 holds the coefficients, and columns 1 + j the
+    derivatives d/dx^j, where dpsi/dx = 2 pi k L^-1 (xi = L^-1 x) enters a sin coefficient
+    times it on the cos row and minus a cos one on the sin row."""
+    modes, coef = _distinct_terms([scalar._terms for scalar in scalars])   # (K, 2, S)
+    modes = modes.astype(float)
+    k, dpsi = len(modes), (2.0 * np.pi * (modes @ torus.inv_lattice))[:, :, None]
+    jet = np.zeros((1 + 2 * k, 1 + torus.dim, len(scalars)))
+    jet[0, 0] = [scalar.const for scalar in scalars]
+    jet[1:k + 1, 0], jet[k + 1:, 0] = coef[:, 0], coef[:, 1]
+    jet[1:k + 1, 1:] = dpsi * coef[:, None, 1]
+    jet[k + 1:, 1:] = -(dpsi * coef[:, None, 0])
+    return modes, jet
 
 
-class AmbientPolyScalar(ScalarField):
-    """Polynomial of degree <= 2 in the ambient coordinates, restricted to the sphere.
+def _fourier_jets(torus, modes, jet, points):
+    """[1, cos psi, sin psi] over the K modes, psi = 2 pi k . xi from one ``frac``, contracted
+    with a (1 + 2K, ...) jet matrix: (m,) + its trailing shape.  One scalar's (1 + 2K, 1 + n)
+    matrix goes through einsum, whose arithmetic is the same at every batch size, and a
+    stack of them through one matmul."""
+    psi = torus.frac(stack_points(points)) @ modes.T
+    psi *= 2.0 * np.pi
+    dictionary = np.ones((len(psi), 1 + 2 * len(modes)))
+    np.cos(psi, out=dictionary[:, 1:1 + len(modes)])
+    np.sin(psi, out=dictionary[:, 1 + len(modes):])
+    if jet.ndim == 2:
+        return np.einsum("mk,kj->mj", dictionary, jet)
+    return (dictionary @ jet.reshape(len(jet), -1)).reshape((len(psi),) + jet.shape[1:])
 
-    ``grads`` are the frame components E^T grad rho of its ambient gradient.
+
+class SpherePolyScalar(ScalarField):
+    """sum c_e q^e over the monomials of the unit point q = p / R, restricted to the sphere.
+
+    ``coeffs`` maps exponents (i, j, k) to the coefficient of q1^i q2^j q3^k.  The
+    gradient is read in the frame, E^T grad rho, from the monomials' frame derivatives.
     """
 
-    def __init__(self, sphere, const=0.0, linear=None, quadratic=None):
+    def __init__(self, sphere, coeffs):
         self.sphere = sphere
-        self.const = float(const)
-        self.linear = np.zeros(3) if linear is None else np.asarray(linear, dtype=float)
-        q = np.zeros((3, 3)) if quadratic is None else np.asarray(quadratic, dtype=float)
-        self.quadratic = 0.5 * (q + q.T)
+        self.coeffs = {tuple(key): float(val) for key, val in coeffs.items()}
+        self._exps = np.array(list(self.coeffs), dtype=int).reshape(-1, 3)
+        self._coef = np.array(list(self.coeffs.values()))
 
-    def values(self, points):
+    def jets(self, points):
         p = stack_points(points)
-        return self.const + p @ self.linear + np.einsum("mi,ij,mj->m", p, self.quadratic, p)
-
-    def grads(self, points):
-        p = stack_points(points)
-        return np.einsum("mi,mij->mj", self.linear + 2.0 * p @ self.quadratic, self.sphere.frame(p))
+        monomials, along = _monomials(p / self.sphere.radius, np.swapaxes(self.sphere.frame(p), 1, 2),
+                                      self._exps)
+        return np.concatenate([monomials[:, None], along / self.sphere.radius], axis=1) @ self._coef
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +308,11 @@ class VectorField:
 
 
 class TorusFourierVectorField(VectorField):
-    """Fourier scalar times a coordinate field, or a general two-component field."""
+    """Fourier scalar times a coordinate field, or a general two-component field, on a 2-torus."""
 
     def __init__(self, torus, components):
+        if torus.dim != 2:
+            raise InvalidSettings(f"a torus vector field lives on a 2-torus, got dimension {torus.dim}")
         self.manifold = torus
         self.components = components  # pair of TorusFourierScalar
 
@@ -292,27 +320,18 @@ class TorusFourierVectorField(VectorField):
     def coordinate(cls, torus, index, scalar=None):
         scalar = TorusFourierScalar(torus, const=1.0) if scalar is None else scalar
         zero = TorusFourierScalar(torus)
-        comps = (scalar, zero) if index == 0 else (zero, scalar)
-        return cls(torus, comps)
+        return cls(torus, (scalar, zero) if index == 0 else (zero, scalar))
 
     @staticmethod
     def _tables(elements, points):
-        """(m, 6, A) jets as [1, cos psi, sin psi] @ J over the distinct modes: rows 0-1
-        of the jet matrix J hold the coefficients, and rows 2-5 hold DV^i/dx^j with
-        dpsi/dx^j = 2 pi (k L^-1)_j folded in, a sin coefficient times it on the cos
-        row and minus a cos one on the sin row.
-        """
-        modes, coef = _fourier_coefficients([el.components[i] for i in (0, 1) for el in elements])
-        coef = coef.reshape(len(coef), 2, -1)
-        torus, k = elements[0].manifold, len(modes)
-        dpsi = _phase_gradients(torus, modes)[:, None, :, None]   # [k, i, j, b]
-        jets = np.zeros((len(coef), 3, 2, len(elements)))
-        jets[:, 0] = coef
-        jets[1:k + 1, 1:] = dpsi * coef[k + 1:, :, None]
-        jets[k + 1:, 1:] = -(dpsi * coef[1:k + 1, :, None])
-        cos, sin = _fourier_phases(torus, modes, points)
-        dictionary = np.hstack([np.ones((len(cos), 1)), cos, sin])
-        return (dictionary @ jets.reshape(len(jets), -1)).reshape(len(cos), 6, -1)
+        """(m, 6, A) jets through the Fourier rule: the jet matrix of the 2A components
+        (see ``_fourier_matrix``), [r, j, i, a] in its gradient columns, turned to the
+        table's values then row-major Jacobian [r, i, j, a] before the one matmul."""
+        torus = elements[0].manifold
+        modes, jet = _fourier_matrix(torus, [el.components[i] for i in (0, 1) for el in elements])
+        jet = jet.reshape(len(jet), 3, 2, -1)
+        jet = np.concatenate([jet[:, 0], np.swapaxes(jet[:, 1:], 1, 2).reshape(len(jet), 4, -1)], axis=1)
+        return _fourier_jets(torus, modes, jet, points)
 
 
 class SpherePolyVectorField(VectorField):
@@ -340,7 +359,7 @@ class SpherePolyVectorField(VectorField):
         the Jacobian: E^T DX E = E^T Dw E - (q.w) I.
         """
         sphere = elements[0].manifold
-        exps, coef = _monomial_coefficients(elements)
+        exps, coef = _distinct_terms([el._terms for el in elements])
         m, n_fields = len(points), len(elements)
         coef = coef.reshape(len(exps), 3 * n_fields)
         q, rows = points / sphere.radius, np.transpose(sphere.frame(points), (0, 2, 1))
@@ -370,17 +389,6 @@ def _monomials(q, rows, exps):
     lowered = exps * powers[:, axes, np.maximum(exps - 1, 0)]
     derivatives = lowered * factors[..., [1, 2, 0]] * factors[..., [2, 0, 1]]   # (m, K, l)
     return factors.prod(axis=-1), rows @ np.transpose(derivatives, (0, 2, 1))
-
-
-def _monomial_coefficients(fields):
-    """The distinct exponents (K, 3) of sphere polynomial fields, and their stacked
-    (K, 3, n) coefficients."""
-    exps = np.concatenate([field._terms[0] for field in fields])
-    owner = np.repeat(np.arange(len(fields)), [len(field.coeffs) for field in fields])
-    _, first, row = np.unique(exps @ [1, 1 << 16, 1 << 32], return_index=True, return_inverse=True)
-    coef = np.zeros((len(first), 3, len(fields)))
-    np.add.at(coef, (row, slice(None), owner), np.concatenate([field._terms[1] for field in fields]))
-    return exps[first], coef
 
 
 class CombinationVectorField(VectorField):
@@ -582,21 +590,6 @@ class FinslerField:
         raise NotImplementedError
 
 
-def _as_directions(ys):
-    return np.atleast_2d(np.asarray(ys, dtype=float))
-
-
-def _checked_directions(ys, floor):
-    """(m, 2) directions and their lengths; rejects non-finite and near-zero directions."""
-    ys = _as_directions(ys)
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("direction has non-finite entries")
-    lengths = np.linalg.norm(ys, axis=-1)
-    if np.any(lengths < floor):
-        raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {floor:.0e}")
-    return ys, lengths
-
-
 class ConstantNormField(FinslerField):
     """The same Minkowski norm on every tangent space of a flat torus.
 
@@ -618,13 +611,13 @@ class ConstantNormField(FinslerField):
         self.norm = norm
 
     def evals(self, points, ys):
-        return self.norm(_as_directions(ys))
+        return self.norm(stack_points(ys))
 
     def grads_x(self, points, ys):
-        return np.zeros((len(_as_directions(ys)), self.manifold.dim))
+        return np.zeros((len(stack_points(ys)), self.manifold.dim))
 
     def grads_y(self, points, ys):
-        return self.norm.gradient_batch(_as_directions(ys))
+        return self.norm.gradient_batch(stack_points(ys))
 
     def norm_at(self, pt):
         return self.norm
@@ -649,11 +642,9 @@ class ConformalRescaleField(FinslerField):
         return self.rho.values(points) * self.base.evals(points, ys)
 
     def jets(self, points, ys):
-        """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho once."""
-        rho = self.rho.values(points)
-        evals, grads_x, grads_y = self.base.jets(points, ys)
-        return (rho * evals, self.rho.grads(points) * evals[:, None] + rho[:, None] * grads_x,
-                rho[:, None] * grads_y)
+        """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho's jets once."""
+        rho, (evals, grads_x, grads_y) = self.rho.jets(points), self.base.jets(points, ys)
+        return rho[:, 0] * evals, rho[:, 1:] * evals[:, None] + rho[:, :1] * grads_x, rho[:, :1] * grads_y
 
     def grads_x(self, points, ys):
         return self.jets(points, ys)[1]
@@ -676,7 +667,7 @@ class CircleNormField(FinslerField):
         self.backward = backward
 
     def evals(self, points, ys):
-        y = _as_directions(ys)[:, 0]
+        y = stack_points(ys)[:, 0]
         return np.where(y >= 0.0, self.forward.values(points) * y, self.backward.values(points) * -y)
 
     def ratio(self, points):
@@ -712,7 +703,7 @@ class PullbackField(FinslerField):
         """Images f(x), differentials df(x) and pushed directions df(x) y of a batch."""
         points = stack_points(points)
         jac = self.diffeo.differential(points)
-        return self.diffeo.apply(points), jac, np.einsum("mij,mj->mi", jac, _as_directions(ys))
+        return self.diffeo.apply(points), jac, np.einsum("mij,mj->mi", jac, stack_points(ys))
 
     def evals(self, points, ys):
         image, _, pushed = self._pushed(points, ys)
@@ -750,11 +741,11 @@ class PointwiseAveragedField(FinslerField):
         return np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
 
     def evals(self, points, ys):
-        ys = _as_directions(ys)
+        ys = stack_points(ys)
         return np.sqrt(np.einsum("mi,mi->m", self._products(points, ys), ys))
 
     def grads_y(self, points, ys):
-        ys, _ = _checked_directions(ys, DEGENERATE_FLOOR)
+        ys = checked_vectors(ys, DEGENERATE_FLOOR)
         products = self._products(points, ys)
         return products / np.sqrt(np.einsum("mi,mi->m", products, ys))[:, None]
 
@@ -771,7 +762,7 @@ def lie_derivative(field, vector_field, points, ys):
     in the frame, where the frame's own turning along V would add a rotation
     of y, which a norm isotropic in the frame (every sphere field here) ignores.
     """
-    ys, _ = _checked_directions(ys, 1e-12)
+    ys = checked_vectors(ys, 1e-12)
     points = stack_points(points)
     jets = field_tables([vector_field], points)[..., 0]
     _, grads_x, grads_y = field.jets(points, ys)

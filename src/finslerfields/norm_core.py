@@ -41,6 +41,18 @@ def _check_spd(mat, name):
     return mat
 
 
+def checked_vectors(ys, floor):
+    """A vector or an (m, n) batch as an (m, n) array; non-finite entries raise ValueError,
+    and a vector shorter than ``floor`` raises DegenerateVector."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("vector has non-finite entries")
+    lengths = np.linalg.norm(ys, axis=-1)
+    if np.any(lengths < floor):
+        raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {floor:.0e}")
+    return ys
+
+
 def _quadratic_norm(y, mat):
     """sqrt(y^T mat y) over the last axis, with the same arithmetic for every batch size."""
     return np.sqrt(np.maximum(np.einsum("...i,...i->...", y @ mat, y), 0.0))
@@ -126,15 +138,9 @@ class MinkowskiNorm:
 
     def _checked(self, ys):
         """ys as an (m, dim) array of finite vectors at or above the degeneracy floor."""
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim != 2 or ys.shape[1] != self.dim:
-            raise ValueError(f"expected vectors of length {self.dim}, got shape {ys.shape}")
-        if not np.all(np.isfinite(ys)):
-            raise ValueError("vector has non-finite entries")
-        lengths = np.linalg.norm(ys, axis=1)
-        if np.any(lengths < DEGENERATE_FLOOR):
-            raise DegenerateVector(f"|y| = {lengths.min():.3e} below floor {DEGENERATE_FLOOR:.0e}")
-        return ys
+        if np.ndim(ys) != 2 or np.shape(ys)[1] != self.dim:
+            raise ValueError(f"expected vectors of length {self.dim}, got shape {np.shape(ys)}")
+        return checked_vectors(ys, DEGENERATE_FLOOR)
 
     def gradient_batch(self, ys):
         """Gradients of F at an (m, dim) batch of nonzero vectors."""

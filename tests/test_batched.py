@@ -21,7 +21,6 @@ from finslerfields import lie_algebra, manifold
 from finslerfields.averaging import average
 from finslerfields.errors import DegenerateVector, InvalidSettings
 from finslerfields.manifold import (
-    AmbientPolyScalar,
     CombinationVectorField,
     ConformalRescaleField,
     ConstantNormField,
@@ -31,6 +30,7 @@ from finslerfields.manifold import (
     PullbackField,
     RoundSphereField,
     Sphere2,
+    SpherePolyScalar,
     TorusFourierScalar,
     TorusTranslation,
     lie_derivative,
@@ -67,7 +67,9 @@ def _torus_cases():
 
 def _sphere_cases():
     sphere = Sphere2(1.3)
-    rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.2, -0.1, 0.5], quadratic=0.3 * np.eye(3))
+    # 2 + (0.2, -0.1, 0.5).p + 0.3 |p|^2 in q = p / R
+    rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (1, 0, 0): 0.26, (0, 1, 0): -0.13, (0, 0, 1): 0.65,
+                                    (2, 0, 0): 0.507, (0, 2, 0): 0.507, (0, 0, 2): 0.507})
     config = SolverConfig(sphere_points=16)
     return [
         ("round sphere", RoundSphereField(sphere), sphere_basis(sphere, 2), config),
@@ -92,8 +94,8 @@ def test_batched_assembly_matches_per_row_reference(name, field, basis, config):
 
 EVALUATED = ((manifold.TorusFourierVectorField, ("values", "jacobians")),
              (manifold.SpherePolyVectorField, ("values", "jacobians")),
-             (TorusFourierScalar, ("values",)),
-             (AmbientPolyScalar, ("values",)))
+             (TorusFourierScalar, ("jets",)),
+             (SpherePolyScalar, ("jets",)))
 
 
 @pytest.mark.parametrize("case", [CASES[0], CASES[2]], ids=[CASES[0][0], CASES[2][0]])
@@ -132,14 +134,14 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
 def _reference_tables(basis, points):
     """Element values (m, 2, A) and Jacobians (m, 2, 2, A), element by element.
 
-    Torus elements through their component scalars; sphere elements point by
+    Torus elements through their component scalars' jets; sphere elements point by
     point through the ambient field X = R (w - (q.w) q) of q = p / R and its
     full ambient Jacobian, read in the frame.
     """
     if isinstance(basis.manifold, FlatTorus):
-        values = [np.stack([c.values(points) for c in el.components], axis=-1) for el in basis.elements]
-        jacobians = [np.stack([c.grads(points) for c in el.components], axis=1) for el in basis.elements]
-        return np.stack(values, axis=-1), np.stack(jacobians, axis=-1)
+        jets = np.stack([np.stack([c.jets(points) for c in el.components], axis=1)
+                         for el in basis.elements], axis=-1)   # [m, i, 0 or 1 + j, a]
+        return jets[:, :, 0], jets[:, :, 1:]
     sphere = basis.manifold
     values = np.zeros((len(points), 2, basis.n_fields))
     jacobians = np.zeros((len(points), 2, 2, basis.n_fields))
@@ -337,22 +339,43 @@ def test_batched_vector_fields_match_one_point_calls(name, fields, points):
 
 
 def test_batched_scalars_match_one_point_calls():
+    # the value and gradient columns of one jets call are the one-point calls; on the tori the
+    # gradients are central differences of the values, and a repeated mode adds its coefficients
     sphere = Sphere2(1.7)
-    points = stack_points(sphere.fibonacci_points(20))
-    torus = FlatTorus()
-    cases = [
-        (AmbientPolyScalar(sphere, const=1.0, linear=[0.1, 0.2, 0.3], quadratic=np.ones((3, 3))),
-         points),
-        (TorusFourierScalar(FlatTorus(), const=3.0), stack_points(FlatTorus().grid_points(4))),
-        (TorusFourierScalar(torus, const=0.5, terms=[((2, -1), 0.3, 0.4)]),
-         stack_points(torus.grid_points(4))),
+    circle, skewed = FlatTorus([[2.0]]), FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+    torus3 = FlatTorus(np.array([[1.0, 0.2, 0.0], [0.0, 1.1, 0.3], [0.1, 0.0, 0.9]]))
+    r2 = 1.7**2   # 1 + (0.1, 0.2, 0.3).p + (p1 + p2 + p3)^2 in q = p / R
+    sphere_rho = SpherePolyScalar(sphere, {
+        (0, 0, 0): 1.0, (1, 0, 0): 0.17, (0, 1, 0): 0.34, (0, 0, 1): 0.51, (2, 0, 0): r2,
+        (0, 2, 0): r2, (0, 0, 2): r2, (1, 1, 0): 2 * r2, (1, 0, 1): 2 * r2, (0, 1, 1): 2 * r2})
+    tori = [
+        TorusFourierScalar(FlatTorus(), const=3.0),
+        TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0), ((3,), 0.2, -0.1)]),
+        TorusFourierScalar(skewed, const=0.5, terms=[((2, -1), 0.3, 0.4), ((1, 1), -0.2, 0.1)]),
+        TorusFourierScalar(torus3, const=1.0, terms=[((1, 0, -2), 0.3, 0.4), ((0, 1, 1), 0.1, -0.2)]),
     ]
+    cases = [(sphere_rho, stack_points(sphere.fibonacci_points(20)))]
+    cases += [(scalar, manifold.sample_points(scalar.torus, 16, seed=5)) for scalar in tori]
     for scalar, pts in cases:
-        values, grads = scalar.values(pts), scalar.grads(pts)
-        for i in range(len(values)):
-            pt = pts[i]
-            assert values[i] == pytest.approx(scalar.value(pt), abs=1e-13)
-            np.testing.assert_allclose(grads[i], scalar.grads(pt[None])[0], rtol=0, atol=1e-13)
+        jets = scalar.jets(pts)
+        assert jets.shape == (len(pts), 1 + len(pts[0]) - (scalar is sphere_rho))
+        np.testing.assert_array_equal(scalar.values(pts), jets[:, 0])
+        np.testing.assert_array_equal(scalar.grads(pts), jets[:, 1:])
+        for i, pt in enumerate(pts):
+            assert jets[i, 0] == pytest.approx(scalar.value(pt), abs=1e-13)
+            np.testing.assert_allclose(jets[i, 1:], scalar.grads(pt[None])[0], rtol=0, atol=1e-13)
+    step = 1e-6
+    for scalar in tori:
+        pts = manifold.sample_points(scalar.torus, 16, seed=6)
+        for j, shift in enumerate(step * np.eye(scalar.torus.dim)):
+            difference = (scalar.values(pts + shift) - scalar.values(pts - shift)) / (2.0 * step)
+            np.testing.assert_allclose(scalar.grads(pts)[:, j], difference, rtol=0, atol=1e-8)
+    pts = manifold.sample_points(skewed, 16, seed=7)
+    repeated = TorusFourierScalar(skewed, const=0.5, terms=[((2, -1), 0.3, 0.4), ((1, 1), -0.2, 0.1),
+                                                            ((2, -1), 0.1, -0.3)])
+    summed = TorusFourierScalar(skewed, const=0.5, terms=[((1, 1), -0.2, 0.1),
+                                                          ((2, -1), 0.3 + 0.1, 0.4 + -0.3)])
+    np.testing.assert_array_equal(repeated.jets(pts), summed.jets(pts))
 
 
 def _pole_batch(sphere):
@@ -364,20 +387,25 @@ def _pole_batch(sphere):
 
 
 def test_sphere_jacobians_match_finite_differences_along_great_circles():
-    # E^T DX E against differences of the ambient field E X, read in the frame at the point
+    # E^T DX E against differences of the ambient field E X, read in the frame at the point,
+    # and a cubic scalar's frame gradient E^T grad rho against differences of its values
     sphere = Sphere2(1.3)
     vf = sphere_basis(sphere, 2).combination(np.linspace(-1.0, 1.0, 23))
+    rho = SpherePolyScalar(sphere, {(0, 0, 0): 1.0, (1, 0, 0): 0.3, (0, 1, 2): -0.4, (2, 1, 0): 0.2,
+                                    (0, 0, 3): 0.5})
     points = _pole_batch(sphere)
     frames = sphere.frame(points)
     h = 1e-6
 
-    def ambient(tangents, s):
-        moved = np.cos(s / 1.3) * points + 1.3 * np.sin(s / 1.3) * tangents
-        return np.einsum("mia,ma->mi", sphere.frame(moved), vf.values(moved))
+    def differences(evaluate):
+        def moved(a, s):
+            return np.cos(s / 1.3) * points + 1.3 * np.sin(s / 1.3) * frames[..., a]
+        return np.stack([(evaluate(moved(a, h)) - evaluate(moved(a, -h))) / (2 * h) for a in (0, 1)],
+                        axis=-1)
 
-    fd = np.stack([(ambient(frames[..., a], h) - ambient(frames[..., a], -h)) / (2 * h)
-                   for a in (0, 1)], axis=-1)
+    fd = differences(lambda moved: np.einsum("mia,ma->mi", sphere.frame(moved), vf.values(moved)))
     np.testing.assert_allclose(vf.jacobians(points), np.swapaxes(frames, 1, 2) @ fd, atol=1e-7)
+    np.testing.assert_allclose(rho.grads(points), differences(rho.values), atol=1e-8)
 
 
 def test_sphere_field_without_monomials_is_zero():
@@ -391,7 +419,7 @@ def test_frames_tables_and_jets_are_finite_at_both_poles():
     sphere = Sphere2(1.3)
     points = _pole_batch(sphere)
     basis = sphere_basis(sphere, 2)
-    rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5])
+    rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (0, 0, 1): 0.65})   # 2 + 0.5 p3
     field = ConformalRescaleField(RoundSphereField(sphere), rho)
     angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.3
     fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -409,7 +437,7 @@ def test_point_off_the_sphere_in_a_batch_is_rejected():
     with pytest.raises(ValueError, match="off the sphere"):
         vf.values(points)
     with pytest.raises(ValueError, match="off the sphere"):
-        lie_derivative(ConformalRescaleField(RoundSphereField(sphere), AmbientPolyScalar(sphere, 2.0)),
+        lie_derivative(ConformalRescaleField(RoundSphereField(sphere), SpherePolyScalar(sphere, {(0, 0, 0): 2.0})),
                        vf, points, np.ones((2, 2)))
 
 
@@ -601,7 +629,7 @@ def test_torus_translation_batch_matches_one_point_calls():
 def _pullback_cases():
     sphere = Sphere2(1.3)
     mob, sphere_points = _mobius_batch(sphere)
-    rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.2, -0.1, 0.5])
+    rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (1, 0, 0): 0.26, (0, 1, 0): -0.13, (0, 0, 1): 0.65})
     torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
     torus_rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 1), 0.4, -0.3)])
     return [

@@ -191,12 +191,13 @@ def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, k
      "unknown settings ['rescal']; known: ['kind', 'norm', 'rescale']"),
     ({**EUCLIDEAN_TORUS, "metric": {**EUCLIDEAN_TORUS["metric"], "rescale": [2.0]}},
      "rescale must be an object, got list"),
+    ({**EUCLIDEAN_TORUS, "solver": {"seed": -5}}, "seed must be >= 0, got -5"),
 ], ids=["sphere-degree-3-at-24-points", "torus-degree-4", "degenerate-lattice", "sphere-radius-0",
         "circle-lattice", "circle-basis", "lattice-2x3", "norm-dim-3", "cube", "sphere-constant-norm",
         "no-manifold", "ragged-lattice", "short-rescale-term", "rescale-k-of-length-3",
         "rescale-k-fractional", "degree-string", "sphere-degree-float", "degree-negative",
         "radius-string", "top-level-list", "misspelt-keys", "misspelt-lattice", "misspelt-rescale",
-        "rescale-list"])
+        "rescale-list", "seed-negative"])
 def test_solve_fields_rejects_settings_that_the_basis_or_solve_meets(tmp_path, capsys, config,
                                                                      message):
     cfg = tmp_path / "solve.json"
@@ -275,13 +276,38 @@ def test_bad_norm_record_is_invalid_settings(tmp_path, capsys, command, record, 
     assert captured.err.splitlines() == [f"invalid settings: {message}"]
 
 
-def test_run_rejects_invalid_settings(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--resolution", "8", "resolution must be >= 16"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+], ids=["resolution-8", "seed-negative"])
+def test_run_rejects_invalid_settings(tmp_path, capsys, flag, value, message):
     # exit code 2, as for an unknown experiment: 1 means a check failed
-    assert main(["run", "circle-lambda", "--resolution", "8", "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", "circle-lambda", flag, value, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["invalid settings: resolution must be >= 16"]
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+EUCLIDEAN_PLANE = {"family": "euclidean", "dim": 2, "q": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("record,resolution,message", [
+    (EUCLIDEAN_PLANE, "8", "resolution must be >= 16 for n = 2"),
+    (EUCLIDEAN_PLANE, "-3", "resolution must be >= 16 for n = 2"),
+    ({"family": "euclidean", "dim": 3, "q": np.eye(3).tolist()}, "128", "resolution must be >= 256 for n = 3"),
+    ({"family": "euclidean", "dim": 4, "q": np.eye(4).tolist()}, "1024",
+     "indicatrix sampling is implemented for n = 1, 2 and 3, got n = 4"),
+], ids=["resolution-8", "resolution-negative", "3d-resolution-128", "dim-4"])
+def test_average_rejects_settings_it_cannot_sample(tmp_path, capsys, record, resolution, message):
+    cfg = tmp_path / "norm.json"
+    cfg.write_text(json.dumps(record))
+    table = tmp_path / "quad.csv"
+    assert main(["average", "--config", str(cfg), "--resolution", resolution, "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid settings: {message}"]
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("name,degree,message", [

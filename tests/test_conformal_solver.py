@@ -32,7 +32,6 @@ from finslerfields.lie_algebra import (
     rotation_algebra,
 )
 from finslerfields.manifold import (
-    AmbientPolyScalar,
     ConformalRescaleField,
     ConstantNormField,
     FlatTorus,
@@ -40,6 +39,7 @@ from finslerfields.manifold import (
     RoundSphereField,
     ScalarField,
     Sphere2,
+    SpherePolyScalar,
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
@@ -62,13 +62,11 @@ class ExpCosScalar(ScalarField):
     def __init__(self, a):
         self.a = a
 
-    def values(self, points):
-        return np.exp(self.a * np.cos(2.0 * np.pi * stack_points(points)[:, 0]))
-
-    def grads(self, points):
+    def jets(self, points):
         x1 = stack_points(points)[:, 0]
-        d1 = -2.0 * np.pi * self.a * np.sin(2.0 * np.pi * x1) * self.values(points)
-        return np.stack([d1, np.zeros_like(d1)], axis=-1)
+        value = np.exp(self.a * np.cos(2.0 * np.pi * x1))
+        d1 = -2.0 * np.pi * self.a * np.sin(2.0 * np.pi * x1) * value
+        return np.stack([value, d1, np.zeros_like(d1)], axis=-1)
 
 
 RESCALINGS = {
@@ -211,7 +209,7 @@ class TestAssemble:
 class TestSolveFields:
     @pytest.mark.parametrize("key,value", [
         ("x_density", 1), ("sphere_points", 15),
-        ("n_directions", 0), ("n_extra_directions", -1), ("n_directions", 2),
+        ("n_directions", 0), ("n_extra_directions", -1), ("n_directions", 2), ("seed", -1),
     ])
     def test_solver_config_rejects_settings_that_change_counts(self, key, value):
         # with one direction per point the centred system is zero, so every field
@@ -471,7 +469,7 @@ class TestSolveFields:
     def test_rescaled_sphere_keeps_only_the_axial_rotation(self):
         # rho = 2 + n3/2 breaks all isometries except rotation about the pole
         sphere = Sphere2(1.0)
-        rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5])
+        rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (0, 0, 1): 0.5})
         field = ConformalRescaleField(RoundSphereField(sphere), rho)
         basis = sphere_basis(sphere, 2)
         report = solve_fields(field, basis, mode="killing")
@@ -487,7 +485,7 @@ class TestSolveFields:
     def test_rescaled_sphere_keeps_the_conformal_algebra(self):
         # rho F is conformal to F, so all six conformal fields of the round sphere remain
         sphere = Sphere2(1.0)
-        rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5])
+        rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (0, 0, 1): 0.5})
         field = ConformalRescaleField(RoundSphereField(sphere), rho)
         report = solve_fields(field, sphere_basis(sphere, 2))
         assert (report.killing_dim, report.conformal_dim) == (1, 6)

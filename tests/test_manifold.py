@@ -4,7 +4,6 @@ import pytest
 from finslerfields.conformal_solver import sphere_basis, torus_basis
 from finslerfields.errors import DegenerateVector, InadmissibleNorm, InvalidSettings
 from finslerfields.manifold import (
-    AmbientPolyScalar,
     CircleNormField,
     ConformalRescaleField,
     ConstantNormField,
@@ -14,6 +13,7 @@ from finslerfields.manifold import (
     PullbackField,
     RoundSphereField,
     Sphere2,
+    SpherePolyScalar,
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
@@ -129,8 +129,9 @@ class TestMetricEval:
         # grad_x is the derivative along the frame vectors at fixed frame components,
         # which the round factor |y| does not notice: differences along great circles
         sphere = Sphere2(1.3)
-        rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.3, -0.1, 0.5],
-                                quadratic=0.2 * np.eye(3))
+        # 2 + (0.3, -0.1, 0.5).p + 0.2 |p|^2 in q = p / R
+        rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (1, 0, 0): 0.39, (0, 1, 0): -0.13, (0, 0, 1): 0.65,
+                                        (2, 0, 0): 0.338, (0, 2, 0): 0.338, (0, 0, 2): 0.338})
         field = ConformalRescaleField(RoundSphereField(sphere), rho)
         y = np.array([0.6, -0.9])
         h = 1e-6
@@ -301,7 +302,7 @@ class TestLieDerivative:
         sphere = Sphere2(1.3)
         field = RoundSphereField(sphere)
         if rescaled:
-            rho = AmbientPolyScalar(sphere, const=2.0, linear=[0.0, 0.0, 0.5 / 1.3])
+            rho = SpherePolyScalar(sphere, {(0, 0, 0): 2.0, (0, 0, 1): 0.5})
             field = ConformalRescaleField(field, rho)
 
         def value(p, v):
@@ -579,6 +580,10 @@ class TestTorusDimension:
         dpsi = 2 * np.pi * np.array([1.0, 0.0, -2.0 / 3.0])
         expected = (0.4 * np.cos(psi) - 0.3 * np.sin(psi))[:, None] * dpsi
         np.testing.assert_allclose(scalar.grads(points), expected, rtol=0, atol=1e-14)
+        # the vector-field ansatz is the 2-torus's: its table has a 2 x 2 Jacobian
+        for other in (torus, FlatTorus([[2.0]])):
+            with pytest.raises(InvalidSettings, match="lives on a 2-torus"):
+                TorusFourierVectorField.coordinate(other, 0)
 
     def test_circle_field_on_a_two_torus_is_rejected(self):
         torus = FlatTorus()
