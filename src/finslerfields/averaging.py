@@ -58,11 +58,13 @@ class AveragedNorm:
 def _reference_grid(n, resolution):
     """Unit directions u (m, n), tangent frames du (m, n - 1, n) and the cell measure.
 
-    The 0-sphere is its two points +-1 with empty frames and unit cells, whatever
-    the resolution; the circle is split into equal arcs; the 2-sphere into a
+    The 0-sphere is its two points +-1 with empty frames and unit cells, at any
+    resolution >= 1; the circle is split into equal arcs; the 2-sphere into a
     theta-phi grid with cell centres in theta, so no node sits on a pole.
     """
     if n == 1:
+        if resolution < 1:
+            raise InvalidSettings("resolution must be >= 1 for n = 1")
         return np.array([[1.0], [-1.0]]), np.zeros((2, 0, 1)), 1.0
     if n == 2:
         if resolution < 16:

@@ -12,8 +12,10 @@ one ``jets`` call and the elements' (m, 6, A) table from one
 ``field_tables`` call.  What does not depend on the field is shared across a
 run: equal specs get one manifold and one basis (``field_from_spec``), and the
 collocations and element tables are kept in ``manifold.RESULTS``.  Each kernel
-is extracted by an SVD of an R factor with the fixed relative singular-value
-threshold ``RANK_TOL`` and audited through the spectral gap around it.
+is extracted by SVDs of R factors, one per block of the basis's columns for a
+field that does not vary along the torus and one of all columns otherwise,
+with the fixed relative singular-value threshold ``RANK_TOL``, and audited
+through the spectral gap around it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidSettings, UnderdeterminedSystem
-from .lie_algebra import RANK_TOL, bracket_constants, null_space
+# null_space is re-exported: the package and its callers import it from here
+from .lie_algebra import RANK_TOL, bracket_constants, nonzero_singular_values, null_space
 from .manifold import (
     CombinationVectorField,
     RESULTS,
@@ -58,11 +61,26 @@ def torus_fourier_modes(degree):
 
 @dataclass(frozen=True)
 class FieldBasis:
-    """Finite-dimensional ansatz of vector-field elements, shared by the solves that use it."""
+    """Finite-dimensional ansatz of vector-field elements, shared by the solves that use it.
+
+    ``blocks`` groups the columns: a tuple of (nb, w) index arrays, each nb blocks of w
+    columns, which together hold every column once.  ``solve_fields`` solves each block
+    on its own for a field whose jets are equal at every fit point, so blocks must
+    decouple for such a field: ``torus_basis`` gives each Fourier pair +-k a block, and
+    every other basis keeps the default, one block of all columns.
+    """
 
     manifold: object
     elements: tuple
     degree: int
+    blocks: tuple = dataclass_field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", (np.arange(self.n_fields)[None],))
+        columns = np.sort(np.concatenate([cols.ravel() for cols in self.blocks]))
+        if not np.array_equal(columns, np.arange(self.n_fields)):
+            raise ValueError("the blocks must hold every column of the basis once")
 
     @property
     def n_fields(self):
@@ -78,17 +96,22 @@ def _check_degree(degree):
 
 
 def torus_basis(torus, degree):
-    """Coordinate fields times Fourier modes up to the given degree, on a 2-torus."""
+    """Coordinate fields times Fourier modes up to the given degree, on a 2-torus.
+
+    Its blocks are the two constant fields, and the four fields of each pair +-k.
+    """
     _check_degree(degree)
     if torus.dim != 2:
         raise InvalidSettings(f"torus_basis takes a 2-torus, got a {torus.dim}-torus")
     elements = [TorusFourierVectorField.coordinate(torus, i) for i in (0, 1)]
-    for k in torus_fourier_modes(degree):
+    pairs = torus_fourier_modes(degree)
+    for k in pairs:
         modes = [TorusFourierScalar(torus, terms=[(k, 1.0, 0.0)]),
                  TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
         elements.extend(TorusFourierVectorField.coordinate(torus, i, mode)
                         for i in (0, 1) for mode in modes)
-    return FieldBasis(manifold=torus, elements=tuple(elements), degree=degree)
+    blocks = (np.arange(2)[None], 2 + np.arange(4 * len(pairs)).reshape(-1, 4))
+    return FieldBasis(manifold=torus, elements=tuple(elements), degree=degree, blocks=blocks)
 
 
 def sphere_basis(sphere, degree=2):
@@ -214,10 +237,11 @@ class SolverConfig:
 def build_collocation(manifold, config, offset_points=False):
     """The P distinct sample points and their (P, D, 2) fan of unit directions, read-only.
 
-    Each point gets D = ``n_directions + n_extra_directions`` directions: the
-    fixed fan of ``n_directions`` angles, then ``n_extra_directions`` seeded
-    random ones.  The offset variant is disjoint from the default.  A collocation
-    is kept in ``RESULTS`` by the manifold's geometry and the settings.
+    Every point gets the same fan of D = ``n_directions + n_extra_directions``
+    directions: ``n_directions`` fixed angles, then ``n_extra_directions``
+    seeded random ones, drawn once per collocation.  The offset variant is
+    disjoint from the default.  A collocation is kept in ``RESULTS`` by the
+    manifold's geometry and the settings.
     """
     geometry = (manifold.lattice.tobytes() if isinstance(manifold, FlatTorus)
                 else getattr(manifold, "radius", None))
@@ -238,11 +262,10 @@ def _collocation(manifold, config, offset_points):
         base_angle = 0.1309 if not offset_points else 0.4441
     else:
         raise ValueError("collocation supports the torus and the sphere")
-    n_points = len(points)
     fixed = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
-    extra = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, config.n_extra_directions))
-    angles = np.hstack([np.tile(fixed, (n_points, 1)), extra])
-    return points, np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    angles = np.concatenate([fixed, rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)])
+    fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return points, np.tile(fan, (len(points), 1, 1))
 
 
 def collocation_rows(collocation):
@@ -306,6 +329,42 @@ def _spectral_gap(svals, null_dim, total_cols):
     return float(kept / discarded)
 
 
+def _r_factors(stacks):
+    """The (nb, w, w) R factors of (nb, m, w) stacks, a wide stack's with zero rows below:
+    each has its stack's Gram matrix, singular values and right singular vectors."""
+    nb, m, w = stacks.shape
+    if m < w:
+        stacks = np.concatenate([stacks, np.zeros((nb, w - m, w))], axis=1)
+    return np.linalg.qr(stacks, mode="r")
+
+
+def _block_columns(rows, cols):
+    """The (nb, m, w) columns of (m, A) rows that each of the (nb, w) blocks ``cols`` holds."""
+    return rows[:, cols].transpose(1, 0, 2)
+
+
+def _block_kernel(blocks, factors, n, reference=None):
+    """Kernel dimension, kernel rows and singular values of a system solved block by block.
+
+    ``factors`` holds the (nb, w, w) R factors of each (nb, w) array of ``blocks``, and one
+    batched SVD per width gives their singular values and right singular vectors.  The
+    singular values are the union of the blocks', descending; the kernel rows are the right
+    singular vectors whose singular values are zero against ``reference`` (by default the
+    largest), each placed in its block's columns.
+    """
+    spectra = [np.linalg.svd(r, full_matrices=False)[1:] for r in factors]
+    svals = np.sort(np.concatenate([s.ravel() for s, _ in spectra]))[::-1]
+    reference = float(svals[0]) if reference is None else reference
+    kernel = []
+    for cols, (s, vt) in zip(blocks, spectra):
+        block, index = np.nonzero(~nonzero_singular_values(s, reference))
+        rows = np.zeros((len(block), n))
+        rows[np.arange(len(block))[:, None], cols[block]] = vt[block, index]
+        kernel.append(rows)
+    kernel = np.vstack(kernel)
+    return len(kernel), kernel, svals
+
+
 @dataclass
 class SolveReport:
     """Dimensions, bases, factors, and audit data returned by the field solver."""
@@ -357,7 +416,15 @@ def solve_fields(field, basis, mode="conformal", config=None):
     so N^T N = C^T C + D M^T M with M_p = j_p E_p.  A batched QR of the
     centred jets and a QR of the stacked R_p E_p give R_C, and the kernels are
     read from R_C and [R_C; sqrt(D) M] against the largest singular value of
-    N (a conformal ansatz has a round-off centred system).  Residuals are
+    N (a conformal ansatz has a round-off centred system).
+
+    Both are solved block by block over ``basis.blocks`` when the field jets
+    are exactly equal at every fit point, as for a field that does not vary
+    along the torus on its shared fan; otherwise all columns form one block.
+    The translations then commute with L_V, and the grid resolves degree 2d,
+    so products of distinct Fourier pairs sum to zero over it and both Gram
+    matrices are block-diagonal: the spectrum is the union of the blocks',
+    and ``system["blocks"]`` counts the blocks solved.  Residuals are
     evaluated jet-wise on a disjoint collocation set, whose jets come from the
     same evaluation as the fit points' (one ``_jet_tables`` call per solve);
     only the fit rows count towards ``MIN_ROW_FACTOR``, and the sample points
@@ -378,12 +445,16 @@ def solve_fields(field, basis, mode="conformal", config=None):
                                                    np.concatenate([fit_fan, ver_fan])))
     jets, ver_jets = np.split(jets, [len(fit_points)])
     elements, ver_elements = np.split(elements, [len(fit_points)])
+    blocks = basis.blocks if np.all(jets == jets[0]) else (np.arange(n)[None],)
     means = jets.mean(axis=1, keepdims=True)
     factors = np.linalg.qr(jets - means, mode="r")
     fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
     stacked_factors = (factors @ elements).reshape(-1, n)
-    r_centred = np.linalg.qr(stacked_factors, mode="r")
-    k_dim, k_basis, k_svals = null_space(np.vstack([r_centred, fan_means]))
+    # one batched QR per block width of its blocks' factor columns, then of [R_C; sqrt(D) M]
+    r_centred = [_r_factors(_block_columns(stacked_factors, cols)) for cols in blocks]
+    r_stacked = [_r_factors(np.concatenate([r, _block_columns(fan_means, cols)], axis=1))
+                 for r, cols in zip(r_centred, blocks)]
+    k_dim, k_basis, k_svals = _block_kernel(blocks, r_stacked, n)
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
     report = SolveReport(
@@ -394,7 +465,8 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_singular_values=k_svals,
         killing_gap=k_gap,
         tolerance_used=RANK_TOL * (float(k_svals[0]) or 1.0),
-        system={"rows": jets[..., 0].size, "factor_rows": factors[..., 0].size, "unknowns": n},
+        system={"rows": jets[..., 0].size, "factor_rows": factors[..., 0].size, "unknowns": n,
+                "blocks": sum(len(cols) for cols in blocks)},
     )
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
@@ -402,7 +474,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
     killing = ver_jets @ (ver_elements @ k_basis.T)
     report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
     if mode == "conformal":
-        c_dim, c_basis, c_svals = null_space(r_centred, float(k_svals[0]))
+        c_dim, c_basis, c_svals = _block_kernel(blocks, r_centred, n, float(k_svals[0]))
         ver_means = ver_jets.mean(axis=1, keepdims=True)
         c_jets = ver_elements @ c_basis.T
         report.conformal_dim = c_dim

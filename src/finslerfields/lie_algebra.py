@@ -10,8 +10,9 @@ largest |constant|), decide what counts as zero: s for brackets, the center
 and ad(u) per unit |u|, s^2 for the Killing form.  A zero algebra reads as
 abelian under every test, and so does a round-off one, since
 ``bracket_constants`` writes constants at or below RANK_TOL times the scale
-of their fields as exact zeros.  ``null_space`` takes the reference from
-its caller; nilpotency compares ad(u)^n with |ad(u)|^n, free of scale.
+of their fields as exact zeros.  ``null_space`` and the one rank rule
+behind it, ``nonzero_singular_values``, take the reference from their
+caller; nilpotency compares ad(u)^n with |ad(u)|^n, free of scale.
 """
 
 from __future__ import annotations
@@ -99,14 +100,21 @@ def killing_gram(algebra):
     return 0.5 * (gram + gram.T)
 
 
+def nonzero_singular_values(svals, reference):
+    """Which singular values count as nonzero: those at or above RANK_TOL times a
+    positive reference, and none against a zero reference."""
+    return (np.asarray(svals) >= RANK_TOL * reference) & (reference > 0.0)
+
+
 def _split(matrix, reference=None):
     """Row-space and kernel bases (rows) of a matrix, and its n singular values, by one SVD.
 
     Singular values below RANK_TOL times ``reference`` (by default the
     largest one) count as zero; a zero reference, as of a zero matrix, gives
-    a full kernel.  A tall matrix is replaced by its square R factor (same
-    singular values and V); a wide one needs the full V, whose trailing rows
-    span the kernel directions that have no singular value.
+    a full kernel (``nonzero_singular_values``).  A tall matrix is replaced by
+    its square R factor (same singular values and V); a wide one needs the
+    full V, whose trailing rows span the kernel directions that have no
+    singular value.
     """
     matrix = np.asarray(matrix, dtype=float)
     rows, n = matrix.shape
@@ -117,9 +125,7 @@ def _split(matrix, reference=None):
         _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
         padded[: len(svals)] = svals
     smax = float(padded.max(initial=0.0)) if reference is None else reference
-    if smax == 0.0:
-        return np.zeros((0, n)), np.eye(n), padded
-    rank = int((padded >= RANK_TOL * smax).sum())
+    rank = int(nonzero_singular_values(padded, smax).sum())
     return vt[:rank], vt[rank:], padded
 
 

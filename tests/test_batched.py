@@ -268,8 +268,10 @@ def test_rescaled_torus_has_nonzero_grad_x():
 
 
 def reference_collocation(manifold, config, offset_points=False):
-    """The per-point collocation loop: each point draws its own extra directions in turn."""
+    """The per-point collocation loop: every point takes the one fan, whose extra directions
+    are drawn once, before the loop."""
     rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
+    extra = rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)
     if isinstance(manifold, FlatTorus):
         shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
         points = manifold.grid_points(config.x_density, offset=shift)
@@ -283,7 +285,6 @@ def reference_collocation(manifold, config, offset_points=False):
         fan = config.n_directions
         angles = np.arange(fan) * (2.0 * np.pi / fan) + base_angle
         if config.n_extra_directions > 0:
-            extra = rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)
             angles = np.concatenate([angles, extra])
         for y in np.stack([np.cos(angles), np.sin(angles)], axis=1):
             index.append(i)

@@ -80,8 +80,8 @@ def test_solve_fields_subcommand(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["killing_dim"] == 2
     assert doc["conformal_dim"] == 2
-    # 6 x 6 points, 10 directions each, 2 + 4 * 4 degree-1 fields
-    assert doc["system"] == {"rows": 360, "factor_rows": 216, "unknowns": 18}
+    # 6 x 6 points, 10 directions each, 2 + 4 * 4 degree-1 fields in 1 + 4 blocks
+    assert doc["system"] == {"rows": 360, "factor_rows": 216, "unknowns": 18, "blocks": 5}
 
 
 def test_solve_fields_rescaled_torus(tmp_path):
@@ -290,15 +290,19 @@ def test_run_rejects_invalid_settings(tmp_path, capsys, flag, value, message):
 
 
 EUCLIDEAN_PLANE = {"family": "euclidean", "dim": 2, "q": [[1.0, 0.0], [0.0, 1.0]]}
+RANDERS_LINE = {"family": "randers", "dim": 1, "a": [[1.1025]], "b": [0.35]}
 
 
 @pytest.mark.parametrize("record,resolution,message", [
+    (RANDERS_LINE, "-3", "resolution must be >= 1 for n = 1"),
+    (RANDERS_LINE, "0", "resolution must be >= 1 for n = 1"),
     (EUCLIDEAN_PLANE, "8", "resolution must be >= 16 for n = 2"),
     (EUCLIDEAN_PLANE, "-3", "resolution must be >= 16 for n = 2"),
     ({"family": "euclidean", "dim": 3, "q": np.eye(3).tolist()}, "128", "resolution must be >= 256 for n = 3"),
     ({"family": "euclidean", "dim": 4, "q": np.eye(4).tolist()}, "1024",
      "indicatrix sampling is implemented for n = 1, 2 and 3, got n = 4"),
-], ids=["resolution-8", "resolution-negative", "3d-resolution-128", "dim-4"])
+], ids=["1d-resolution-negative", "1d-resolution-0", "resolution-8", "resolution-negative",
+        "3d-resolution-128", "dim-4"])
 def test_average_rejects_settings_it_cannot_sample(tmp_path, capsys, record, resolution, message):
     cfg = tmp_path / "norm.json"
     cfg.write_text(json.dumps(record))
@@ -391,7 +395,7 @@ def test_lie_report_rejects_constants_that_fail_jacobi(tmp_path, capsys):
 def test_average_of_a_one_dimensional_randers_norm(tmp_path, capsys):
     # sqrt(1.1025) |y| + 0.35 y is 1.4 y forwards and 0.7 |y| backwards: (1.4^2 + 0.7^2) / 2
     cfg = tmp_path / "norm.json"
-    cfg.write_text(json.dumps({"family": "randers", "dim": 1, "a": [[1.1025]], "b": [0.35]}))
+    cfg.write_text(json.dumps(RANDERS_LINE))
     table = tmp_path / "quad.csv"
     assert main(["average", "--config", str(cfg), "--table", str(table)]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -415,8 +419,8 @@ def test_emit_report_writes_json_and_the_summary_one_row(tmp_path):
 
 
 @pytest.mark.parametrize("name,system", [
-    ("riemannian-torus", {"rows": 640, "factor_rows": 384, "unknowns": 50}),
-    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 23}),
+    ("riemannian-torus", {"rows": 640, "factor_rows": 384, "unknowns": 50, "blocks": 13}),
+    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 23, "blocks": 1}),
 ])
 def test_experiment_json_records_the_system_sizes(tmp_path, name, system):
     report = run_experiment(name, ExperimentConfig(name=name))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finslerfields import conformal_solver
+from finslerfields import conformal_solver, lie_algebra
 from finslerfields.conformal_solver import (
     VERIFY_TOL_FACTOR,
     FieldBasis,
@@ -124,6 +124,13 @@ class TestBasisConstruction:
     def test_degree_two_torus_basis_has_fifty_fields(self):
         basis = torus_basis(FlatTorus(), 2)
         assert basis.n_fields == 50
+
+    def test_blocks_must_hold_every_column_once(self):
+        torus = FlatTorus()
+        elements = torus_basis(torus, 1).elements
+        for blocks in ((np.arange(17)[None],), (np.arange(18)[None], np.array([[0]]))):
+            with pytest.raises(ValueError, match="every column of the basis once"):
+                FieldBasis(torus, elements, 1, blocks=blocks)
 
     @pytest.mark.parametrize("degree", range(9))
     def test_sphere_basis_counts(self, degree):
@@ -538,13 +545,106 @@ class TestFactorSolve:
                                    rtol=0, atol=1e-16 * report.killing_singular_values[0])
 
     @pytest.mark.parametrize("case,system", [
-        ("randers torus", {"rows": 640, "factor_rows": 384, "unknowns": 50}),
+        ("randers torus", {"rows": 640, "factor_rows": 384, "unknowns": 50, "blocks": 13}),
         # fewer than six directions: each point's factor keeps its D rows
-        ("three-direction fan", {"rows": 192, "factor_rows": 192, "unknowns": 50}),
+        ("three-direction fan", {"rows": 192, "factor_rows": 192, "unknowns": 50, "blocks": 13}),
     ])
     def test_report_records_the_system_sizes(self, case, system):
         field, basis, config = _factor_solve_cases()[case]
         assert solve_fields(field, basis, mode="killing", config=config).system == system
+
+
+def _principal_angle(basis_a, basis_b):
+    """Largest principal angle between two row-orthonormal bases of equal dimension, in its
+    sine form, which stays accurate near zero where arccos of a cosine does not."""
+    residual = basis_a.T - basis_b.T @ (basis_b @ basis_a.T)
+    return float(np.arcsin(min(1.0, np.linalg.norm(residual, 2)))) if len(basis_a) else 0.0
+
+
+class OnePointBump(ScalarField):
+    """2 everywhere, with a gradient at one point only: the jets of 2 F differ at that point."""
+
+    def __init__(self, point):
+        self.point = np.asarray(point)
+
+    def jets(self, points):
+        points = stack_points(points)
+        jets = np.zeros((len(points), 3))
+        jets[:, 0] = 2.0
+        jets[np.all(points == self.point, axis=1), 1] = 0.01
+        return jets
+
+
+class TestBlockSolve:
+    """The per-mode solve of translation-invariant torus fields against the one-block solve."""
+
+    @pytest.mark.parametrize("mode", ["killing", "conformal"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lattice", [None, [[1.0, 0.3], [0.0, 1.2]]], ids=["square", "skewed"])
+    @pytest.mark.parametrize("norm", list(BASE_NORMS))
+    def test_block_solve_has_the_spectrum_of_the_one_block_solve(self, norm, lattice, degree, mode):
+        torus = FlatTorus(None if lattice is None else np.array(lattice))
+        field = ConstantNormField(torus, BASE_NORMS[norm])
+        basis = torus_basis(torus, degree)
+        one_block = FieldBasis(torus, basis.elements, degree)
+        config = SolverConfig(x_density=max(8, 2 * degree + 1))
+        blocked, reference = (solve_fields(field, b, mode, config) for b in (basis, one_block))
+        n_blocks = 1 + len(torus_fourier_modes(degree))
+        assert (blocked.system["blocks"], reference.system["blocks"]) == (n_blocks, 1)
+        scale = 1e-12 * reference.killing_singular_values[0]
+        for kind in ["killing"] + (["conformal"] if mode == "conformal" else []):
+            (dim, svals, kernel), (ref_dim, ref_svals, ref_kernel) = (
+                [getattr(r, f"{kind}_{attr}") for attr in ("dim", "singular_values", "basis")]
+                for r in (blocked, reference))
+            assert dim == ref_dim
+            kept = basis.n_fields - dim
+            assert np.max(np.abs(svals[:kept] - ref_svals[:kept])) <= scale
+            assert _principal_angle(kernel, ref_kernel) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_invariant_fields_solve_one_block_per_fourier_pair(self, degree):
+        torus = FlatTorus()
+        basis = torus_basis(torus, degree)
+        expected = 1 + len(torus_fourier_modes(degree))
+        for field in (randers_field(torus), ConstantNormField(torus, EuclideanNorm(np.eye(2))),
+                      ConformalRescaleField(randers_field(torus), TorusFourierScalar(torus, const=2.0))):
+            assert solve_fields(field, basis, "killing").system["blocks"] == expected
+
+    def test_fields_that_vary_or_bases_without_blocks_solve_one_block(self):
+        torus, sphere = FlatTorus(), Sphere2(1.0)
+        varying = ConformalRescaleField(randers_field(torus), RESCALINGS["2+cos"](torus))
+        hand_built = FieldBasis(sphere, sphere_rotation_generators(sphere)
+                                + sphere_gradient_generators(sphere), 1)
+        for field, basis in ((varying, torus_basis(torus, 2)),
+                             (RoundSphereField(sphere), sphere_basis(sphere, 2)),
+                             (RoundSphereField(sphere), hand_built),
+                             (randers_field(torus), FieldBasis(torus, torus_basis(torus, 2).elements, 2))):
+            assert solve_fields(field, basis, "killing").system["blocks"] == 1
+
+    def test_jets_that_differ_at_one_fit_point_solve_one_block(self):
+        torus = FlatTorus()
+        basis = torus_basis(torus, 2)
+        point = build_collocation(torus, SolverConfig())[0][5]
+        field = ConformalRescaleField(randers_field(torus), OnePointBump(point))
+        report = solve_fields(field, basis)
+        reference = solve_fields(field, FieldBasis(torus, basis.elements, 2))
+        assert report.system["blocks"] == 1
+        np.testing.assert_array_equal(report.conformal_singular_values, reference.conformal_singular_values)
+        np.testing.assert_array_equal(report.conformal_basis, reference.conformal_basis)
+        # the bump is a fit point's only: without it the field is 2 F, of one block per pair
+        assert solve_fields(ConformalRescaleField(randers_field(torus), OnePointBump([9.0, 9.0])),
+                            basis).system["blocks"] == 13
+
+    def test_rank_rule_reaches_every_block(self, monkeypatch):
+        # a threshold inside the nonzero spectrum moves block singular values into the kernels
+        torus = FlatTorus()
+        field, basis = randers_field(torus), torus_basis(torus, 1)
+        one_block = FieldBasis(torus, basis.elements, 1)
+        monkeypatch.setattr(lie_algebra, "RANK_TOL", 0.5)
+        blocked, reference = (solve_fields(field, b) for b in (basis, one_block))
+        assert blocked.system["blocks"] == 5
+        assert blocked.killing_dim == reference.killing_dim > 2
+        assert blocked.conformal_dim == reference.conformal_dim > 2
 
 
 class TestKillingSpaceInvariance:
