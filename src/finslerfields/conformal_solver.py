@@ -6,14 +6,11 @@ linear in V.  Within a finite ansatz of vector fields they become linear
 systems in the field coefficients, one row per collocation pair (x, y): the
 rows (L_B F)/F, and the same rows centred over each point's fan.  A point's
 rows are its field jets times its element jets, so the solve works on at
-most six rows per point.  Each solve evaluates both jet tables once, over
-the fit and verification points stacked: the field's (F, dF/dx, dF/dy) from
-one ``jets`` call and the elements' (m, 6, A) table from one
-``field_tables`` call.  What does not depend on the field is shared across a
-run: equal specs get one manifold and one basis (``field_from_spec``), and the
-collocations and element tables are kept in ``manifold.RESULTS``.  Each kernel
-is extracted by SVDs of R factors, one per block of the basis's columns for a
-field that does not vary along the torus and one of all columns otherwise,
+most six rows per point, and a field that does not vary along the torus is
+solved from one point, block by block (``solve_fields``).  What does not
+depend on the field is shared across a run: equal specs get one manifold and
+one basis (``field_from_spec``), and the collocations and element tables are
+kept in ``manifold.RESULTS``.  Each kernel is extracted by SVDs of R factors,
 with the fixed relative singular-value threshold ``RANK_TOL``, and audited
 through the spectral gap around it.
 """
@@ -63,11 +60,11 @@ def torus_fourier_modes(degree):
 class FieldBasis:
     """Finite-dimensional ansatz of vector-field elements, shared by the solves that use it.
 
-    ``blocks`` groups the columns: a tuple of (nb, w) index arrays, each nb blocks of w
-    columns, which together hold every column once.  ``solve_fields`` solves each block
-    on its own for a field whose jets are equal at every fit point, so blocks must
-    decouple for such a field: ``torus_basis`` gives each Fourier pair +-k a block, and
-    every other basis keeps the default, one block of all columns.
+    ``blocks`` records how a translation of the torus acts on the columns: None, or
+    (cols, turned) pairs that hold every column once, cols an (nb, w) index array of nb
+    blocks of w columns.  A translation leaves an unturned block as it is and turns each
+    (cos, sin) column pair of a turned block by the block's phase, which the grid must
+    resolve at twice its degree.  Only ``torus_basis`` records blocks.
     """
 
     manifold: object
@@ -76,11 +73,10 @@ class FieldBasis:
     blocks: tuple = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", (np.arange(self.n_fields)[None],))
-        columns = np.sort(np.concatenate([cols.ravel() for cols in self.blocks]))
-        if not np.array_equal(columns, np.arange(self.n_fields)):
-            raise ValueError("the blocks must hold every column of the basis once")
+        if self.blocks is not None:
+            columns = np.sort(np.concatenate([cols.ravel() for cols, _ in self.blocks]))
+            if not np.array_equal(columns, np.arange(self.n_fields)):
+                raise ValueError("the blocks must hold every column of the basis once")
 
     @property
     def n_fields(self):
@@ -98,7 +94,8 @@ def _check_degree(degree):
 def torus_basis(torus, degree):
     """Coordinate fields times Fourier modes up to the given degree, on a 2-torus.
 
-    Its blocks are the two constant fields, and the four fields of each pair +-k.
+    Its blocks are the two constant fields, unturned, and the four fields (cos, sin) e_0
+    and (cos, sin) e_1 of each pair +-k, turned.
     """
     _check_degree(degree)
     if torus.dim != 2:
@@ -110,7 +107,7 @@ def torus_basis(torus, degree):
                  TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
         elements.extend(TorusFourierVectorField.coordinate(torus, i, mode)
                         for i in (0, 1) for mode in modes)
-    blocks = (np.arange(2)[None], 2 + np.arange(4 * len(pairs)).reshape(-1, 4))
+    blocks = ((np.arange(2)[None], False), (2 + np.arange(4 * len(pairs)).reshape(-1, 4), True))
     return FieldBasis(manifold=torus, elements=tuple(elements), degree=degree, blocks=blocks)
 
 
@@ -282,19 +279,15 @@ def _require_rows(fan, basis):
                                     f"(need >= {MIN_ROW_FACTOR}x)")
 
 
-def _jet_tables(field, basis, collocation):
-    """Field 1-jets over F, (P, D, 6), F itself, (P, D, 1), and element 1-jets, (P, 6, A).
+def _field_jets(field, collocation):
+    """Field 1-jets over F, (P, D, 6), and F itself, (P, D, 1), from one ``jets``.
 
     L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i: the field's 1-jet (dF/dx, y (x) dF/dy) per
-    row, from one ``jets``, dotted with the element's (V, DV) per distinct point, from one
-    ``field_tables``.  Rows and points are independent, so a stacked collocation gives
-    the stacked tables of its parts.  A field that is not positive and finite at every
+    row, dotted with an element's (V, DV).  Rows are independent, so a stacked collocation
+    gives the stacked jets of its parts.  A field that is not positive and finite at every
     row raises InvalidSettings.
     """
-    points, fan = collocation
-    n_points, n_dirs, _ = fan.shape
-    # the element table first, so that its transients and the row jets do not coexist
-    element_jets = field_tables(basis.elements, points)
+    n_points, n_dirs, _ = collocation[1].shape
     row_points, ys = collocation_rows(collocation)
     evals, grads_x, grads_y = field.jets(row_points, ys)
     field_jets = np.hstack([grads_x, (grads_y[:, :, None] * ys[:, None, :]).reshape(-1, 4)])
@@ -303,17 +296,19 @@ def _jet_tables(field, basis, collocation):
     if not np.all(np.isfinite(evals) & (evals > 0.0)):
         raise InvalidSettings(f"the field is not positive: min F = {evals.min():.3e} at a collocation row")
     field_jets /= evals
-    return field_jets, evals, element_jets
+    return field_jets, evals
 
 
 def assemble_system(field, basis, collocation):
     """Dense collocation matrix of the Killing condition L_V F = 0.
 
     One row per point and direction of the (points, fan) ``collocation``, point by
-    point; column a holds (L_{B_a} F)(x, y), F times the product of the two jet tables.
+    point; column a holds (L_{B_a} F)(x, y), F times the field jets over F, (P, D, 6),
+    times the element jets, (P, 6, A).
     """
     _require_rows(collocation[1], basis)
-    jets, evals, element_jets = _jet_tables(field, basis, collocation)
+    element_jets = field_tables(basis.elements, collocation[0])
+    jets, evals = _field_jets(field, collocation)
     return (evals * (jets @ element_jets)).reshape(-1, basis.n_fields)
 
 
@@ -329,30 +324,37 @@ def _spectral_gap(svals, null_dim, total_cols):
     return float(kept / discarded)
 
 
-def _r_factors(stacks):
-    """The (nb, w, w) R factors of (nb, m, w) stacks, a wide stack's with zero rows below:
-    each has its stack's Gram matrix, singular values and right singular vectors."""
-    nb, m, w = stacks.shape
-    if m < w:
-        stacks = np.concatenate([stacks, np.zeros((nb, w - m, w))], axis=1)
-    return np.linalg.qr(stacks, mode="r")
+def _turned_stack(rows, cols, turned, n_points):
+    """The (nb, m, w) or (nb, 2m, w) stack of one point's (m, A) rows that has the Gram
+    matrix of the blocks ``cols`` over a grid of ``n_points`` points: sqrt(P) F for an
+    unturned block's rows F, and sqrt(P / 2) [F; FJ] for a turned one's, J mapping each
+    (cos, sin) column pair (c, s) to (-s, c), since the phase averages of cos^2 and sin^2
+    over the grid are 1/2 and that of cos sin is 0."""
+    block = rows[:, cols].transpose(1, 0, 2)
+    if not turned:
+        return np.sqrt(n_points) * block
+    nb, m, w = block.shape
+    quarter = (block.reshape(nb, m, w // 2, 2)[..., ::-1] * [-1.0, 1.0]).reshape(nb, m, w)
+    return np.sqrt(n_points / 2.0) * np.concatenate([block, quarter], axis=1)
 
 
-def _block_columns(rows, cols):
-    """The (nb, m, w) columns of (m, A) rows that each of the (nb, w) blocks ``cols`` holds."""
-    return rows[:, cols].transpose(1, 0, 2)
+def _block_kernel(blocks, stacks, n, reference=None):
+    """Kernel dimension, kernel rows and singular values of a system solved block by block,
+    and each block's singular values, descending, in the order of ``blocks``.
 
-
-def _block_kernel(blocks, factors, n, reference=None):
-    """Kernel dimension, kernel rows and singular values of a system solved block by block.
-
-    ``factors`` holds the (nb, w, w) R factors of each (nb, w) array of ``blocks``, and one
-    batched SVD per width gives their singular values and right singular vectors.  The
-    singular values are the union of the blocks', descending; the kernel rows are the right
-    singular vectors whose singular values are zero against ``reference`` (by default the
-    largest), each placed in its block's columns.
+    ``stacks`` holds the (nb, m, w) rows of each (nb, w) array of ``blocks``, or a factor
+    with their Gram matrix, and one batched SVD per array, of a wide stack with zero rows
+    below, gives their singular values and right singular vectors.  The singular values
+    are the union of the blocks', descending; the kernel rows are the right singular
+    vectors whose singular values are zero against ``reference`` (by default the largest),
+    each placed in its block's columns.
     """
-    spectra = [np.linalg.svd(r, full_matrices=False)[1:] for r in factors]
+    spectra = []
+    for stack in stacks:
+        nb, m, w = stack.shape
+        if m < w:
+            stack = np.concatenate([stack, np.zeros((nb, w - m, w))], axis=1)
+        spectra.append(np.linalg.svd(stack, full_matrices=False)[1:])
     svals = np.sort(np.concatenate([s.ravel() for s, _ in spectra]))[::-1]
     reference = float(svals[0]) if reference is None else reference
     kernel = []
@@ -362,7 +364,7 @@ def _block_kernel(blocks, factors, n, reference=None):
         rows[np.arange(len(block))[:, None], cols[block]] = vt[block, index]
         kernel.append(rows)
     kernel = np.vstack(kernel)
-    return len(kernel), kernel, svals
+    return len(kernel), kernel, svals, [row for s, _ in spectra for row in s]
 
 
 @dataclass
@@ -381,6 +383,7 @@ class SolveReport:
     conformal_singular_values: np.ndarray | None = None
     conformal_gap: float | None = None
     residuals: dict = dataclass_field(default_factory=dict)
+    block_singular_values: list = dataclass_field(default_factory=list)
     tolerance_used: float = 0.0
     flags: list = dataclass_field(default_factory=list)
     system: dict = dataclass_field(default_factory=dict)
@@ -414,22 +417,24 @@ def solve_fields(field, basis, mode="conformal", config=None):
     Neither system is formed: at a point N_p = J_p E_p (field jets over F
     times element jets) and C_p = (J_p - 1 j_p) E_p, j_p the fan mean of J_p,
     so N^T N = C^T C + D M^T M with M_p = j_p E_p.  A batched QR of the
-    centred jets and a QR of the stacked R_p E_p give R_C, and the kernels are
-    read from R_C and [R_C; sqrt(D) M] against the largest singular value of
-    N (a conformal ansatz has a round-off centred system).
+    centred jets gives the factors R_p; a QR of the stacked R_p E_p gives R_C,
+    and the kernels are read from R_C and [R_C; sqrt(D) M] against the largest
+    singular value of N (a conformal ansatz has a round-off centred system).
 
-    Both are solved block by block over ``basis.blocks`` when the field jets
-    are exactly equal at every fit point, as for a field that does not vary
-    along the torus on its shared fan; otherwise all columns form one block.
-    The translations then commute with L_V, and the grid resolves degree 2d,
-    so products of distinct Fourier pairs sum to zero over it and both Gram
-    matrices are block-diagonal: the spectrum is the union of the blocks',
-    and ``system["blocks"]`` counts the blocks solved.  Residuals are
-    evaluated jet-wise on a disjoint collocation set, whose jets come from the
-    same evaluation as the fit points' (one ``_jet_tables`` call per solve);
+    The field jets come first, over the fit and verification rows in one call.
+    When they are exactly equal at every fit point (a field that does not vary
+    along the torus, on its shared fan) and the basis records its ``blocks``, the
+    element table is read at one fit point: every other point's factor rows are
+    its rows F turned by the point's phase, and the grid resolves degree 2d, so
+    blocks decouple and each is solved from its stack of ``_turned_stack``.
+    Otherwise the table is read at every fit point and all columns form one
+    block.  The spectrum is the union of the blocks', ``block_singular_values``
+    holds each block's for the system ``singular_values`` reports, and
+    ``system["blocks"]`` counts them.  Residuals are evaluated jet-wise on a
+    disjoint collocation set, from the elements that some kernel vector holds;
     only the fit rows count towards ``MIN_ROW_FACTOR``, and the sample points
-    must resolve the basis degree (``_require_sampling``).  Safeguards that fire
-    go to ``flags``, among them a verification residual above
+    must resolve the basis degree (``_require_sampling``).  Safeguards that
+    fire go to ``flags``, among them a verification residual above
     ``VERIFY_TOL_FACTOR`` tolerances.
     """
     if mode not in ("killing", "conformal"):
@@ -440,21 +445,29 @@ def solve_fields(field, basis, mode="conformal", config=None):
     fit_points, fit_fan = build_collocation(basis.manifold, config)
     ver_points, ver_fan = build_collocation(basis.manifold, config, offset_points=True)
     _require_rows(fit_fan, basis)
-    # one jet evaluation of the fit points followed by the verification points
-    jets, _, elements = _jet_tables(field, basis, (np.concatenate([fit_points, ver_points]),
-                                                   np.concatenate([fit_fan, ver_fan])))
-    jets, ver_jets = np.split(jets, [len(fit_points)])
-    elements, ver_elements = np.split(elements, [len(fit_points)])
-    blocks = basis.blocks if np.all(jets == jets[0]) else (np.arange(n)[None],)
+    n_points = len(fit_points)
+    jets, ver_jets = np.split(_field_jets(field, (np.concatenate([fit_points, ver_points]),
+                                                  np.concatenate([fit_fan, ver_fan])))[0], [n_points])
+    one_point = basis.blocks is not None and bool(np.all(jets == jets[0]))
+    rows = jets[..., 0].size
+    if one_point:
+        jets = jets[:1]
+    elements = field_tables(basis.elements, fit_points[:len(jets)])
     means = jets.mean(axis=1, keepdims=True)
     factors = np.linalg.qr(jets - means, mode="r")
     fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
     stacked_factors = (factors @ elements).reshape(-1, n)
-    # one batched QR per block width of its blocks' factor columns, then of [R_C; sqrt(D) M]
-    r_centred = [_r_factors(_block_columns(stacked_factors, cols)) for cols in blocks]
-    r_stacked = [_r_factors(np.concatenate([r, _block_columns(fan_means, cols)], axis=1))
-                 for r, cols in zip(r_centred, blocks)]
-    k_dim, k_basis, k_svals = _block_kernel(blocks, r_stacked, n)
+    if one_point:
+        # each block's stacks of 2 min(D, 6) rows, whose SVDs are as cheap as of their R
+        blocks = [cols for cols, _ in basis.blocks]
+        centred = [_turned_stack(stacked_factors, cols, turned, n_points) for cols, turned in basis.blocks]
+        stacked = [np.concatenate([c, _turned_stack(fan_means, cols, turned, n_points)], axis=1)
+                   for c, (cols, turned) in zip(centred, basis.blocks)]
+    else:
+        # R_C, and the R of [R_C; sqrt(D) M], of all columns
+        blocks, centred = [np.arange(n)[None]], [np.linalg.qr(stacked_factors[None], mode="r")]
+        stacked = [np.linalg.qr(np.concatenate([centred[0], fan_means[None]], axis=1), mode="r")]
+    k_dim, k_basis, k_svals, k_blocks = _block_kernel(blocks, stacked, n)
     k_gap = _spectral_gap(k_svals, k_dim, n)
 
     report = SolveReport(
@@ -464,26 +477,35 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_basis=k_basis,
         killing_singular_values=k_svals,
         killing_gap=k_gap,
+        block_singular_values=k_blocks,
         tolerance_used=RANK_TOL * (float(k_svals[0]) or 1.0),
-        system={"rows": jets[..., 0].size, "factor_rows": factors[..., 0].size, "unknowns": n,
+        system={"rows": rows, "factor_rows": factors[..., 0].size, "unknowns": n,
                 "blocks": sum(len(cols) for cols in blocks)},
     )
     if k_gap < GAP_WARN:
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
-
-    killing = ver_jets @ (ver_elements @ k_basis.T)
-    report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
+    kernels = [k_basis]
     if mode == "conformal":
-        c_dim, c_basis, c_svals = _block_kernel(blocks, r_centred, n, float(k_svals[0]))
-        ver_means = ver_jets.mean(axis=1, keepdims=True)
-        c_jets = ver_elements @ c_basis.T
+        c_dim, c_basis, c_svals, report.block_singular_values = _block_kernel(
+            blocks, centred, n, float(k_svals[0]))
         report.conformal_dim = c_dim
         report.conformal_basis = c_basis
-        report.conformal_factors = (ver_means @ c_jets)[:, 0].T
         report.conformal_singular_values = c_svals
         report.conformal_gap = _spectral_gap(c_svals, c_dim, n)
         if report.conformal_gap < GAP_WARN:
             report.flags.append("ill-conditioned: conformal spectral gap below 1e2")
+        kernels.append(c_basis)
+
+    # the verification reads the elements that some kernel row holds, and no other
+    support = np.flatnonzero(np.any(np.vstack(kernels) != 0.0, axis=0))
+    ver_elements = (field_tables([basis.elements[a] for a in support], ver_points) if len(support)
+                    else np.zeros((len(ver_points), 6, 0)))
+    killing = ver_jets @ (ver_elements @ k_basis.take(support, axis=1).T)
+    report.residuals["killing"] = float(np.max(np.abs(killing), initial=0.0))
+    if mode == "conformal":
+        ver_means = ver_jets.mean(axis=1, keepdims=True)
+        c_jets = ver_elements @ c_basis.take(support, axis=1).T
+        report.conformal_factors = (ver_means @ c_jets)[:, 0].T
         if c_dim:
             report.residuals["conformal"] = float(np.max(np.abs((ver_jets - ver_means) @ c_jets)))
     if report.max_residual > report.verification_bound:
@@ -523,15 +545,23 @@ def extract_structure_constants(fields, sample_count=60):
 
 
 def transitivity_check(fields, points):
-    """Whether the fields span the tangent space at each point."""
+    """Whether the fields span the tangent space of the 2-manifold at each point.
+
+    The (2, k) frame A of their values at a point has singular values with s1 s2 the
+    square root of the sum of its 2 x 2 minors squared (Cauchy-Binet) and s1^2 + s2^2 =
+    |A|_F^2, so s1 is the larger root and s2 = s1 s2 / s1, accurate to round-off of s1
+    as an SVD's; the frame spans when s2 is above ``RANK_TOL`` times s1.
+    """
     if not fields:
         raise ValueError("need at least one field")
-    needed = fields[0].manifold.dim
-    frames = field_tables(fields, points)[:, :2].transpose(0, 2, 1)
-    svals = np.linalg.svd(frames, compute_uv=False)
-    smax = np.maximum(svals[:, 0], 1e-300)
-    ranks = (svals > RANK_TOL * smax[:, None]).sum(axis=1)
-    return [bool(rank >= needed) for rank in ranks]
+    values = field_tables(fields, points)[:, :2]
+    # the minors a_i b_j - a_j b_i of the rows a, b, each pair i < j twice
+    outer = values[:, 0, :, None] * values[:, 1, None, :]
+    product = np.sqrt(0.5 * np.sum((outer - np.swapaxes(outer, 1, 2)) ** 2, axis=(1, 2)))
+    frobenius = np.sum(values**2, axis=(1, 2))
+    s1 = np.sqrt(0.5 * (frobenius + np.sqrt(np.maximum(frobenius**2 - 4.0 * product**2, 0.0))))
+    s1 = np.maximum(s1, 1e-300)
+    return (product / s1 > RANK_TOL * s1).tolist()
 
 
 def pushforward_subspace_angle(fields, diffeo, points):

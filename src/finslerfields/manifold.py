@@ -422,14 +422,16 @@ def field_tables(fields, points):
     """The (m, 6, B) 1-jets of B vector fields: values at [:, :2] and the Jacobian
     dV^i/dx^j at [:, 2 + 2 i + j], so that [:, 2:] reshapes to (m, 2, 2, B).
 
-    Combinations are expanded into their distinct elements, whose (m, 6, A)
-    table comes from one call of their class's ``_tables``, or from ``RESULTS``
-    keyed by the elements (compared by identity) and the points' bytes.  It is
-    returned as it is, read-only, when the fields are the elements, and with the
-    (A, B) coefficients that form the fields contracted in otherwise.  Elements
+    Fields that are all basis elements are the elements of one table.  Otherwise
+    combinations are expanded into their distinct elements, whose table is contracted
+    with the (A, B) coefficients that form the fields.  An element table comes from one
+    call of its class's ``_tables``, or from ``RESULTS`` keyed by the elements (compared
+    by identity) and the points' bytes, and is returned as it is, read-only.  Elements
     of different classes or manifolds raise ValueError.
     """
     points = stack_points(points)
+    if not any(isinstance(vf, CombinationVectorField) for vf in fields):
+        return _element_table(tuple(fields), points)
     elements, index, entries = [], {}, []
     for b, vf in enumerate(fields):
         for el, c in _combination_terms(vf):
@@ -437,18 +439,24 @@ def field_tables(fields, points):
                 index[id(el)] = len(elements)
                 elements.append(el)
             entries.append((index[id(el)], b, c))
-    first = elements[0]
-    if any(type(el) is not type(first) or el.manifold is not first.manifold for el in elements):
-        raise ValueError("field_tables takes fields of one class on one manifold")
-    elements = tuple(elements)
-    table = RESULTS.get(("field_tables", elements, points.shape, points.tobytes()),
-                        lambda: type(first)._tables(elements, points))
-    if len(fields) == len(elements) and all(vf is el for vf, el in zip(fields, elements)):
-        return table
+    table = _element_table(tuple(elements), points)
     weights = np.zeros((len(elements), len(fields)))
     rows, cols, coefs = zip(*entries)
     np.add.at(weights, (rows, cols), coefs)
     return (table.reshape(-1, len(elements)) @ weights).reshape(len(points), 6, -1)
+
+
+def _element_table(elements, points):
+    """The read-only (m, 6, A) table of a tuple of elements, found in or kept in ``RESULTS``,
+    which keeps only the tables of elements of one class on one manifold."""
+
+    def compute():
+        first = elements[0]
+        if any(type(el) is not type(first) or el.manifold is not first.manifold for el in elements):
+            raise ValueError("field_tables takes fields of one class on one manifold")
+        return type(first)._tables(elements, points)
+
+    return RESULTS.get(("field_tables", elements, points.shape, points.tobytes()), compute)
 
 
 def sphere_rotation_generators(sphere):

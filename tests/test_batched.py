@@ -8,7 +8,7 @@ import pytest
 
 from finslerfields.conformal_solver import (
     SolverConfig,
-    _jet_tables,
+    _field_jets,
     assemble_system,
     build_collocation,
     collocation_rows,
@@ -246,8 +246,8 @@ def test_torus_jets_match_central_differences(name, field, points):
 def test_stacked_jet_tables_equal_the_fit_and_verification_calls(name, field, basis, config):
     fit = build_collocation(basis.manifold, config)
     verification = build_collocation(basis.manifold, config, offset_points=True)
-    stacked = _jet_tables(field, basis, tuple(np.concatenate(parts) for parts in zip(fit, verification)))
-    separate = [_jet_tables(field, basis, collocation) for collocation in (fit, verification)]
+    stacked = _field_jets(field, tuple(np.concatenate(parts) for parts in zip(fit, verification)))
+    separate = [_field_jets(field, collocation) for collocation in (fit, verification)]
     for joint, fit_part, verification_part in zip(stacked, *separate):
         reference = np.concatenate([fit_part, verification_part])
         assert joint.shape == reference.shape

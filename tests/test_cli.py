@@ -10,6 +10,7 @@ from finslerfields.experiments import (
     ExperimentConfig,
     csv_summary,
     emit_report,
+    report_to_dict,
     run_experiment,
 )
 from finslerfields.lie_algebra import rotation_algebra
@@ -80,8 +81,9 @@ def test_solve_fields_subcommand(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["killing_dim"] == 2
     assert doc["conformal_dim"] == 2
-    # 6 x 6 points, 10 directions each, 2 + 4 * 4 degree-1 fields in 1 + 4 blocks
-    assert doc["system"] == {"rows": 360, "factor_rows": 216, "unknowns": 18, "blocks": 5}
+    # 6 x 6 points, 10 directions each, 2 + 4 * 4 degree-1 fields in 1 + 4 blocks, read from
+    # one point's 6 factor rows
+    assert doc["system"] == {"rows": 360, "factor_rows": 6, "unknowns": 18, "blocks": 5}
 
 
 def test_solve_fields_rescaled_torus(tmp_path):
@@ -418,8 +420,16 @@ def test_emit_report_writes_json_and_the_summary_one_row(tmp_path):
     assert lines[1].startswith("circle-lambda,")
 
 
+@pytest.mark.parametrize("name", ["randers-torus", "conformal-algebra-signature"])
+def test_emitted_report_equals_its_dict_as_data(tmp_path, name):
+    report = run_experiment(name, ExperimentConfig(name=name))
+    text = emit_report(report, tmp_path / "r.json").read_text()
+    assert json.loads(text) == report_to_dict(report)
+    assert text.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,system", [
-    ("riemannian-torus", {"rows": 640, "factor_rows": 384, "unknowns": 50, "blocks": 13}),
+    ("riemannian-torus", {"rows": 640, "factor_rows": 6, "unknowns": 50, "blocks": 13}),
     ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 23, "blocks": 1}),
 ])
 def test_experiment_json_records_the_system_sizes(tmp_path, name, system):

@@ -32,6 +32,8 @@ from finslerfields.lie_algebra import (
     rotation_algebra,
 )
 from finslerfields.manifold import (
+    RESULTS,
+    CombinationVectorField,
     ConformalRescaleField,
     ConstantNormField,
     FlatTorus,
@@ -45,6 +47,7 @@ from finslerfields.manifold import (
     TorusFourierVectorField,
     TorusTranslation,
     field_tables,
+    sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
     stack_points,
@@ -128,7 +131,8 @@ class TestBasisConstruction:
     def test_blocks_must_hold_every_column_once(self):
         torus = FlatTorus()
         elements = torus_basis(torus, 1).elements
-        for blocks in ((np.arange(17)[None],), (np.arange(18)[None], np.array([[0]]))):
+        for blocks in (((np.arange(17)[None], False),),
+                       ((np.arange(18)[None], False), (np.array([[0, 1]]), True))):
             with pytest.raises(ValueError, match="every column of the basis once"):
                 FieldBasis(torus, elements, 1, blocks=blocks)
 
@@ -545,9 +549,12 @@ class TestFactorSolve:
                                    rtol=0, atol=1e-16 * report.killing_singular_values[0])
 
     @pytest.mark.parametrize("case,system", [
-        ("randers torus", {"rows": 640, "factor_rows": 384, "unknowns": 50, "blocks": 13}),
-        # fewer than six directions: each point's factor keeps its D rows
-        ("three-direction fan", {"rows": 192, "factor_rows": 192, "unknowns": 50, "blocks": 13}),
+        # an invariant field: one point's factor rows
+        ("randers torus", {"rows": 640, "factor_rows": 6, "unknowns": 50, "blocks": 13}),
+        # fewer than six directions: the point's factor keeps its D rows
+        ("three-direction fan", {"rows": 192, "factor_rows": 3, "unknowns": 50, "blocks": 13}),
+        # a field that varies along the torus: every point's factor rows, in one block
+        ("rescaled torus", {"rows": 640, "factor_rows": 384, "unknowns": 50, "blocks": 1}),
     ])
     def test_report_records_the_system_sizes(self, case, system):
         field, basis, config = _factor_solve_cases()[case]
@@ -575,11 +582,50 @@ class OnePointBump(ScalarField):
         return jets
 
 
+def _mode_oracle(norm, torus, fan, n_points, mode):
+    """The Killing and conformal singular values of the Fourier pair +-k of a constant norm F
+    over a grid of P points, in closed form.  L_{a e^{i psi}} F = i e^{i psi} (dpsi . y)
+    (a . dF/dy), dpsi = 2 pi L^-T k, so at a point of phase psi the pair's columns (cos e0,
+    sin e0, cos e1, sin e1) have rows (dpsi . y)/F (-sin psi g0, cos psi g0, -sin psi g1,
+    cos psi g1), g = dF/dy; over the grid the Gram matrix is P/2 times that of the rows at
+    psi = 0 and psi = pi/2 stacked."""
+    dpsi = 2.0 * np.pi * np.asarray(mode, dtype=float) @ torus.inv_lattice
+    grads = norm.gradient_batch(fan) * ((fan @ dpsi) / norm(fan))[:, None]
+    zero = np.zeros(len(fan))
+    phases = [np.stack([zero, grads[:, 0], zero, grads[:, 1]], axis=1),
+              np.stack([-grads[:, 0], zero, -grads[:, 1], zero], axis=1)]
+    killing = np.sqrt(n_points / 2.0) * np.vstack(phases)
+    centred = np.sqrt(n_points / 2.0) * np.vstack([rows - rows.mean(axis=0) for rows in phases])
+    return [np.linalg.svd(system, compute_uv=False) for system in (killing, centred)]
+
+
 class TestBlockSolve:
     """The per-mode solve of translation-invariant torus fields against the one-block solve."""
 
-    @pytest.mark.parametrize("mode", ["killing", "conformal"])
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("lattice", [None, [[1.0, 0.3], [0.0, 1.2]]], ids=["square", "skewed"])
+    @pytest.mark.parametrize("norm", list(BASE_NORMS) + ["anisotropic"])
+    def test_each_block_has_the_spectrum_of_its_mode_oracle(self, norm, lattice, degree):
+        torus = FlatTorus(None if lattice is None else np.array(lattice))
+        norm = BASE_NORMS.get(norm) or RandersNorm(np.diag([1.0, 1.3]), [0.5, 0.2])
+        basis = torus_basis(torus, degree)
+        config = SolverConfig(x_density=max(8, 2 * degree + 1))
+        killing, conformal = (solve_fields(ConstantNormField(torus, norm), basis, mode, config)
+                              for mode in ("killing", "conformal"))
+        fit_points, fit_fan = build_collocation(torus, config)
+        scale = 1e-12 * killing.killing_singular_values[0]
+        # the constant fields' block is zero: dF/dx = 0 and their Jacobians vanish
+        assert max(np.max(r.block_singular_values[0]) for r in (killing, conformal)) <= scale
+        for k, killing_svals, conformal_svals in zip(torus_fourier_modes(degree),
+                                                     killing.block_singular_values[1:],
+                                                     conformal.block_singular_values[1:]):
+            oracle = _mode_oracle(norm, torus, fit_fan[0], len(fit_points), k)
+            assert np.max(np.abs(killing_svals - oracle[0])) <= scale
+            assert np.max(np.abs(conformal_svals - oracle[1])) <= scale
+
+    # a conformal solve checks both kernels, so degree 8 runs in that mode only
+    @pytest.mark.parametrize("degree,mode", [(d, mode) for d in (1, 2, 3, 4, 6)
+                                             for mode in ("killing", "conformal")] + [(8, "conformal")])
     @pytest.mark.parametrize("lattice", [None, [[1.0, 0.3], [0.0, 1.2]]], ids=["square", "skewed"])
     @pytest.mark.parametrize("norm", list(BASE_NORMS))
     def test_block_solve_has_the_spectrum_of_the_one_block_solve(self, norm, lattice, degree, mode):
@@ -600,6 +646,23 @@ class TestBlockSolve:
             kept = basis.n_fields - dim
             assert np.max(np.abs(svals[:kept] - ref_svals[:kept])) <= scale
             assert _principal_angle(kernel, ref_kernel) <= 1e-8
+
+    def test_an_invariant_solve_reads_the_element_table_at_one_fit_point(self, monkeypatch):
+        # at degree 8 the table at all 289 fit points would be 8 MB, nearly the cache budget
+        torus = FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]]))
+        basis, config = torus_basis(torus, 8), SolverConfig(x_density=17)
+        tables, calls = TorusFourierVectorField._tables, []
+
+        def recorded(elements, points):
+            calls.append((len(points), len(elements)))
+            return tables(elements, points)
+
+        monkeypatch.setattr(TorusFourierVectorField, "_tables", staticmethod(recorded))
+        RESULTS.clear()
+        report = solve_fields(randers_field(torus, (0.4, 0.1)), basis, "conformal", config)
+        assert (report.killing_dim, report.conformal_dim, report.flags) == (2, 2, [])
+        # the fit reads every element at one point, and the verification the two translations
+        assert sorted(calls) == [(1, basis.n_fields), (17 * 17, 2)]
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_invariant_fields_solve_one_block_per_fourier_pair(self, degree):
@@ -796,6 +859,26 @@ class TestTransitivity:
         torus = FlatTorus()
         fields = [TorusFourierVectorField.coordinate(torus, 0)]
         assert not any(transitivity_check(fields, torus.grid_points(4)))
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e-6, 1e-10, 0.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_closed_form_ranks_equal_the_svd_ranks(self, k, ratio):
+        torus = FlatTorus()
+        rng = np.random.default_rng(k)
+        u, v = (np.linalg.qr(rng.normal(size=(size, size)))[0] for size in (2, k))
+        r = min(2, k)
+        frame = 3.0 * (u[:, :r] * [1.0, ratio][:r]) @ v[:, :r].T
+        coordinates = [TorusFourierVectorField.coordinate(torus, i) for i in (0, 1)]
+        fields = [CombinationVectorField(coordinates, column) for column in frame.T]
+        # and frames that vary over the points, of fields of the degree-1 basis
+        elements = torus_basis(torus, 1).elements
+        varying = [CombinationVectorField(elements, c) for c in rng.normal(size=(k, len(elements)))]
+        points = sample_points(torus, 16, seed=k)
+        for case in (fields, varying):
+            svals = np.linalg.svd(field_tables(case, points)[:, :2], compute_uv=False)
+            expected = (svals > lie_algebra.RANK_TOL * svals[:, :1]).sum(axis=1) >= 2
+            assert transitivity_check(case, points) == expected.tolist()
+        assert transitivity_check(fields, points) == [k > 1 and ratio >= 1e-6] * len(points)
 
     def test_rescaled_killing_fields_fail_to_span(self):
         torus = FlatTorus()
