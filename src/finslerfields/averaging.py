@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityViolation, HypothesisViolation, InvalidSettings
-from .norm_core import EuclideanNorm
 
 NODE_TOL = 1e-10
 # Largest relative residual of the sampled hypothesis F1 = c * F2 o l.
@@ -50,9 +49,6 @@ class AveragedNorm:
     """Inner-product matrix produced by indicatrix averaging."""
 
     matrix: np.ndarray
-
-    def norm(self):
-        return EuclideanNorm(self.matrix)
 
 
 def _reference_grid(n, resolution):
@@ -106,7 +102,9 @@ def sample_indicatrix(norm, resolution):
     df = np.einsum("mki,mi->mk", du, norm.gradient_batch(u))
     dy = du / f[:, None, None] - u[:, None, :] * (df / f[:, None] ** 2)[:, :, None]
     g = norm.tensor_batch(y)
-    det = np.linalg.det(dy @ g @ dy.swapaxes(-1, -2))
+    gram = dy @ g @ dy.swapaxes(-1, -2)
+    # an (m, 1, 1) Gram matrix on the circle is its own determinant
+    det = gram[:, 0, 0] if norm.dim == 2 else np.linalg.det(gram)
     if np.min(det) <= 0.0:
         raise ConvexityViolation(float(np.min(det)),
                                  "indicatrix tangent Gram matrix is not positive definite")

@@ -4,7 +4,8 @@ V is Killing when L_V F = 0 and conformal when (L_V F)/F does not depend on
 the direction y, that function of x being its conformal factor.  Both are
 linear in V.  Within a finite ansatz of vector fields they become linear
 systems in the field coefficients, one row per collocation pair (x, y): the
-rows (L_B F)/F, and the same rows centred over each point's fan.  A point's
+rows (L_B F)/F, and the same rows centred over each point's fan, one fixed fan
+of equal angles that the seed turns (``build_collocation``).  A point's
 rows are its field jets times its element jets, so the solve works on at
 most six rows per point, and a field that does not vary along the torus is
 solved from one point, block by block (``solve_fields``).  What does not
@@ -40,7 +41,7 @@ from .manifold import (
     sample_points,
     stack_points,
 )
-from .norm_core import norm_from_dict, record_array, record_keys, record_kind
+from .norm_core import GOLDEN_ANGLE, norm_from_dict, record_array, record_keys, record_kind
 
 MIN_ROW_FACTOR = 3
 GAP_WARN = 1e2
@@ -209,9 +210,8 @@ class SolverConfig:
 
     x_density: int = 8          # per-axis grid on the torus
     sphere_points: int = 150    # Fibonacci points on the sphere
-    n_directions: int = 8       # fixed directions per point
-    n_extra_directions: int = 2  # seeded random supplement
-    seed: int = 0
+    n_directions: int = 10      # directions per point, at equal angles
+    seed: int = 0               # turns the fan by that many golden angles
 
     def __post_init__(self):
         # every int field (a subclass's too) takes a Python int, not a bool; f.type is int or "int"
@@ -221,24 +221,26 @@ class SolverConfig:
             raise InvalidSettings(f"settings {wrong} must be integers")
         if self.seed < 0:
             raise InvalidSettings(f"seed must be >= 0, got {self.seed}")
+        # the fan turns by seed golden angles, a float product that is exact below 2**53
+        if self.seed >= 2**53:
+            raise InvalidSettings(f"seed must be below 2**53, got {self.seed}")
         if self.x_density < 2 or self.sphere_points < 16:
             raise InvalidSettings("x_density must be >= 2 and sphere_points >= 16")
-        # centring over a fan of D directions leaves D - 1 equations per point:
-        # none at D = 1, and at D = 2 one for the two of a traceless symmetric form
-        if (self.n_directions < 1 or self.n_extra_directions < 0
-                or self.n_directions + self.n_extra_directions < 3):
-            raise InvalidSettings("n_directions must be >= 1, n_extra_directions >= 0 "
-                                  "and n_directions + n_extra_directions >= 3")
+        # centring over a fan of D directions leaves D - 1 equations per point: none at D = 1,
+        # and at D = 2 one for the two of a traceless symmetric form; 4 equal angles are 2 lines,
+        # on which a reversible field reads the same rows at y and -y, so D = 2 again
+        if self.n_directions < 3 or self.n_directions == 4:
+            raise InvalidSettings(f"n_directions must be >= 3 and not 4, got {self.n_directions}")
 
 
 def build_collocation(manifold, config, offset_points=False):
     """The P distinct sample points and their (P, D, 2) fan of unit directions, read-only.
 
-    Every point gets the same fan of D = ``n_directions + n_extra_directions``
-    directions: ``n_directions`` fixed angles, then ``n_extra_directions``
-    seeded random ones, drawn once per collocation.  The offset variant is
-    disjoint from the default.  A collocation is kept in ``RESULTS`` by the
-    manifold's geometry and the settings.
+    Every point gets the same fan of D = ``n_directions`` equal angles, from the base
+    angle 0.2141 turned by ``seed`` golden angles (modulo the step 2 pi / D).  The offset
+    variant's points are disjoint from the default's, and its fan is turned by half a
+    step, so the two fans share no direction.  A collocation is kept in ``RESULTS`` by
+    the manifold's geometry and the settings.
     """
     geometry = (manifold.lattice.tobytes() if isinstance(manifold, FlatTorus)
                 else getattr(manifold, "radius", None))
@@ -248,19 +250,17 @@ def build_collocation(manifold, config, offset_points=False):
 
 
 def _collocation(manifold, config, offset_points):
-    rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
     if isinstance(manifold, FlatTorus):
         shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
         points = manifold.grid_points(config.x_density, offset=shift)
-        base_angle = 0.2141 if not offset_points else 0.5903
     elif isinstance(manifold, Sphere2):
         count = config.sphere_points if not offset_points else config.sphere_points + 37
         points = manifold.fibonacci_points(count)
-        base_angle = 0.1309 if not offset_points else 0.4441
     else:
         raise ValueError("collocation supports the torus and the sphere")
-    fixed = np.arange(config.n_directions) * (2.0 * np.pi / config.n_directions) + base_angle
-    angles = np.concatenate([fixed, rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)])
+    step = 2.0 * np.pi / config.n_directions
+    base = (0.2141 + config.seed * GOLDEN_ANGLE) % step + (0.5 * step if offset_points else 0.0)
+    angles = base + step * np.arange(config.n_directions)
     fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     return points, np.tile(fan, (len(points), 1, 1))
 

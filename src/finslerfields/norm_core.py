@@ -26,6 +26,8 @@ HESSIAN_FD_STEP = 1e-4
 PD_RATIO = 1e-8
 HOMOGENEITY_TOL = 1e-10
 POSITIVITY_FLOOR = 1e-12
+# pi (3 - sqrt 5), the angle that turns successive Fibonacci nodes and solver fans
+GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
 def _check_spd(mat, name):
@@ -448,9 +450,8 @@ def fibonacci_directions(count):
     """(count, 3) unit vectors on a Fibonacci spiral from the north pole to the south."""
     i = np.arange(count)
     t = 1.0 - 2.0 * (i + 0.5) / count
-    golden = np.pi * (3.0 - np.sqrt(5.0))
     r = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    return np.stack([r * np.cos(golden * i), r * np.sin(golden * i), t], axis=1)
+    return np.stack([r * np.cos(GOLDEN_ANGLE * i), r * np.sin(GOLDEN_ANGLE * i), t], axis=1)
 
 
 def reversibility_sup(norm, resolution=256):

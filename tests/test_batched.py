@@ -126,7 +126,7 @@ def test_assembly_evaluates_each_element_once_per_distinct_point(monkeypatch, ca
     n_points = config.x_density**2 if torus else config.sphere_points
     collocation = build_collocation(basis.manifold, config)
     system = assemble_system(field, basis, collocation)
-    assert len(system) == n_points * (config.n_directions + config.n_extra_directions)
+    assert len(system) == n_points * config.n_directions
     counts = Counter(calls)
     assert counts == {("stacked", n_points): 1, ("frac" if torus else "frame", n_points): 1}
 
@@ -268,38 +268,35 @@ def test_rescaled_torus_has_nonzero_grad_x():
 
 
 def reference_collocation(manifold, config, offset_points=False):
-    """The per-point collocation loop: every point takes the one fan, whose extra directions
-    are drawn once, before the loop."""
-    rng = np.random.default_rng(config.seed + (1 if offset_points else 0))
-    extra = rng.uniform(0.0, 2.0 * np.pi, size=config.n_extra_directions)
+    """The per-point collocation loop: every point takes the one fan of equal angles, from
+    0.2141 turned by ``seed`` golden angles, and by half a step more on the offset points."""
     if isinstance(manifold, FlatTorus):
         shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
         points = manifold.grid_points(config.x_density, offset=shift)
-        base_angle = 0.2141 if not offset_points else 0.5903
     else:
         count = config.sphere_points if not offset_points else config.sphere_points + 37
         points = manifold.fibonacci_points(count)
-        base_angle = 0.1309 if not offset_points else 0.4441
+    step = 2.0 * np.pi / config.n_directions
+    base = np.mod(0.2141 + config.seed * np.pi * (3.0 - np.sqrt(5.0)), step)
+    if offset_points:
+        base += step / 2.0
     index, ys = [], []
     for i in range(len(points)):
-        fan = config.n_directions
-        angles = np.arange(fan) * (2.0 * np.pi / fan) + base_angle
-        if config.n_extra_directions > 0:
-            angles = np.concatenate([angles, extra])
-        for y in np.stack([np.cos(angles), np.sin(angles)], axis=1):
+        for j in range(config.n_directions):
+            angle = base + j * step
             index.append(i)
-            ys.append(y)
+            ys.append([np.cos(angle), np.sin(angle)])
     return points[np.array(index)], np.array(ys)
 
 
-@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("offset_points", [False, True])
 @pytest.mark.parametrize("manifold", [FlatTorus(np.array([[1.0, 0.3], [0.0, 1.2]])), Sphere2(1.3)],
                          ids=["torus", "sphere"])
-def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, extra):
-    config = SolverConfig(x_density=5, sphere_points=40, n_extra_directions=extra, seed=3)
+def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, seed):
+    config = SolverConfig(x_density=5, sphere_points=40, n_directions=7, seed=seed)
     collocation = build_collocation(manifold, config, offset_points)
-    assert collocation[1].shape == (len(collocation[0]), 8 + extra, 2)
+    assert collocation[1].shape == (len(collocation[0]), 7, 2)
     points, ys = collocation_rows(collocation)
     expected_points, expected_ys = reference_collocation(manifold, config, offset_points)
     assert ys.shape == (len(points), 2) == (len(expected_ys), 2)

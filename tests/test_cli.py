@@ -126,9 +126,10 @@ EUCLIDEAN_TORUS = {"manifold": {"kind": "flat_torus"},
 
 
 @pytest.mark.parametrize("command", ["run", "solve-fields"])
-@pytest.mark.parametrize("key", ["tol_ratio", "x_densty"])
+@pytest.mark.parametrize("key", ["tol_ratio", "n_extra_directions", "x_densty"])
 def test_unknown_settings_keys_are_invalid_settings(tmp_path, capsys, command, key):
-    # the retired kernel threshold and a typo are named, neither crashed on nor ignored
+    # the retired kernel threshold and extra directions, and a typo, are named, neither
+    # crashed on nor ignored
     config = {"experiments": ["circle-lambda"], key: 1e-8}
     if command == "solve-fields":
         config = {**EUCLIDEAN_TORUS, "degree": 1, "solver": {key: 1e-8}}
@@ -281,7 +282,8 @@ def test_bad_norm_record_is_invalid_settings(tmp_path, capsys, command, record, 
 @pytest.mark.parametrize("flag,value,message", [
     ("--resolution", "8", "resolution must be >= 16"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
-], ids=["resolution-8", "seed-negative"])
+    ("--seed", str(2**53), f"seed must be below 2**53, got {2**53}"),
+], ids=["resolution-8", "seed-negative", "seed-2-to-the-53"])
 def test_run_rejects_invalid_settings(tmp_path, capsys, flag, value, message):
     # exit code 2, as for an unknown experiment: 1 means a check failed
     assert main(["run", "circle-lambda", flag, value, "--out", str(tmp_path / "out")]) == 2

@@ -197,16 +197,16 @@ class TestAssemble:
         torus = FlatTorus()
         basis = torus_basis(torus, 2)
         field = randers_field(torus)
-        collocation = build_collocation(torus, SolverConfig(x_density=3, n_extra_directions=0))
+        collocation = build_collocation(torus, SolverConfig(x_density=3))
         with pytest.raises(UnderdeterminedSystem):
             assemble_system(field, basis, collocation)
 
-    @pytest.mark.parametrize("n_directions,rows", [(3, 75), (4, 100)])
+    @pytest.mark.parametrize("n_directions,rows", [(3, 75), (5, 125)])
     def test_row_bound_counts_the_fit_rows_only(self, n_directions, rows):
         # 25 fit points at degree 2 (50 unknowns): under 3 x 50 rows, although the
         # fit and verification rows evaluated together would meet the bound
         torus = FlatTorus()
-        config = SolverConfig(x_density=5, n_directions=n_directions, n_extra_directions=0)
+        config = SolverConfig(x_density=5, n_directions=n_directions)
         with pytest.raises(UnderdeterminedSystem, match=rf"^{rows} rows for 50 unknowns"):
             solve_fields(randers_field(torus), torus_basis(torus, 2), config=config)
 
@@ -217,16 +217,59 @@ class TestAssemble:
             solve_fields(randers_field(torus), basis, mode="isometric")
 
 
+class TestFan:
+    """Every point takes one fan of n_directions equal angles, turned by the seed; the
+    verification points take it turned by half a step more."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 9999])
+    @pytest.mark.parametrize("n_directions", [3, 5, 10, 16])
+    @pytest.mark.parametrize("manifold", [FlatTorus(), Sphere2(1.0)], ids=["torus", "sphere"])
+    def test_verification_fan_shares_no_direction_with_the_fit_fan(self, manifold, n_directions, seed):
+        config = SolverConfig(n_directions=n_directions, seed=seed)
+        fit = build_collocation(manifold, config)[1]
+        ver = build_collocation(manifold, config, offset_points=True)[1]
+        assert np.all(fit == fit[0]) and np.all(ver == ver[0])
+        step = 2.0 * np.pi / n_directions
+        # equal angles, and every verification direction half a step from its nearest fit one
+        np.testing.assert_allclose(np.sum(fit[0] * np.roll(fit[0], -1, axis=0), axis=1),
+                                   np.cos(step), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.max(ver[0] @ fit[0].T, axis=1), np.cos(step / 2.0),
+                                   rtol=0, atol=1e-12)
+
+    def test_equal_seeds_give_equal_fans_and_seeds_zero_and_one_do_not(self):
+        def fan(seed):
+            RESULTS.clear()
+            return build_collocation(FlatTorus(), SolverConfig(seed=seed))[1][0]
+
+        np.testing.assert_array_equal(fan(7), fan(7))
+        assert np.max(np.abs(fan(0) - fan(1))) > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("direction", [0, 1])
+    def test_three_directions_decide_a_randers_drift_along_a_fan_direction(self, direction, seed):
+        # the fan alone samples y for an invariant field: with b = 0.99 y_j, F is nearly
+        # degenerate at -y_j, between two fan directions
+        torus = FlatTorus()
+        config = SolverConfig(n_directions=3, seed=seed)
+        field = randers_field(torus, 0.99 * build_collocation(torus, config)[1][0, direction])
+        report = solve_fields(field, torus_basis(torus, 2), config=config)
+        assert (report.killing_dim, report.conformal_dim, report.flags) == (2, 2, [])
+        rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
+        rescaled = solve_fields(ConformalRescaleField(field, rho), torus_basis(torus, 2), "killing", config)
+        assert (rescaled.killing_dim, rescaled.flags) == (1, [])
+
+
 class TestSolveFields:
     @pytest.mark.parametrize("key,value", [
         ("x_density", 1), ("sphere_points", 15),
-        ("n_directions", 0), ("n_extra_directions", -1), ("n_directions", 2), ("seed", -1),
+        ("n_directions", 0), ("n_directions", 2), ("n_directions", 4), ("seed", -1), ("seed", 2**53),
     ])
     def test_solver_config_rejects_settings_that_change_counts(self, key, value):
         # with one direction per point the centred system is zero, so every field
-        # would read as conformal
+        # would read as conformal; 4 equal angles are 2 lines, and the flat torus then
+        # read K/C 2/26, caught only by the verification flag
         with pytest.raises(ValueError, match=key):
-            SolverConfig(**{"n_extra_directions": 0, key: value})
+            SolverConfig(**{key: value})
 
     @pytest.mark.parametrize("cls,key,value", [
         (cls, key, value) for cls in (SolverConfig, ExperimentConfig)
@@ -262,7 +305,7 @@ class TestSolveFields:
             solve_fields(field, torus_basis(torus, 1))
 
     def test_solver_config_accepts_the_smallest_settings(self):
-        config = SolverConfig(x_density=2, sphere_points=16, n_directions=3, n_extra_directions=0)
+        config = SolverConfig(x_density=2, sphere_points=16, n_directions=3)
         assert (config.x_density, config.sphere_points) == (2, 16)
 
     def test_flat_riemannian_torus(self):
@@ -513,7 +556,7 @@ def _factor_solve_cases():
                            SolverConfig()),
         "round sphere": (RoundSphereField(sphere), sphere_basis(sphere, 2), SolverConfig()),
         "three-direction fan": (randers_field(torus), torus_basis(torus, 2),
-                                SolverConfig(n_directions=3, n_extra_directions=0)),
+                                SolverConfig(n_directions=3)),
     }
 
 
