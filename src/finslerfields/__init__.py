@@ -3,7 +3,6 @@
 from .norm_core import (
     AxiomReport,
     EuclideanNorm,
-    FundamentalTensor,
     GenericNorm,
     MinkowskiNorm,
     RandersNorm,

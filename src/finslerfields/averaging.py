@@ -18,8 +18,9 @@ import numpy as np
 from .errors import ConvexityViolation, HypothesisViolation, InvalidSettings
 
 NODE_TOL = 1e-10
-# Largest relative residual of the sampled hypothesis F1 = c * F2 o l.
+# Largest relative residual of the sampled hypothesis F1 = c * F2 o l, at this many directions.
 HYPOTHESIS_TOL = 1e-8
+HYPOTHESIS_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def average(norm, resolution):
     return averaged_norm(norm, sample_indicatrix(norm, resolution))
 
 
-def verify_equivariance(norm1, norm2, lmap, c, resolution=1024, hypothesis_samples=64):
+def verify_equivariance(norm1, norm2, lmap, c, resolution=1024):
     """Residual of the identity (averaged F1) = c^2 l^T (averaged F2) l.
 
     The caller asserts F1 = c * F2 o l; that hypothesis is sampled first and
@@ -146,12 +147,12 @@ def verify_equivariance(norm1, norm2, lmap, c, resolution=1024, hypothesis_sampl
         raise ValueError("norms must have equal dimension")
     lmap = np.asarray(lmap, dtype=float)
     c = float(c)
-    theta = np.arange(hypothesis_samples) * (2.0 * np.pi / hypothesis_samples) + 0.1
+    theta = np.arange(HYPOTHESIS_SAMPLES) * (2.0 * np.pi / HYPOTHESIS_SAMPLES) + 0.1
     if norm1.dim == 2:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
         rng = np.random.default_rng(7)
-        dirs = rng.standard_normal((hypothesis_samples, norm1.dim))
+        dirs = rng.standard_normal((HYPOTHESIS_SAMPLES, norm1.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     lhs = np.asarray(norm1(dirs), dtype=float)
     rhs = c * np.asarray(norm2(dirs @ lmap.T), dtype=float)

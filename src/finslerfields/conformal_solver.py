@@ -11,8 +11,9 @@ most six rows per point, and a field that does not vary along the torus is
 solved from one point, block by block (``solve_fields``).  What does not
 depend on the field is shared across a run: equal specs get one manifold and
 one basis (``field_from_spec``), and the collocations and element tables are
-kept in ``manifold.RESULTS``.  Each kernel is extracted by SVDs of R factors,
-with the fixed relative singular-value threshold ``RANK_TOL``, and audited
+kept in ``manifold.RESULTS``.  Each kernel is read from batched SVDs of small
+factors, block by block, by the Lie layer's one rank rule with its fixed
+relative threshold ``RANK_TOL`` (``lie_algebra.block_split``), and audited
 through the spectral gap around it.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidSettings, UnderdeterminedSystem
 # null_space is re-exported: the package and its callers import it from here
-from .lie_algebra import RANK_TOL, bracket_constants, nonzero_singular_values, null_space
+from .lie_algebra import RANK_TOL, block_split, bracket_constants, null_space
 from .manifold import (
     CombinationVectorField,
     RESULTS,
@@ -48,8 +49,10 @@ GAP_WARN = 1e2
 # A verification residual above this multiple of ``tolerance_used`` fails the self-check.
 VERIFY_TOL_FACTOR = 10.0
 # Largest pointwise residual of the brackets of extracted fields re-expanded in their
-# span, relative to the brackets' scale (see ``extract_structure_constants``).
+# span, relative to the brackets' scale, and the sample points it is read at (see
+# ``extract_structure_constants``).
 BRACKET_TOL = 1e-6
+BRACKET_SAMPLES = 60
 
 
 def torus_fourier_modes(degree):
@@ -338,35 +341,6 @@ def _turned_stack(rows, cols, turned, n_points):
     return np.sqrt(n_points / 2.0) * np.concatenate([block, quarter], axis=1)
 
 
-def _block_kernel(blocks, stacks, n, reference=None):
-    """Kernel dimension, kernel rows and singular values of a system solved block by block,
-    and each block's singular values, descending, in the order of ``blocks``.
-
-    ``stacks`` holds the (nb, m, w) rows of each (nb, w) array of ``blocks``, or a factor
-    with their Gram matrix, and one batched SVD per array, of a wide stack with zero rows
-    below, gives their singular values and right singular vectors.  The singular values
-    are the union of the blocks', descending; the kernel rows are the right singular
-    vectors whose singular values are zero against ``reference`` (by default the largest),
-    each placed in its block's columns.
-    """
-    spectra = []
-    for stack in stacks:
-        nb, m, w = stack.shape
-        if m < w:
-            stack = np.concatenate([stack, np.zeros((nb, w - m, w))], axis=1)
-        spectra.append(np.linalg.svd(stack, full_matrices=False)[1:])
-    svals = np.sort(np.concatenate([s.ravel() for s, _ in spectra]))[::-1]
-    reference = float(svals[0]) if reference is None else reference
-    kernel = []
-    for cols, (s, vt) in zip(blocks, spectra):
-        block, index = np.nonzero(~nonzero_singular_values(s, reference))
-        rows = np.zeros((len(block), n))
-        rows[np.arange(len(block))[:, None], cols[block]] = vt[block, index]
-        kernel.append(rows)
-    kernel = np.vstack(kernel)
-    return len(kernel), kernel, svals, [row for s, _ in spectra for row in s]
-
-
 @dataclass
 class SolveReport:
     """Dimensions, bases, factors, and audit data returned by the field solver."""
@@ -467,13 +441,13 @@ def solve_fields(field, basis, mode="conformal", config=None):
         # R_C, and the R of [R_C; sqrt(D) M], of all columns
         blocks, centred = [np.arange(n)[None]], [np.linalg.qr(stacked_factors[None], mode="r")]
         stacked = [np.linalg.qr(np.concatenate([centred[0], fan_means[None]], axis=1), mode="r")]
-    k_dim, k_basis, k_svals, k_blocks = _block_kernel(blocks, stacked, n)
-    k_gap = _spectral_gap(k_svals, k_dim, n)
+    _, k_basis, k_svals, k_blocks = block_split(blocks, stacked, n)
+    k_gap = _spectral_gap(k_svals, len(k_basis), n)
 
     report = SolveReport(
         mode=mode,
         basis_degree=basis.degree,
-        killing_dim=k_dim,
+        killing_dim=len(k_basis),
         killing_basis=k_basis,
         killing_singular_values=k_svals,
         killing_gap=k_gap,
@@ -486,9 +460,9 @@ def solve_fields(field, basis, mode="conformal", config=None):
         report.flags.append("ill-conditioned: killing spectral gap below 1e2")
     kernels = [k_basis]
     if mode == "conformal":
-        c_dim, c_basis, c_svals, report.block_singular_values = _block_kernel(
+        _, c_basis, c_svals, report.block_singular_values = block_split(
             blocks, centred, n, float(k_svals[0]))
-        report.conformal_dim = c_dim
+        report.conformal_dim = c_dim = len(c_basis)
         report.conformal_basis = c_basis
         report.conformal_singular_values = c_svals
         report.conformal_gap = _spectral_gap(c_svals, c_dim, n)
@@ -517,7 +491,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
 # bracket and algebra extraction
 
 
-def extract_structure_constants(fields, sample_count=60):
+def extract_structure_constants(fields):
     """Structure constants of a list of fields whose brackets close in their span.
 
     The fields are evaluated in one stacked table (combinations of the same
@@ -530,7 +504,7 @@ def extract_structure_constants(fields, sample_count=60):
     """
     if not fields:
         raise ValueError("need at least one field")
-    points = sample_points(fields[0].manifold, sample_count, seed=11)
+    points = sample_points(fields[0].manifold, BRACKET_SAMPLES, seed=11)
     jets = field_tables(fields, points)
     values, jacobians = jets[:, :2], jets[:, 2:].reshape(len(jets), 2, 2, -1)
     first, second = np.triu_indices(len(fields), 1)

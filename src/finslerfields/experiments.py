@@ -214,8 +214,8 @@ def exp_circle_lambda(config):
         forward=mf.TorusFourierScalar(circle, const=1.4),
         backward=mf.TorusFourierScalar(circle, const=0.7),
     )
-    profile_varying = mf.circle_lambda_profile(varying, grid=256)
-    profile_constant = mf.circle_lambda_profile(constant, grid=256)
+    profile_varying = mf.circle_lambda_profile(varying)
+    profile_constant = mf.circle_lambda_profile(constant)
 
     checks = []
     _check(checks, "varying-ratio spread", profile_varying.spread, ">", 1.9)

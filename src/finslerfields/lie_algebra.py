@@ -10,9 +10,11 @@ largest |constant|), decide what counts as zero: s for brackets, the center
 and ad(u) per unit |u|, s^2 for the Killing form.  A zero algebra reads as
 abelian under every test, and so does a round-off one, since
 ``bracket_constants`` writes constants at or below RANK_TOL times the scale
-of their fields as exact zeros.  ``null_space`` and the one rank rule
-behind it, ``nonzero_singular_values``, take the reference from their
-caller; nilpotency compares ad(u)^n with |ad(u)|^n, free of scale.
+of their fields as exact zeros.  Every kernel and span, here and in the
+field solver, comes from one rank rule, ``block_split``, batched SVDs of a
+block-diagonal matrix with the reference from its caller; ``_split`` and
+``null_space`` are its one-block case.  Nilpotency compares ad(u)^n with
+|ad(u)|^n, free of scale.
 """
 
 from __future__ import annotations
@@ -100,33 +102,45 @@ def killing_gram(algebra):
     return 0.5 * (gram + gram.T)
 
 
-def nonzero_singular_values(svals, reference):
-    """Which singular values count as nonzero: those at or above RANK_TOL times a
-    positive reference, and none against a zero reference."""
-    return (np.asarray(svals) >= RANK_TOL * reference) & (reference > 0.0)
+def block_split(blocks, stacks, n, reference=None):
+    """Row-space rows, kernel rows, singular values and block spectra of a block-diagonal
+    matrix of n columns, by one batched SVD per array of equal blocks.
+
+    ``stacks`` holds the (nb, m, w) rows of each (nb, w) column array of ``blocks``, or a
+    factor with their Gram matrix; a wide stack is padded with zero rows, so that the
+    columns without a singular value get a zero one.  Singular values below RANK_TOL
+    times ``reference`` (by default the largest) count as zero, and all do against a
+    zero reference, as of a zero matrix.  Each row is a right singular vector placed in
+    its block's columns.  The singular values are the union of the blocks', descending,
+    and the spectra each block's, in the order of ``blocks``.
+    """
+    spectra = []
+    for stack in stacks:
+        nb, m, w = stack.shape
+        if m < w:
+            stack = np.concatenate([stack, np.zeros((nb, w - m, w))], axis=1)
+        spectra.append(np.linalg.svd(stack, full_matrices=False)[1:])
+    svals = np.sort(np.concatenate([s.ravel() for s, _ in spectra]))[::-1]
+    reference = float(svals.max(initial=0.0)) if reference is None else reference
+    split = ([], [])
+    for cols, (s, vt) in zip(blocks, spectra):
+        nonzero = (s >= RANK_TOL * reference) & (reference > 0.0)
+        for rows, mask in zip(split, (nonzero, ~nonzero)):
+            block, index = np.nonzero(mask)
+            rows.append(np.zeros((len(block), n)))
+            rows[-1][np.arange(len(block))[:, None], cols[block]] = vt[block, index]
+    return np.vstack(split[0]), np.vstack(split[1]), svals, [row for s, _ in spectra for row in s]
 
 
 def _split(matrix, reference=None):
-    """Row-space and kernel bases (rows) of a matrix, and its n singular values, by one SVD.
-
-    Singular values below RANK_TOL times ``reference`` (by default the
-    largest one) count as zero; a zero reference, as of a zero matrix, gives
-    a full kernel (``nonzero_singular_values``).  A tall matrix is replaced by
-    its square R factor (same singular values and V); a wide one needs the
-    full V, whose trailing rows span the kernel directions that have no
-    singular value.
-    """
+    """Row-space and kernel bases (rows) of a matrix, and its n singular values: the one-block
+    ``block_split``, after a tall matrix is replaced by its square R factor (same singular
+    values and V)."""
     matrix = np.asarray(matrix, dtype=float)
     rows, n = matrix.shape
-    padded, vt = np.zeros(n), np.eye(n)
-    if rows:
-        if rows > n:
-            matrix = np.linalg.qr(matrix, mode="r")
-        _, svals, vt = np.linalg.svd(matrix, full_matrices=rows < n)
-        padded[: len(svals)] = svals
-    smax = float(padded.max(initial=0.0)) if reference is None else reference
-    rank = int(nonzero_singular_values(padded, smax).sum())
-    return vt[:rank], vt[rank:], padded
+    if rows > n:
+        matrix = np.linalg.qr(matrix, mode="r")
+    return block_split([np.arange(n)[None]], [matrix[None]], n, reference)[:3]
 
 
 def null_space(matrix, reference=None):

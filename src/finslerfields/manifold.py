@@ -33,10 +33,11 @@ jet matrix on [1, cos psi, sin psi], contracted with that dictionary from one
 through the monomials of q and their frame derivatives (``_monomials``).  A
 list of vector fields of one class on one manifold is one (m, 6, B) table of
 1-jets, values then the row-major Jacobian (``field_tables``), through its
-class's ``_tables``.  A combination holds basis elements only and contracts
-its coefficients into their table, and a single field is a table of one
-column.  Element tables and the solver's collocations are kept read-only in
-``RESULTS``, one process-wide cache by value, so that a run computes each once.
+class's ``_tables``.  A combination contracts its coefficients with the table
+of its own elements, recursively for a nested one, and a single field is a
+table of one column.  Element tables and the solver's collocations are kept
+read-only in ``RESULTS``, one process-wide cache by value, so that a run
+computes each once.
 """
 
 from __future__ import annotations
@@ -392,11 +393,10 @@ def _monomials(q, rows, exps):
 
 
 class CombinationVectorField(VectorField):
-    """Linear combination of basis fields with fixed coefficients.
+    """Linear combination of vector fields with fixed coefficients, combinations included.
 
-    Combinations among the elements are flattened at construction, so it
-    holds basis elements only; it is evaluated as their stacked tables with
-    the coefficients contracted in (see ``field_tables``).
+    It keeps its elements as a tuple and its coefficients as given, and is evaluated
+    as the table of its elements with the coefficients contracted in (see ``field_tables``).
     """
 
     def __init__(self, elements, coefficients):
@@ -405,45 +405,27 @@ class CombinationVectorField(VectorField):
         coefficients = np.asarray(coefficients, dtype=float)
         if coefficients.shape != (len(elements),):
             raise ValueError("coefficient count must match element count")
-        terms = [term for el, c in zip(elements, coefficients) for term in _combination_terms(el, c)]
         self.manifold = elements[0].manifold
-        self.elements = [el for el, _ in terms]
-        self.coefficients = np.array([c for _, c in terms])
-
-
-def _combination_terms(field, scale=1.0):
-    """(basis element, coefficient) pairs of a field: its own terms for a combination."""
-    if isinstance(field, CombinationVectorField):
-        return list(zip(field.elements, scale * field.coefficients))
-    return [(field, scale)]
+        self.elements, self.coefficients = tuple(elements), coefficients
 
 
 def field_tables(fields, points):
     """The (m, 6, B) 1-jets of B vector fields: values at [:, :2] and the Jacobian
     dV^i/dx^j at [:, 2 + 2 i + j], so that [:, 2:] reshapes to (m, 2, 2, B).
 
-    Fields that are all basis elements are the elements of one table.  Otherwise
-    combinations are expanded into their distinct elements, whose table is contracted
-    with the (A, B) coefficients that form the fields.  An element table comes from one
-    call of its class's ``_tables``, or from ``RESULTS`` keyed by the elements (compared
-    by identity) and the points' bytes, and is returned as it is, read-only.  Elements
-    of different classes or manifolds raise ValueError.
+    Fields that are all basis elements are the elements of one table, from one call of
+    their class's ``_tables`` or from ``RESULTS``, keyed by the elements (compared by
+    identity) and the points' bytes, and returned as it is, read-only.  Otherwise each
+    field is a column of its own: a combination's coefficients contracted with the table
+    of its elements, by the same rule for a nested one.  Elements of different classes
+    or manifolds raise ValueError.
     """
     points = stack_points(points)
     if not any(isinstance(vf, CombinationVectorField) for vf in fields):
         return _element_table(tuple(fields), points)
-    elements, index, entries = [], {}, []
-    for b, vf in enumerate(fields):
-        for el, c in _combination_terms(vf):
-            if id(el) not in index:
-                index[id(el)] = len(elements)
-                elements.append(el)
-            entries.append((index[id(el)], b, c))
-    table = _element_table(tuple(elements), points)
-    weights = np.zeros((len(elements), len(fields)))
-    rows, cols, coefs = zip(*entries)
-    np.add.at(weights, (rows, cols), coefs)
-    return (table.reshape(-1, len(elements)) @ weights).reshape(len(points), 6, -1)
+    return np.stack([field_tables(vf.elements, points) @ vf.coefficients
+                     if isinstance(vf, CombinationVectorField) else _element_table((vf,), points)[..., 0]
+                     for vf in fields], axis=-1)
 
 
 def _element_table(elements, points):
@@ -804,8 +786,10 @@ def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
     return float(np.max(np.abs(ratio - mapped)))
 
 
-# Largest spread of the reversibility ratio that still counts as constant.
+# Largest spread of the reversibility ratio that still counts as constant, over a grid of
+# this many points.
 LAMBDA_TOL = 1e-10
+LAMBDA_GRID = 256
 
 
 @dataclass
@@ -816,11 +800,12 @@ class LambdaProfile:
     constant: bool
 
 
-def circle_lambda_profile(field, grid=256):
-    """Reversibility ratio on a grid of (grid, 1) points and a constancy flag (spread <= LAMBDA_TOL)."""
+def circle_lambda_profile(field):
+    """Reversibility ratio on a grid of (LAMBDA_GRID, 1) points and a constancy flag (spread
+    <= LAMBDA_TOL)."""
     if not isinstance(field, CircleNormField):
         raise ValueError("lambda profile is defined for circle fields")
-    xs = field.manifold.grid_points(grid, offset=(0.0,))
+    xs = field.manifold.grid_points(LAMBDA_GRID, offset=(0.0,))
     values = field.ratio(xs)
     spread = float(values.max() - values.min())
     return LambdaProfile(xs=xs, values=values, spread=spread, constant=spread <= LAMBDA_TOL)

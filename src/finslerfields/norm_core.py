@@ -28,6 +28,9 @@ HOMOGENEITY_TOL = 1e-10
 POSITIVITY_FLOOR = 1e-12
 # pi (3 - sqrt 5), the angle that turns successive Fibonacci nodes and solver fans
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+# Golden-section steps of the reversibility search: they shrink its bracket by 0.618^90,
+# past round-off
+GOLDEN_ITERS = 90
 
 
 def _check_spd(mat, name):
@@ -107,19 +110,6 @@ def _shaped(values, shape, name):
     return values
 
 
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """Hessian inner product of F^2/2 at a fixed nonzero base vector."""
-
-    base: np.ndarray
-    matrix: np.ndarray
-
-    def inner(self, u, v=None):
-        u = np.asarray(u, dtype=float)
-        v = u if v is None else np.asarray(v, dtype=float)
-        return float(u @ self.matrix @ v)
-
-
 class MinkowskiNorm:
     """Base interface; concrete families supply ``__call__`` and the batched formulas.
 
@@ -173,7 +163,8 @@ class MinkowskiNorm:
         return self.tensor_batch(np.asarray(y, dtype=float)[None])[0]
 
     def fundamental_tensor(self, y):
-        """Fundamental tensor at a nonzero base vector y, verified positive definite.
+        """The symmetric matrix of the fundamental tensor at a nonzero base vector y, verified
+        positive definite.
 
         Raises
         ------
@@ -188,7 +179,7 @@ class MinkowskiNorm:
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] <= PD_RATIO * max(abs(eigs[-1]), 1e-300):
             raise ConvexityViolation(eigs[0])
-        return FundamentalTensor(base=np.array(y, dtype=float), matrix=mat)
+        return mat
 
     def to_dict(self):
         raise ValueError("this norm family is not serializable")
@@ -428,13 +419,13 @@ def check_axioms(norm, samples=200, seed=0):
     )
 
 
-def _golden_max(fn, a, b, iters=90):
-    """Golden-section maximization on [a, b]."""
+def _golden_max(fn, a, b):
+    """Golden-section maximization on [a, b], in GOLDEN_ITERS steps."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv_phi * (b - a)

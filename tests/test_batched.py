@@ -563,18 +563,6 @@ def test_combination_of_batches_is_linear():
                                    rtol=0, atol=1e-14)
 
 
-def test_combination_of_combinations_stores_basis_elements_only():
-    _, basis, _ = TABLE_CASES[0]
-    elements = basis.elements
-    inner = CombinationVectorField(elements[:3], [1.0, 2.0, 3.0])
-    nested = CombinationVectorField([inner, elements[4], inner], [2.0, -1.0, 0.5])
-    assert nested.elements == [*elements[:3], elements[4], *elements[:3]]
-    np.testing.assert_array_equal(nested.coefficients, [2.0, 4.0, 6.0, -1.0, 0.5, 1.0, 1.5])
-    outer = CombinationVectorField([nested], [3.0])
-    assert not any(isinstance(el, CombinationVectorField) for el in outer.elements)
-    np.testing.assert_array_equal(outer.coefficients, 3.0 * nested.coefficients)
-
-
 def test_field_tables_rejects_mixed_classes_and_manifolds():
     (_, torus_basis_2, points), (_, sphere_basis_2, _) = TABLE_CASES
     with pytest.raises(ValueError, match="one class on one manifold"):

@@ -3,12 +3,14 @@ import pytest
 
 from finslerfields.errors import IdealCheckError, InvalidSettings
 from finslerfields.lie_algebra import (
+    RANK_TOL,
     LieAlgebraSC,
     abelian_algebra,
     ad_matrix,
     ad_nilpotent,
     ad_semisimple,
     affine_algebra,
+    block_split,
     cartan_solvability,
     compact_decomposition_check,
     derived_series,
@@ -242,3 +244,76 @@ class TestSignature:
         report = compact_decomposition_check(algebra)
         assert (report.compact_type, report.derived_dim, report.center_dim) == (True, 1, 1)
         assert not report.direct_sum
+
+
+def _block_diagonal_case(rng):
+    """(blocks, stacks, n) of a block-diagonal matrix on shuffled columns: two rank-2 tall
+    (5, 3) blocks, three wide (2, 4) ones, one wide (2, 4) block with both singular values
+    1e-6, and one block of two columns and no rows."""
+    stacks = [rng.standard_normal((2, 5, 2)) @ rng.standard_normal((2, 2, 3)),
+              rng.standard_normal((3, 2, 4)),
+              1e-6 * np.linalg.qr(rng.standard_normal((1, 4, 2)))[0].transpose(0, 2, 1),
+              np.zeros((1, 0, 2))]
+    n = sum(stack.shape[0] * stack.shape[2] for stack in stacks)
+    columns = rng.permutation(n)
+    blocks, start = [], 0
+    for stack in stacks:
+        nb, _, w = stack.shape
+        blocks.append(columns[start:start + nb * w].reshape(nb, w))
+        start += nb * w
+    return blocks, stacks, n
+
+
+def _dense(blocks, stacks, n):
+    rows = []
+    for cols, stack in zip(blocks, stacks):
+        for c, block in zip(cols, stack):
+            dense = np.zeros((len(block), n))
+            dense[:, c] = block
+            rows.append(dense)
+    return np.vstack(rows)
+
+
+def _sin_angle(first, second):
+    """Sine of the largest principal angle between the row spans of two orthonormal bases."""
+    assert first.shape == second.shape
+    if not len(first):
+        return 0.0
+    return float(np.linalg.norm(first - first @ second.T @ second, 2))
+
+
+@pytest.mark.parametrize("relative", [None, 1e3], ids=["largest", "given"])
+def test_block_split_matches_the_svd_of_the_dense_matrix(relative):
+    """Spectra, kernel and row space of a block-diagonal matrix equal those of one dense SVD
+    under the same rank rule, and every row lives in its own block's columns; against
+    1e3 sigma_max the 1e-6 block joins the kernel."""
+    blocks, stacks, n = _block_diagonal_case(np.random.default_rng(5))
+    dense = _dense(blocks, stacks, n)
+    _, s, vt = np.linalg.svd(dense)
+    s = np.concatenate([s, np.zeros(n - len(s))])
+    reference = None if relative is None else relative * s[0]
+    row_space, kernel, svals, spectra = block_split(blocks, stacks, n, reference)
+    np.testing.assert_allclose(svals, s, rtol=0, atol=1e-12 * s[0])
+    nonzero = s >= RANK_TOL * (s[0] if reference is None else reference)
+    assert len(kernel) == n - nonzero.sum() == (12 if relative is None else 14)
+    assert _sin_angle(row_space, vt[nonzero]) <= 1e-8
+    assert _sin_angle(kernel, vt[~nonzero]) <= 1e-8
+    np.testing.assert_allclose(np.vstack([row_space, kernel]) @ np.vstack([row_space, kernel]).T,
+                               np.eye(n), atol=1e-12)
+    block_columns = [set(c) for cols in blocks for c in cols]
+    for row in np.vstack([row_space, kernel]):
+        assert any(set(np.flatnonzero(row)) <= columns for columns in block_columns)
+    assert len(spectra) == len(block_columns)
+    for spectrum, (cols, block) in zip(spectra, ((c, b) for cs, st in zip(blocks, stacks)
+                                                 for c, b in zip(cs, st))):
+        expected = np.linalg.svd(block, compute_uv=False) if len(block) else []
+        np.testing.assert_allclose(spectrum, np.pad(expected, (0, len(cols) - len(expected))),
+                                   rtol=0, atol=1e-12 * s[0])
+
+
+@pytest.mark.parametrize("reference", [None, 1.0])
+def test_block_split_of_no_columns(reference):
+    row_space, kernel, svals, spectra = block_split([np.zeros((1, 0), dtype=int)], [np.zeros((1, 0, 0))],
+                                                    0, reference)
+    assert row_space.shape == kernel.shape == (0, 0)
+    assert svals.shape == (0,) and [len(s) for s in spectra] == [0]

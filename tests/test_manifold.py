@@ -456,7 +456,7 @@ class TestCircleProfile:
             forward=TorusFourierScalar(circle, const=2.0, terms=[((1,), 0.0, 1.0)]),
             backward=TorusFourierScalar(circle, const=1.0),
         )
-        profile = circle_lambda_profile(field, grid=256)
+        profile = circle_lambda_profile(field)
         assert not profile.constant
         assert profile.xs.shape == (256, 1)
         expected = np.maximum(2.0 + np.sin(profile.xs[:, 0]), 1.0)

@@ -91,18 +91,18 @@ class TestFundamentalTensor:
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
         norm = EuclideanNorm(q)
         for y in ([1.0, 0.0], [0.4, -2.0], [3.0, 5.0]):
-            np.testing.assert_allclose(norm.fundamental_tensor(y).matrix, q, atol=1e-14)
+            np.testing.assert_allclose(norm.fundamental_tensor(y), q, atol=1e-14)
 
     def test_randers_quadratic_form_on_base_equals_norm_squared(self):
         norm = randers_05()
-        tensor = norm.fundamental_tensor([1.0, 0.0])
-        assert tensor.inner([1.0, 0.0]) == pytest.approx(2.25, abs=1e-12)
+        y = np.array([1.0, 0.0])
+        assert y @ norm.fundamental_tensor(y) @ y == pytest.approx(2.25, abs=1e-12)
 
     def test_randers_full_matrix_off_axis(self):
         # frozen closed-form value at y = (0, 1); finite differences agree to 1e-4
         norm = randers_05()
         expected = np.array([[1.25, 0.5], [0.5, 1.0]])
-        analytic = norm.fundamental_tensor([0.0, 1.0]).matrix
+        analytic = norm.fundamental_tensor([0.0, 1.0])
         np.testing.assert_allclose(analytic, expected, atol=1e-12)
         np.testing.assert_allclose(reference_tensor(norm, [0.0, 1.0]), expected, atol=1e-4)
 
@@ -112,14 +112,14 @@ class TestFundamentalTensor:
         for _ in range(10):
             y = rng.standard_normal(2)
             y /= np.linalg.norm(y)
-            analytic = norm.fundamental_tensor(y).matrix
+            analytic = norm.fundamental_tensor(y)
             np.testing.assert_allclose(reference_tensor(norm, y), analytic, atol=1e-4)
 
     def test_tensor_scale_invariance(self):
         norm = randers_05()
         y = np.array([0.6, -0.8])
-        g1 = norm.fundamental_tensor(y).matrix
-        g2 = norm.fundamental_tensor(2.0 * y).matrix
+        g1 = norm.fundamental_tensor(y)
+        g2 = norm.fundamental_tensor(2.0 * y)
         assert np.max(np.abs(g1 - g2)) <= 1e-8
 
     def test_euler_identity(self):
@@ -128,7 +128,7 @@ class TestFundamentalTensor:
         for _ in range(20):
             y = rng.standard_normal(2)
             f2 = float(norm(y)) ** 2
-            assert norm.fundamental_tensor(y).inner(y) == pytest.approx(f2, rel=1e-8)
+            assert y @ norm.fundamental_tensor(y) @ y == pytest.approx(f2, rel=1e-8)
             assert y @ reference_tensor(norm, y) @ y == pytest.approx(f2, rel=1e-5)
 
     def test_degenerate_base_rejected(self):
@@ -143,7 +143,7 @@ class TestFundamentalTensor:
     def test_generic_with_analytic_derivatives(self):
         q = np.diag([2.0, 3.0])
         np.testing.assert_allclose(
-            generic_quadratic(q).fundamental_tensor([0.3, 0.7]).matrix, q,
+            generic_quadratic(q).fundamental_tensor([0.3, 0.7]), q,
             atol=1e-12,
         )
 
@@ -226,5 +226,5 @@ def test_scale_norm_keeps_generic_analytic_tensor():
     ys = np.array([[0.3, 0.7], [-1.2, 0.4], [0.05, -0.02]])
     np.testing.assert_allclose(scaled(ys), 2.0 * base(ys), rtol=1e-15)
     np.testing.assert_allclose(scaled.tensor_batch(ys), 4.0 * base.tensor_batch(ys), rtol=1e-14)
-    np.testing.assert_allclose(scaled.fundamental_tensor(ys[0]).matrix,
-                               4.0 * base.fundamental_tensor(ys[0]).matrix, rtol=1e-14)
+    np.testing.assert_allclose(scaled.fundamental_tensor(ys[0]),
+                               4.0 * base.fundamental_tensor(ys[0]), rtol=1e-14)

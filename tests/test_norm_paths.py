@@ -102,7 +102,7 @@ def test_closed_form_or_reference_differences_on_every_path(norm):
     expected = _reference_tensors(norm, [y])[0] if closed is None else closed[0]
     np.testing.assert_array_equal(norm.tensor_batch([y])[0], expected)
     np.testing.assert_array_equal(norm._tensor_matrix_any(y), expected)
-    np.testing.assert_array_equal(norm.fundamental_tensor(y).matrix, expected)
+    np.testing.assert_array_equal(norm.fundamental_tensor(y), expected)
 
 
 @pytest.mark.parametrize("norm", all_families(), ids=FAMILY_IDS)
@@ -193,7 +193,7 @@ def test_check_axioms_matches_per_direction_loop(norm):
     rng = np.random.default_rng(4)
     dirs = rng.standard_normal((20, 2))
     dirs = np.vstack([np.eye(2), -np.eye(2), dirs / np.linalg.norm(dirs, axis=1)[:, None]])
-    eigs = np.array([np.linalg.eigvalsh(norm.fundamental_tensor(d).matrix) for d in dirs])
+    eigs = np.array([np.linalg.eigvalsh(norm.fundamental_tensor(d)) for d in dirs])
     assert report.min_norm == pytest.approx(min(float(norm(d)) for d in dirs), rel=1e-14)
     assert report.min_tensor_eigenvalue == pytest.approx(eigs[:, 0].min(), rel=1e-12)
     assert report.max_tensor_eigenvalue == pytest.approx(eigs[:, -1].max(), rel=1e-12)
