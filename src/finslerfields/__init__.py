@@ -31,7 +31,6 @@ from .manifold import (
     Sphere2,
     TorusTranslation,
     circle_lambda_profile,
-    isometry_ratio_invariance,
     lie_derivative,
     stack_points,
 )

@@ -36,10 +36,6 @@ class IndicatrixQuadrature:
     tensors: np.ndarray
     resolution: int
 
-    @property
-    def total_weight(self):
-        return float(self.weights.sum())
-
     def to_table(self):
         """Rows of (node coordinates..., weight) for debugging exports."""
         return np.hstack([self.points, self.weights[:, None]])

@@ -358,22 +358,10 @@ def report_to_dict(report):
         "gap": None if np.isinf(report.gap) else report.gap,
         "singular_values": report.singular_values,
         "structure_constants": report.structure_constants,
-        "extra": _jsonable(report.extra),
+        "extra": report.extra,
         "passed": report.passed,
         "wall_time_s": report.wall_time_s,
     }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def csv_summary(reports, path=None):

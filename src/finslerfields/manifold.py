@@ -17,14 +17,15 @@ matrices acting on the null cone.
 Point sets are batches: an (m, n) array on the n-torus, the circle included
 as (m, 1), and an (m, 3) array on the sphere.  Grids, Fibonacci points and
 ``sample_points`` come back as one batch.  Scalars, vector fields and
-solvable Finsler fields evaluate a whole batch in one call (a scalar's
-``jets``, value then gradient, of which ``values`` and ``grads`` are slices;
-``jacobians``, ``evals``, ``grads_x``, ``grads_y``, and ``jets`` for all three
-of F's).  The one-point methods ``value``, ``jacobian`` and ``eval`` are
-batches of one, kept because the benchmark (``bench/``) calls or wraps them
-by name.  Diffeomorphisms (``apply``, ``differential``), pullback and
-averaged fields and ``lie_derivative`` take one point or a batch with the
-same formulas.
+Finsler fields evaluate a whole batch in one call: a scalar's ``jets``, value
+then gradient, of which ``values`` and ``grads`` are slices; a vector field's
+``values`` and ``jacobians``; and a solvable Finsler field's ``jets``, F then
+dF/dx and dF/dy, of which ``evals`` is the first.  Circle, pullback and
+averaged fields are evaluation-only and state ``evals`` alone.  The one-point
+methods ``value``, ``jacobian`` and ``eval`` are batches of one, kept because
+the benchmark (``bench/``) calls or wraps them by name.  Diffeomorphisms
+(``apply``, ``differential``), pullback and averaged fields and
+``lie_derivative`` take one point or a batch with the same formulas.
 
 Each field family has one jet rule, shared by its scalars and vector fields.
 On a torus, Fourier terms are gathered by mode (``_distinct_terms``) into a
@@ -51,8 +52,8 @@ import numpy as np
 
 from .errors import InvalidSettings
 from .lie_algebra import RANK_TOL
-from .norm_core import (DEGENERATE_FLOOR, EuclideanNorm, GenericNorm, RandersNorm, checked_vectors,
-                        fibonacci_directions, scale_norm)
+from .norm_core import (EuclideanNorm, GenericNorm, RandersNorm, checked_vectors, fibonacci_directions,
+                        scale_norm)
 from .averaging import average
 
 
@@ -423,9 +424,9 @@ def field_tables(fields, points):
     points = stack_points(points)
     if not any(isinstance(vf, CombinationVectorField) for vf in fields):
         return _element_table(tuple(fields), points)
-    return np.stack([field_tables(vf.elements, points) @ vf.coefficients
-                     if isinstance(vf, CombinationVectorField) else _element_table((vf,), points)[..., 0]
-                     for vf in fields], axis=-1)
+    return np.stack([field_tables(vf.elements, points).reshape(-1, len(vf.elements)) @ vf.coefficients
+                     if isinstance(vf, CombinationVectorField) else _element_table((vf,), points).ravel()
+                     for vf in fields], axis=-1).reshape(len(points), 6, -1)
 
 
 def _element_table(elements, points):
@@ -551,27 +552,20 @@ class MobiusMap:
 class FinslerField:
     """Assignment of a Minkowski norm to each tangent space, in coordinates or in a frame.
 
-    Solvable fields implement the batched ``evals`` (m,), ``grads_x`` and
-    ``grads_y`` (m, 2) over a batch of points and an (m, 2) array of
-    directions; ``eval`` is the one-point form of ``evals``.
-    ``jets`` returns all three, and a field that shares work between them
-    overrides it to evaluate once.
+    A solvable field implements one batched rule, ``jets``: F (m,), dF/dx and dF/dy (m, n)
+    over a batch of points and an (m, n) array of directions, which the solver and
+    ``lie_derivative`` read.  ``evals`` is its first entry and ``eval`` the one-point form.
+    An evaluation-only field implements ``evals`` alone, and its ``jets`` raises.
     """
 
     manifold = None
 
     def jets(self, points, ys):
-        """(F, dF/dx, dF/dy) over a batch: (m,), (m, 2) and (m, 2)."""
-        return self.evals(points, ys), self.grads_x(points, ys), self.grads_y(points, ys)
+        """(F, dF/dx, dF/dy) over a batch: (m,), (m, n) and (m, n)."""
+        raise NotImplementedError(f"{type(self).__name__} has no x-derivatives")
 
     def evals(self, points, ys):
-        raise NotImplementedError
-
-    def grads_x(self, points, ys):
-        raise NotImplementedError
-
-    def grads_y(self, points, ys):
-        raise NotImplementedError
+        return self.jets(points, ys)[0]
 
     def eval(self, pt, y):
         return float(self.evals(pt, y)[0])
@@ -600,14 +594,9 @@ class ConstantNormField(FinslerField):
         self.manifold = torus
         self.norm = norm
 
-    def evals(self, points, ys):
-        return self.norm(stack_points(ys))
-
-    def grads_x(self, points, ys):
-        return np.zeros((len(stack_points(ys)), self.manifold.dim))
-
-    def grads_y(self, points, ys):
-        return self.norm.gradient_batch(stack_points(ys))
+    def jets(self, points, ys):
+        ys = stack_points(ys)
+        return self.norm(ys), np.zeros((len(ys), self.manifold.dim)), self.norm.gradient_batch(ys)
 
     def norm_at(self, pt):
         return self.norm
@@ -628,22 +617,13 @@ class ConformalRescaleField(FinslerField):
         self.base = base
         self.rho = rho
 
-    def evals(self, points, ys):
-        return self.rho.values(points) * self.base.evals(points, ys)
-
     def jets(self, points, ys):
         """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho's jets once."""
         rho, (evals, grads_x, grads_y) = self.rho.jets(points), self.base.jets(points, ys)
         return rho[:, 0] * evals, rho[:, 1:] * evals[:, None] + rho[:, :1] * grads_x, rho[:, :1] * grads_y
 
-    def grads_x(self, points, ys):
-        return self.jets(points, ys)[1]
-
-    def grads_y(self, points, ys):
-        return self.jets(points, ys)[2]
-
     def norm_at(self, pt):
-        return scale_norm(self.base.norm_at(pt), self.rho.value(pt))
+        return scale_norm(self.base.norm_at(pt), self.rho.values(pt)[0])
 
 
 class CircleNormField(FinslerField):
@@ -667,7 +647,7 @@ class CircleNormField(FinslerField):
 
     def norm_at(self, pt):
         """The Randers norm ((p + q)/2) |y| + ((p - q)/2) y, admissible exactly when p, q > 0."""
-        p, q = self.forward.value(pt), self.backward.value(pt)
+        p, q = self.forward.values(pt)[0], self.backward.values(pt)[0]
         return RandersNorm([[(0.5 * (p + q)) ** 2]], [0.5 * (p - q)])
 
 
@@ -689,19 +669,10 @@ class PullbackField(FinslerField):
         self.base = base
         self.diffeo = diffeo
 
-    def _pushed(self, points, ys):
-        """Images f(x), differentials df(x) and pushed directions df(x) y of a batch."""
-        points = stack_points(points)
-        jac = self.diffeo.differential(points)
-        return self.diffeo.apply(points), jac, np.einsum("mij,mj->mi", jac, stack_points(ys))
-
     def evals(self, points, ys):
-        image, _, pushed = self._pushed(points, ys)
-        return self.base.evals(image, pushed)
-
-    def grads_y(self, points, ys):
-        image, jac, pushed = self._pushed(points, ys)
-        return np.einsum("mij,mi->mj", jac, self.base.grads_y(image, pushed))
+        points = stack_points(points)
+        pushed = np.einsum("mij,mj->mi", self.diffeo.differential(points), stack_points(ys))
+        return self.base.evals(self.diffeo.apply(points), pushed)
 
     def norm_at(self, pt):
         image = self.diffeo.apply(pt)
@@ -722,22 +693,14 @@ class PointwiseAveragedField(FinslerField):
     def norm_at(self, pt):
         return EuclideanNorm(self.matrix_at(pt))
 
-    def _products(self, points, ys):
-        """G(x) y for a batch, with ``matrix_at`` called once per distinct point."""
-        points = stack_points(points)
+    def evals(self, points, ys):
+        """sqrt(y^T G(x) y) over a batch, with ``matrix_at`` called once per distinct point."""
+        points, ys = stack_points(points), stack_points(ys)
         seen = {}
         first = [seen.setdefault(point.tobytes(), i) for i, point in enumerate(points)]
         mats = {i: self.matrix_at(points[i]) for i in seen.values()}
-        return np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
-
-    def evals(self, points, ys):
-        ys = stack_points(ys)
-        return np.sqrt(np.einsum("mi,mi->m", self._products(points, ys), ys))
-
-    def grads_y(self, points, ys):
-        ys = checked_vectors(ys, DEGENERATE_FLOOR)
-        products = self._products(points, ys)
-        return products / np.sqrt(np.einsum("mi,mi->m", products, ys))[:, None]
+        products = np.einsum("mij,mj->mi", np.array([mats[i] for i in first]), ys)
+        return np.sqrt(np.einsum("mi,mi->m", products, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -767,23 +730,6 @@ def sample_points(manifold, count, seed=0):
     if isinstance(manifold, Sphere2):
         return manifold.fibonacci_points(count)
     raise ValueError(f"unsupported manifold {manifold!r}")
-
-
-def isometry_ratio_invariance(field, diffeo, samples=32, seed=0):
-    """Max deviation of F(x,y)/F(x,y') from its value at the mapped data.
-
-    Conformal maps preserve per-point norm ratios, so this residual should
-    vanish for any built-in conformal diffeomorphism of the field.
-    """
-    rng = np.random.default_rng(seed)
-    points = sample_points(field.manifold, samples, seed=seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(len(points), 2))
-    ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)   # two directions per point
-    pushed = np.einsum("mij,mkj->mki", diffeo.differential(points), ys)
-    image = diffeo.apply(points)
-    ratio = field.evals(points, ys[:, 0]) / field.evals(points, ys[:, 1])
-    mapped = field.evals(image, pushed[:, 0]) / field.evals(image, pushed[:, 1])
-    return float(np.max(np.abs(ratio - mapped)))
 
 
 # Largest spread of the reversibility ratio that still counts as constant, over a grid of

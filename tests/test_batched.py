@@ -217,18 +217,22 @@ JETS_CASES = _jets_cases()
 
 
 @pytest.mark.parametrize("name,field,points", JETS_CASES, ids=[c[0] for c in JETS_CASES])
-def test_one_jets_evaluation_equals_the_three_methods(name, field, points):
+def test_one_jets_evaluation_equals_the_one_point_norms(name, field, points):
+    # F and dF/dy of the batched jets against each point's own norm, norm_at(pt)
     angles = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, len(points))
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    separate = (field.evals(points, ys), field.grads_x(points, ys), field.grads_y(points, ys))
-    for one, reference in zip(field.jets(points, ys), separate):
-        assert one.shape == reference.shape
-        np.testing.assert_allclose(one, reference, rtol=0, atol=1e-15 * np.max(np.abs(reference)))
+    values, _, grads_y = field.jets(points, ys)
+    assert values.shape == (len(points),) and grads_y.shape == ys.shape
+    for i, pt in enumerate(points):
+        norm = field.norm_at(pt)
+        assert values[i] == pytest.approx(norm(ys[i]), rel=1e-13)
+        assert values[i] == pytest.approx(field.eval(pt, ys[i]), rel=1e-15)
+        np.testing.assert_allclose(grads_y[i], norm.gradient_batch(ys[i:i + 1])[0], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name,field,points", JETS_CASES[:4], ids=[c[0] for c in JETS_CASES[:4]])
 def test_torus_jets_match_central_differences(name, field, points):
-    # the rescaled fields' grads_x and grads_y are slices of jets: this checks the product rule
+    # the rescaled fields' jets follow the product rule; differences of evals check it
     points = np.asarray(points, dtype=float)
     angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, len(points))
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -264,7 +268,7 @@ def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
 def test_rescaled_torus_has_nonzero_grad_x():
     _, field, basis, config = _torus_cases()[1]
     points, fan = build_collocation(basis.manifold, config)
-    assert np.linalg.norm(field.grads_x(points[:1], fan[0, :1])[0]) > 0.1
+    assert np.linalg.norm(field.jets(points[:1], fan[0, :1])[1][0]) > 0.1
 
 
 def reference_collocation(manifold, config, offset_points=False):
@@ -444,20 +448,38 @@ def test_point_off_the_sphere_in_a_batch_is_rejected():
     ConformalRescaleField(randers_torus_field(FlatTorus()), TorusFourierScalar(FlatTorus(), const=2.0)),
     RoundSphereField(Sphere2(1.0)),
     PullbackField(RoundSphereField(Sphere2(1.0)), MobiusMap.translation(Sphere2(1.0), 0.3)),
-    PointwiseAveragedField(randers_torus_field(FlatTorus()), 64),
 ])
 def test_batched_grad_y_keeps_direction_safeguards(field):
+    # a solvable field checks y for dF/dy in its jets, of which evals is the first entry; a
+    # pullback's evals meets the same checks in its base's jets
     points = _two_points(field.manifold)
     good = np.array([[1.0, 0.0], [0.3, -0.7]])
-    field.grads_y(points, good)
-    with pytest.raises(DegenerateVector):
-        field.grads_y(points, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        field.grads_y(points, np.array([[np.nan, 1.0], [0.3, -0.7]]))
-    with pytest.raises(DegenerateVector):
-        field.grads_y(points[:1], np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        field.grads_y(points[:1], np.array([[np.nan, 1.0]]))
+    for evaluate in (field.evals,) if isinstance(field, PullbackField) else (field.jets, field.evals):
+        evaluate(points, good)
+        with pytest.raises(DegenerateVector):
+            evaluate(points, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            evaluate(points, np.array([[np.nan, 1.0], [0.3, -0.7]]))
+        with pytest.raises(DegenerateVector):
+            evaluate(points[:1], np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            evaluate(points[:1], np.array([[np.nan, 1.0]]))
+
+
+def test_evaluation_only_fields_have_no_jets():
+    circle, torus = FlatTorus([[1.0]]), FlatTorus()
+    one = TorusFourierScalar(circle, const=1.0)
+    pulled = PullbackField(randers_torus_field(torus), TorusTranslation(torus, [0.3, 0.8]))
+    averaged = PointwiseAveragedField(randers_torus_field(torus), 64)
+    points, ys = _two_points(torus), np.array([[1.0, 0.0], [0.3, -0.7]])
+    with pytest.raises(NotImplementedError, match="CircleNormField has no x-derivatives"):
+        manifold.CircleNormField(circle, one, one).jets(points[:, :1], ys[:, :1])
+    for field in (pulled, averaged):
+        name = f"{type(field).__name__} has no x-derivatives"
+        with pytest.raises(NotImplementedError, match=name):
+            field.jets(points, ys)
+        with pytest.raises(NotImplementedError, match=name):
+            solve_fields(field, torus_basis(torus, 1), "conformal", SolverConfig(x_density=4))
 
 
 def _two_points(manifold):
@@ -635,14 +657,12 @@ def test_pullback_matches_the_one_point_chain(name, base, diffeo, points):
     pulled = PullbackField(base, diffeo)
     m = len(points)
     ys = np.random.default_rng(6).standard_normal((m, 2))
-    values, grads = pulled.evals(points, ys), pulled.grads_y(points, ys)
-    assert values.shape == (m,) and grads.shape == (m, 2)
+    values = pulled.evals(points, ys)
+    assert values.shape == (m,)
     for i in range(m):
         pt = points[i]
         image, jac = diffeo.apply(pt), diffeo.differential(pt)
         assert values[i] == pytest.approx(base.eval(image, jac @ ys[i]), rel=1e-13)
-        np.testing.assert_allclose(grads[i], jac.T @ base.grads_y(image[None], (jac @ ys[i])[None])[0],
-                                   rtol=1e-13, atol=1e-13)
 
 
 def _averaged_cases():
@@ -681,9 +701,11 @@ def test_averaged_field_averages_each_distinct_point_once(monkeypatch, name, fie
 
 
 @pytest.mark.parametrize("name,field,points", AVERAGED_CASES, ids=[c[0] for c in AVERAGED_CASES])
-def test_averaged_field_grads_y_match_the_averaged_norm(name, field, points):
+def test_averaged_field_y_differences_match_the_averaged_norm(name, field, points):
     ys = np.random.default_rng(8).standard_normal((8, 2))
-    grads = field.grads_y(points, ys)
+    step = 1e-6
+    fd = np.stack([(field.evals(points, ys + shift) - field.evals(points, ys - shift)) / (2 * step)
+                   for shift in step * np.eye(2)], axis=-1)
     for i in range(8):
         expected = EuclideanNorm(field.matrix_at(points[i])).gradient_batch(ys[i:i + 1])[0]
-        np.testing.assert_allclose(grads[i], expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(fd[i], expected, rtol=0, atol=1e-7)
