@@ -39,7 +39,6 @@ from .manifold import (
     TorusFourierScalar,
     TorusFourierVectorField,
     field_tables,
-    sample_points,
     stack_points,
 )
 from .norm_core import GOLDEN_ANGLE, norm_from_dict, record_array, record_keys, record_kind
@@ -134,32 +133,20 @@ def sphere_basis(sphere, degree=2):
     return FieldBasis(manifold=sphere, elements=elements, degree=degree)
 
 
-def _require_sampling(manifold, degree, config):
-    """UnderdeterminedSystem unless the sample points resolve the degree d: x_density >= 2d + 1,
-    from which on a grid determines a trigonometric polynomial of degree d, and sphere_points
-    >= (d + 2)^2, the dimension of the polynomials of degree <= d + 1 on the sphere."""
-    _check_degree(degree)
-    if isinstance(manifold, FlatTorus) and config.x_density < 2 * degree + 1:
-        raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {degree} + 1")
-    if isinstance(manifold, Sphere2) and config.sphere_points < (degree + 2) ** 2:
-        raise UnderdeterminedSystem(f"sphere_points {config.sphere_points} < (degree {degree} + 2)^2")
+# A spec's manifold kinds: the class, the name its errors give, its section's keys besides "kind"
+# (each an array of that shape, None for any), its metric kinds and their keys, its basis rule.
+MANIFOLD_KINDS = {
+    "flat_torus": (FlatTorus, "the torus", {"lattice": None}, {"constant_norm": ("norm", "rescale")},
+                   torus_basis),
+    "sphere": (Sphere2, "the sphere", {"radius": ()}, {"round": ()}, sphere_basis),
+}
 
 
-# The keys of a spec's manifold section besides "kind", and those of its metric, per kind.
-SPEC_MANIFOLD_KEYS = {"flat_torus": ("lattice",), "sphere": ("radius",)}
-SPEC_METRIC_KEYS = {"flat_torus": {"constant_norm": ("norm", "rescale")}, "sphere": {"round": ()}}
-
-
-@lru_cache(maxsize=16)
-def _shared_manifold(kind, geometry):
-    """The one manifold of a spec's radius or lattice rows, which its field and basis share."""
-    return Sphere2(geometry) if kind == "sphere" else FlatTorus(geometry)
-
-
-@lru_cache(maxsize=16)
-def _shared_basis(manifold, degree):
-    """The one basis of a shared manifold and a degree, so that its tables are found cached."""
-    return (sphere_basis if isinstance(manifold, Sphere2) else torus_basis)(manifold, degree)
+@lru_cache(maxsize=32)
+def _shared(kind, key, degree=None):
+    """The one manifold of a kind and key, or with a degree its one basis, which equal specs share."""
+    manifold_class, *_, basis_rule = MANIFOLD_KINDS[kind]
+    return manifold_class(key) if degree is None else basis_rule(_shared(kind, key), degree)
 
 
 def field_from_spec(spec):
@@ -176,31 +163,29 @@ def field_from_spec(spec):
     config = SolverConfig(**record_keys(spec.get("solver", {}), "solver",
                                         [f.name for f in fields(SolverConfig)]))
     degree = spec.get("degree", 2)
-    kind = record_kind(spec.get("manifold"), "manifold", SPEC_MANIFOLD_KEYS)
-    record_kind(spec.get("metric"), "metric", SPEC_METRIC_KEYS[kind])
+    kind = record_kind(spec.get("manifold"), "manifold", {k: e[2] for k, e in MANIFOLD_KINDS.items()})
+    manifold_class, owner, shapes, metrics, _ = MANIFOLD_KINDS[kind]
+    metric_kind = record_kind(spec.get("metric"), "metric", metrics)
     section, metric = spec["manifold"], spec["metric"]
-    if kind == "sphere":
-        radius = float(record_array({"radius": 1.0, **section}, "radius", "the sphere", ()))
-        sphere = _shared_manifold(kind, radius)
-        _require_sampling(sphere, degree, config)
-        return RoundSphereField(sphere), _shared_basis(sphere, degree), config
-    torus = FlatTorus(record_array(section, "lattice", "the torus") if "lattice" in section else None)
-    torus = _shared_manifold(kind, tuple(map(tuple, torus.lattice.tolist())))
-    field = ConstantNormField(torus, norm_from_dict(metric.get("norm")))
+    manifold = manifold_class(**{key: record_array(section, key, owner, shape)
+                                 for key, shape in shapes.items() if key in section})
+    manifold = _shared(kind, manifold.key)
+    if metric_kind == "round":
+        field = RoundSphereField(manifold)
+    else:
+        field = ConstantNormField(manifold, norm_from_dict(metric.get("norm")))
     if "rescale" in metric:
         rescale = record_keys(metric["rescale"], "rescale", ("const", "terms"))
         terms = rescale.get("terms", [])
         if not isinstance(terms, list) or not all(isinstance(t, list) and len(t) == 3 for t in terms):
             raise InvalidSettings(f"a rescale term is [k, a, b], got {terms}")
-        modes = []
-        for term in terms:
-            term = dict(zip("kab", term))
-            modes.append([record_array(term, key, "a rescale term [k, a, b]", shape)
-                          for key, shape in (("k", (torus.dim,)), ("a", ()), ("b", ()))])
-        rho = TorusFourierScalar(torus, record_array({"const": 0, **rescale}, "const", "rescale", ()), modes)
+        modes = [[record_array(dict(zip("kab", term)), key, "a rescale term [k, a, b]", shape)
+                  for key, shape in (("k", (manifold.dim,)), ("a", ()), ("b", ()))] for term in terms]
+        rho = TorusFourierScalar(manifold, record_array({"const": 0, **rescale}, "const", "rescale", ()), modes)
         field = ConformalRescaleField(field, rho)
-    _require_sampling(torus, degree, config)
-    return field, _shared_basis(torus, degree), config
+    _check_degree(degree)
+    manifold.require_sampling(config, degree)
+    return field, _shared(kind, manifold.key, degree), config
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +227,21 @@ def build_collocation(manifold, config, offset_points=False):
     Every point gets the same fan of D = ``n_directions`` equal angles, from the base
     angle 0.2141 turned by ``seed`` golden angles (modulo the step 2 pi / D).  The offset
     variant's points are disjoint from the default's, and its fan is turned by half a
-    step, so the two fans share no direction.  A collocation is kept in ``RESULTS`` by
-    the manifold's geometry and the settings.
+    step, so the two fans share no direction.  The points are the manifold's
+    ``collocation_points``, and a collocation is kept in ``RESULTS`` by its ``key`` and
+    the settings.
     """
-    geometry = (manifold.lattice.tobytes() if isinstance(manifold, FlatTorus)
-                else getattr(manifold, "radius", None))
+
+    def compute():
+        points = manifold.collocation_points(config, offset_points)
+        step = 2.0 * np.pi / config.n_directions
+        base = (0.2141 + config.seed * GOLDEN_ANGLE) % step + (0.5 * step if offset_points else 0.0)
+        angles = base + step * np.arange(config.n_directions)
+        fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        return points, np.tile(fan, (len(points), 1, 1))
+
     settings = tuple(getattr(config, f.name) for f in fields(SolverConfig))
-    return RESULTS.get(("collocation", type(manifold), geometry, settings, offset_points),
-                       lambda: _collocation(manifold, config, offset_points))
-
-
-def _collocation(manifold, config, offset_points):
-    if isinstance(manifold, FlatTorus):
-        shift = (0.31, 0.47) if not offset_points else (0.11, 0.79)
-        points = manifold.grid_points(config.x_density, offset=shift)
-    elif isinstance(manifold, Sphere2):
-        count = config.sphere_points if not offset_points else config.sphere_points + 37
-        points = manifold.fibonacci_points(count)
-    else:
-        raise ValueError("collocation supports the torus and the sphere")
-    step = 2.0 * np.pi / config.n_directions
-    base = (0.2141 + config.seed * GOLDEN_ANGLE) % step + (0.5 * step if offset_points else 0.0)
-    angles = base + step * np.arange(config.n_directions)
-    fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return points, np.tile(fan, (len(points), 1, 1))
+    return RESULTS.get(("collocation", type(manifold), manifold.key, settings, offset_points), compute)
 
 
 def collocation_rows(collocation):
@@ -406,15 +382,16 @@ def solve_fields(field, basis, mode="conformal", config=None):
     holds each block's for the system ``singular_values`` reports, and
     ``system["blocks"]`` counts them.  Residuals are evaluated jet-wise on a
     disjoint collocation set, from the elements that some kernel vector holds;
-    only the fit rows count towards ``MIN_ROW_FACTOR``, and the sample points
-    must resolve the basis degree (``_require_sampling``).  Safeguards that
-    fire go to ``flags``, among them a verification residual above
+    only the fit rows count towards ``MIN_ROW_FACTOR``, and the settings must
+    resolve the basis degree (the manifold's ``require_sampling``).  Safeguards
+    that fire go to ``flags``, among them a verification residual above
     ``VERIFY_TOL_FACTOR`` tolerances.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
     config = config or SolverConfig()
-    _require_sampling(basis.manifold, basis.degree, config)
+    _check_degree(basis.degree)
+    basis.manifold.require_sampling(config, basis.degree)
     n = basis.n_fields
     fit_points, fit_fan = build_collocation(basis.manifold, config)
     ver_points, ver_fan = build_collocation(basis.manifold, config, offset_points=True)
@@ -504,7 +481,7 @@ def extract_structure_constants(fields):
     """
     if not fields:
         raise ValueError("need at least one field")
-    points = sample_points(fields[0].manifold, BRACKET_SAMPLES, seed=11)
+    points = fields[0].manifold.sample(BRACKET_SAMPLES, seed=11)
     jets = field_tables(fields, points)
     values, jacobians = jets[:, :2], jets[:, 2:].reshape(len(jets), 2, 2, -1)
     first, second = np.triu_indices(len(fields), 1)

@@ -1,8 +1,5 @@
 """Model manifolds (flat tori of any dimension, round 2-sphere) and Finsler fields on them.
 
-The circle of length L is the 1-torus ``FlatTorus([[L]])``; the vector-field
-ansatz and the solver take the 2-torus and the sphere.
-
 A sphere point is its ambient position p, a (3,) array with |p| = R, and a
 tangent vector at p is a (2,) array of components in the orthonormal frame
 ``Sphere2.frame(p)``, the columns e1, e2 of a (3, 2) array.  The frame is
@@ -14,9 +11,15 @@ X(p) = w - (p.w) p / R^2 of a polynomial map w of R^3, and its 1-jet is the
 ambient one read in the frame: E^T X and E^T DX E.  Mobius maps are Lorentz
 matrices acting on the null cone.
 
+The circle of length L is the 1-torus ``FlatTorus([[L]])``; the vector-field
+ansatz and the solver take the 2-torus and the sphere.  Both state their own
+rules through the same methods, with no base class: ``key`` (the geometry,
+which rebuilds the manifold), ``sample``, ``collocation_points``,
+``require_sampling`` (the settings that resolve a degree) and ``check_norm``
+(the constant norms it admits).
+
 Point sets are batches: an (m, n) array on the n-torus, the circle included
-as (m, 1), and an (m, 3) array on the sphere.  Grids, Fibonacci points and
-``sample_points`` come back as one batch.  Scalars, vector fields and
+as (m, 1), and an (m, 3) array on the sphere.  Scalars, vector fields and
 Finsler fields evaluate a whole batch in one call: a scalar's ``jets``, value
 then gradient, of which ``values`` and ``grads`` are slices; a vector field's
 ``values`` and ``jacobians``; and a solvable Finsler field's ``jets``, F then
@@ -50,7 +53,7 @@ from threading import Lock
 
 import numpy as np
 
-from .errors import InvalidSettings
+from .errors import InvalidSettings, UnderdeterminedSystem
 from .lie_algebra import RANK_TOL
 from .norm_core import (EuclideanNorm, GenericNorm, RandersNorm, checked_vectors, fibonacci_directions,
                         scale_norm)
@@ -122,6 +125,7 @@ class FlatTorus:
         if abs(np.linalg.det(self.lattice)) <= 1e-12 * np.sum(self.lattice**2) ** (self.dim / 2):
             raise InvalidSettings("lattice basis is degenerate")
         self.inv_lattice = np.linalg.inv(self.lattice)
+        self.key = tuple(map(tuple, self.lattice.tolist()))   # the rows, which rebuild the torus
 
     def frac(self, x):
         """Lattice coordinates of an (n,) point or an (m, n) batch."""
@@ -140,6 +144,22 @@ class FlatTorus:
         index = np.indices((per_axis,) * self.dim).reshape(self.dim, -1).T
         return ((index + np.asarray(offset)) / per_axis) @ self.lattice.T
 
+    def sample(self, count, seed=0):
+        """``count`` points drawn uniformly from the fundamental domain by ``seed``."""
+        return np.random.default_rng(seed).uniform(size=(count, self.dim)) @ self.lattice.T
+
+    def collocation_points(self, config, offset):
+        """The x_density grid at the shift (0.31, 0.47), or (0.11, 0.79) on the offset points."""
+        return self.grid_points(config.x_density, offset=(0.11, 0.79) if offset else (0.31, 0.47))
+
+    def require_sampling(self, config, degree):
+        """UnderdeterminedSystem below x_density 2d + 1, the grids that resolve Fourier degree d."""
+        if config.x_density < 2 * degree + 1:
+            raise UnderdeterminedSystem(f"x_density {config.x_density} < 2 * degree {degree} + 1")
+
+    def check_norm(self, norm):
+        """Every norm of the torus's dimension is a constant metric on it."""
+
 
 class Sphere2:
     """Round 2-sphere of radius R: the points p of R^3 with |p| = R."""
@@ -149,7 +169,7 @@ class Sphere2:
     def __init__(self, radius=1.0):
         if radius <= 0:
             raise InvalidSettings("radius must be positive")
-        self.radius = float(radius)
+        self.radius = self.key = float(radius)
 
     def frame(self, points):
         """Orthonormal tangent frames (..., 3, 2) at (..., 3) points, with e1 x e2 = p / |p|.
@@ -173,6 +193,27 @@ class Sphere2:
 
     def fibonacci_points(self, count):
         return fibonacci_directions(count) * self.radius
+
+    def sample(self, count, seed=0):
+        """The ``count`` Fibonacci points; the sphere ignores ``seed``."""
+        return self.fibonacci_points(count)
+
+    def collocation_points(self, config, offset):
+        """The sphere_points Fibonacci points, 37 more on the offset points."""
+        return self.fibonacci_points(config.sphere_points + (37 if offset else 0))
+
+    def require_sampling(self, config, degree):
+        """UnderdeterminedSystem below sphere_points (d + 2)^2, the polynomials of degree d + 1."""
+        if config.sphere_points < (degree + 2) ** 2:
+            raise UnderdeterminedSystem(f"sphere_points {config.sphere_points} < (degree {degree} + 2)^2")
+
+    def check_norm(self, norm):
+        """The frame turns, and jumps across the equator, so only a multiple of the Euclidean
+        norm is a continuous metric (``RoundSphereField``); any other raises InvalidSettings."""
+        angles = np.arange(16) * (np.pi / 8.0)
+        values = norm(np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+        if np.ptp(values) > RANK_TOL * np.max(values):
+            raise InvalidSettings("a sphere's constant norm must be a multiple of the Euclidean one")
 
 
 # ---------------------------------------------------------------------------
@@ -575,23 +616,14 @@ class FinslerField:
 
 
 class ConstantNormField(FinslerField):
-    """The same Minkowski norm on every tangent space of a flat torus.
+    """The same Minkowski norm on every tangent space, of a manifold that admits it
+    (its ``check_norm``): any norm on a flat torus, a multiple of the Euclidean one on the sphere."""
 
-    On the sphere the frame turns, and jumps across the equator, so only a
-    multiple of the Euclidean norm is a continuous metric there
-    (``RoundSphereField``); any other norm raises InvalidSettings.
-    """
-
-    def __init__(self, torus, norm):
-        if norm.dim != torus.dim:
-            raise InvalidSettings(f"the norm has dimension {norm.dim} and the manifold {torus.dim}")
-        if isinstance(torus, Sphere2):
-            angles = np.arange(16) * (np.pi / 8.0)
-            values = norm(np.stack([np.cos(angles), np.sin(angles)], axis=-1))
-            if np.ptp(values) > RANK_TOL * np.max(values):
-                raise InvalidSettings("a sphere's constant norm must be a multiple of the "
-                                      "Euclidean one")
-        self.manifold = torus
+    def __init__(self, manifold, norm):
+        if norm.dim != manifold.dim:
+            raise InvalidSettings(f"the norm has dimension {norm.dim} and the manifold {manifold.dim}")
+        manifold.check_norm(norm)
+        self.manifold = manifold
         self.norm = norm
 
     def jets(self, points, ys):
@@ -721,15 +753,6 @@ def lie_derivative(field, vector_field, points, ys):
     _, grads_x, grads_y = field.jets(points, ys)
     return (np.einsum("mi,mi->m", jets[:, :2], grads_x)
             + np.einsum("mij,mj,mi->m", jets[:, 2:].reshape(-1, 2, 2), ys, grads_y))
-
-
-def sample_points(manifold, count, seed=0):
-    """Deterministic sample points for residual sweeps."""
-    if isinstance(manifold, FlatTorus):
-        return np.random.default_rng(seed).uniform(size=(count, manifold.dim)) @ manifold.lattice.T
-    if isinstance(manifold, Sphere2):
-        return manifold.fibonacci_points(count)
-    raise ValueError(f"unsupported manifold {manifold!r}")
 
 
 # Largest spread of the reversibility ratio that still counts as constant, over a grid of

@@ -357,7 +357,7 @@ def test_batched_scalars_match_one_point_calls():
         TorusFourierScalar(torus3, const=1.0, terms=[((1, 0, -2), 0.3, 0.4), ((0, 1, 1), 0.1, -0.2)]),
     ]
     cases = [(sphere_rho, stack_points(sphere.fibonacci_points(20)))]
-    cases += [(scalar, manifold.sample_points(scalar.torus, 16, seed=5)) for scalar in tori]
+    cases += [(scalar, scalar.torus.sample(16, seed=5)) for scalar in tori]
     for scalar, pts in cases:
         jets = scalar.jets(pts)
         assert jets.shape == (len(pts), 1 + len(pts[0]) - (scalar is sphere_rho))
@@ -368,11 +368,11 @@ def test_batched_scalars_match_one_point_calls():
             np.testing.assert_allclose(jets[i, 1:], scalar.grads(pt[None])[0], rtol=0, atol=1e-13)
     step = 1e-6
     for scalar in tori:
-        pts = manifold.sample_points(scalar.torus, 16, seed=6)
+        pts = scalar.torus.sample(16, seed=6)
         for j, shift in enumerate(step * np.eye(scalar.torus.dim)):
             difference = (scalar.values(pts + shift) - scalar.values(pts - shift)) / (2.0 * step)
             np.testing.assert_allclose(scalar.grads(pts)[:, j], difference, rtol=0, atol=1e-8)
-    pts = manifold.sample_points(skewed, 16, seed=7)
+    pts = skewed.sample(16, seed=7)
     repeated = TorusFourierScalar(skewed, const=0.5, terms=[((2, -1), 0.3, 0.4), ((1, 1), -0.2, 0.1),
                                                             ((2, -1), 0.1, -0.3)])
     summed = TorusFourierScalar(skewed, const=0.5, terms=[((1, 1), -0.2, 0.1),

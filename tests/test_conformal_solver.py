@@ -47,7 +47,6 @@ from finslerfields.manifold import (
     TorusFourierVectorField,
     TorusTranslation,
     field_tables,
-    sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
     stack_points,
@@ -398,26 +397,31 @@ class TestSolveFields:
         assert report.max_residual > VERIFY_TOL_FACTOR * report.tolerance_used
         assert "verification residual above tolerance" in report.flags
 
-    @pytest.mark.parametrize("degree,x_density", [(2, 4), (4, 8)])
+    @pytest.mark.parametrize("degree,x_density", [(2, 4), (4, 8), (2, 5), (4, 9)])
     def test_torus_grid_that_aliases_the_ansatz_is_rejected(self, degree, x_density):
         # a degree-d trigonometric polynomial is determined by its samples on an
         # n x n grid only from n = 2d + 1 on; (4, 8) gave 10/23, caught only
-        # by the verification flag
-        torus = FlatTorus()
+        # by the verification flag; the floor itself is accepted
+        torus, config = FlatTorus(), SolverConfig(x_density=x_density)
+        if x_density == 2 * degree + 1:
+            assert torus.require_sampling(config, degree) is None
+            return
         with pytest.raises(UnderdeterminedSystem,
                            match=rf"x_density {x_density} < 2 \* degree {degree} "):
-            solve_fields(randers_field(torus), torus_basis(torus, degree),
-                         config=SolverConfig(x_density=x_density))
+            solve_fields(randers_field(torus), torus_basis(torus, degree), config=config)
 
-    @pytest.mark.parametrize("degree,sphere_points", [(3, 24), (11, 150)])
+    @pytest.mark.parametrize("degree,sphere_points", [(3, 24), (11, 150), (3, 25), (11, 169)])
     def test_sphere_points_that_cannot_carry_the_ansatz_are_rejected(self, degree, sphere_points):
         # (d + 2)^2 is the dimension of the polynomials of degree <= d + 1 on the sphere;
-        # degree 11 at 150 points gave C = 11, caught only by the verification flag
-        sphere = Sphere2(1.0)
+        # degree 11 at 150 points gave C = 11, caught only by the verification flag; the
+        # floor itself is accepted
+        sphere, config = Sphere2(1.0), SolverConfig(sphere_points=sphere_points)
+        if sphere_points == (degree + 2) ** 2:
+            assert sphere.require_sampling(config, degree) is None
+            return
         with pytest.raises(UnderdeterminedSystem,
                            match=rf"sphere_points {sphere_points} < \(degree {degree} \+ 2\)\^2"):
-            solve_fields(RoundSphereField(sphere), sphere_basis(sphere, degree),
-                         config=SolverConfig(sphere_points=sphere_points))
+            solve_fields(RoundSphereField(sphere), sphere_basis(sphere, degree), config=config)
 
     @pytest.mark.parametrize("kind", ["flat_torus", "sphere"])
     def test_a_degree_the_sampling_cannot_carry_is_rejected_before_the_basis(self, monkeypatch,
@@ -425,8 +429,8 @@ class TestSolveFields:
         def unbuilt(*args):
             raise AssertionError("the basis was built")
 
-        monkeypatch.setattr(conformal_solver, "torus_basis", unbuilt)
-        monkeypatch.setattr(conformal_solver, "sphere_basis", unbuilt)
+        entry = conformal_solver.MANIFOLD_KINDS[kind]
+        monkeypatch.setitem(conformal_solver.MANIFOLD_KINDS, kind, (*entry[:-1], unbuilt))
         metric = {"kind": "round"} if kind == "sphere" else {
             "kind": "constant_norm", "norm": {"family": "euclidean", "dim": 2, "q": np.eye(2).tolist()}}
         with pytest.raises(UnderdeterminedSystem):
@@ -916,7 +920,7 @@ class TestTransitivity:
         # and frames that vary over the points, of fields of the degree-1 basis
         elements = torus_basis(torus, 1).elements
         varying = [CombinationVectorField(elements, c) for c in rng.normal(size=(k, len(elements)))]
-        points = sample_points(torus, 16, seed=k)
+        points = torus.sample(16, seed=k)
         for case in (fields, varying):
             svals = np.linalg.svd(field_tables(case, points)[:, :2], compute_uv=False)
             expected = (svals > lie_algebra.RANK_TOL * svals[:, :1]).sum(axis=1) >= 2

@@ -232,6 +232,17 @@ class TestSignature:
         algebra = direct_sum(rotation_algebra(), abelian_algebra(2))
         assert killing_signature(algebra) == (0, 3, 2)
 
+    def test_a_small_factor_keeps_the_signs_of_its_killing_form(self):
+        # so(3) + 1e-2 sl(2, R), [h, e] = 2e, [h, f] = -2f, [e, f] = h scaled by 1e-2: Killing
+        # eigenvalues -2 (x3), -4e-4, 4e-4 and 8e-4, all above RANK_TOL s^2 = 1e-8 in size
+        c = np.zeros((3, 3, 3))
+        for i, j, k, v in ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)):
+            c[i, j, k], c[j, i, k] = 1e-2 * v, -1e-2 * v
+        algebra = direct_sum(rotation_algebra(), LieAlgebraSC(c))
+        np.testing.assert_allclose(np.linalg.eigvalsh(killing_gram(algebra)),
+                                   [-2.0, -2.0, -2.0, -4e-4, 4e-4, 8e-4], rtol=1e-12)
+        assert killing_signature(algebra) == (2, 4, 0)
+
     def test_round_off_killing_form_of_a_nilpotent_algebra_is_zero(self):
         # Heisenberg [x, y] = z plus 1e-16 noise: its Killing form is round-off, which
         # measured against its own largest eigenvalue has a sign

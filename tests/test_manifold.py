@@ -20,7 +20,6 @@ from finslerfields.manifold import (
     TorusTranslation,
     circle_lambda_profile,
     lie_derivative,
-    sample_points,
     sphere_gradient_generators,
     sphere_rotation_generators,
 )
@@ -423,7 +422,7 @@ def _ratio_invariance(field, diffeo, samples=32, seed=0):
     A conformal map preserves per-point norm ratios, so this vanishes for any
     built-in conformal diffeomorphism of the field.
     """
-    points = sample_points(field.manifold, samples, seed=seed)
+    points = field.manifold.sample(samples, seed=seed)
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(len(points), 2))
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=-1)   # two directions per point
     pulled = PullbackField(field, diffeo)
