@@ -7,18 +7,19 @@ systems in the field coefficients, one row per collocation pair (x, y): the
 rows (L_B F)/F, and the same rows centred over each point's fan, one fixed fan
 of equal angles that the seed turns (``build_collocation``).  A point's
 rows are its field jets times its element jets, so the solve works on at
-most six rows per point, and a field that does not vary along the torus is
-solved from one point, block by block (``solve_fields``).  What does not
-depend on the field is shared across a run: equal specs get one manifold and
-one basis (``field_from_spec``), and the collocations and element tables are
-kept in ``manifold.RESULTS``.  Each kernel is read from batched SVDs of small
-factors, block by block, by the Lie layer's one rank rule with its fixed
-relative threshold ``RANK_TOL`` (``lie_algebra.block_split``), and audited
-through the spectral gap around it.
+most six rows per point, and a field invariant under the torus's translations
+or the sphere's rotations is solved from one point, block by block
+(``solve_fields``).  What does not depend on the field is shared across a
+run: equal specs get one manifold and one basis (``field_from_spec``), and the
+collocations and element tables are kept in ``manifold.RESULTS``.  Each kernel
+is read from batched SVDs of small factors, block by block, by the Lie layer's
+one rank rule with its fixed relative threshold ``RANK_TOL``
+(``lie_algebra.block_split``), and audited through the spectral gap around it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, fields
 from functools import lru_cache
 
@@ -38,6 +39,7 @@ from .manifold import (
     SpherePolyVectorField,
     TorusFourierScalar,
     TorusFourierVectorField,
+    _distinct_terms,
     field_tables,
     stack_points,
 )
@@ -63,17 +65,19 @@ def torus_fourier_modes(degree):
 class FieldBasis:
     """Finite-dimensional ansatz of vector-field elements, shared by the solves that use it.
 
-    ``blocks`` records how a translation of the torus acts on the columns: None, or
-    (cols, turned) pairs that hold every column once, cols an (nb, w) index array of nb
-    blocks of w columns.  A translation leaves an unturned block as it is and turns each
-    (cos, sin) column pair of a turned block by the block's phase, which the grid must
-    resolve at twice its degree.  Only ``torus_basis`` records blocks.
+    ``blocks`` records how the symmetries act on the columns: None, or (cols, kind) pairs that
+    hold every column once, cols an (nb, w) index array of nb blocks of w columns.  A torus
+    translation leaves a "fixed" block as it is and turns each (cos, sin) column pair of a
+    "turned" block by its phase, which the grid must resolve at twice its degree.  A sphere
+    rotation acts on the 2l + 1 rows of a "harmonic" array of degree l by one orthogonal
+    matrix, the same in each column.  ``labels`` names each element, (l, kind, m) on the sphere.
     """
 
     manifold: object
     elements: tuple
     degree: int
     blocks: tuple = dataclass_field(default=None, compare=False)
+    labels: tuple = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         if self.blocks is not None:
@@ -97,7 +101,7 @@ def _check_degree(degree):
 def torus_basis(torus, degree):
     """Coordinate fields times Fourier modes up to the given degree, on a 2-torus.
 
-    Its blocks are the two constant fields, unturned, and the four fields (cos, sin) e_0
+    Its blocks are the two constant fields, fixed, and the four fields (cos, sin) e_0
     and (cos, sin) e_1 of each pair +-k, turned.
     """
     _check_degree(degree)
@@ -110,27 +114,71 @@ def torus_basis(torus, degree):
                  TorusFourierScalar(torus, terms=[(k, 0.0, 1.0)])]
         elements.extend(TorusFourierVectorField.coordinate(torus, i, mode)
                         for i in (0, 1) for mode in modes)
-    blocks = ((np.arange(2)[None], False), (2 + np.arange(4 * len(pairs)).reshape(-1, 4), True))
+    blocks = ((np.arange(2)[None], "fixed"), (2 + np.arange(4 * len(pairs)).reshape(-1, 4), "turned"))
     return FieldBasis(manifold=torus, elements=tuple(elements), degree=degree, blocks=blocks)
 
 
-def sphere_basis(sphere, degree=2):
-    """Tangent projections of the monomial maps q^e e_k of R^3 with |e| <= d, q = p / R.
+def _exponents(degree):
+    return np.array([(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree - a + 1)],
+                    dtype=int).reshape(-1, 3)
 
-    On the sphere q1^2 = 1 - q2^2 - q3^2, and the projection kills f(q) q, so
-    every map follows from those kept: e1 = 0, or e1 = 1 and k = 3, or e1 = 1,
-    k = 2 and e2 = 0.  They span the vector spherical harmonics grad Y_l, l <= d + 1,
-    and p x grad Y_l, l <= d (Hill, Am. J. Phys. 22, 1954), ((d + 2)^2 - 1) +
-    ((d + 1)^2 - 1) fields: 3 gradients at d = 0, 11 at d = 1.  The system assembled
-    on functions of q (see ``SpherePolyVectorField``) does not depend on the radius.
+
+def _sphere_moments(exps):
+    """The integrals of the monomials x^a y^b z^c of (..., 3) exponents over the unit sphere:
+    2 G((a + 1)/2) G((b + 1)/2) G((c + 1)/2) / G((a + b + c + 3)/2) if a, b, c are even, else 0."""
+    gamma = np.array([math.gamma((k + 1) / 2.0) for k in range(exps.sum(axis=-1).max() + 3)])
+    even = np.all(exps % 2 == 0, axis=-1)
+    return np.where(even, 2.0 * gamma[exps].prod(axis=-1) / gamma[exps.sum(axis=-1) + 2], 0.0)
+
+
+def harmonic_polynomials(degree):
+    """The (K, 3) exponents of the degree-l monomials and the (K, 2l + 1) coefficients over
+    them of an L^2(S^2)-orthonormal basis of the harmonic polynomials of degree l: the
+    kernel of the Laplacian on the monomials (one SVD), orthonormalised by the Cholesky
+    factor of its Gram matrix of closed-form integrals (``_sphere_moments``)."""
+    exps, lower = _exponents(degree), _exponents(degree - 2)
+    # d^2/dq_k^2 q^e = e_k (e_k - 1) q^(e - 2 u_k), which maps onto degree l - 2
+    hits = np.all(lower[:, None, None] == exps[:, None] - 2 * np.eye(3, dtype=int), axis=-1)
+    kernel = np.linalg.svd(np.einsum("ijk,jk->ij", hits, exps * (exps - 1)))[2][len(lower):].T
+    gram = kernel.T @ _sphere_moments(exps[:, None] + exps[None]) @ kernel
+    return exps, kernel @ np.linalg.inv(np.linalg.cholesky(gram)).T
+
+
+def _merged(keys, vectors):
+    """The distinct (K, 3) keys without a negative entry and the (K, 3, M) sums of their vectors."""
+    keep = keys.min(axis=1) >= 0
+    keys, sums = _distinct_terms([(keys[keep], vectors[keep])])
+    return keys, sums[..., 0]
+
+
+def sphere_basis(sphere, degree=2):
+    """The vector spherical harmonics grad h, l = 1 ... d + 1, and q x grad h, l = 1 ... d, of
+    q = p / R (Hill, Am. J. Phys. 22, 1954), h over ``harmonic_polynomials(l)``.
+
+    They are ((d + 2)^2 - 1) + ((d + 1)^2 - 1) polynomial maps of q, 3 gradients at d = 0 and
+    11 at d = 1, and span the projected monomial maps q^e e_k with |e| <= d.  Degree l is one
+    harmonic block array, the columns [grad, curl] of each m, and ``labels`` holds (l, kind, m).
+    The system assembled on functions of q does not depend on the radius.
     """
     _check_degree(degree)
-    eye = np.eye(3)
-    # by total degree n, so that the basis of degree d begins the basis of degree d + 1
-    elements = tuple(SpherePolyVectorField(sphere, {(e1, e2, n - e1 - e2): eye[k]})
-                     for n in range(degree + 1) for e1 in (0, 1) for e2 in range(n - e1 + 1)
-                     for k in range(3) if e1 == 0 or k == 2 or (k == 1 and e2 == 0))
-    return FieldBasis(manifold=sphere, elements=elements, degree=degree)
+    eye = np.eye(3, dtype=int)
+    elements, labels, blocks = [], [], []
+    for l in range(1, degree + 2):
+        exps, coef = harmonic_polynomials(l)
+        # d/dq_k c q^e = c e_k q^(e - u_k), with the (3,) vectors of every m on the last axis
+        grad = _merged((exps[:, None] - eye).reshape(-1, 3),
+                       np.einsum("ek,kc,em->ekcm", exps, eye, coef).reshape(-1, 3, 2 * l + 1))
+        # q x sum_f v_f q^f = sum_f sum_j (u_j x v_f) q^(f + u_j)
+        curl = _merged((grad[0][:, None] + eye).reshape(-1, 3),
+                       np.cross(eye[None, :, :, None], grad[1][:, None], axis=2).reshape(-1, 3, 2 * l + 1))
+        kinds = [("grad", grad), ("curl", curl)][:1 + (l <= degree)]
+        cols = len(elements) + np.arange(len(kinds) * (2 * l + 1)).reshape(-1, len(kinds))
+        blocks.append((cols, "harmonic"))
+        for m in range(2 * l + 1):
+            for kind, (keys, vectors) in kinds:
+                elements.append(SpherePolyVectorField(sphere, dict(zip(map(tuple, keys), vectors[:, :, m]))))
+                labels.append((l, kind, m))
+    return FieldBasis(sphere, tuple(elements), degree, blocks=tuple(blocks), labels=tuple(labels))
 
 
 # A spec's manifold kinds: the class, the name its errors give, its section's keys besides "kind"
@@ -222,14 +270,13 @@ class SolverConfig:
 
 
 def build_collocation(manifold, config, offset_points=False):
-    """The P distinct sample points and their (P, D, 2) fan of unit directions, read-only.
+    """The P distinct sample points (P, n) and the (D, 2) fan that every point takes, read-only.
 
-    Every point gets the same fan of D = ``n_directions`` equal angles, from the base
-    angle 0.2141 turned by ``seed`` golden angles (modulo the step 2 pi / D).  The offset
-    variant's points are disjoint from the default's, and its fan is turned by half a
-    step, so the two fans share no direction.  The points are the manifold's
-    ``collocation_points``, and a collocation is kept in ``RESULTS`` by its ``key`` and
-    the settings.
+    The fan is D = ``n_directions`` equal angles, from the base angle 0.2141 turned by
+    ``seed`` golden angles (modulo the step 2 pi / D).  The offset variant's points are
+    disjoint from the default's, and its fan is turned by half a step, so the two fans
+    share no direction.  The points are the manifold's ``collocation_points``, and a
+    collocation is kept in ``RESULTS`` by its ``key`` and the settings.
     """
 
     def compute():
@@ -237,8 +284,7 @@ def build_collocation(manifold, config, offset_points=False):
         step = 2.0 * np.pi / config.n_directions
         base = (0.2141 + config.seed * GOLDEN_ANGLE) % step + (0.5 * step if offset_points else 0.0)
         angles = base + step * np.arange(config.n_directions)
-        fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        return points, np.tile(fan, (len(points), 1, 1))
+        return points, np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
     settings = tuple(getattr(config, f.name) for f in fields(SolverConfig))
     return RESULTS.get(("collocation", type(manifold), manifold.key, settings, offset_points), compute)
@@ -247,31 +293,30 @@ def build_collocation(manifold, config, offset_points=False):
 def collocation_rows(collocation):
     """The row-aligned (points, ys) of a collocation: each point repeated once per direction."""
     points, fan = collocation
-    return points[np.repeat(np.arange(len(fan)), fan.shape[1])], fan.reshape(-1, 2)
+    return np.repeat(points, len(fan), axis=0), np.tile(fan, (len(points), 1))
 
 
-def _require_rows(fan, basis):
-    """Rejects a (P, D, 2) fan with fewer than ``MIN_ROW_FACTOR`` rows per unknown."""
-    n_rows = fan.shape[0] * fan.shape[1]
+def _require_rows(collocation, basis):
+    """Rejects a collocation with fewer than ``MIN_ROW_FACTOR`` rows per unknown."""
+    n_rows = len(collocation[0]) * len(collocation[1])
     if n_rows < MIN_ROW_FACTOR * basis.n_fields:
         raise UnderdeterminedSystem(f"{n_rows} rows for {basis.n_fields} unknowns "
                                     f"(need >= {MIN_ROW_FACTOR}x)")
 
 
-def _field_jets(field, collocation):
-    """Field 1-jets over F, (P, D, 6), and F itself, (P, D, 1), from one ``jets``.
+def _field_jets(field, points, fan):
+    """Field 1-jets over F, (P, D, 6), and F itself, (P, D, 1), from one ``jets`` on the P
+    points and the D fan directions apart, with a leading axis of 1 for jets that do not
+    depend on the point (a constant norm's).
 
     L_V F = V^i dF/dx^i + (dV^i/dx^j) y^j dF/dy^i: the field's 1-jet (dF/dx, y (x) dF/dy) per
-    row, dotted with an element's (V, DV).  Rows are independent, so a stacked collocation
-    gives the stacked jets of its parts.  A field that is not positive and finite at every
+    row, dotted with an element's (V, DV).  A field that is not positive and finite at every
     row raises InvalidSettings.
     """
-    n_points, n_dirs, _ = collocation[1].shape
-    row_points, ys = collocation_rows(collocation)
-    evals, grads_x, grads_y = field.jets(row_points, ys)
-    field_jets = np.hstack([grads_x, (grads_y[:, :, None] * ys[:, None, :]).reshape(-1, 4)])
-    field_jets = field_jets.reshape(n_points, n_dirs, 6)
-    evals = evals.reshape(n_points, n_dirs, 1)
+    evals, grads_x, grads_y = field.jets(points[:, None], fan[None])
+    outer = (grads_y[..., None] * fan[:, None]).reshape(grads_y.shape[:-1] + (4,))
+    field_jets = np.concatenate([grads_x, outer], axis=-1)
+    evals = evals[..., None]
     if not np.all(np.isfinite(evals) & (evals > 0.0)):
         raise InvalidSettings(f"the field is not positive: min F = {evals.min():.3e} at a collocation row")
     field_jets /= evals
@@ -285,9 +330,9 @@ def assemble_system(field, basis, collocation):
     point; column a holds (L_{B_a} F)(x, y), F times the field jets over F, (P, D, 6),
     times the element jets, (P, 6, A).
     """
-    _require_rows(collocation[1], basis)
+    _require_rows(collocation, basis)
     element_jets = field_tables(basis.elements, collocation[0])
-    jets, evals = _field_jets(field, collocation)
+    jets, evals = _field_jets(field, *collocation)
     return (evals * (jets @ element_jets)).reshape(-1, basis.n_fields)
 
 
@@ -303,16 +348,18 @@ def _spectral_gap(svals, null_dim, total_cols):
     return float(kept / discarded)
 
 
-def _turned_stack(rows, cols, turned, n_points):
-    """The (nb, m, w) or (nb, 2m, w) stack of one point's (m, A) rows that has the Gram
-    matrix of the blocks ``cols`` over a grid of ``n_points`` points: sqrt(P) F for an
-    unturned block's rows F, and sqrt(P / 2) [F; FJ] for a turned one's, J mapping each
-    (cos, sin) column pair (c, s) to (-s, c), since the phase averages of cos^2 and sin^2
-    over the grid are 1/2 and that of cos sin is 0."""
+def _block_stack(rows, cols, kind, n_points):
+    """The stack of one point's (m, A) rows with the Gram matrix of the block array ``cols``
+    over P = ``n_points`` fit points: sqrt(P) F (nb, m, w) of a fixed block's rows F; sqrt(P / 2)
+    [F; FJ] of a turned one's, J mapping each (cos, sin) column pair (c, s) to (-s, c), as the
+    grid's phase means of cos^2 and sin^2 are 1/2 and of cos sin 0; and of a harmonic array of
+    nb = 2l + 1 blocks one sqrt(P / nb) [F_1; ...; F_nb] (1, nb m, w), the mean over m."""
     block = rows[:, cols].transpose(1, 0, 2)
-    if not turned:
-        return np.sqrt(n_points) * block
     nb, m, w = block.shape
+    if kind == "fixed":
+        return np.sqrt(n_points) * block
+    if kind == "harmonic":
+        return np.sqrt(n_points / nb) * block.reshape(1, nb * m, w)
     quarter = (block.reshape(nb, m, w // 2, 2)[..., ::-1] * [-1.0, 1.0]).reshape(nb, m, w)
     return np.sqrt(n_points / 2.0) * np.concatenate([block, quarter], axis=1)
 
@@ -371,21 +418,25 @@ def solve_fields(field, basis, mode="conformal", config=None):
     and the kernels are read from R_C and [R_C; sqrt(D) M] against the largest
     singular value of N (a conformal ansatz has a round-off centred system).
 
-    The field jets come first, over the fit and verification rows in one call.
-    When they are exactly equal at every fit point (a field that does not vary
-    along the torus, on its shared fan) and the basis records its ``blocks``, the
-    element table is read at one fit point: every other point's factor rows are
-    its rows F turned by the point's phase, and the grid resolves degree 2d, so
-    blocks decouple and each is solved from its stack of ``_turned_stack``.
-    Otherwise the table is read at every fit point and all columns form one
-    block.  The spectrum is the union of the blocks', ``block_singular_values``
-    holds each block's for the system ``singular_values`` reports, and
-    ``system["blocks"]`` counts them.  Residuals are evaluated jet-wise on a
-    disjoint collocation set, from the elements that some kernel vector holds;
-    only the fit rows count towards ``MIN_ROW_FACTOR``, and the settings must
-    resolve the basis degree (the manifold's ``require_sampling``).  Safeguards
-    that fire go to ``flags``, among them a verification residual above
-    ``VERIFY_TOL_FACTOR`` tolerances.
+    The field jets come first, on the points and the fan apart.  When they are
+    exactly equal at every fit point and the basis records its ``blocks``, the
+    element table is read at one fit point and each block array is solved from
+    its ``_block_stack``.  On the torus that is a field that does not vary along
+    it: every other point's rows are F turned by its phase, and the grid
+    resolves degree 2d.  On the sphere, ``Sphere2.check_norm`` admits only
+    multiples of the round norm, so equal frame-read jets are those of an
+    SO(3)-invariant field; its Gram matrix commutes with rotations, which act
+    on degree l irreducibly, so by Schur's lemma it is G_l (x) I_{2l+1}, G_l the
+    mean over m at one point (the fan's equal angles sum the rows' products
+    exactly, blind to how the frame turns).  Otherwise the table is read at
+    every fit point and all columns form one block.  The spectrum is the union
+    of the blocks', ``block_singular_values`` holds each block's for the system
+    ``singular_values`` reports, and ``system["blocks"]`` counts them.
+    Residuals are evaluated jet-wise on a disjoint collocation set, from the
+    elements that some kernel vector holds; only the fit rows count towards
+    ``MIN_ROW_FACTOR``, and the settings must resolve the basis degree (the
+    manifold's ``require_sampling``).  Safeguards that fire go to ``flags``,
+    among them a verification residual above ``VERIFY_TOL_FACTOR`` tolerances.
     """
     if mode not in ("killing", "conformal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,27 +444,25 @@ def solve_fields(field, basis, mode="conformal", config=None):
     _check_degree(basis.degree)
     basis.manifold.require_sampling(config, basis.degree)
     n = basis.n_fields
-    fit_points, fit_fan = build_collocation(basis.manifold, config)
+    fit_points, fit_fan = fit = build_collocation(basis.manifold, config)
     ver_points, ver_fan = build_collocation(basis.manifold, config, offset_points=True)
-    _require_rows(fit_fan, basis)
+    _require_rows(fit, basis)
     n_points = len(fit_points)
-    jets, ver_jets = np.split(_field_jets(field, (np.concatenate([fit_points, ver_points]),
-                                                  np.concatenate([fit_fan, ver_fan])))[0], [n_points])
+    jets, ver_jets = _field_jets(field, *fit)[0], _field_jets(field, ver_points, ver_fan)[0]
     one_point = basis.blocks is not None and bool(np.all(jets == jets[0]))
-    rows = jets[..., 0].size
     if one_point:
         jets = jets[:1]
-    elements = field_tables(basis.elements, fit_points[:len(jets)])
+    elements = field_tables(basis.elements, fit_points[:1] if one_point else fit_points)
     means = jets.mean(axis=1, keepdims=True)
     factors = np.linalg.qr(jets - means, mode="r")
-    fan_means = np.sqrt(jets.shape[1]) * (means @ elements)[:, 0]
+    fan_means = np.sqrt(len(fit_fan)) * (means @ elements)[:, 0]
     stacked_factors = (factors @ elements).reshape(-1, n)
     if one_point:
-        # each block's stacks of 2 min(D, 6) rows, whose SVDs are as cheap as of their R
+        # each block array's stacks of 2 min(D, 6) rows per block, whose SVDs are as cheap as of their R
         blocks = [cols for cols, _ in basis.blocks]
-        centred = [_turned_stack(stacked_factors, cols, turned, n_points) for cols, turned in basis.blocks]
-        stacked = [np.concatenate([c, _turned_stack(fan_means, cols, turned, n_points)], axis=1)
-                   for c, (cols, turned) in zip(centred, basis.blocks)]
+        centred = [_block_stack(stacked_factors, cols, kind, n_points) for cols, kind in basis.blocks]
+        stacked = [np.concatenate([c, _block_stack(fan_means, cols, kind, n_points)], axis=1)
+                   for c, (cols, kind) in zip(centred, basis.blocks)]
     else:
         # R_C, and the R of [R_C; sqrt(D) M], of all columns
         blocks, centred = [np.arange(n)[None]], [np.linalg.qr(stacked_factors[None], mode="r")]
@@ -430,7 +479,7 @@ def solve_fields(field, basis, mode="conformal", config=None):
         killing_gap=k_gap,
         block_singular_values=k_blocks,
         tolerance_used=RANK_TOL * (float(k_svals[0]) or 1.0),
-        system={"rows": rows, "factor_rows": factors[..., 0].size, "unknowns": n,
+        system={"rows": n_points * len(fit_fan), "factor_rows": len(stacked_factors), "unknowns": n,
                 "blocks": sum(len(cols) for cols in blocks)},
     )
     if k_gap < GAP_WARN:

@@ -107,7 +107,8 @@ def block_split(blocks, stacks, n, reference=None):
     matrix of n columns, by one batched SVD per array of equal blocks.
 
     ``stacks`` holds the (nb, m, w) rows of each (nb, w) column array of ``blocks``, or a
-    factor with their Gram matrix; a wide stack is padded with zero rows, so that the
+    factor with their Gram matrix, or one (1, m, w) stack that all nb blocks share, whose
+    one SVD is spread over them; a wide stack is padded with zero rows, so that the
     columns without a singular value get a zero one.  Singular values below RANK_TOL
     times ``reference`` (by default the largest) count as zero, and all do against a
     zero reference, as of a zero matrix.  Each row is a right singular vector placed in
@@ -115,11 +116,12 @@ def block_split(blocks, stacks, n, reference=None):
     and the spectra each block's, in the order of ``blocks``.
     """
     spectra = []
-    for stack in stacks:
+    for cols, stack in zip(blocks, stacks):
         nb, m, w = stack.shape
         if m < w:
             stack = np.concatenate([stack, np.zeros((nb, w - m, w))], axis=1)
-        spectra.append(np.linalg.svd(stack, full_matrices=False)[1:])
+        s, vt = np.linalg.svd(stack, full_matrices=False)[1:]
+        spectra.append((s, vt) if nb == len(cols) else (s.repeat(len(cols), 0), vt.repeat(len(cols), 0)))
     svals = np.sort(np.concatenate([s.ravel() for s, _ in spectra]))[::-1]
     reference = float(svals.max(initial=0.0)) if reference is None else reference
     split = ([], [])

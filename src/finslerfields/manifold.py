@@ -23,7 +23,8 @@ as (m, 1), and an (m, 3) array on the sphere.  Scalars, vector fields and
 Finsler fields evaluate a whole batch in one call: a scalar's ``jets``, value
 then gradient, of which ``values`` and ``grads`` are slices; a vector field's
 ``values`` and ``jacobians``; and a solvable Finsler field's ``jets``, F then
-dF/dx and dF/dy, of which ``evals`` is the first.  Circle, pullback and
+dF/dx and dF/dy over broadcast batch axes (P points against D directions is
+P + D evaluations), of which ``evals`` is the first.  Circle, pullback and
 averaged fields are evaluation-only and state ``evals`` alone.  The one-point
 methods ``value``, ``jacobian`` and ``eval`` are batches of one, kept because
 the benchmark (``bench/``) calls or wraps them by name.  Diffeomorphisms
@@ -593,16 +594,17 @@ class MobiusMap:
 class FinslerField:
     """Assignment of a Minkowski norm to each tangent space, in coordinates or in a frame.
 
-    A solvable field implements one batched rule, ``jets``: F (m,), dF/dx and dF/dy (m, n)
-    over a batch of points and an (m, n) array of directions, which the solver and
-    ``lie_derivative`` read.  ``evals`` is its first entry and ``eval`` the one-point form.
+    A solvable field implements one batched rule, ``jets``: F (...), dF/dx and dF/dy (..., n)
+    over points and directions whose batch axes broadcast (an axis the jets do not depend on
+    may stay of length 1), which the solver and ``lie_derivative`` read.  ``evals`` is its
+    first entry and ``eval`` the one-point form.
     An evaluation-only field implements ``evals`` alone, and its ``jets`` raises.
     """
 
     manifold = None
 
     def jets(self, points, ys):
-        """(F, dF/dx, dF/dy) over a batch: (m,), (m, n) and (m, n)."""
+        """(F, dF/dx, dF/dy) over broadcast batch axes: (...), (..., n) and (..., n)."""
         raise NotImplementedError(f"{type(self).__name__} has no x-derivatives")
 
     def evals(self, points, ys):
@@ -627,8 +629,10 @@ class ConstantNormField(FinslerField):
         self.norm = norm
 
     def jets(self, points, ys):
-        ys = stack_points(ys)
-        return self.norm(ys), np.zeros((len(ys), self.manifold.dim)), self.norm.gradient_batch(ys)
+        ys = stack_points(ys)   # the points do not enter: jets of the directions' batch shape
+        flat = ys.reshape(-1, self.manifold.dim)
+        grads = self.norm.gradient_batch(flat).reshape(ys.shape)
+        return self.norm(flat).reshape(ys.shape[:-1]), np.zeros(ys.shape), grads
 
     def norm_at(self, pt):
         return self.norm
@@ -650,9 +654,11 @@ class ConformalRescaleField(FinslerField):
         self.rho = rho
 
     def jets(self, points, ys):
-        """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho's jets once."""
-        rho, (evals, grads_x, grads_y) = self.rho.jets(points), self.base.jets(points, ys)
-        return rho[:, 0] * evals, rho[:, 1:] * evals[:, None] + rho[:, :1] * grads_x, rho[:, :1] * grads_y
+        """d(rho F)/dx = F grad rho + rho dF/dx and d(rho F)/dy = rho dF/dy, rho's jets once per point."""
+        points = np.asarray(points, dtype=float)
+        rho = self.rho.jets(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1] + (-1,))
+        (evals, grads_x, grads_y), value = self.base.jets(points, ys), rho[..., :1]
+        return value[..., 0] * evals, rho[..., 1:] * evals[..., None] + value * grads_x, value * grads_y
 
     def norm_at(self, pt):
         return scale_norm(self.base.norm_at(pt), self.rho.values(pt)[0])

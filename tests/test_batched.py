@@ -245,17 +245,40 @@ def test_torus_jets_match_central_differences(name, field, points):
         np.testing.assert_allclose(grads_y[:, j], fd_y, rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize("name,field,basis,config", [CASES[1], CASES[3]],
-                         ids=[CASES[1][0], CASES[3][0]])
-def test_stacked_jet_tables_equal_the_fit_and_verification_calls(name, field, basis, config):
-    fit = build_collocation(basis.manifold, config)
-    verification = build_collocation(basis.manifold, config, offset_points=True)
-    stacked = _field_jets(field, tuple(np.concatenate(parts) for parts in zip(fit, verification)))
-    separate = [_field_jets(field, collocation) for collocation in (fit, verification)]
-    for joint, fit_part, verification_part in zip(stacked, *separate):
-        reference = np.concatenate([fit_part, verification_part])
-        assert joint.shape == reference.shape
-        np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-15 * np.max(np.abs(reference)))
+@pytest.mark.parametrize("offset_points", [False, True])
+@pytest.mark.parametrize("name,field,basis,config", CASES, ids=[c[0] for c in CASES])
+def test_jets_taken_apart_equal_the_row_aligned_jets(name, field, basis, config, offset_points):
+    # the P points against the D directions, broadcast, give the P D rows' jets bit for bit,
+    # with a leading axis of 1 where they do not depend on the point
+    points, fan = collocation = build_collocation(basis.manifold, config, offset_points)
+    row_points, ys = collocation_rows(collocation)
+    rows = field.jets(row_points, ys)
+    apart = field.jets(points[:, None], fan[None])
+    assert len(apart[0]) == (1 if isinstance(field, ConstantNormField) else len(points))
+    for part, row_part in zip(apart, rows):
+        np.testing.assert_array_equal(np.broadcast_to(part, (len(points),) + part.shape[1:]).reshape(
+            row_part.shape), row_part)
+    field_jets, evals = _field_jets(field, points, fan)
+    expected = np.hstack([rows[1], (rows[2][:, :, None] * ys[:, None, :]).reshape(-1, 4)]) / rows[0][:, None]
+    np.testing.assert_array_equal(np.broadcast_to(field_jets, (len(points), len(fan), 6)).reshape(-1, 6),
+                                  expected)
+
+
+@pytest.mark.parametrize("name,field,basis,config", [CASES[1], CASES[3]], ids=[CASES[1][0], CASES[3][0]])
+def test_a_solve_evaluates_the_norm_on_the_fans_and_rho_on_the_points(monkeypatch, name, field, basis,
+                                                                        config):
+    # P + D evaluations per collocation in place of P D: the norm on the fit and verification
+    # fans alone, and rho on the fit and verification points alone
+    calls = []
+    for owner, method in ((type(field.base.norm), "gradient_batch"), (type(field.rho), "jets")):
+        def counted(self, batch, original=getattr(owner, method), method=method):
+            calls.append((method, len(batch)))
+            return original(self, batch)
+        monkeypatch.setattr(owner, method, counted)
+    solve_fields(field, basis, "killing", config)
+    fit, verification = (build_collocation(basis.manifold, config, offset) for offset in (False, True))
+    assert sorted(calls) == sorted([("gradient_batch", config.n_directions)] * 2
+                                   + [("jets", len(fit[0])), ("jets", len(verification[0]))])
 
 
 def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
@@ -268,7 +291,7 @@ def test_sphere_collocation_covers_both_hemispheres_on_the_sphere():
 def test_rescaled_torus_has_nonzero_grad_x():
     _, field, basis, config = _torus_cases()[1]
     points, fan = build_collocation(basis.manifold, config)
-    assert np.linalg.norm(field.jets(points[:1], fan[0, :1])[1][0]) > 0.1
+    assert np.linalg.norm(field.jets(points[:1], fan[:1])[1][0]) > 0.1
 
 
 def reference_collocation(manifold, config, offset_points=False):
@@ -300,7 +323,7 @@ def reference_collocation(manifold, config, offset_points=False):
 def test_collocation_batch_equals_the_per_point_loop(manifold, offset_points, seed):
     config = SolverConfig(x_density=5, sphere_points=40, n_directions=7, seed=seed)
     collocation = build_collocation(manifold, config, offset_points)
-    assert collocation[1].shape == (len(collocation[0]), 7, 2)
+    assert collocation[1].shape == (7, 2)
     points, ys = collocation_rows(collocation)
     expected_points, expected_ys = reference_collocation(manifold, config, offset_points)
     assert ys.shape == (len(points), 2) == (len(expected_ys), 2)
@@ -425,7 +448,7 @@ def test_frames_tables_and_jets_are_finite_at_both_poles():
     field = ConformalRescaleField(RoundSphereField(sphere), rho)
     angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.3
     fan = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    collocation = (points, np.broadcast_to(fan, (len(points), 12, 2)))
+    collocation = (points, fan)
     for table in (sphere.frame(points), manifold.field_tables(basis.elements, points),
                   assemble_system(field, basis, collocation)):
         assert np.all(np.isfinite(table))

@@ -432,7 +432,7 @@ def test_emitted_report_equals_its_dict_as_data(tmp_path, name):
 
 @pytest.mark.parametrize("name,system", [
     ("riemannian-torus", {"rows": 640, "factor_rows": 6, "unknowns": 50, "blocks": 13}),
-    ("s2-round", {"rows": 1500, "factor_rows": 900, "unknowns": 23, "blocks": 1}),
+    ("s2-round", {"rows": 1500, "factor_rows": 6, "unknowns": 23, "blocks": 15}),
 ])
 def test_experiment_json_records_the_system_sizes(tmp_path, name, system):
     report = run_experiment(name, ExperimentConfig(name=name))

@@ -82,7 +82,7 @@ def full_systems(field, basis, collocation):
     """The (P*D, A) rows N = (L_B F)/F from ``assemble_system``, and N centred over each fan."""
     evals = field.evals(*collocation_rows(collocation))
     rows = assemble_system(field, basis, collocation) / evals[:, None]
-    fans = rows.reshape(*collocation[1].shape[:2], basis.n_fields)
+    fans = rows.reshape(len(collocation[0]), len(collocation[1]), basis.n_fields)
     return rows, (fans - fans.mean(axis=1, keepdims=True)).reshape(rows.shape)
 
 
@@ -227,18 +227,18 @@ class TestFan:
         config = SolverConfig(n_directions=n_directions, seed=seed)
         fit = build_collocation(manifold, config)[1]
         ver = build_collocation(manifold, config, offset_points=True)[1]
-        assert np.all(fit == fit[0]) and np.all(ver == ver[0])
+        assert fit.shape == ver.shape == (n_directions, 2)
         step = 2.0 * np.pi / n_directions
         # equal angles, and every verification direction half a step from its nearest fit one
-        np.testing.assert_allclose(np.sum(fit[0] * np.roll(fit[0], -1, axis=0), axis=1),
+        np.testing.assert_allclose(np.sum(fit * np.roll(fit, -1, axis=0), axis=1),
                                    np.cos(step), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.max(ver[0] @ fit[0].T, axis=1), np.cos(step / 2.0),
+        np.testing.assert_allclose(np.max(ver @ fit.T, axis=1), np.cos(step / 2.0),
                                    rtol=0, atol=1e-12)
 
     def test_equal_seeds_give_equal_fans_and_seeds_zero_and_one_do_not(self):
         def fan(seed):
             RESULTS.clear()
-            return build_collocation(FlatTorus(), SolverConfig(seed=seed))[1][0]
+            return build_collocation(FlatTorus(), SolverConfig(seed=seed))[1]
 
         np.testing.assert_array_equal(fan(7), fan(7))
         assert np.max(np.abs(fan(0) - fan(1))) > 0.1
@@ -250,7 +250,7 @@ class TestFan:
         # degenerate at -y_j, between two fan directions
         torus = FlatTorus()
         config = SolverConfig(n_directions=3, seed=seed)
-        field = randers_field(torus, 0.99 * build_collocation(torus, config)[1][0, direction])
+        field = randers_field(torus, 0.99 * build_collocation(torus, config)[1][direction])
         report = solve_fields(field, torus_basis(torus, 2), config=config)
         assert (report.killing_dim, report.conformal_dim, report.flags) == (2, 2, [])
         rho = TorusFourierScalar(torus, const=2.0, terms=[((1, 0), 1.0, 0.0)])
@@ -558,7 +558,9 @@ def _factor_solve_cases():
         "randers torus": (randers_field(torus), torus_basis(torus, 2), SolverConfig()),
         "rescaled torus": (ConformalRescaleField(randers_field(torus), rho), torus_basis(torus, 2),
                            SolverConfig()),
-        "round sphere": (RoundSphereField(sphere), sphere_basis(sphere, 2), SolverConfig()),
+        # without its blocks, so that the sphere solves from every point as one block
+        "round sphere": (RoundSphereField(sphere), FieldBasis(sphere, sphere_basis(sphere, 2).elements, 2),
+                         SolverConfig()),
         "three-direction fan": (randers_field(torus), torus_basis(torus, 2),
                                 SolverConfig(n_directions=3)),
     }
@@ -585,7 +587,7 @@ class TestFactorSolve:
         verification = build_collocation(basis.manifold, config, offset_points=True)
         rows, centred = full_systems(field, basis, verification)
         report = solve_fields(field, basis, config=config)
-        fan_means = rows.reshape(verification[1].shape[0], -1, basis.n_fields).mean(axis=1)
+        fan_means = rows.reshape(len(verification[0]), -1, basis.n_fields).mean(axis=1)
         # the residuals are themselves round-off, so they agree to round-off of the system's scale
         atol = 1e-17 * report.killing_singular_values[0]
         assert report.residuals["killing"] == pytest.approx(
@@ -666,7 +668,7 @@ class TestBlockSolve:
         for k, killing_svals, conformal_svals in zip(torus_fourier_modes(degree),
                                                      killing.block_singular_values[1:],
                                                      conformal.block_singular_values[1:]):
-            oracle = _mode_oracle(norm, torus, fit_fan[0], len(fit_points), k)
+            oracle = _mode_oracle(norm, torus, fit_fan, len(fit_points), k)
             assert np.max(np.abs(killing_svals - oracle[0])) <= scale
             assert np.max(np.abs(conformal_svals - oracle[1])) <= scale
 
@@ -726,10 +728,11 @@ class TestBlockSolve:
         hand_built = FieldBasis(sphere, sphere_rotation_generators(sphere)
                                 + sphere_gradient_generators(sphere), 1)
         for field, basis in ((varying, torus_basis(torus, 2)),
-                             (RoundSphereField(sphere), sphere_basis(sphere, 2)),
                              (RoundSphereField(sphere), hand_built),
                              (randers_field(torus), FieldBasis(torus, torus_basis(torus, 2).elements, 2))):
             assert solve_fields(field, basis, "killing").system["blocks"] == 1
+        # the round sphere on its harmonic ansatz: one block per copy of each degree l = 1, 2, 3
+        assert solve_fields(RoundSphereField(sphere), sphere_basis(sphere, 2), "killing").system["blocks"] == 15
 
     def test_jets_that_differ_at_one_fit_point_solve_one_block(self):
         torus = FlatTorus()
